@@ -53,8 +53,47 @@ class RunConfig:
                 f"alpha={self.alpha:g} top_k={self.top_k}")
 
 
+_NUMBER = (int, float)
+_TYPE_NAMES = {str: "a string", int: "an integer", _NUMBER: "a number", bool: "true or false",
+               dict: "an object", list: "a list"}
+# JSON type of each config key; a key that is absent or null takes the RunConfig default.
+_CONFIG_TYPES = {
+    "manifest": str, "source_language": str, "target_language": str, "lexicons": dict,
+    "concept_map": str, "frequency_tables": dict, "priority": list, "group_by": list,
+    "alpha": _NUMBER, "deviation_mode": str, "top_k": int, "attested": bool,
+    "output_dir": str, "synth": dict,
+}
+_SYNTH_TYPES = {
+    "words": int, "seed": int, "kind": str, "factor": _NUMBER, "norm_pull": _NUMBER,
+    "length_inflation": _NUMBER, "concept_density": _NUMBER, "filler_size": int,
+    "concept_budget": dict,
+}
+
+
+def _check_type(name: str, value, expected) -> None:
+    """Raise ValidationError unless `value` has the JSON type `expected`.
+
+    JSON booleans are neither integers nor numbers here, although Python's are.
+    """
+    if isinstance(value, bool) != (expected is bool) or not isinstance(value, expected):
+        raise ValidationError(f"{name} must be {_TYPE_NAMES[expected]}, got {value!r}")
+
+
+def _check_types(body: dict, types: dict, prefix: str = "") -> dict:
+    """Check every known key of `body` and return it without its null values."""
+    body = {k: v for k, v in body.items() if v is not None}
+    for key, expected in types.items():
+        if key in body:
+            _check_type(prefix + key, body[key], expected)
+    return body
+
+
 def load_config(path, overrides: dict | None = None) -> RunConfig:
-    """Read a JSON config file and apply command-line overrides."""
+    """Read a JSON config file and apply command-line overrides.
+
+    Every value is checked against its JSON type, so a malformed config ends
+    in a ValidationError rather than a misread value or a traceback.
+    """
     path = Path(path)
     if not path.exists():
         raise IngestError(f"file not found: {path}")
@@ -66,6 +105,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         raise ValidationError(f"{path}: config must be a JSON object")
     if overrides:
         body = {**body, **{k: v for k, v in overrides.items() if v is not None}}
+    body = _check_types(body, _CONFIG_TYPES)
 
     base = path.parent
     config = RunConfig(base_dir=base)
@@ -82,11 +122,15 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     for lang, paths in body.get("lexicons", {}).items():
         if isinstance(paths, str):
             paths = [paths]
+        _check_type(f"lexicons.{lang}", paths, list)
+        for p in paths:
+            _check_type(f"lexicons.{lang} entry", p, str)
         config.lexicons[lang] = [
             resolve(p, f"lexicon:{lang}:{i}") for i, p in enumerate(paths)]
     if body.get("concept_map"):
         config.concept_map = resolve(body["concept_map"], "concept_map")
     for lang, p in body.get("frequency_tables", {}).items():
+        _check_type(f"frequency_tables.{lang}", p, str)
         config.frequency_tables[lang] = resolve(p, f"frequency_table:{lang}")
 
     if "priority" in body:
@@ -97,6 +141,8 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         if sorted(config.priority) != sorted(SentimentClass):
             raise ValidationError(
                 f"priority must be a permutation of the three classes: {body['priority']}")
+    for factor in body.get("group_by", []):
+        _check_type("group_by entry", factor, str)
     config.group_by = list(body.get("group_by", []))
     config.alpha = float(body.get("alpha", 0.05))
     if not 0.0 < config.alpha < 1.0:
@@ -107,23 +153,31 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         raise ValidationError(
             f"deviation_mode must be 'difference' or 'ratio', "
             f"got {body.get('deviation_mode')!r}") from None
-    config.top_k = int(body.get("top_k", 5))
+    config.top_k = body.get("top_k", 5)
     if config.top_k < 1:
         raise ValidationError(f"top_k must be >= 1, got {config.top_k}")
-    config.attested = bool(body.get("attested", False))
+    config.attested = body.get("attested", False)
     if "output_dir" in body:
         raw = body["output_dir"]
         p = Path(raw)
         config.output_dir = p if p.is_absolute() else base / p
-        config.raw_paths["output_dir"] = str(raw)
-    config.synth_options = dict(body.get("synth", {}))
+        config.raw_paths["output_dir"] = raw
+    config.synth_options = _check_types(body.get("synth", {}), _SYNTH_TYPES, "synth.")
+    for cid, weight in config.synth_options.get("concept_budget", {}).items():
+        _check_type(f"synth.concept_budget.{cid}", weight, _NUMBER)
     return config
 
 
-class _Report:
-    def __init__(self):
-        self.errors: list[str] = []
-        self.warnings: list[str] = []
+@dataclass
+class ValidationReport:
+    """Validation messages plus every input that loaded, so a run reads each input once."""
+
+    errors: list[str] = field(default_factory=list)
+    warnings: list[str] = field(default_factory=list)
+    lexicons: dict[str, SentimentLexicon] = field(default_factory=dict)
+    concept_map: ConceptMap | None = None
+    tables: dict[str, FrequencyTable] = field(default_factory=dict)
+    strata: list[CorpusStratum] = field(default_factory=list)
 
     def error(self, message: str):
         self.errors.append(message)
@@ -132,7 +186,7 @@ class _Report:
         self.warnings.append(message)
 
 
-def _load_lexicons(config: RunConfig, report: _Report) -> dict[str, SentimentLexicon]:
+def _load_lexicons(config: RunConfig, report: ValidationReport) -> dict[str, SentimentLexicon]:
     lexicons: dict[str, SentimentLexicon] = {}
     for lang in sorted(config.lexicons):
         try:
@@ -156,7 +210,7 @@ def _load_lexicons(config: RunConfig, report: _Report) -> dict[str, SentimentLex
 
 
 def _load_concept_map(config: RunConfig, lexicons: dict[str, SentimentLexicon],
-                      report: _Report) -> ConceptMap | None:
+                      report: ValidationReport) -> ConceptMap | None:
     if config.concept_map is None:
         return None
     if not config.source_language or not config.target_language:
@@ -174,7 +228,8 @@ def _load_concept_map(config: RunConfig, lexicons: dict[str, SentimentLexicon],
         return None
 
 
-def _load_frequency_tables(config: RunConfig, report: _Report) -> dict[str, FrequencyTable]:
+def _load_frequency_tables(config: RunConfig,
+                           report: ValidationReport) -> dict[str, FrequencyTable]:
     tables: dict[str, FrequencyTable] = {}
     for lang in sorted(config.frequency_tables):
         try:
@@ -187,18 +242,23 @@ def _load_frequency_tables(config: RunConfig, report: _Report) -> dict[str, Freq
     return tables
 
 
-def run_validation(config: RunConfig, *, need_manifest: bool = True) -> _Report:
-    report = _Report()
-    lexicons = _load_lexicons(config, report)
-    _load_concept_map(config, lexicons, report)
-    _load_frequency_tables(config, report)
+def run_validation(config: RunConfig, *, need_manifest: bool = True) -> ValidationReport:
+    """Load and check every input named by the config.
+
+    The report keeps what loaded (lexicons, concept map, frequency tables and,
+    with `need_manifest`, the corpus) for `analyze` to reuse.
+    """
+    report = ValidationReport()
+    report.lexicons = _load_lexicons(config, report)
+    report.concept_map = _load_concept_map(config, report.lexicons, report)
+    report.tables = _load_frequency_tables(config, report)
     if need_manifest:
         if config.manifest is None:
             report.error("config does not name a manifest")
         else:
             try:
-                strata = ingest.load_corpus(config.manifest)
-                if not strata:
+                report.strata = ingest.load_corpus(config.manifest)
+                if not report.strata:
                     report.error("manifest lists no documents")
             except SemdriftError as exc:
                 report.error(f"manifest: {exc}")
@@ -288,19 +348,17 @@ def _factor_groups(strata: list[CorpusStratum], factor: str) -> dict[str, list[C
     return groups
 
 
-def analyze(config: RunConfig) -> dict[str, str]:
+def analyze(config: RunConfig, inputs: ValidationReport) -> dict[str, str]:
     """Run the full pipeline and return the report bundle as filename -> contents.
 
-    Nothing is written here; callers persist the bundle only after every table
-    is computed, so failures leave no partial output behind.
+    `inputs` is the `run_validation(config)` report, whose loaded inputs are
+    analyzed. Nothing is written here; callers persist the bundle only after
+    every table is computed, so failures leave no partial output behind.
     """
-    report = _Report()
-    lexicons = _load_lexicons(config, report)
-    cmap = _load_concept_map(config, lexicons, report)
-    tables = _load_frequency_tables(config, report)
-    if report.errors:
-        raise ValidationError("; ".join(report.errors))
-    strata = ingest.load_corpus(config.manifest)
+    if inputs.errors:
+        raise ValidationError("; ".join(inputs.errors))
+    lexicons, cmap, tables = inputs.lexicons, inputs.concept_map, inputs.tables
+    strata = inputs.strata
     checksum, files = _checksum_inputs(config)
     mode = config.mode_line()
     summary: dict = {
@@ -636,7 +694,7 @@ def cmd_analyze(config: RunConfig) -> int:
             print(f"error: {message}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        bundle = analyze(config)
+        bundle = analyze(config, report)
     except SemdriftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
@@ -648,7 +706,7 @@ def cmd_analyze(config: RunConfig) -> int:
 
 
 def cmd_synth(config: RunConfig, args) -> int:
-    report = _Report()
+    report = ValidationReport()
     lexicons = _load_lexicons(config, report)
     cmap = _load_concept_map(config, lexicons, report)
     if cmap is None:

@@ -6,7 +6,8 @@ Documents sharing all three land in the same stratum.
 """
 
 import json
-from bisect import bisect_right
+import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -26,7 +27,11 @@ class TranslationKind(str, Enum):
 
 @dataclass(frozen=True)
 class LangProfile:
-    """Per-language tokenizer settings: which code points count as word characters."""
+    """Per-language tokenizer settings: which code points count as word characters.
+
+    The merged code-point ranges compile to one regex character class, so a
+    token is a maximal run of word characters found by a single `findall`.
+    """
 
     language_code: str
     letter_classes: tuple[tuple[int, int], ...]
@@ -39,7 +44,9 @@ class LangProfile:
             raise ValidationError("letter_classes must be non-empty")
         merged = _merge_ranges(self.letter_classes)
         object.__setattr__(self, "letter_classes", merged)
-        object.__setattr__(self, "_starts", [r[0] for r in merged])
+        # \U escapes spell every range end, so "-", "]", "\\" and "^" need no escaping
+        char_class = "".join(f"\\U{lo:08x}-\\U{hi:08x}" for lo, hi in merged)
+        object.__setattr__(self, "_word_run", re.compile(f"[{char_class}]+"))
 
     @classmethod
     def from_letters(cls, language_code: str, letters, case_fold: bool = True) -> "LangProfile":
@@ -57,16 +64,11 @@ class LangProfile:
                 raise ValidationError("empty letter spec")
         return cls(language_code, tuple(ranges), case_fold)
 
-    def is_word_char(self, ch: str) -> bool:
-        cp = ord(ch)
-        idx = bisect_right(self._starts, cp) - 1
-        return idx >= 0 and cp <= self.letter_classes[idx][1]
-
 
 def _merge_ranges(ranges) -> tuple[tuple[int, int], ...]:
     out: list[tuple[int, int]] = []
     for lo, hi in sorted(ranges):
-        if lo > hi:
+        if not 0 <= lo <= hi <= sys.maxunicode:
             raise ValidationError(f"invalid code point range: ({lo}, {hi})")
         if out and lo <= out[-1][1] + 1:
             out[-1] = (out[-1][0], max(out[-1][1], hi))
@@ -90,20 +92,14 @@ def default_profile(language_code: str) -> LangProfile:
 
 
 def tokenize(text: str, profile: LangProfile) -> list[str]:
-    """Split text into maximal runs of word characters; everything else separates."""
-    tokens: list[str] = []
-    start = None
-    for i, ch in enumerate(text):
-        if profile.is_word_char(ch):
-            if start is None:
-                start = i
-        elif start is not None:
-            tokens.append(text[start:i])
-            start = None
-    if start is not None:
-        tokens.append(text[start:])
+    """Split text into maximal runs of word characters; everything else separates.
+
+    Case folding applies per token, after the split: folding the text first
+    could move token boundaries (e.g. "ß" folds to "ss").
+    """
+    tokens = profile._word_run.findall(text)
     if profile.case_fold:
-        tokens = [t.casefold() for t in tokens]
+        tokens = list(map(str.casefold, tokens))
     return tokens
 
 
@@ -136,13 +132,10 @@ class LemmaDict:
             entries[parts[0].casefold()] = parts[1]
         return cls(language_code, entries)
 
-    def lemma_of(self, surface: str) -> str:
-        return self.entries.get(surface, surface)
-
 
 def lemmatize(tokens: list[str], lemma_dict: LemmaDict) -> list[Lemma]:
     """Map each token through the dictionary; unknown tokens pass through unchanged."""
-    return [lemma_dict.entries.get(t, t) for t in tokens]
+    return list(map(lemma_dict.entries.get, tokens, tokens))
 
 
 @dataclass(frozen=True)

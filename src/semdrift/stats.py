@@ -214,25 +214,30 @@ def f_cdf(x: float, d1: int, d2: int) -> float:
     return min(1.0, max(0.0, _betainc_reg(d1 / 2.0, d2 / 2.0, ratio)))
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=None)
+def _legendre_rule(n: int):
+    return np.polynomial.legendre.leggauss(n)
+
+
 def _gauss_legendre(n: int, lo: float, hi: float):
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    """The n-point Gauss-Legendre rule on [lo, hi]: nodes and weights."""
+    nodes, weights = _legendre_rule(n)
     half = 0.5 * (hi - lo)
     return half * nodes + 0.5 * (hi + lo), half * weights
 
 
 def _normal_cdf_array(values: np.ndarray) -> np.ndarray:
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    return np.array([0.5 * (1.0 + math.erf(v * inv_sqrt2)) for v in values.ravel()]
-                    ).reshape(values.shape)
+    scaled = values * (1.0 / math.sqrt(2.0))
+    erf = np.fromiter(map(math.erf, scaled.ravel().tolist()), float, scaled.size)
+    return 0.5 * (1.0 + erf.reshape(values.shape))
 
 
-def _range_cdf(r: float, k: int, z: np.ndarray, wz: np.ndarray,
-               phi: np.ndarray, big_phi: np.ndarray) -> float:
-    if r <= 0.0:
-        return 0.0
-    shifted = _normal_cdf_array(z - r)
-    return float(np.sum(wz * k * phi * (big_phi - shifted) ** (k - 1)))
+@lru_cache(maxsize=1)
+def _inner_rule():
+    """Nodes, weights, normal density and normal CDF of the inner (location) rule."""
+    z, wz = _gauss_legendre(_INNER_NODES, -9.0, 9.0)
+    phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    return z, wz, phi, _normal_cdf_array(z)
 
 
 def studentized_range_cdf(q: float, k: int, df: int) -> float:
@@ -251,9 +256,7 @@ def studentized_range_cdf(q: float, k: int, df: int) -> float:
         return 0.0
     if math.isinf(q):
         return 1.0
-    z, wz = _gauss_legendre(_INNER_NODES, -9.0, 9.0)
-    phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    big_phi = _normal_cdf_array(z)
+    z, wz, phi, big_phi = _inner_rule()
     if df < 4:
         s_lo, s_hi = 0.0, 14.0
     else:
@@ -262,8 +265,12 @@ def studentized_range_cdf(q: float, k: int, df: int) -> float:
     ln_norm = (0.5 * df * math.log(df) - math.lgamma(0.5 * df)
                - (0.5 * df - 1.0) * math.log(2.0))
     density = np.exp(ln_norm + (df - 1.0) * np.log(s) - 0.5 * df * s * s)
-    total = float(sum(w * d * _range_cdf(q * sv, k, z, wz, phi, big_phi)
-                      for w, d, sv in zip(ws, density, s)))
+    # one row per outer node: the inner integral at range r = q * s
+    shifted = _normal_cdf_array(z[None, :] - (q * s)[:, None])
+    rows = np.sum(wz * k * phi * (big_phi - shifted) ** (k - 1), axis=1)
+    # Python's sum adds the rows in order; as numpy scalars they also escape the
+    # compensated float summation of newer Pythons, so the result never depends on it
+    total = float(sum(ws * density * rows))
     return min(1.0, max(0.0, total))
 
 

@@ -1,6 +1,9 @@
 import json
 from pathlib import Path
 
+import pytest
+
+import semdrift.ingest
 from semdrift import load_corpus
 from semdrift.cli import main
 
@@ -73,6 +76,81 @@ class TestValidate:
         assert main(["validate", "--config", str(path)]) == 2
 
 
+class TestConfigTypes:
+    @pytest.mark.parametrize("overrides, message", [
+        ({"top_k": "five"}, "top_k must be an integer"),
+        ({"alpha": "x"}, "alpha must be a number"),
+        ({"lexicons": [str(DATA / "lexicons/lex_en_core.tsv")]}, "lexicons must be an object"),
+        ({"group_by": "term"}, "group_by must be a list"),
+        ({"top_k": True}, "top_k must be an integer"),
+        ({"attested": "false"}, "attested must be true or false"),
+        ({"frequency_tables": {"en": 1}}, "frequency_tables.en must be a string"),
+        ({"synth": {"words": "many"}}, "synth.words must be an integer"),
+    ])
+    def test_wrong_type_exits_2(self, tmp_path, capsys, overrides, message):
+        config = write_config(tmp_path, **overrides)
+        assert main(["validate", "--config", str(config)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_null_takes_the_default(self, tmp_path, capsys):
+        config = write_config(tmp_path, top_k=None, alpha=None)
+        assert main(["validate", "--config", str(config)]) == 0
+
+
+def _count_load_corpus(monkeypatch) -> list:
+    calls = []
+    original = semdrift.ingest.load_corpus
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(semdrift.ingest, "load_corpus", counted)
+    return calls
+
+
+class TestSingleLoad:
+    def test_analyze_reads_the_corpus_once(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path)
+        expected = tmp_path / "expected"
+        assert main(["analyze", "--config", str(config), "--output-dir", str(expected)]) == 0
+        calls = _count_load_corpus(monkeypatch)
+        out = tmp_path / "run"
+        assert main(["analyze", "--config", str(config), "--output-dir", str(out)]) == 0
+        assert len(calls) == 1
+        assert read_bundle(out) == read_bundle(expected)
+
+    def test_missing_manifest_exits_2(self, tmp_path, capsys, monkeypatch):
+        calls = _count_load_corpus(monkeypatch)
+        config = write_config(tmp_path, manifest=str(tmp_path / "nope.json"))
+        out = tmp_path / "bundle"
+        assert main(["analyze", "--config", str(config), "--output-dir", str(out)]) == 2
+        assert "error: manifest: file not found" in capsys.readouterr().err
+        assert len(calls) == 1
+        assert not out.exists()
+
+    def test_invalid_manifest_exits_2(self, tmp_path, capsys, monkeypatch):
+        calls = _count_load_corpus(monkeypatch)
+        (tmp_path / "manifest.json").write_text("{not json", encoding="utf-8")
+        config = write_config(tmp_path, manifest=str(tmp_path / "manifest.json"))
+        out = tmp_path / "bundle"
+        assert main(["analyze", "--config", str(config), "--output-dir", str(out)]) == 2
+        assert "error: manifest: " in capsys.readouterr().err
+        assert len(calls) == 1
+        assert not out.exists()
+
+    def test_unnamed_manifest_exits_2(self, tmp_path, capsys, monkeypatch):
+        calls = _count_load_corpus(monkeypatch)
+        config = write_config(tmp_path)
+        body = json.loads(config.read_text(encoding="utf-8"))
+        del body["manifest"]
+        config.write_text(json.dumps(body), encoding="utf-8")
+        assert main(["analyze", "--config", str(config),
+                     "--output-dir", str(tmp_path / "bundle")]) == 2
+        assert "error: config does not name a manifest" in capsys.readouterr().err
+        assert calls == []
+
+
 class TestAnalyze:
     def test_bundle_written_and_deterministic(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -117,7 +195,9 @@ class TestAnalyze:
         text = (out / "deviation_lemmas.csv").read_text(encoding="utf-8")
         assert "splendid" in text and "uncovered" in text
 
-    def test_analysis_error_exits_1_without_partial_output(self, tmp_path, capsys):
+    def test_analysis_error_exits_1_without_partial_output(self, tmp_path, capsys,
+                                                           monkeypatch):
+        calls = _count_load_corpus(monkeypatch)
         # an empty translation stratum makes the concept vector undefined
         (tmp_path / "ru.txt").write_text("сказать хороший", encoding="utf-8")
         (tmp_path / "en.txt").write_text("...", encoding="utf-8")
@@ -131,8 +211,9 @@ class TestAnalyze:
         code = main(["analyze", "--config", str(config), "--output-dir", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        assert "empty stratum" in err
+        assert "error: concept vector for en/human: empty stratum" in err
         assert not out.exists() or not any(out.iterdir())
+        assert len(calls) == 1
 
     def test_validation_failure_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, concept_map=str(tmp_path / "missing.tsv"))

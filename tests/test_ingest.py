@@ -1,4 +1,6 @@
 import json
+import sys
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given
@@ -9,6 +11,38 @@ from semdrift import (LangProfile, LemmaDict, default_profile, lemmatize, load_c
 from semdrift.errors import IngestError, ValidationError
 
 from helpers import DATA, make_stratum
+
+
+def _reference_tokenize(text: str, profile: LangProfile) -> list[str]:
+    """The tokenizer rule spelled out one character at a time: maximal word-character runs."""
+    starts = [lo for lo, _ in profile.letter_classes]
+
+    def is_word_char(ch: str) -> bool:
+        idx = bisect_right(starts, ord(ch)) - 1
+        return idx >= 0 and ord(ch) <= profile.letter_classes[idx][1]
+
+    tokens: list[str] = []
+    start = None
+    for i, ch in enumerate(text):
+        if is_word_char(ch):
+            if start is None:
+                start = i
+        elif start is not None:
+            tokens.append(text[start:i])
+            start = None
+    if start is not None:
+        tokens.append(text[start:])
+    return [t.casefold() for t in tokens] if profile.case_fold else tokens
+
+
+# Range ends that are special inside a regex character class, plus astral and
+# extreme code points.
+_SPECIAL_CODE_POINTS = [ord(c) for c in "-]\\^[ ßİ"] + [
+    0, 0xD800, 0x10000, 0x1F600, sys.maxunicode]
+_code_points = st.one_of(st.sampled_from(_SPECIAL_CODE_POINTS), st.integers(0, 0x4FF),
+                         st.integers(0, sys.maxunicode))
+_ranges = st.lists(st.tuples(_code_points, _code_points).map(lambda r: tuple(sorted(r))),
+                   min_size=1, max_size=6)
 
 
 class TestTokenize:
@@ -45,6 +79,28 @@ class TestTokenize:
         for token in tokenize(text, default_profile("en")):
             assert token
             assert token == token.casefold()
+
+    @given(st.data())
+    def test_regex_matches_per_character_rule(self, data):
+        profile = LangProfile("xx", tuple(data.draw(_ranges)), data.draw(st.booleans()))
+        # characters at, just inside and just outside every range end
+        edges = sorted({cp + d for lo, hi in profile.letter_classes for cp in (lo, hi)
+                        for d in (-1, 0, 1) if 0 <= cp + d <= sys.maxunicode})
+        alphabet = st.one_of(st.sampled_from([chr(cp) for cp in edges]),
+                             st.sampled_from([chr(cp) for cp in _SPECIAL_CODE_POINTS]),
+                             st.characters())
+        text = data.draw(st.text(alphabet, max_size=80))
+        assert tokenize(text, profile) == _reference_tokenize(text, profile)
+
+    def test_case_fold_after_split(self):
+        # folding the text first would turn "ß" into "ss", which is not a letter here
+        profile = LangProfile.from_letters("de", ["ß"])
+        assert tokenize("sßs", profile) == ["ss"]
+
+    @pytest.mark.parametrize("bad", [(-1, 5), (0x41, sys.maxunicode + 1), (0x5A, 0x41)])
+    def test_profile_rejects_invalid_code_point_range(self, bad):
+        with pytest.raises(ValidationError, match="invalid code point range"):
+            LangProfile("xx", (bad,))
 
     def test_profile_requires_letters(self):
         with pytest.raises(ValidationError):

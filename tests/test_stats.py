@@ -143,7 +143,40 @@ class TestFCdf:
             f_cdf(1.0, 0, 5)
 
 
+def row_loop_srange_cdf(q, k, df):
+    """The quadrature of `studentized_range_cdf`, one outer node and one erf at a time."""
+    def rule(n, lo, hi):
+        nodes, weights = np.polynomial.legendre.leggauss(n)
+        half = 0.5 * (hi - lo)
+        return half * nodes + 0.5 * (hi + lo), half * weights
+
+    def normal_cdf(values):
+        return np.array([0.5 * (1.0 + math.erf(v * (1.0 / math.sqrt(2.0)))) for v in values])
+
+    z, wz = rule(96, -9.0, 9.0)
+    phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    big_phi = normal_cdf(z)
+    if df < 4:
+        s_lo, s_hi = 0.0, 14.0
+    else:
+        s_lo, s_hi = max(0.0, 1.0 - 12.0 / math.sqrt(df)), 1.0 + 12.0 / math.sqrt(df)
+    s, ws = rule(160, s_lo, s_hi)
+    ln_norm = (0.5 * df * math.log(df) - math.lgamma(0.5 * df)
+               - (0.5 * df - 1.0) * math.log(2.0))
+    density = np.exp(ln_norm + (df - 1.0) * np.log(s) - 0.5 * df * s * s)
+    total = 0
+    for w, d, sv in zip(ws, density, s):
+        row = np.sum(wz * k * phi * (big_phi - normal_cdf(z - q * sv)) ** (k - 1))
+        total += w * d * row
+    return min(1.0, max(0.0, float(total)))
+
+
 class TestStudentizedRangeCdf:
+    @given(st.floats(1e-3, 30.0), st.integers(2, 20), st.integers(1, 2000))
+    @settings(max_examples=30, deadline=None)
+    def test_equals_row_loop_reference(self, q, k, df):
+        assert studentized_range_cdf(q, k, df) == row_loop_srange_cdf(q, k, df)
+
     def test_zero(self):
         assert studentized_range_cdf(0.0, 3, 12) == 0.0
 
