@@ -246,7 +246,9 @@ def run_validation(config: RunConfig, *, need_manifest: bool = True) -> Validati
     """Load and check every input named by the config.
 
     The report keeps what loaded (lexicons, concept map, frequency tables and,
-    with `need_manifest`, the corpus) for `analyze` to reuse.
+    with `need_manifest`, the corpus) for `analyze` to reuse. A `group_by`
+    factor that no document carries as a group key is an error, since every
+    ANOVA over it would be skipped.
     """
     report = ValidationReport()
     report.lexicons = _load_lexicons(config, report)
@@ -262,6 +264,10 @@ def run_validation(config: RunConfig, *, need_manifest: bool = True) -> Validati
                     report.error("manifest lists no documents")
             except SemdriftError as exc:
                 report.error(f"manifest: {exc}")
+        carried = {key for stratum in report.strata for key in stratum.group_keys}
+        for factor in config.group_by:
+            if report.strata and factor != "translation_kind" and factor not in carried:
+                report.error(f"group_by factor {factor!r}: no document has this group key")
     return report
 
 
@@ -375,9 +381,10 @@ def analyze(config: RunConfig, inputs: ValidationReport) -> dict[str, str]:
     }
     bundle: dict[str, str] = {}
 
-    # per-stratum sentiment statistics
+    # per-stratum sentiment statistics, reused by the ANOVA stage below
     count_rows, hist_rows = [], []
     stratum_summaries = []
+    class_stats_of: dict[str, dict] = {}
     for stratum in strata:
         lexicon = lexicons.get(stratum.language_code)
         entry = {
@@ -392,7 +399,7 @@ def analyze(config: RunConfig, inputs: ValidationReport) -> dict[str, str]:
                 f"stratum {stratum.label}: no lexicon for {stratum.language_code}")
             stratum_summaries.append(entry)
             continue
-        class_stats = freq.sentiment_stats(stratum, lexicon)
+        class_stats = class_stats_of[stratum.label] = freq.sentiment_stats(stratum, lexicon)
         per_lemma = freq.tokens_per_lemma(stratum, lexicon)
         entry["classes"] = {}
         for cls in SentimentClass:
@@ -469,8 +476,6 @@ def analyze(config: RunConfig, inputs: ValidationReport) -> dict[str, str]:
     metric_names = ("unique_lemmas", "mean_tokens_per_lemma")
     for language in sorted(lexicons):
         lang_strata = [s for s in strata if s.language_code == language]
-        lexicon = lexicons[language]
-        per_stratum = {s.label: freq.sentiment_stats(s, lexicon) for s in lang_strata}
         slices: list[tuple[str, list[CorpusStratum], list[str]]] = [
             ("all", lang_strata, ["translation_kind"])]
         group_factors = [f for f in factors if f != "translation_kind"]
@@ -491,7 +496,7 @@ def analyze(config: RunConfig, inputs: ValidationReport) -> dict[str, str]:
                         for value in sorted(grouped):
                             observations = []
                             for member in grouped[value]:
-                                cs = per_stratum[member.label][cls]
+                                cs = class_stats_of[member.label][cls]
                                 x = (cs.unique_lemma_count if metric == "unique_lemmas"
                                      else cs.mean_tokens_per_lemma)
                                 if x is not None:

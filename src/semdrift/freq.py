@@ -5,6 +5,7 @@ total words. Deviations compare that against a reference table of per-million
 frequencies from a general-purpose corpus (percent = per-million / 10,000).
 """
 
+import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -34,13 +35,17 @@ class FrequencyTable:
 
     @classmethod
     def load(cls, path, language_code: str) -> "FrequencyTable":
-        """Read a TSV of `lemma<TAB>per_million`; the first `#` comment names the corpus."""
+        """Read a TSV of `lemma<TAB>per_million` (NFC-normalized).
+
+        The first `#` comment names the corpus.
+        """
         p = Path(path)
         if not p.exists():
             raise IngestError(f"file not found: {path}")
         freqs: dict[str, float] = {}
         corpus_name = ""
-        for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+        text = unicodedata.normalize("NFC", p.read_text(encoding="utf-8"))
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line:
                 continue

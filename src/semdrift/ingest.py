@@ -2,12 +2,16 @@
 
 Texts come in through a JSON manifest that assigns each file a language, a
 translation kind, and free-form grouping keys (term, summit, author, ...).
-Documents sharing all three land in the same stratum.
+Documents sharing all three land in the same stratum. Texts and lemma
+dictionaries are brought to Unicode normal form NFC, so a decomposed letter
+never splits a word.
 """
 
+import hashlib
 import json
 import re
 import sys
+import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -92,12 +96,12 @@ def default_profile(language_code: str) -> LangProfile:
 
 
 def tokenize(text: str, profile: LangProfile) -> list[str]:
-    """Split text into maximal runs of word characters; everything else separates.
+    """Split NFC-normalized text into maximal runs of word characters.
 
-    Case folding applies per token, after the split: folding the text first
-    could move token boundaries (e.g. "ß" folds to "ss").
+    Everything else separates. Case folding applies per token, after the split:
+    folding the text first could move token boundaries (e.g. "ß" folds to "ss").
     """
-    tokens = profile._word_run.findall(text)
+    tokens = profile._word_run.findall(unicodedata.normalize("NFC", text))
     if profile.case_fold:
         tokens = list(map(str.casefold, tokens))
     return tokens
@@ -117,12 +121,13 @@ class LemmaDict:
 
     @classmethod
     def load(cls, path, language_code: str) -> "LemmaDict":
-        """Read a TSV of `surface<TAB>lemma` pairs; `#` lines are comments."""
+        """Read a TSV of `surface<TAB>lemma` pairs (NFC-normalized); `#` lines are comments."""
         entries: dict[str, str] = {}
         p = Path(path)
         if not p.exists():
             raise IngestError(f"file not found: {path}")
-        for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+        text = unicodedata.normalize("NFC", p.read_text(encoding="utf-8"))
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -325,12 +330,31 @@ def stratify(strata: list[CorpusStratum], key: str) -> dict[str, CorpusStratum]:
     return merged
 
 
+_PLAIN_ID = re.compile(r"[A-Za-z0-9._-]*")
+
+
+def _document_filename(doc_id: str) -> str:
+    """A file name no other id maps to (barring a 64-bit hash collision), <= 181 UTF-8 bytes.
+
+    A plain id names its file as is. Any other id gets a readable stem (other
+    characters as "_", at most 40 of them) plus "~" and a 64-bit hash of the
+    whole id; plain ids never contain "~", so the two kinds cannot meet.
+    """
+    if _PLAIN_ID.fullmatch(doc_id):
+        return f"{doc_id}.txt"
+    stem = "".join(c if c.isalnum() or c in "._-" else "_" for c in doc_id[:40])
+    digest = hashlib.sha256(doc_id.encode("utf-8", "surrogatepass")).hexdigest()[:16]
+    return f"{stem}~{digest}.txt"
+
+
 def save_corpus(strata: list[CorpusStratum], directory,
                 manifest_name: str = "manifest.json") -> Path:
     """Write strata as one text file per document plus a manifest, ready to reload.
 
     Document text is the space-joined lemma sequence, so a reload through
     `load_corpus` (with no lemma dict) reproduces the lemma counts exactly.
+    A document's file is `{id}.txt` when the id is made of `[A-Za-z0-9._-]`;
+    see `_document_filename` for other ids.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -340,7 +364,7 @@ def save_corpus(strata: list[CorpusStratum], directory,
             raise ValidationError(
                 f"cannot save stratum {stratum.label!r} without a translation_kind")
         for doc in stratum.documents:
-            fname = "".join(c if c.isalnum() or c in "-_." else "_" for c in doc.id) + ".txt"
+            fname = _document_filename(doc.id)
             (directory / fname).write_text(" ".join(doc.lemmas), encoding="utf-8")
             entries.append({
                 "path": fname,

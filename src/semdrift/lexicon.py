@@ -2,9 +2,11 @@
 
 Lexicon sources are TSV files of `lemma<TAB>class`. A lemma claimed by more
 than one class is assigned to the highest-priority class so that no word can
-drive two sentiment scores at once.
+drive two sentiment scores at once. Both file kinds are read in Unicode
+normal form NFC, the form the tokenizer produces.
 """
 
+import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -48,7 +50,8 @@ def load_lexicon_sources(paths, language_code: str) -> list[RawLexiconEntry]:
         if not p.exists():
             raise IngestError(f"file not found: {path}")
         source = p.stem
-        for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+        text = unicodedata.normalize("NFC", p.read_text(encoding="utf-8"))
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -206,7 +209,8 @@ def load_concept_map(path, source_lexicon: SentimentLexicon,
     if not p.exists():
         raise IngestError(f"file not found: {path}")
     concepts: dict[str, Concept] = {}
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+    text = unicodedata.normalize("NFC", p.read_text(encoding="utf-8"))
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -4,7 +4,9 @@ The F CDF uses the regularized incomplete beta function evaluated by Lentz's
 continued fraction. The studentized range CDF is a fixed double Gauss-Legendre
 quadrature: 160 nodes over the scaled chi variable, 96 nodes over the normal
 location, which lands far inside the 1e-6 absolute-error budget across the
-(q, k, df) ranges these tests use.
+(q, k, df) ranges these tests use. Both rules are read from the table
+`gauss_legendre.txt` that ships with the package, so no process recomputes
+them and the p-values do not depend on the platform's eigenvalue solver.
 """
 
 import math
@@ -12,6 +14,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +24,7 @@ _INNER_NODES = 96          # normal-location integral, truncated to [-9, 9]
 _OUTER_NODES = 160         # chi-scale integral, truncated to 12 sigma around 1
 _BETA_MAX_ITER = 300
 _BETA_EPS = 3e-16
+_LEGENDRE_TABLE = Path(__file__).with_name("gauss_legendre.txt")
 
 
 @dataclass(frozen=True)
@@ -215,8 +219,18 @@ def f_cdf(x: float, d1: int, d2: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _legendre_rule(n: int):
-    return np.polynomial.legendre.leggauss(n)
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], from the table.
+
+    Each table line is `n node weight`, the values written with `float.hex`.
+    """
+    nodes, weights = [], []
+    for line in _LEGENDRE_TABLE.read_text(encoding="ascii").splitlines():
+        fields = line.split()
+        if fields and fields[0] == str(n):
+            nodes.append(float.fromhex(fields[1]))
+            weights.append(float.fromhex(fields[2]))
+    return np.array(nodes), np.array(weights)
 
 
 def _gauss_legendre(n: int, lo: float, hi: float):
@@ -290,7 +304,8 @@ def tukey_hsd(groups: list[GroupSample], alpha: float = 0.05) -> TukeyResult:
     TukeyResult
         One comparison per unordered pair, in input order, with the signed
         mean difference (b - a), the q statistic, and the adjusted p-value
-        from the studentized range distribution.
+        from the studentized range distribution. Pairs with equal q share one
+        evaluation of its CDF.
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
@@ -305,6 +320,7 @@ def tukey_hsd(groups: list[GroupSample], alpha: float = 0.05) -> TukeyResult:
         ms_within = 0.0
     else:
         ms_within = ss_within / df_within
+    cdf_at: dict[float, float] = {}
     pairs = []
     for (i, a), (j, b) in combinations(enumerate(labels), 2):
         diff = means[j] - means[i]
@@ -314,6 +330,8 @@ def tukey_hsd(groups: list[GroupSample], alpha: float = 0.05) -> TukeyResult:
         else:
             se = math.sqrt(ms_within / 2.0 * (1.0 / ns[i] + 1.0 / ns[j]))
             q = abs(diff) / se
-            p = 1.0 - studentized_range_cdf(q, k, df_within)
+            if q not in cdf_at:
+                cdf_at[q] = studentized_range_cdf(q, k, df_within)
+            p = 1.0 - cdf_at[q]
         pairs.append(PairComparison(a, b, diff, q, p, p < alpha))
     return TukeyResult(tuple(pairs), alpha, df_within, ms_within, degenerate)

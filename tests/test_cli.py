@@ -207,7 +207,8 @@ class TestAnalyze:
         ]}
         (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
         out = tmp_path / "bundle"
-        config = write_config(tmp_path, manifest=str(tmp_path / "manifest.json"))
+        # no group_by: these documents carry no group keys
+        config = write_config(tmp_path, manifest=str(tmp_path / "manifest.json"), group_by=[])
         code = main(["analyze", "--config", str(config), "--output-dir", str(out)])
         assert code == 1
         err = capsys.readouterr().err
@@ -219,6 +220,17 @@ class TestAnalyze:
         config = write_config(tmp_path, concept_map=str(tmp_path / "missing.tsv"))
         assert main(["analyze", "--config", str(config),
                      "--output-dir", str(tmp_path / "x")]) == 2
+
+    def test_group_by_factor_no_document_carries_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, group_by=["genre", "term"])
+        assert main(["validate", "--config", str(config)]) == 2
+        assert "error: group_by factor 'genre': no document has this group key" in \
+            capsys.readouterr().out
+        out = tmp_path / "run"
+        assert main(["analyze", "--config", str(config), "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: group_by factor 'genre': no document has this group key\n"
+        assert not out.exists()
 
     def test_ratio_mode_flag(self, tmp_path):
         config = write_config(tmp_path)

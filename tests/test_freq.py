@@ -1,3 +1,4 @@
+import unicodedata
 from collections import Counter
 
 import numpy as np
@@ -189,6 +190,11 @@ class TestFrequencyTable:
         assert table.corpus_name == "toy reference"
         assert table.lookup("good") == (123.5, True)
         assert table.lookup("nope") == (0.0, False)
+
+    def test_decomposed_lemma_is_normalized(self, tmp_path):
+        p = tmp_path / "f.tsv"
+        p.write_text(unicodedata.normalize("NFD", "мой\t10\n"), encoding="utf-8")
+        assert FrequencyTable.load(p, "ru").lookup("мой") == (10.0, True)
 
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):

@@ -1,20 +1,23 @@
 import json
 import sys
+import unicodedata
 from bisect import bisect_right
+from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semdrift import (LangProfile, LemmaDict, default_profile, lemmatize, load_corpus,
-                      save_corpus, stratify, tokenize)
+from semdrift import (CorpusStratum, Document, LangProfile, LemmaDict, TranslationKind,
+                      default_profile, lemmatize, load_corpus, save_corpus, stratify, tokenize)
 from semdrift.errors import IngestError, ValidationError
 
 from helpers import DATA, make_stratum
 
 
 def _reference_tokenize(text: str, profile: LangProfile) -> list[str]:
-    """The tokenizer rule spelled out one character at a time: maximal word-character runs."""
+    """The tokenizer rule, one character at a time: maximal word-character runs of NFC text."""
+    text = unicodedata.normalize("NFC", text)
     starts = [lo for lo, _ in profile.letter_classes]
 
     def is_word_char(ch: str) -> bool:
@@ -91,6 +94,12 @@ class TestTokenize:
                              st.characters())
         text = data.draw(st.text(alphabet, max_size=80))
         assert tokenize(text, profile) == _reference_tokenize(text, profile)
+
+    def test_decomposed_text_tokenizes_as_composed(self):
+        # NFD splits "й" into "и" plus a combining breve, which is not a letter
+        nfd = unicodedata.normalize("NFD", "мой")
+        assert nfd != "мой"
+        assert tokenize(nfd, default_profile("ru")) == ["мой"]
 
     def test_case_fold_after_split(self):
         # folding the text first would turn "ß" into "ss", which is not a letter here
@@ -213,6 +222,17 @@ class TestLoadCorpus:
         strata = load_corpus(path)
         assert strata[0].documents[0].lemmas == ("he", "say", "things")
 
+    def test_decomposed_text_and_lemma_dict_are_normalized(self, tmp_path):
+        (tmp_path / "a.txt").write_text(unicodedata.normalize("NFD", "мой Йод"),
+                                        encoding="utf-8")
+        (tmp_path / "d.tsv").write_text(unicodedata.normalize("NFD", "йод\tйод-лемма\n"),
+                                        encoding="utf-8")
+        path = _write_manifest(
+            tmp_path,
+            [{"path": "a.txt", "id": "a", "language": "ru", "translation_kind": "source"}],
+            lemma_dicts={"ru": "d.tsv"})
+        assert load_corpus(path)[0].documents[0].lemmas == ("мой", "йод-лемма")
+
 
 class TestStratify:
     def test_regroup_is_additive(self):
@@ -259,3 +279,34 @@ class TestSaveCorpus:
         reloaded = load_corpus(manifest)
         assert len(reloaded) == 1
         assert reloaded[0].lemma_counts() == stratum.lemma_counts()
+
+    def test_ids_differing_only_in_separators_get_their_own_files(self, tmp_path):
+        words = {"a/b": "alpha", "a_b": "beta", "a?b": "gamma", "й" * 200: "delta"}
+        docs = [Document(i, w, (w,)) for i, w in words.items()]
+        stratum = CorpusStratum("en", TranslationKind.SOURCE, {}, docs)
+        manifest = save_corpus([stratum], tmp_path)
+        paths = [d["path"] for d in json.loads(manifest.read_text("utf-8"))["documents"]]
+        assert paths[1] == "a_b.txt"
+        assert paths[0].startswith("a_b~") and paths[2].startswith("a_b~")
+        assert len(set(paths)) == 4
+        lemmas = {d.id: d.lemmas for d in load_corpus(manifest)[0].documents}
+        assert lemmas == {i: (w,) for i, w in words.items()}
+
+    def test_plain_ids_keep_their_name(self, tmp_path):
+        doc = Document("synthetic-source-seed7.v2", "alpha", ("alpha",))
+        save_corpus([CorpusStratum("en", TranslationKind.SOURCE, {}, [doc])], tmp_path)
+        assert (tmp_path / "synthetic-source-seed7.v2.txt").read_text("utf-8") == "alpha"
+
+    # short ids over separator-heavy characters are the ones a lossy name map would merge
+    @given(st.dictionaries(st.one_of(st.text("a_/~.é ", max_size=3), st.text(max_size=100)),
+                           st.lists(st.text("abc", min_size=1, max_size=3), max_size=4),
+                           min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_keeps_each_documents_counts(self, tmp_path_factory, lemmas_by_id):
+        docs = [Document(i, " ".join(lemmas), tuple(lemmas))
+                for i, lemmas in lemmas_by_id.items()]
+        stratum = CorpusStratum("en", TranslationKind.SOURCE, {}, docs)
+        manifest = save_corpus([stratum], tmp_path_factory.mktemp("corpus"))
+        reloaded = {d.id: Counter(d.lemmas) for s in load_corpus(manifest)
+                    for d in s.documents}
+        assert reloaded == {i: Counter(lemmas) for i, lemmas in lemmas_by_id.items()}

@@ -1,4 +1,5 @@
 import random
+import unicodedata
 
 import pytest
 from hypothesis import given
@@ -32,6 +33,11 @@ class TestLoadSources:
         p.write_text("good positive\n", encoding="utf-8")
         with pytest.raises(ValidationError, match=r"bad.tsv:1"):
             load_lexicon_sources([p], "en")
+
+    def test_decomposed_lemma_is_normalized(self, tmp_path):
+        p = tmp_path / "nfd.tsv"
+        p.write_text(unicodedata.normalize("NFD", "хороший\tpositive\n"), encoding="utf-8")
+        assert [r.lemma for r in load_lexicon_sources([p], "ru")] == ["хороший"]
 
     def test_entry_count_matches_data_lines(self, tmp_path):
         files = []
@@ -133,6 +139,14 @@ class TestConceptMap:
         assert say.source_lemmas == ("сказать", "говорить", "молвить")
         assert len(say.target_lemmas) == 6
         assert cmap.source_language == "ru" and cmap.target_language == "en"
+
+    def test_decomposed_lemmas_are_normalized(self, tmp_path):
+        ru, en = fixture_lexicons()
+        p = tmp_path / "c.tsv"
+        p.write_text(unicodedata.normalize("NFD", "good\tpositive\tхороший,добрый\tgood\n"),
+                     encoding="utf-8")
+        assert load_concept_map(p, ru, en).concepts["good"].source_lemmas == \
+            ("хороший", "добрый")
 
     def test_absent_lemma_names_side(self, tmp_path):
         ru, en = fixture_lexicons()

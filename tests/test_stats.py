@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy import stats as sps
 
-from semdrift import (DegenerateVarianceWarning, GroupSample, f_cdf, one_way_anova,
+from semdrift import (DegenerateVarianceWarning, GroupSample, f_cdf, one_way_anova, stats,
                       studentized_range_cdf, tukey_hsd)
 from semdrift.errors import ValidationError
 
@@ -146,7 +146,7 @@ class TestFCdf:
 def row_loop_srange_cdf(q, k, df):
     """The quadrature of `studentized_range_cdf`, one outer node and one erf at a time."""
     def rule(n, lo, hi):
-        nodes, weights = np.polynomial.legendre.leggauss(n)
+        nodes, weights = stats._legendre_rule(n)
         half = 0.5 * (hi - lo)
         return half * nodes + 0.5 * (hi + lo), half * weights
 
@@ -169,6 +169,15 @@ def row_loop_srange_cdf(q, k, df):
         row = np.sum(wz * k * phi * (big_phi - normal_cdf(z - q * sv)) ** (k - 1))
         total += w * d * row
     return min(1.0, max(0.0, float(total)))
+
+
+class TestLegendreTable:
+    @pytest.mark.parametrize("n", [stats._INNER_NODES, stats._OUTER_NODES])
+    def test_matches_leggauss(self, n):
+        nodes, weights = stats._legendre_rule(n)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+        np.testing.assert_array_max_ulp(nodes, ref_nodes, maxulp=4)
+        np.testing.assert_array_max_ulp(weights, ref_weights, maxulp=4)
 
 
 class TestStudentizedRangeCdf:
@@ -266,6 +275,27 @@ class TestTukey:
         strict = {(p.a, p.b) for p in tukey_hsd(groups, 0.01).pairs if p.significant}
         loose = {(p.a, p.b) for p in tukey_hsd(groups, 0.05).pairs if p.significant}
         assert strict <= loose
+
+    def test_one_cdf_per_distinct_q(self, monkeypatch):
+        # equal sizes and variances, means 0, 1, 2, 3, 5: pairs tie at distances 1,
+        # 2 and 3, so the 10 pairs need only 5 distinct q values
+        means = (0.0, 1.0, 2.0, 3.0, 5.0)
+        groups = [GroupSample(f"g{i}", (m - 1.0, m, m + 1.0)) for i, m in enumerate(means)]
+        calls = []
+
+        def counting_cdf(q, k, df):
+            calls.append(q)
+            return studentized_range_cdf(q, k, df)
+
+        monkeypatch.setattr(stats, "studentized_range_cdf", counting_cdf)
+        result = tukey_hsd(groups)
+        assert len(result.pairs) == 10
+        distinct = {p.q_stat for p in result.pairs}
+        assert len(distinct) == 5
+        assert sorted(calls) == sorted(distinct)
+        for pair in result.pairs:
+            assert pair.p_adj == 1.0 - studentized_range_cdf(
+                pair.q_stat, len(groups), result.df_within)
 
     def test_degenerate_variance_warns(self):
         groups = [GroupSample("a", (1, 1)), GroupSample("b", (2, 2))]
