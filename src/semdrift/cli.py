@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import freq, ingest, semfield, stats, synth, vectors
-from .errors import AnalysisError, IngestError, SemdriftError, ValidationError
+from .errors import (NUMBER, AnalysisError, SemdriftError, ValidationError, check_type,
+                     check_types)
 from .freq import DeviationMode, FrequencyTable
 from .ingest import CorpusStratum, TranslationKind
 from .lexicon import (DEFAULT_PRIORITY, ConceptMap, SentimentClass, SentimentLexicon, Side,
@@ -53,39 +54,18 @@ class RunConfig:
                 f"alpha={self.alpha:g} top_k={self.top_k}")
 
 
-_NUMBER = (int, float)
-_TYPE_NAMES = {str: "a string", int: "an integer", _NUMBER: "a number", bool: "true or false",
-               dict: "an object", list: "a list"}
 # JSON type of each config key; a key that is absent or null takes the RunConfig default.
 _CONFIG_TYPES = {
     "manifest": str, "source_language": str, "target_language": str, "lexicons": dict,
     "concept_map": str, "frequency_tables": dict, "priority": list, "group_by": list,
-    "alpha": _NUMBER, "deviation_mode": str, "top_k": int, "attested": bool,
+    "alpha": NUMBER, "deviation_mode": str, "top_k": int, "attested": bool,
     "output_dir": str, "synth": dict,
 }
 _SYNTH_TYPES = {
-    "words": int, "seed": int, "kind": str, "factor": _NUMBER, "norm_pull": _NUMBER,
-    "length_inflation": _NUMBER, "concept_density": _NUMBER, "filler_size": int,
+    "words": int, "seed": int, "kind": str, "factor": NUMBER, "norm_pull": NUMBER,
+    "length_inflation": NUMBER, "concept_density": NUMBER, "filler_size": int,
     "concept_budget": dict,
 }
-
-
-def _check_type(name: str, value, expected) -> None:
-    """Raise ValidationError unless `value` has the JSON type `expected`.
-
-    JSON booleans are neither integers nor numbers here, although Python's are.
-    """
-    if isinstance(value, bool) != (expected is bool) or not isinstance(value, expected):
-        raise ValidationError(f"{name} must be {_TYPE_NAMES[expected]}, got {value!r}")
-
-
-def _check_types(body: dict, types: dict, prefix: str = "") -> dict:
-    """Check every known key of `body` and return it without its null values."""
-    body = {k: v for k, v in body.items() if v is not None}
-    for key, expected in types.items():
-        if key in body:
-            _check_type(prefix + key, body[key], expected)
-    return body
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
@@ -95,17 +75,15 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     in a ValidationError rather than a misread value or a traceback.
     """
     path = Path(path)
-    if not path.exists():
-        raise IngestError(f"file not found: {path}")
     try:
-        body = json.loads(path.read_text(encoding="utf-8"))
+        body = json.loads(ingest.read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(body, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
     if overrides:
         body = {**body, **{k: v for k, v in overrides.items() if v is not None}}
-    body = _check_types(body, _CONFIG_TYPES)
+    body = check_types(body, _CONFIG_TYPES)
 
     base = path.parent
     config = RunConfig(base_dir=base)
@@ -122,15 +100,15 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     for lang, paths in body.get("lexicons", {}).items():
         if isinstance(paths, str):
             paths = [paths]
-        _check_type(f"lexicons.{lang}", paths, list)
+        check_type(f"lexicons.{lang}", paths, list)
         for p in paths:
-            _check_type(f"lexicons.{lang} entry", p, str)
+            check_type(f"lexicons.{lang} entry", p, str)
         config.lexicons[lang] = [
             resolve(p, f"lexicon:{lang}:{i}") for i, p in enumerate(paths)]
     if body.get("concept_map"):
         config.concept_map = resolve(body["concept_map"], "concept_map")
     for lang, p in body.get("frequency_tables", {}).items():
-        _check_type(f"frequency_tables.{lang}", p, str)
+        check_type(f"frequency_tables.{lang}", p, str)
         config.frequency_tables[lang] = resolve(p, f"frequency_table:{lang}")
 
     if "priority" in body:
@@ -142,7 +120,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
             raise ValidationError(
                 f"priority must be a permutation of the three classes: {body['priority']}")
     for factor in body.get("group_by", []):
-        _check_type("group_by entry", factor, str)
+        check_type("group_by entry", factor, str)
     config.group_by = list(body.get("group_by", []))
     config.alpha = float(body.get("alpha", 0.05))
     if not 0.0 < config.alpha < 1.0:
@@ -162,9 +140,9 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         p = Path(raw)
         config.output_dir = p if p.is_absolute() else base / p
         config.raw_paths["output_dir"] = raw
-    config.synth_options = _check_types(body.get("synth", {}), _SYNTH_TYPES, "synth.")
+    config.synth_options = check_types(body.get("synth", {}), _SYNTH_TYPES, "synth.")
     for cid, weight in config.synth_options.get("concept_budget", {}).items():
-        _check_type(f"synth.concept_budget.{cid}", weight, _NUMBER)
+        check_type(f"synth.concept_budget.{cid}", weight, NUMBER)
     return config
 
 

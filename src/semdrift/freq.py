@@ -10,11 +10,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from math import isfinite
-from pathlib import Path
 from statistics import median
 
-from .errors import AnalysisError, IngestError, ValidationError
-from .ingest import CorpusStratum, Lemma
+from .errors import AnalysisError, ValidationError
+from .ingest import CorpusStratum, Lemma, read_text
 from .lexicon import SentimentClass, SentimentLexicon
 
 PER_MILLION_TO_PCT = 1.0 / 10_000.0
@@ -39,12 +38,9 @@ class FrequencyTable:
 
         The first `#` comment names the corpus.
         """
-        p = Path(path)
-        if not p.exists():
-            raise IngestError(f"file not found: {path}")
         freqs: dict[str, float] = {}
         corpus_name = ""
-        text = unicodedata.normalize("NFC", p.read_text(encoding="utf-8"))
+        text = unicodedata.normalize("NFC", read_text(path))
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line:

@@ -4,7 +4,8 @@ Texts come in through a JSON manifest that assigns each file a language, a
 translation kind, and free-form grouping keys (term, summit, author, ...).
 Documents sharing all three land in the same stratum. Texts and lemma
 dictionaries are brought to Unicode normal form NFC, so a decomposed letter
-never splits a word.
+never splits a word. Each text is counted as it is read: a loaded document is
+a bag of lemmas, so memory grows with the vocabulary, not with the tokens.
 """
 
 import hashlib
@@ -18,9 +19,25 @@ from enum import Enum
 from functools import cached_property
 from pathlib import Path
 
-from .errors import IngestError, ValidationError
+from .errors import IngestError, ValidationError, check_type, check_types
 
 Lemma = str
+
+
+def read_text(path, name=None) -> str:
+    """Decode a UTF-8 file. A missing, unreadable or undecodable file is an
+    IngestError naming `name` (by default the path)."""
+    name = path if name is None else name
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise IngestError(f"file not found: {name}") from None
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{name}: not UTF-8 text (byte {exc.start})") from None
+    except OSError as exc:
+        raise IngestError(f"cannot read {name}: {exc.strerror}") from None
+    except ValueError as exc:  # a NUL or an unencodable character in the path
+        raise IngestError(f"cannot read {name}: {exc}") from None
 
 
 class TranslationKind(str, Enum):
@@ -123,10 +140,7 @@ class LemmaDict:
     def load(cls, path, language_code: str) -> "LemmaDict":
         """Read a TSV of `surface<TAB>lemma` pairs (NFC-normalized); `#` lines are comments."""
         entries: dict[str, str] = {}
-        p = Path(path)
-        if not p.exists():
-            raise IngestError(f"file not found: {path}")
-        text = unicodedata.normalize("NFC", p.read_text(encoding="utf-8"))
+        text = unicodedata.normalize("NFC", read_text(path))
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -145,24 +159,37 @@ def lemmatize(tokens: list[str], lemma_dict: LemmaDict) -> list[Lemma]:
 
 @dataclass(frozen=True)
 class Document:
+    """A text as a bag of lemmas: counts in first-occurrence order, and their total.
+
+    `lemmas` keeps the lemma sequence of a generated document, which
+    `save_corpus` writes out as is; a document read from a file keeps only its
+    counts.
+    """
+
     id: str
-    raw_text: str
-    lemmas: tuple[Lemma, ...]
+    counts: Counter
+    lemmas: tuple[Lemma, ...] | None = None
+    total_word_count: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "lemmas", tuple(self.lemmas))
+        object.__setattr__(self, "total_word_count", sum(self.counts.values()))
 
-    @property
-    def total_word_count(self) -> int:
-        return len(self.lemmas)
+    @classmethod
+    def from_lemmas(cls, doc_id: str, lemmas) -> "Document":
+        lemmas = tuple(lemmas)
+        return cls(doc_id, Counter(lemmas), lemmas)
 
     @classmethod
     def from_text(cls, doc_id: str, text: str, profile: LangProfile,
                   lemma_dict: LemmaDict | None = None) -> "Document":
-        tokens = tokenize(text, profile)
+        """Count the text's tokens, then lemmatize each distinct form once."""
+        forms = Counter(tokenize(text, profile))
         if lemma_dict is None:
             lemma_dict = LemmaDict(profile.language_code)
-        return cls(doc_id, text, tuple(lemmatize(tokens, lemma_dict)))
+        counts: Counter = Counter()
+        for lemma, n in zip(lemmatize(list(forms), lemma_dict), forms.values()):
+            counts[lemma] += n
+        return cls(doc_id, counts)
 
 
 @dataclass
@@ -191,7 +218,7 @@ class CorpusStratum:
     def _lemma_counts(self) -> Counter:
         counts: Counter = Counter()
         for doc in self.documents:
-            counts.update(doc.lemmas)
+            counts.update(doc.counts)
         return counts
 
     def lemma_counts(self) -> Counter:
@@ -206,13 +233,24 @@ class CorpusStratum:
         return "/".join(parts)
 
 
+# JSON type of each manifest key; an optional key that is absent or null takes its default.
+_MANIFEST_TYPES = {"documents": list, "lemma_dicts": dict, "profiles": dict}
+_PROFILE_TYPES = {"letters": list, "case_fold": bool}
+_ENTRY_TYPES = {"path": str, "id": str, "language": str, "translation_kind": str,
+                "group_keys": dict}
+
+
 def _parse_profiles(spec: dict) -> dict[str, LangProfile]:
     profiles = dict(DEFAULT_PROFILES)
     for code, body in spec.items():
+        check_type(f"profiles.{code}", body, dict)
+        body = check_types(body, _PROFILE_TYPES, f"profiles.{code}.")
         letters = body.get("letters")
-        if not isinstance(letters, list) or not letters:
+        if not letters:
             raise ValidationError(f"profile for {code!r} needs a non-empty 'letters' list")
-        profiles[code] = LangProfile.from_letters(code, letters, bool(body.get("case_fold", True)))
+        for letter_spec in letters:
+            check_type(f"profiles.{code}.letters entry", letter_spec, str)
+        profiles[code] = LangProfile.from_letters(code, letters, body.get("case_fold", True))
     return profiles
 
 
@@ -230,32 +268,44 @@ def load_corpus(manifest_path) -> list[CorpusStratum]:
           ]
         }
 
-    Relative paths resolve against the manifest's directory.
+    Relative paths resolve against the manifest's directory. A value of the
+    wrong JSON type is a ValidationError; a listed file that cannot be read or
+    decoded is an IngestError naming the manifest. Each text is counted into
+    its document as it is read and dropped before the next is read.
     """
     manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        raise IngestError(f"file not found: {manifest_path}")
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest = json.loads(read_text(manifest_path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{manifest_path}: invalid JSON: {exc}") from exc
+    if isinstance(manifest, dict):
+        manifest = check_types(manifest, _MANIFEST_TYPES)
     if not isinstance(manifest, dict) or "documents" not in manifest:
         raise ValidationError(f"{manifest_path}: manifest must contain a 'documents' list")
+    try:
+        return _load_documents(manifest, manifest_path.parent)
+    except IngestError as exc:
+        raise IngestError(f"{manifest_path}: {exc}") from None
 
-    base = manifest_path.parent
+
+def _load_documents(manifest: dict, base: Path) -> list[CorpusStratum]:
+    # base / path is path itself when path is absolute
     profiles = _parse_profiles(manifest.get("profiles", {}))
     lemma_dicts: dict[str, LemmaDict] = {}
     for code, rel in manifest.get("lemma_dicts", {}).items():
+        check_type(f"lemma_dicts.{code}", rel, str)
         lemma_dicts[code] = LemmaDict.load(base / rel, code)
 
     seen_ids: set[str] = set()
     grouped: dict[tuple, list[Document]] = {}
     meta: dict[tuple, tuple[str, TranslationKind, dict[str, str]]] = {}
-    for entry in manifest["documents"]:
+    for i, entry in enumerate(manifest["documents"]):
+        check_type(f"documents[{i}]", entry, dict)
+        entry = check_types(entry, _ENTRY_TYPES, f"documents[{i}].")
         for required in ("path", "id", "language", "translation_kind"):
             if required not in entry:
                 raise ValidationError(f"manifest entry missing field {required!r}: {entry}")
-        doc_id = str(entry["id"])
+        doc_id = entry["id"]
         if doc_id in seen_ids:
             raise ValidationError(f"duplicate document id: {doc_id!r}")
         seen_ids.add(doc_id)
@@ -269,16 +319,11 @@ def load_corpus(manifest_path) -> list[CorpusStratum]:
             raise ValidationError(
                 f"unknown translation_kind: {entry['translation_kind']!r}") from None
         group_keys = entry.get("group_keys", {})
-        if not isinstance(group_keys, dict) or not all(
-                isinstance(k, str) and isinstance(v, str) for k, v in group_keys.items()):
+        if not all(isinstance(v, str) for v in group_keys.values()):
             raise ValidationError(f"group_keys must map strings to strings: {group_keys!r}")
 
-        path = Path(entry["path"])
-        resolved = path if path.is_absolute() else base / path
-        if not resolved.exists():
-            raise IngestError(f"file not found: {entry['path']}")
-        text = resolved.read_text(encoding="utf-8")
-        doc = Document.from_text(doc_id, text, profiles[language], lemma_dicts.get(language))
+        doc = Document.from_text(doc_id, read_text(base / entry["path"], entry["path"]),
+                                 profiles[language], lemma_dicts.get(language))
 
         key = (language, kind.value, tuple(sorted(group_keys.items())))
         grouped.setdefault(key, []).append(doc)
@@ -351,8 +396,10 @@ def save_corpus(strata: list[CorpusStratum], directory,
                 manifest_name: str = "manifest.json") -> Path:
     """Write strata as one text file per document plus a manifest, ready to reload.
 
-    Document text is the space-joined lemma sequence, so a reload through
-    `load_corpus` (with no lemma dict) reproduces the lemma counts exactly.
+    Document text is the space-joined lemma sequence of a generated document,
+    or each lemma of a loaded one repeated by its count in first-occurrence
+    order, so a reload through `load_corpus` (with no lemma dict) reproduces
+    the lemma counts exactly.
     A document's file is `{id}.txt` when the id is made of `[A-Za-z0-9._-]`;
     see `_document_filename` for other ids.
     """
@@ -365,7 +412,8 @@ def save_corpus(strata: list[CorpusStratum], directory,
                 f"cannot save stratum {stratum.label!r} without a translation_kind")
         for doc in stratum.documents:
             fname = _document_filename(doc.id)
-            (directory / fname).write_text(" ".join(doc.lemmas), encoding="utf-8")
+            lemmas = doc.lemmas if doc.lemmas is not None else doc.counts.elements()
+            (directory / fname).write_text(" ".join(lemmas), encoding="utf-8")
             entries.append({
                 "path": fname,
                 "id": doc.id,

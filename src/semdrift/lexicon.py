@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .errors import IngestError, ValidationError
-from .ingest import Lemma
+from .errors import ValidationError
+from .ingest import Lemma, read_text
 
 
 class SentimentClass(str, Enum):
@@ -46,11 +46,8 @@ def load_lexicon_sources(paths, language_code: str) -> list[RawLexiconEntry]:
     """
     entries: list[RawLexiconEntry] = []
     for path in paths:
-        p = Path(path)
-        if not p.exists():
-            raise IngestError(f"file not found: {path}")
-        source = p.stem
-        text = unicodedata.normalize("NFC", p.read_text(encoding="utf-8"))
+        source = Path(path).stem
+        text = unicodedata.normalize("NFC", read_text(path))
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -205,11 +202,8 @@ def load_concept_map(path, source_lexicon: SentimentLexicon,
     Format: `concept_id<TAB>class<TAB>src1,src2,...<TAB>tgt1,tgt2,...`.
     Every listed lemma must be in the matching lexicon under the concept's class.
     """
-    p = Path(path)
-    if not p.exists():
-        raise IngestError(f"file not found: {path}")
     concepts: dict[str, Concept] = {}
-    text = unicodedata.normalize("NFC", p.read_text(encoding="utf-8"))
+    text = unicodedata.normalize("NFC", read_text(path))
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):

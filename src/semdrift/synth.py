@@ -158,7 +158,7 @@ def generate_source(cmap: ConceptMap, target_words: int,
 
     lemmas = np.concatenate(pieces)
     rng.shuffle(lemmas)
-    doc = Document(f"synthetic-source-seed{seed}", " ".join(lemmas), tuple(lemmas))
+    doc = Document.from_lemmas(f"synthetic-source-seed{seed}", lemmas)
     return CorpusStratum(cmap.source_language, TranslationKind.SOURCE,
                          {"origin": "synthetic", "seed": str(seed)}, [doc])
 
@@ -281,8 +281,7 @@ def apply_channel(source: CorpusStratum, cmap: ConceptMap, params: ChannelParams
 
     rng.shuffle(output)
     kind = TranslationKind(params.kind.value)
-    doc = Document(f"synthetic-{params.kind.value}-seed{params.seed}",
-                   " ".join(output), tuple(output))
+    doc = Document.from_lemmas(f"synthetic-{params.kind.value}-seed{params.seed}", output)
     group_keys = {**source.group_keys, "channel": params.kind.value}
     return CorpusStratum(cmap.target_language, kind, group_keys, [doc])
 

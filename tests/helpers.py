@@ -12,7 +12,7 @@ DATA = Path(__file__).parent / "data"
 
 def make_stratum(lemmas, language="en", kind=TranslationKind.SOURCE,
                  group_keys=None, doc_id="doc-1") -> CorpusStratum:
-    doc = Document(doc_id, " ".join(lemmas), tuple(lemmas))
+    doc = Document.from_lemmas(doc_id, lemmas)
     return CorpusStratum(language, kind, dict(group_keys or {}), [doc])
 
 

@@ -1,11 +1,15 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semdrift.ingest
 from semdrift import load_corpus
 from semdrift.cli import main
+from semdrift.errors import IngestError, ValidationError
 
 from helpers import DATA
 
@@ -149,6 +153,134 @@ class TestSingleLoad:
                      "--output-dir", str(tmp_path / "bundle")]) == 2
         assert "error: config does not name a manifest" in capsys.readouterr().err
         assert calls == []
+
+
+def absolute_manifest() -> dict:
+    """The fixture manifest with absolute file paths, so a copy can be written anywhere."""
+    body = json.loads((DATA / "manifest.json").read_text(encoding="utf-8"))
+    body["lemma_dicts"] = {code: str(DATA / rel) for code, rel in body["lemma_dicts"].items()}
+    for doc in body["documents"]:
+        doc["path"] = str(DATA / doc["path"])
+    return body
+
+
+class TestManifestTypes:
+    # (top-level keys set, keys set on the first document, error, message)
+    @pytest.mark.parametrize("top, first_doc, error, message", [
+        ({"profiles": ["de"]}, {}, ValidationError, "profiles must be an object"),
+        ({"profiles": {"de": ["a-z"]}}, {}, ValidationError, "profiles.de must be an object"),
+        ({"lemma_dicts": ["x"]}, {}, ValidationError, "lemma_dicts must be an object"),
+        ({"lemma_dicts": {"ru": 5}}, {}, ValidationError, "lemma_dicts.ru must be a string"),
+        ({}, {"path": 5}, ValidationError, "documents[0].path must be a string"),
+        ({}, {"path": "."}, IngestError, "cannot read ."),
+        ({}, {"language": ["ru"]}, ValidationError, "documents[0].language must be a string"),
+        ({"profiles": {"de": {"letters": [5]}}}, {}, ValidationError,
+         "profiles.de.letters entry must be a string"),
+        ({}, {"path": "latin1.txt"}, IngestError, "latin1.txt: not UTF-8 text (byte 3)"),
+        ({}, {"id": [1]}, ValidationError, "documents[0].id must be a string"),
+        ({"documents": {"ru-g8-t1": {}}}, {}, ValidationError, "documents must be a list"),
+    ], ids=["profiles-list", "profile-list", "lemma-dicts-list", "lemma-dict-number",
+            "path-number", "path-directory", "language-list", "letters-number",
+            "text-not-utf8", "id-list", "documents-object"])
+    def test_wrong_type_or_unreadable_file_exits_2(self, tmp_path, capsys, top, first_doc,
+                                                   error, message):
+        (tmp_path / "latin1.txt").write_bytes("café".encode("latin-1"))
+        body = absolute_manifest()
+        body["documents"][0].update(first_doc)
+        body.update(top)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(body), encoding="utf-8")
+        with pytest.raises(error, match=re.escape(message)) as info:
+            load_corpus(manifest)
+        if error is IngestError:
+            assert str(info.value).startswith(f"{manifest}: ")
+        config = write_config(tmp_path, manifest=str(manifest))
+        out = tmp_path / "bundle"
+        assert main(["analyze", "--config", str(config), "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: manifest: ") and message in err
+        assert not out.exists()
+
+
+# Relative paths resolve against the directory of the fuzzed file, which holds a
+# Latin-1 "latin1.txt"; "" and "." name that directory itself.
+_STRINGS = st.one_of(
+    st.text(max_size=4),
+    st.sampled_from(["ru", "en", "de", "source", "human", "a-z", "term"]),
+    st.sampled_from(["", ".", "latin1.txt", "missing.txt", str(DATA / "freq_en.tsv"),
+                     str(DATA / "texts")]))
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 6), st.floats(-1.0, 2.0), _STRINGS),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(_STRINGS, inner, max_size=3)),
+    max_leaves=6)
+_DELETE = object()
+_EDIT_VALUES = st.one_of(_STRINGS, _JSON, st.just(_DELETE))
+
+
+def _edit(body, location: tuple, value):
+    """Replace (or, for _DELETE, remove) the value at a nested location; a location
+    that an earlier edit removed is left alone."""
+    if not location:
+        return {} if value is _DELETE else value
+    parent = body
+    for key in location[:-1]:
+        try:
+            parent = parent[key]
+        except (KeyError, IndexError, TypeError):
+            return body
+    key = location[-1]
+    if isinstance(parent, dict) and value is _DELETE:
+        parent.pop(key, None)
+    elif isinstance(parent, dict) or isinstance(parent, list) and key in range(len(parent)):
+        parent[key] = {} if value is _DELETE else value
+    return body
+
+
+def _exit_codes(directory: Path, config_body) -> set[int]:
+    (directory / "latin1.txt").write_bytes("café".encode("latin-1"))
+    config = directory / "config.json"
+    config.write_text(json.dumps(config_body), encoding="utf-8")
+    return {main(["validate", "--config", str(config)]),
+            main(["analyze", "--config", str(config), "--output-dir", str(directory / "out")])}
+
+
+_MANIFEST_LOCATIONS = [(), ("documents",), ("profiles",), ("lemma_dicts",), ("profiles", "de"),
+                       ("profiles", "de", "letters"), ("profiles", "de", "case_fold"),
+                       ("lemma_dicts", "en"), ("documents", 0), ("documents", 1)] + [
+    ("documents", 0, key) for key in ("path", "id", "language", "translation_kind",
+                                      "group_keys")] + [("documents", 1, "group_keys", "term")]
+_CONFIG_LOCATIONS = [(), ("lexicons", "en"), ("frequency_tables", "en"), ("priority", 0)] + [
+    (key,) for key in ("manifest", "source_language", "target_language", "lexicons",
+                       "concept_map", "frequency_tables", "priority", "group_by", "alpha",
+                       "deviation_mode", "top_k", "attested", "synth")]
+
+
+class TestNoTraceback:
+    """Malformed input ends in an exit code (0, 1 or 2), never in an exception."""
+
+    @given(st.lists(st.tuples(st.sampled_from(_MANIFEST_LOCATIONS),
+                              _EDIT_VALUES), min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_fuzzed_manifest(self, tmp_path_factory, edits):
+        directory = tmp_path_factory.mktemp("manifest")
+        body = absolute_manifest()
+        body["documents"] = body["documents"][:4]
+        body["profiles"] = {"de": {"letters": ["a-z"], "case_fold": True}}
+        for location, value in edits:
+            body = _edit(body, location, value)
+        (directory / "manifest.json").write_text(json.dumps(body), encoding="utf-8")
+        config = {**base_config(), "manifest": str(directory / "manifest.json")}
+        assert _exit_codes(directory, config) <= {0, 1, 2}
+
+    @given(st.lists(st.tuples(st.sampled_from(_CONFIG_LOCATIONS),
+                              _EDIT_VALUES), min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_fuzzed_config(self, tmp_path_factory, edits):
+        body = base_config()
+        for location, value in edits:
+            body = _edit(body, location, value)
+        assert _exit_codes(tmp_path_factory.mktemp("config"), body) <= {0, 1, 2}
 
 
 class TestAnalyze:

@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 import unicodedata
 from bisect import bisect_right
 from collections import Counter
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semdrift import (CorpusStratum, Document, LangProfile, LemmaDict, TranslationKind,
-                      default_profile, lemmatize, load_corpus, save_corpus, stratify, tokenize)
+                      default_profile, filler_vocab, lemmatize, load_corpus, save_corpus,
+                      stratify, tokenize)
 from semdrift.errors import IngestError, ValidationError
 
 from helpers import DATA, make_stratum
@@ -181,8 +183,8 @@ class TestLoadCorpus:
     def test_deterministic(self):
         a = load_corpus(DATA / "manifest.json")
         b = load_corpus(DATA / "manifest.json")
-        assert [(s.label, tuple(d.lemmas for d in s.documents)) for s in a] == \
-            [(s.label, tuple(d.lemmas for d in s.documents)) for s in b]
+        assert [(s.label, [list(d.counts.items()) for d in s.documents]) for s in a] == \
+            [(s.label, [list(d.counts.items()) for d in s.documents]) for s in b]
 
     def test_missing_file(self, tmp_path):
         path = _write_manifest(tmp_path, [
@@ -220,7 +222,9 @@ class TestLoadCorpus:
             [{"path": "a.txt", "id": "a", "language": "en", "translation_kind": "source"}],
             lemma_dicts={"en": "d.tsv"})
         strata = load_corpus(path)
-        assert strata[0].documents[0].lemmas == ("he", "say", "things")
+        doc = strata[0].documents[0]
+        assert list(doc.counts.items()) == [("he", 1), ("say", 1), ("things", 1)]
+        assert doc.lemmas is None
 
     def test_decomposed_text_and_lemma_dict_are_normalized(self, tmp_path):
         (tmp_path / "a.txt").write_text(unicodedata.normalize("NFD", "мой Йод"),
@@ -231,7 +235,8 @@ class TestLoadCorpus:
             tmp_path,
             [{"path": "a.txt", "id": "a", "language": "ru", "translation_kind": "source"}],
             lemma_dicts={"ru": "d.tsv"})
-        assert load_corpus(path)[0].documents[0].lemmas == ("мой", "йод-лемма")
+        assert list(load_corpus(path)[0].documents[0].counts.items()) == \
+            [("мой", 1), ("йод-лемма", 1)]
 
 
 class TestStratify:
@@ -282,18 +287,18 @@ class TestSaveCorpus:
 
     def test_ids_differing_only_in_separators_get_their_own_files(self, tmp_path):
         words = {"a/b": "alpha", "a_b": "beta", "a?b": "gamma", "й" * 200: "delta"}
-        docs = [Document(i, w, (w,)) for i, w in words.items()]
+        docs = [Document.from_lemmas(i, (w,)) for i, w in words.items()]
         stratum = CorpusStratum("en", TranslationKind.SOURCE, {}, docs)
         manifest = save_corpus([stratum], tmp_path)
         paths = [d["path"] for d in json.loads(manifest.read_text("utf-8"))["documents"]]
         assert paths[1] == "a_b.txt"
         assert paths[0].startswith("a_b~") and paths[2].startswith("a_b~")
         assert len(set(paths)) == 4
-        lemmas = {d.id: d.lemmas for d in load_corpus(manifest)[0].documents}
-        assert lemmas == {i: (w,) for i, w in words.items()}
+        counts = {d.id: list(d.counts.items()) for d in load_corpus(manifest)[0].documents}
+        assert counts == {i: [(w, 1)] for i, w in words.items()}
 
     def test_plain_ids_keep_their_name(self, tmp_path):
-        doc = Document("synthetic-source-seed7.v2", "alpha", ("alpha",))
+        doc = Document.from_lemmas("synthetic-source-seed7.v2", ("alpha",))
         save_corpus([CorpusStratum("en", TranslationKind.SOURCE, {}, [doc])], tmp_path)
         assert (tmp_path / "synthetic-source-seed7.v2.txt").read_text("utf-8") == "alpha"
 
@@ -303,10 +308,67 @@ class TestSaveCorpus:
                            min_size=1, max_size=6))
     @settings(max_examples=40, deadline=None)
     def test_round_trip_keeps_each_documents_counts(self, tmp_path_factory, lemmas_by_id):
-        docs = [Document(i, " ".join(lemmas), tuple(lemmas))
-                for i, lemmas in lemmas_by_id.items()]
+        docs = [Document.from_lemmas(i, lemmas) for i, lemmas in lemmas_by_id.items()]
         stratum = CorpusStratum("en", TranslationKind.SOURCE, {}, docs)
         manifest = save_corpus([stratum], tmp_path_factory.mktemp("corpus"))
-        reloaded = {d.id: Counter(d.lemmas) for s in load_corpus(manifest)
+        reloaded = {d.id: list(d.counts.items()) for s in load_corpus(manifest)
                     for d in s.documents}
-        assert reloaded == {i: Counter(lemmas) for i, lemmas in lemmas_by_id.items()}
+        assert reloaded == {i: list(Counter(lemmas).items())
+                            for i, lemmas in lemmas_by_id.items()}
+
+
+# several surfaces, case variants among them, fold into one lemma
+_SURFACES = LemmaDict("en", {"said": "say", "says": "say", "saying": "say",
+                             "told": "tell", "tells": "tell"})
+_WORDS = ["said", "Said", "SAYS", "saying", "say", "told", "Tell", "tells", "good", "Good"]
+
+
+class TestCountOnRead:
+    @given(st.lists(st.tuples(st.one_of(st.sampled_from(_WORDS), st.text(max_size=4)),
+                              st.sampled_from([" ", ", ", "\n", "-", "1", ""])), max_size=60))
+    def test_counts_equal_lemmatized_tokens_in_order(self, pieces):
+        text = "".join(word + sep for word, sep in pieces)
+        profile = default_profile("en")
+        doc = Document.from_text("d", text, profile, _SURFACES)
+        tokens = tokenize(text, profile)
+        expected = Counter(lemmatize(tokens, _SURFACES))
+        assert list(doc.counts.items()) == list(expected.items())
+        assert doc.total_word_count == len(tokens)
+        assert doc.lemmas is None
+
+    @given(st.lists(st.sampled_from(_WORDS), max_size=40),
+           st.lists(st.sampled_from(["say", "tell", "good"]), max_size=40))
+    @settings(max_examples=40, deadline=None)
+    def test_save_and_reload_keep_counts(self, tmp_path_factory, words, lemmas):
+        loaded = Document.from_text("loaded", " ".join(words), default_profile("en"), _SURFACES)
+        generated = Document.from_lemmas("generated", lemmas)
+        stratum = CorpusStratum("en", TranslationKind.SOURCE, {}, [loaded, generated])
+        manifest = save_corpus([stratum], tmp_path_factory.mktemp("corpus"))
+        reloaded = {d.id: list(d.counts.items()) for s in load_corpus(manifest)
+                    for d in s.documents}
+        assert reloaded == {d.id: list(d.counts.items()) for d in (loaded, generated)}
+
+    def test_retained_memory_scales_with_vocabulary_not_tokens(self, tmp_path):
+        vocab = filler_vocab("en", 500)
+
+        def manifest_for(n_tokens: int):
+            directory = tmp_path / str(n_tokens)
+            directory.mkdir()
+            # cycling the vocabulary puts every word in both corpora
+            (directory / "a.txt").write_text(
+                " ".join(vocab[i % len(vocab)] for i in range(n_tokens)), encoding="utf-8")
+            return _write_manifest(directory, [
+                {"path": "a.txt", "id": "a", "language": "en", "translation_kind": "source"}])
+
+        def retained(manifest) -> int:
+            tracemalloc.start()
+            try:
+                strata = load_corpus(manifest)
+                assert strata[0].total_word_count > 0
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        small, large = manifest_for(10_000), manifest_for(200_000)
+        load_corpus(small)  # first-use allocations (regex and JSON caches) happen here
+        assert abs(retained(large) - retained(small)) < 256 * 1024

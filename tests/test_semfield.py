@@ -46,8 +46,8 @@ class TestVariantCounts:
 
     def test_adding_documents_never_decreases_counts(self):
         cmap = fixture_concept_map()
-        base_doc = Document("a", "", ("say", "good"))
-        more_doc = Document("b", "", ("tell", "believe", "bad"))
+        base_doc = Document.from_lemmas("a", ("say", "good"))
+        more_doc = Document.from_lemmas("b", ("tell", "believe", "bad"))
         small = CorpusStratum("en", TranslationKind.HUMAN, {}, [base_doc])
         grown = CorpusStratum("en", TranslationKind.HUMAN, {}, [base_doc, more_doc])
         small_counts = {p.concept_id: p.variant_count
