@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 analysis error, 2 configuration/validation error.
 """
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -17,7 +18,7 @@ from . import freq, ingest, semfield, stats, synth, vectors
 from .errors import (NUMBER, AnalysisError, SemdriftError, ValidationError, check_type,
                      check_types)
 from .freq import DeviationMode, FrequencyTable
-from .ingest import CorpusStratum, TranslationKind
+from .ingest import CorpusStratum, TranslationKind, group_strata
 from .lexicon import (DEFAULT_PRIORITY, ConceptMap, SentimentClass, SentimentLexicon, Side,
                       find_conflicts, load_concept_map, load_lexicon_sources, merge_disjoint)
 from .synth import ChannelKind, ChannelParams
@@ -43,7 +44,6 @@ class RunConfig:
     alpha: float = 0.05
     deviation_mode: DeviationMode = DeviationMode.DIFFERENCE
     top_k: int = 5
-    attested: bool = False
     output_dir: Path = Path("out")
     synth_options: dict = field(default_factory=dict)
     raw_paths: dict[str, str] = field(default_factory=dict)
@@ -58,8 +58,8 @@ class RunConfig:
 _CONFIG_TYPES = {
     "manifest": str, "source_language": str, "target_language": str, "lexicons": dict,
     "concept_map": str, "frequency_tables": dict, "priority": list, "group_by": list,
-    "alpha": NUMBER, "deviation_mode": str, "top_k": int, "attested": bool,
-    "output_dir": str, "synth": dict,
+    "alpha": NUMBER, "deviation_mode": str, "top_k": int, "output_dir": str,
+    "synth": dict,
 }
 _SYNTH_TYPES = {
     "words": int, "seed": int, "kind": str, "factor": NUMBER, "norm_pull": NUMBER,
@@ -134,7 +134,6 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     config.top_k = body.get("top_k", 5)
     if config.top_k < 1:
         raise ValidationError(f"top_k must be >= 1, got {config.top_k}")
-    config.attested = body.get("attested", False)
     if "output_dir" in body:
         raw = body["output_dir"]
         p = Path(raw)
@@ -178,8 +177,7 @@ def _load_lexicons(config: RunConfig, report: ValidationReport) -> dict[str, Sen
             report.warning(
                 f"lexicon {lang}: cross-listed lemma {lemma!r} ({names}) "
                 f"resolved to {winner.value}")
-        lexicon = merge_disjoint(raws, config.priority,
-                                 language_code=lang, attested=config.attested)
+        lexicon = merge_disjoint(raws, config.priority, language_code=lang)
         for cls in SentimentClass:
             if not lexicon.lists[cls]:
                 report.error(f"lexicon {lang}: empty {cls.value} list after merge")
@@ -266,6 +264,8 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".12g")
+    if isinstance(value, list):
+        return "|".join(value)
     return str(value)
 
 
@@ -290,61 +290,55 @@ def _checksum_inputs(config: RunConfig) -> tuple[str, dict[str, str]]:
     return combined, files
 
 
-def _table(name: str, mode_line: str, checksum: str, header: list[str], rows) -> str:
-    buf = io.StringIO()
-    buf.write(f"# table: {name}\n")
-    buf.write(f"# mode: {mode_line}\n")
-    buf.write(f"# inputs: sha256={checksum}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
+@dataclass
+class _Table:
+    """One bundle table, built once: its records render both the CSV and summary.json.
+
+    A record is a dict of native values. Each CSV header shows the record key
+    of the same name unless `cells` maps it to another key or to a function of
+    the record; a list shows joined with "|". Keys in `csv_only` stay out of
+    the summary; keys no header shows appear only there.
+    """
+
+    name: str
+    headers: list[str]
+    cells: dict = field(default_factory=dict)
+    csv_only: tuple[str, ...] = ()
+    footer: str = ""
+    records: list[dict] = field(default_factory=list)
+
+    def to_csv(self, mode_line: str, checksum: str) -> str:
+        buf = io.StringIO()
+        buf.write(f"# table: {self.name}\n# mode: {mode_line}\n# inputs: sha256={checksum}\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(self.headers)
+        getters = [self.cells.get(h, h) for h in self.headers]
+        for r in self.records:
+            writer.writerow([_fmt(g(r) if callable(g) else r[g]) for g in getters])
+        return buf.getvalue() + self.footer
+
+    def to_summary(self) -> list[dict]:
+        return [{k: v for k, v in r.items() if k not in self.csv_only} for r in self.records]
 
 
-def _merge_by_kind(strata: list[CorpusStratum]) -> dict[tuple[str, str], CorpusStratum]:
-    grouped: dict[tuple[str, str], list[CorpusStratum]] = {}
-    for stratum in strata:
-        if stratum.translation_kind is None:
-            continue
-        key = (stratum.language_code, stratum.translation_kind.value)
-        grouped.setdefault(key, []).append(stratum)
-    merged = {}
-    for key in sorted(grouped):
-        members = grouped[key]
-        docs = [d for m in members for d in m.documents]
-        merged[key] = CorpusStratum(key[0], TranslationKind(key[1]), {}, docs)
-    return merged
-
-
-def _factor_groups(strata: list[CorpusStratum], factor: str) -> dict[str, list[CorpusStratum]]:
-    groups: dict[str, list[CorpusStratum]] = {}
-    for stratum in strata:
-        if factor == "translation_kind":
-            if stratum.translation_kind is None:
-                continue
-            value = stratum.translation_kind.value
-        else:
-            if factor not in stratum.group_keys:
-                continue
-            value = stratum.group_keys[factor]
-        groups.setdefault(value, []).append(stratum)
-    return groups
+_CLASS_KEYS = ("unique_lemma_count", "token_count", "mean_tokens_per_lemma")
+# ANOVA metric -> the unique_lemmas record key it tests
+_METRICS = {"unique_lemmas": "unique_lemma_count",
+            "mean_tokens_per_lemma": "mean_tokens_per_lemma"}
 
 
 def analyze(config: RunConfig, inputs: ValidationReport) -> dict[str, str]:
     """Run the full pipeline and return the report bundle as filename -> contents.
 
     `inputs` is the `run_validation(config)` report, whose loaded inputs are
-    analyzed. Nothing is written here; callers persist the bundle only after
-    every table is computed, so failures leave no partial output behind.
+    analyzed. Each table is built once, as records that render both its CSV and
+    its summary.json section. Nothing is written here; callers persist the
+    bundle only after every table is computed, so failures leave no partial
+    output behind.
     """
     if inputs.errors:
         raise ValidationError("; ".join(inputs.errors))
-    lexicons, cmap, tables = inputs.lexicons, inputs.concept_map, inputs.tables
-    strata = inputs.strata
     checksum, files = _checksum_inputs(config)
-    mode = config.mode_line()
     summary: dict = {
         "inputs": {"sha256": checksum, "files": files},
         "mode": {
@@ -353,310 +347,253 @@ def analyze(config: RunConfig, inputs: ValidationReport) -> dict[str, str]:
             "alpha": config.alpha,
             "top_k": config.top_k,
             "group_by": config.group_by,
-            "attested": config.attested,
         },
         "skipped": [],
     }
-    bundle: dict[str, str] = {}
+    unique, hist = _count_tables(inputs, summary)
+    tables = [unique, hist, *_deviation_tables(config, inputs, summary),
+              *_anova_tables(config, inputs, unique, summary)]
+    cmap = inputs.concept_map
+    if cmap is not None:
+        # semantic field and vectors over (language, translation kind) merges
+        merged = [CorpusStratum(language, TranslationKind(kind), {},
+                                [d for m in members for d in m.documents])
+                  for (language, kind), members in group_strata(
+                      inputs.strata, ("language", "translation_kind")).items()]
+        sides = {cmap.target_language: Side.TARGET, cmap.source_language: Side.SOURCE}
+        tables += _field_tables(config, cmap, merged, sides, summary)
+        tables += _vector_tables(cmap, merged, sides, summary)
 
-    # per-stratum sentiment statistics, reused by the ANOVA stage below
-    count_rows, hist_rows = [], []
-    stratum_summaries = []
-    class_stats_of: dict[str, dict] = {}
-    for stratum in strata:
-        lexicon = lexicons.get(stratum.language_code)
-        entry = {
-            "label": stratum.label,
-            "language": stratum.language_code,
-            "translation_kind": stratum.translation_kind.value,
-            "group_keys": stratum.group_keys,
-            "total_word_count": stratum.total_word_count,
-        }
+    mode = config.mode_line()
+    bundle = {f"{table.name}.csv": table.to_csv(mode, checksum) for table in tables}
+    bundle["summary.json"] = json.dumps(_json_safe(summary), ensure_ascii=False,
+                                        indent=2, sort_keys=True) + "\n"
+    return bundle
+
+
+def _count_tables(inputs: ValidationReport, summary: dict) -> list[_Table]:
+    """Per-stratum sentiment counts; the ANOVA stage tests these same records."""
+    unique = _Table("unique_lemmas", ["stratum", "language", "translation_kind", "class",
+                                      "unique_lemmas", "tokens", "mean_tokens_per_lemma"],
+                    {"unique_lemmas": "unique_lemma_count", "tokens": "token_count"})
+    hist = _Table("tokens_per_lemma_hist",
+                  ["stratum", "class", "tokens_per_lemma", "lemma_count"])
+    summary["strata"] = []
+    for stratum in inputs.strata:
+        where = {"language": stratum.language_code,
+                 "translation_kind": stratum.translation_kind.value}
+        entry = {"label": stratum.label, **where, "group_keys": stratum.group_keys,
+                 "total_word_count": stratum.total_word_count}
+        summary["strata"].append(entry)
+        lexicon = inputs.lexicons.get(stratum.language_code)
         if lexicon is None:
             summary["skipped"].append(
                 f"stratum {stratum.label}: no lexicon for {stratum.language_code}")
-            stratum_summaries.append(entry)
             continue
-        class_stats = class_stats_of[stratum.label] = freq.sentiment_stats(stratum, lexicon)
+        class_stats = freq.sentiment_stats(stratum, lexicon)
         per_lemma = freq.tokens_per_lemma(stratum, lexicon)
         entry["classes"] = {}
         for cls in SentimentClass:
             cs = class_stats[cls]
-            count_rows.append([
-                stratum.label, stratum.language_code, stratum.translation_kind.value,
-                cls.value, cs.unique_lemma_count, cs.token_count, cs.mean_tokens_per_lemma])
-            for token_count in sorted(per_lemma[cls].histogram):
-                hist_rows.append([stratum.label, cls.value, token_count,
-                                  per_lemma[cls].histogram[token_count]])
-            entry["classes"][cls.value] = {
-                "unique_lemma_count": cs.unique_lemma_count,
-                "token_count": cs.token_count,
-                "mean_tokens_per_lemma": cs.mean_tokens_per_lemma,
-            }
-        stratum_summaries.append(entry)
-    summary["strata"] = stratum_summaries
-    bundle["unique_lemmas.csv"] = _table(
-        "unique_lemmas", mode, checksum,
-        ["stratum", "language", "translation_kind", "class",
-         "unique_lemmas", "tokens", "mean_tokens_per_lemma"], count_rows)
-    bundle["tokens_per_lemma_hist.csv"] = _table(
-        "tokens_per_lemma_hist", mode, checksum,
-        ["stratum", "class", "tokens_per_lemma", "lemma_count"], hist_rows)
+            record = {"stratum": stratum.label, **where, "class": cls.value,
+                      "unique_lemma_count": cs.unique_lemma_count,
+                      "token_count": cs.token_count,
+                      "mean_tokens_per_lemma": cs.mean_tokens_per_lemma}
+            unique.records.append(record)
+            entry["classes"][cls.value] = {key: record[key] for key in _CLASS_KEYS}
+            histogram = per_lemma[cls].histogram
+            hist.records += [{"stratum": stratum.label, "class": cls.value,
+                              "tokens_per_lemma": n, "lemma_count": histogram[n]}
+                             for n in sorted(histogram)]
+    return [unique, hist]
 
-    # observed-vs-expected deviations
-    dev_rows, dev_lemma_rows = [], []
-    deviation_summary = []
-    for stratum in strata:
-        lexicon = lexicons.get(stratum.language_code)
-        ref = tables.get(stratum.language_code)
+
+def _deviation_tables(config: RunConfig, inputs: ValidationReport,
+                      summary: dict) -> list[_Table]:
+    """Observed-vs-expected frequency deviations per stratum and class."""
+    deviation = _Table(
+        "deviation", ["stratum", "class", "mode", "mean_deviation", "median_deviation",
+                      "covered_lemmas", "uncovered_lemmas"],
+        {"covered_lemmas": "n_covered", "uncovered_lemmas": lambda r: len(r["uncovered"])})
+    by_lemma = _Table("deviation_lemmas", ["stratum", "class", "lemma", "observed_pct",
+                                           "expected_pct", "value", "status"])
+    for stratum in inputs.strata:
+        lexicon = inputs.lexicons.get(stratum.language_code)
+        ref = inputs.tables.get(stratum.language_code)
         if lexicon is None or ref is None or stratum.total_word_count == 0:
             continue
         deviations = freq.expected_deviation(stratum, lexicon, ref, config.deviation_mode)
         for cls in SentimentClass:
             dev = deviations[cls]
-            dev_rows.append([
-                stratum.label, cls.value, dev.mode.value, dev.mean_deviation,
-                dev.median_deviation, len(dev.per_lemma), len(dev.uncovered)])
-            for lemma in sorted(dev.per_lemma):
-                dev_lemma_rows.append([
-                    stratum.label, cls.value, lemma, dev.observed_pct[lemma],
-                    dev.expected_pct[lemma], dev.per_lemma[lemma], "covered"])
-            for lemma in dev.uncovered:
-                dev_lemma_rows.append([
-                    stratum.label, cls.value, lemma, dev.observed_pct[lemma],
-                    None, None, "uncovered"])
-            deviation_summary.append({
-                "stratum": stratum.label,
-                "class": cls.value,
-                "mode": dev.mode.value,
-                "mean_deviation": dev.mean_deviation,
-                "median_deviation": dev.median_deviation,
-                "n_covered": len(dev.per_lemma),
-                "uncovered": list(dev.uncovered),
-            })
-    summary["deviations"] = deviation_summary
-    bundle["deviation.csv"] = _table(
-        "deviation", mode, checksum,
-        ["stratum", "class", "mode", "mean_deviation", "median_deviation",
-         "covered_lemmas", "uncovered_lemmas"], dev_rows)
-    bundle["deviation_lemmas.csv"] = _table(
-        "deviation_lemmas", mode, checksum,
-        ["stratum", "class", "lemma", "observed_pct", "expected_pct", "value", "status"],
-        dev_lemma_rows)
+            where = {"stratum": stratum.label, "class": cls.value}
+            deviation.records.append({
+                **where, "mode": dev.mode.value, "mean_deviation": dev.mean_deviation,
+                "median_deviation": dev.median_deviation, "n_covered": len(dev.per_lemma),
+                "uncovered": list(dev.uncovered)})
+            by_lemma.records += [{**where, "lemma": lemma, "observed_pct": dev.observed_pct[lemma],
+                                  "expected_pct": dev.expected_pct[lemma],
+                                  "value": dev.per_lemma[lemma], "status": "covered"}
+                                 for lemma in sorted(dev.per_lemma)]
+            by_lemma.records += [{**where, "lemma": lemma, "observed_pct": dev.observed_pct[lemma],
+                                  "expected_pct": None, "value": None, "status": "uncovered"}
+                                 for lemma in dev.uncovered]
+    summary["deviations"] = deviation.to_summary()
+    return [deviation, by_lemma]
 
-    # ANOVA + Tukey per factor, class, and metric. Grouping-key factors run
-    # within one (language, translation kind) slice so a term or summit effect
-    # is not confounded with the translation kind; the translation_kind factor
-    # itself runs per language.
-    anova_rows, tukey_rows = [], []
-    anova_summary, tukey_summary = [], []
-    factors = list(dict.fromkeys(config.group_by + ["translation_kind"]))
-    metric_names = ("unique_lemmas", "mean_tokens_per_lemma")
-    for language in sorted(lexicons):
-        lang_strata = [s for s in strata if s.language_code == language]
-        slices: list[tuple[str, list[CorpusStratum], list[str]]] = [
-            ("all", lang_strata, ["translation_kind"])]
-        group_factors = [f for f in factors if f != "translation_kind"]
+
+def _anova_tables(config: RunConfig, inputs: ValidationReport, unique: _Table,
+                  summary: dict) -> list[_Table]:
+    """ANOVA + Tukey per factor, class and metric.
+
+    Grouping-key factors run within one (language, translation kind) slice so
+    a term or summit effect is not confounded with the translation kind; the
+    translation_kind factor itself runs per language.
+    """
+    anova = _Table("anova", ["language", "slice", "factor", "class", "metric", "groups",
+                             "df_between", "df_within", "f_stat", "p_value", "levene_stat",
+                             "levene_p", "degenerate"], csv_only=("groups",))
+    tukey = _Table("tukey", ["language", "slice", "factor", "class", "metric", "group_a",
+                             "group_b", "mean_diff", "q_stat", "p_adj", "significant"],
+                   {"group_a": "a", "group_b": "b"})
+    observed = {(r["stratum"], r["class"]): r for r in unique.records}
+    group_factors = [f for f in dict.fromkeys(config.group_by) if f != "translation_kind"]
+    by_language = group_strata(inputs.strata, ("language",))
+    by_kind = group_strata(inputs.strata, ("language", "translation_kind"))
+    for language in sorted(inputs.lexicons):
+        slices = [("all", by_language.get((language,), []), ["translation_kind"])]
         if group_factors:
-            kinds = sorted({s.translation_kind.value for s in lang_strata
-                            if s.translation_kind is not None})
-            for kind in kinds:
-                members = [s for s in lang_strata
-                           if s.translation_kind is not None
-                           and s.translation_kind.value == kind]
-                slices.append((kind, members, group_factors))
-        for slice_label, members, slice_factors in slices:
-            for factor in slice_factors:
-                grouped = _factor_groups(members, factor)
+            slices += [(kind, members, group_factors)
+                       for (lang, kind), members in by_kind.items() if lang == language]
+        for slice_label, members, factors in slices:
+            for factor in factors:
+                groups = group_strata(members, (factor,))
                 for cls in SentimentClass:
-                    for metric in metric_names:
+                    for metric, key in _METRICS.items():
+                        where = {"language": language, "slice": slice_label,
+                                 "factor": factor, "class": cls.value, "metric": metric}
                         samples = []
-                        for value in sorted(grouped):
-                            observations = []
-                            for member in grouped[value]:
-                                cs = class_stats_of[member.label][cls]
-                                x = (cs.unique_lemma_count if metric == "unique_lemmas"
-                                     else cs.mean_tokens_per_lemma)
-                                if x is not None:
-                                    observations.append(float(x))
-                            if len(observations) >= 2:
-                                samples.append(stats.GroupSample(value, tuple(observations)))
+                        for (value,), group in groups.items():
+                            xs = [observed[(m.label, cls.value)][key] for m in group]
+                            xs = tuple(float(x) for x in xs if x is not None)
+                            if len(xs) >= 2:
+                                samples.append(stats.GroupSample(value, xs))
                         if len(samples) < 2:
                             summary["skipped"].append(
-                                f"anova {language}/{slice_label}/{factor}/{cls.value}/"
-                                f"{metric}: needs >= 2 groups with >= 2 values")
+                                f"anova {'/'.join(where.values())}: "
+                                f"needs >= 2 groups with >= 2 values")
                             continue
                         result = stats.one_way_anova(samples)
-                        anova_rows.append([
-                            language, slice_label, factor, cls.value, metric, len(samples),
-                            result.df_between, result.df_within, result.f_stat,
-                            result.p_value, result.levene_stat, result.levene_p,
-                            result.degenerate])
-                        anova_summary.append({
-                            "language": language, "slice": slice_label, "factor": factor,
-                            "class": cls.value, "metric": metric, "f_stat": result.f_stat,
-                            "df_between": result.df_between, "df_within": result.df_within,
+                        anova.records.append({
+                            **where, "groups": len(samples), "df_between": result.df_between,
+                            "df_within": result.df_within, "f_stat": result.f_stat,
                             "p_value": result.p_value, "levene_stat": result.levene_stat,
                             "levene_p": result.levene_p, "degenerate": result.degenerate,
-                            "group_means": result.group_means,
-                        })
-                        tukey = stats.tukey_hsd(samples, config.alpha)
-                        for pair in tukey.pairs:
-                            tukey_rows.append([
-                                language, slice_label, factor, cls.value, metric,
-                                pair.a, pair.b, pair.mean_diff, pair.q_stat, pair.p_adj,
-                                pair.significant])
-                            tukey_summary.append({
-                                "language": language, "slice": slice_label,
-                                "factor": factor, "class": cls.value, "metric": metric,
-                                "a": pair.a, "b": pair.b, "mean_diff": pair.mean_diff,
-                                "q_stat": pair.q_stat, "p_adj": pair.p_adj,
-                                "significant": pair.significant,
-                            })
-    summary["anova"] = anova_summary
-    summary["tukey"] = tukey_summary
-    bundle["anova.csv"] = _table(
-        "anova", mode, checksum,
-        ["language", "slice", "factor", "class", "metric", "groups", "df_between",
-         "df_within", "f_stat", "p_value", "levene_stat", "levene_p", "degenerate"],
-        anova_rows)
-    bundle["tukey.csv"] = _table(
-        "tukey", mode, checksum,
-        ["language", "slice", "factor", "class", "metric", "group_a", "group_b",
-         "mean_diff", "q_stat", "p_adj", "significant"], tukey_rows)
+                            "group_means": result.group_means})
+                        tukey.records += [{
+                            **where, "a": pair.a, "b": pair.b, "mean_diff": pair.mean_diff,
+                            "q_stat": pair.q_stat, "p_adj": pair.p_adj,
+                            "significant": pair.significant}
+                            for pair in stats.tukey_hsd(samples, config.alpha).pairs]
+    summary["anova"] = anova.to_summary()
+    summary["tukey"] = tukey.to_summary()
+    return [anova, tukey]
 
-    # semantic field + vectors over (language, translation kind) merges
-    if cmap is not None:
-        merged = _merge_by_kind(strata)
 
-        def side_for(language: str) -> Side | None:
-            if language == cmap.source_language:
-                return Side.SOURCE
-            if language == cmap.target_language:
-                return Side.TARGET
-            return None
-
-        variant_rows, top_rows, width_rows = [], [], []
-        profiles_by_label: dict[str, list] = {}
-        baseline_label = None
-        variant_summary: dict[str, list] = {}
-        for (language, kind), stratum in merged.items():
-            side = side_for(language)
-            if side is None:
-                summary["skipped"].append(
-                    f"variants {stratum.label}: language {language} not in concept map")
-                continue
-            profiles = semfield.variant_counts(stratum, cmap, side)
-            profiles_by_label[stratum.label] = profiles
-            if kind == TranslationKind.SOURCE.value and baseline_label is None:
-                baseline_label = stratum.label
-            variant_summary[stratum.label] = [{
-                "concept_id": p.concept_id, "class": p.sentiment.value,
-                "variant_count": p.variant_count, "token_total": p.token_total,
-                "variants": sorted(p.attested_variants),
-            } for p in profiles]
-            for p in profiles:
-                variant_rows.append([
-                    stratum.label, p.concept_id, p.sentiment.value, p.variant_count,
-                    p.token_total, "|".join(sorted(p.attested_variants))])
-            for rank, p in enumerate(semfield.top_k_concepts(profiles, config.top_k), 1):
-                top_rows.append([
-                    stratum.label, rank, p.concept_id, p.sentiment.value,
-                    p.variant_count, p.token_total, "|".join(sorted(p.attested_variants))])
-        width_summary = []
-        if baseline_label is not None:
-            baseline = profiles_by_label[baseline_label]
-            for label in sorted(profiles_by_label):
-                if label == baseline_label:
-                    continue
-                try:
-                    width = semfield.field_width_report(label, profiles_by_label[label],
-                                                        baseline)
-                except AnalysisError as exc:
-                    summary["skipped"].append(f"field width {label}: {exc}")
-                    continue
-                width_rows.append([
-                    label, baseline_label, width.mean_variants_per_concept,
-                    width.width_ratio_vs_baseline, "|".join(width.excluded_concepts)])
-                width_summary.append({
-                    "stratum": label, "baseline": baseline_label,
-                    "mean_variants_per_concept": width.mean_variants_per_concept,
-                    "width_ratio_vs_baseline": width.width_ratio_vs_baseline,
-                    "excluded_concepts": list(width.excluded_concepts),
-                })
-        else:
-            summary["skipped"].append("field width: no source-kind stratum as baseline")
-        summary["variants"] = variant_summary
-        summary["field_width"] = width_summary
-        bundle["variants.csv"] = _table(
-            "variants", mode, checksum,
-            ["stratum", "concept_id", "class", "variant_count", "token_total",
-             "variants_list"], variant_rows)
-        bundle["top_concepts.csv"] = _table(
-            "top_concepts", mode, checksum,
-            ["stratum", "rank", "concept_id", "class", "variant_count", "token_total",
-             "variants_list"], top_rows)
-        bundle["field_width.csv"] = _table(
-            "field_width", mode, checksum,
-            ["stratum", "baseline", "mean_variants_per_concept",
-             "width_ratio_vs_baseline", "excluded_concepts"], width_rows)
-
-        concept_vectors = []
-        for (language, kind), stratum in merged.items():
-            side = side_for(language)
-            if side is None:
-                continue
+def _field_tables(config: RunConfig, cmap: ConceptMap, merged: list[CorpusStratum],
+                  sides: dict[str, Side], summary: dict) -> list[_Table]:
+    """Variant profiles, top-k concepts and field width against the source stratum."""
+    variant_headers = ["concept_id", "class", "variant_count", "token_total", "variants_list"]
+    variants = _Table("variants", ["stratum", *variant_headers], {"variants_list": "variants"})
+    top = _Table("top_concepts", ["stratum", "rank", *variant_headers],
+                 {"variants_list": "variants"})
+    width = _Table("field_width", ["stratum", "baseline", "mean_variants_per_concept",
+                                   "width_ratio_vs_baseline", "excluded_concepts"])
+    summary["variants"] = {}
+    profiles_of: dict[str, list] = {}
+    baseline_label = None
+    for stratum in merged:
+        side = sides.get(stratum.language_code)
+        if side is None:
+            summary["skipped"].append(f"variants {stratum.label}: language "
+                                      f"{stratum.language_code} not in concept map")
+            continue
+        profiles = profiles_of[stratum.label] = semfield.variant_counts(stratum, cmap, side)
+        if stratum.translation_kind is TranslationKind.SOURCE and baseline_label is None:
+            baseline_label = stratum.label
+        record_of = {p.concept_id: {
+            "stratum": stratum.label, "concept_id": p.concept_id, "class": p.sentiment.value,
+            "variant_count": p.variant_count, "token_total": p.token_total,
+            "variants": sorted(p.attested_variants)} for p in profiles}
+        variants.records += record_of.values()
+        summary["variants"][stratum.label] = [
+            {k: v for k, v in r.items() if k != "stratum"} for r in record_of.values()]
+        top.records += [{**record_of[p.concept_id], "rank": rank} for rank, p in
+                        enumerate(semfield.top_k_concepts(profiles, config.top_k), 1)]
+    if baseline_label is None:
+        summary["skipped"].append("field width: no source-kind stratum as baseline")
+    else:
+        baseline = profiles_of[baseline_label]
+        for label in sorted(profiles_of.keys() - {baseline_label}):
             try:
-                concept_vectors.append(vectors.concept_vector(stratum, cmap, side))
+                report = semfield.field_width_report(label, profiles_of[label], baseline)
             except AnalysisError as exc:
-                raise AnalysisError(f"concept vector for {stratum.label}: {exc}") from exc
-        similarity_summary: dict = {}
-        cosine_rows, euclid_rows, pca_rows = [], [], []
-        labels = [v.stratum_label for v in concept_vectors]
-        if len(concept_vectors) >= 2:
-            cos_matrix, euc_matrix = {}, {}
-            for u in concept_vectors:
-                cos_row, euc_row = [u.stratum_label], [u.stratum_label]
-                for v in concept_vectors:
-                    try:
-                        c = vectors.cosine(u, v)
-                    except AnalysisError:
-                        c = None
-                    cos_row.append(c)
-                    euc_row.append(vectors.euclidean(u, v))
-                cosine_rows.append(cos_row)
-                euclid_rows.append(euc_row)
-                cos_matrix[u.stratum_label] = cos_row[1:]
-                euc_matrix[u.stratum_label] = euc_row[1:]
-            similarity_summary = {"labels": labels, "cosine": cos_matrix,
-                                  "euclidean": euc_matrix}
-            try:
-                projection = vectors.pca_2d(concept_vectors)
-                for label, (x, y) in zip(projection.labels, projection.coords):
-                    pca_rows.append([label, float(x), float(y)])
-                summary["pca"] = {
-                    "labels": list(projection.labels),
-                    "coords": [[float(x), float(y)] for x, y in projection.coords],
-                    "explained_variance": list(projection.explained_variance),
-                }
-                ev_line = (f"# explained_variance: "
-                           f"{_fmt(projection.explained_variance[0])},"
-                           f"{_fmt(projection.explained_variance[1])}\n")
-                bundle["pca.csv"] = _table(
-                    "pca", mode, checksum, ["label", "x", "y"], pca_rows) + ev_line
-            except AnalysisError as exc:
-                summary["skipped"].append(f"pca: {exc}")
-        else:
-            summary["skipped"].append("similarity: fewer than 2 concept vectors")
-        summary["similarity"] = similarity_summary
-        bundle["cosine.csv"] = _table(
-            "cosine", mode, checksum, ["label"] + labels, cosine_rows)
-        bundle["euclidean.csv"] = _table(
-            "euclidean", mode, checksum, ["label"] + labels, euclid_rows)
+                summary["skipped"].append(f"field width {label}: {exc}")
+                continue
+            width.records.append({
+                "stratum": label, "baseline": baseline_label,
+                "mean_variants_per_concept": report.mean_variants_per_concept,
+                "width_ratio_vs_baseline": report.width_ratio_vs_baseline,
+                "excluded_concepts": list(report.excluded_concepts)})
+    summary["field_width"] = width.to_summary()
+    return [variants, top, width]
 
-    bundle["summary.json"] = json.dumps(_json_safe(summary), ensure_ascii=False,
-                                        indent=2, sort_keys=True) + "\n"
-    return bundle
+
+def _cosine_or_none(u: vectors.ConceptVector, v: vectors.ConceptVector) -> float | None:
+    try:
+        return vectors.cosine(u, v)
+    except AnalysisError:
+        return None
+
+
+def _vector_tables(cmap: ConceptMap, merged: list[CorpusStratum], sides: dict[str, Side],
+                   summary: dict) -> list[_Table]:
+    """Cosine and Euclidean matrices over the concept vectors, and their 2-D projection."""
+    concept_vectors = []
+    for stratum in merged:
+        if stratum.language_code not in sides:
+            continue
+        try:
+            concept_vectors.append(
+                vectors.concept_vector(stratum, cmap, sides[stratum.language_code]))
+        except AnalysisError as exc:
+            raise AnalysisError(f"concept vector for {stratum.label}: {exc}") from exc
+    labels = [v.stratum_label for v in concept_vectors]
+    cosine = _Table("cosine", ["label", *labels])
+    euclidean = _Table("euclidean", ["label", *labels])
+    if len(concept_vectors) < 2:
+        summary["similarity"] = {}
+        summary["skipped"].append("similarity: fewer than 2 concept vectors")
+        return [cosine, euclidean]
+    summary["similarity"] = {"labels": labels}
+    for table, metric in ((cosine, _cosine_or_none), (euclidean, vectors.euclidean)):
+        table.records = [{"label": u.stratum_label,
+                          **{v.stratum_label: metric(u, v) for v in concept_vectors}}
+                         for u in concept_vectors]
+        summary["similarity"][table.name] = {r["label"]: [r[label] for label in labels]
+                                             for r in table.records}
+    try:
+        projection = vectors.pca_2d(concept_vectors)
+    except AnalysisError as exc:
+        summary["skipped"].append(f"pca: {exc}")
+        return [cosine, euclidean]
+    ev = list(projection.explained_variance)
+    pca = _Table("pca", ["label", "x", "y"],
+                 footer=f"# explained_variance: {_fmt(ev[0])},{_fmt(ev[1])}\n")
+    pca.records = [{"label": label, "x": float(x), "y": float(y)}
+                   for label, (x, y) in zip(projection.labels, projection.coords)]
+    summary["pca"] = {"labels": labels, "coords": [[r["x"], r["y"]] for r in pca.records],
+                      "explained_variance": ev}
+    return [cosine, euclidean, pca]
 
 
 def _json_safe(value):
@@ -681,9 +618,20 @@ def cmd_analyze(config: RunConfig) -> int:
     except SemdriftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    for name in sorted(bundle):
-        (config.output_dir / name).write_text(bundle[name], encoding="utf-8")
+    written: list[Path] = []
+    try:
+        config.output_dir.mkdir(parents=True, exist_ok=True)
+        for name in sorted(bundle):
+            written.append(config.output_dir / name)
+            written[-1].write_text(bundle[name], encoding="utf-8")
+    except OSError as exc:
+        # leave no half-written bundle behind
+        for path in written:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        print(f"error: output_dir: cannot write {exc.filename or config.output_dir}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"wrote {len(bundle)} files to {config.output_dir}")
     return EXIT_OK
 

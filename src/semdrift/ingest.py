@@ -336,30 +336,40 @@ def _load_documents(manifest: dict, base: Path) -> list[CorpusStratum]:
     return strata
 
 
+def _key_value(stratum: CorpusStratum, key: str) -> str | None:
+    if key == "language":
+        return stratum.language_code
+    if key == "translation_kind":
+        return stratum.translation_kind.value if stratum.translation_kind else None
+    return stratum.group_keys.get(key)
+
+
+def group_strata(strata: list[CorpusStratum],
+                 keys: tuple[str, ...]) -> dict[tuple[str, ...], list[CorpusStratum]]:
+    """Partition strata by their values of `keys` (grouping keys, "language" or
+    "translation_kind"), in sorted order of those values.
+
+    Members keep their input order; a stratum lacking one of the keys is left out.
+    """
+    groups: dict[tuple[str, ...], list[CorpusStratum]] = {}
+    for stratum in strata:
+        values = tuple(_key_value(stratum, key) for key in keys)
+        if None not in values:
+            groups.setdefault(values, []).append(stratum)
+    return {values: groups[values] for values in sorted(groups)}
+
+
 def stratify(strata: list[CorpusStratum], key: str) -> dict[str, CorpusStratum]:
     """Regroup strata by one grouping key (or "language" / "translation_kind").
 
     Strata sharing the key value are concatenated; word counts are additive.
     Merged groups must be monolingual; the translation kind becomes None when mixed.
     """
-    def value_of(stratum: CorpusStratum) -> str:
-        if key == "language":
-            return stratum.language_code
-        if key == "translation_kind":
-            if stratum.translation_kind is None:
-                raise ValidationError(f"stratum {stratum.label!r} has no translation_kind")
-            return stratum.translation_kind.value
-        if key not in stratum.group_keys:
-            raise ValidationError(f"stratum {stratum.label!r} lacks grouping key {key!r}")
-        return stratum.group_keys[key]
-
-    groups: dict[str, list[CorpusStratum]] = {}
     for stratum in strata:
-        groups.setdefault(value_of(stratum), []).append(stratum)
-
+        if _key_value(stratum, key) is None:
+            raise ValidationError(f"stratum {stratum.label!r} lacks grouping key {key!r}")
     merged: dict[str, CorpusStratum] = {}
-    for value in sorted(groups):
-        members = groups[value]
+    for (value,), members in group_strata(strata, (key,)).items():
         languages = {m.language_code for m in members}
         if len(languages) > 1:
             raise ValidationError(
@@ -398,18 +408,35 @@ def save_corpus(strata: list[CorpusStratum], directory,
 
     Document text is the space-joined lemma sequence of a generated document,
     or each lemma of a loaded one repeated by its count in first-occurrence
-    order, so a reload through `load_corpus` (with no lemma dict) reproduces
-    the lemma counts exactly.
+    order. The manifest names no profiles or lemma dicts, so `load_corpus`
+    tokenizes each lemma under its language's default profile; a lemma that
+    would not come back as itself there (say `йод-лемма` or `Good`) is a
+    ValidationError raised before anything is written. Otherwise the reload
+    reproduces every document's lemma counts.
     A document's file is `{id}.txt` when the id is made of `[A-Za-z0-9._-]`;
     see `_document_filename` for other ids.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    entries = []
+    checked: dict[str, set[Lemma]] = {}
     for stratum in strata:
         if stratum.translation_kind is None:
             raise ValidationError(
                 f"cannot save stratum {stratum.label!r} without a translation_kind")
+        profile = default_profile(stratum.language_code)
+        seen = checked.setdefault(stratum.language_code, set())
+        for doc in stratum.documents:
+            for lemma in doc.counts:
+                if lemma in seen:
+                    continue
+                if tokenize(lemma, profile) != [lemma]:
+                    raise ValidationError(
+                        f"cannot save document {doc.id!r}: lemma {lemma!r} would not reload "
+                        f"as itself under the default {profile.language_code!r} profile")
+                seen.add(lemma)
+
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    entries = []
+    for stratum in strata:
         for doc in stratum.documents:
             fname = _document_filename(doc.id)
             lemmas = doc.lemmas if doc.lemmas is not None else doc.counts.elements()

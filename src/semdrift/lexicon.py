@@ -71,7 +71,6 @@ class SentimentLexicon:
     language_code: str
     lists: dict[SentimentClass, frozenset[Lemma]]
     provenance: dict[Lemma, tuple[str, ...]] = field(default_factory=dict)
-    attested: bool = False
 
     def __post_init__(self):
         lists = {cls: frozenset(self.lists.get(cls, frozenset())) for cls in SentimentClass}
@@ -108,8 +107,7 @@ def find_conflicts(raws: list[RawLexiconEntry]) -> dict[Lemma, set[SentimentClas
 
 def merge_disjoint(raws: list[RawLexiconEntry],
                    priority: tuple[SentimentClass, ...] = DEFAULT_PRIORITY,
-                   *, language_code: str = "",
-                   attested: bool = False) -> SentimentLexicon:
+                   *, language_code: str = "") -> SentimentLexicon:
     """Merge raw entries into disjoint lists, resolving conflicts by class priority.
 
     A lemma claimed by several classes goes to the earliest claimed class in
@@ -131,7 +129,6 @@ def merge_disjoint(raws: list[RawLexiconEntry],
         language_code,
         {cls: frozenset(members) for cls, members in lists.items()},
         {lemma: tuple(sorted(srcs)) for lemma, srcs in sources.items()},
-        attested=attested,
     )
 
 

@@ -13,13 +13,6 @@ from .errors import AnalysisError, ValidationError
 from .ingest import CorpusStratum
 from .lexicon import ConceptMap, Side
 
-# Power iteration stops when the eigenvalue's relative change drops below
-# EIGEN_TOL and the eigenpair residual drops below RESIDUAL_TOL.
-EIGEN_TOL = 1e-10
-RESIDUAL_TOL = 1e-8
-MAX_EIGEN_ITER = 10_000
-
-
 @dataclass(frozen=True, eq=False)
 class ConceptVector:
     stratum_label: str
@@ -79,55 +72,8 @@ class Projection2D:
     labels: tuple[str, ...]
     coords: np.ndarray              # shape (n, 2)
     explained_variance: tuple[float, float]
-    components: np.ndarray          # shape (2, d), orthonormal rows
+    components: np.ndarray          # shape (2, d), orthonormal rows (d = 1: second is zero)
     eigenvalues: tuple[float, float]
-
-
-def _dominant_eigenpair(matrix: np.ndarray, rng: np.random.Generator,
-                        orthogonal_to: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Largest eigenpair of a symmetric PSD matrix by power iteration.
-
-    On a (numerically) zero matrix the eigenvalue is 0 and the vector is an
-    arbitrary unit vector orthogonal to `orthogonal_to`.
-    """
-    n = matrix.shape[0]
-    scale = float(np.abs(matrix).max())
-
-    def orthogonalize(vec: np.ndarray) -> np.ndarray:
-        if orthogonal_to is not None:
-            vec = vec - np.dot(vec, orthogonal_to) * orthogonal_to
-        return vec
-
-    if scale == 0.0:
-        for i in range(n):
-            candidate = orthogonalize(np.eye(n)[i])
-            norm = np.linalg.norm(candidate)
-            if norm > 1e-12:
-                return 0.0, candidate / norm
-        raise AnalysisError("cannot build an orthogonal direction")
-
-    v = orthogonalize(rng.standard_normal(n))
-    v /= np.linalg.norm(v)
-    lam_prev = 0.0
-    lam = 0.0
-    # the eigenvalue settles quadratically, so the relative-change test alone can
-    # stop with the vector still off; require the residual to drop as well
-    residual_tol = max(RESIDUAL_TOL, 100 * np.finfo(float).eps * scale)
-    for _ in range(MAX_EIGEN_ITER):
-        w = orthogonalize(matrix @ v)
-        norm = float(np.linalg.norm(w))
-        if norm <= scale * 1e-14:
-            # deflated away: remaining spectrum is numerically zero
-            return 0.0, v
-        v = w / norm
-        product = matrix @ v
-        lam = float(v @ product)
-        residual = float(np.linalg.norm(product - lam * v))
-        if (abs(lam - lam_prev) <= EIGEN_TOL * max(abs(lam), 1e-300)
-                and residual <= residual_tol):
-            break
-        lam_prev = lam
-    return lam, v
 
 
 def _orient(vec: np.ndarray) -> np.ndarray:
@@ -139,10 +85,11 @@ def _orient(vec: np.ndarray) -> np.ndarray:
 def pca_2d(vectors: list[ConceptVector]) -> Projection2D:
     """Project vectors onto the top two principal axes of their sample covariance.
 
-    Eigenpairs come from power iteration with deflation (fixed internal seed,
-    so runs are reproducible). Explained-variance fractions are relative to
-    the total variance; identical input vectors have no principal direction
-    and raise an error.
+    Eigenpairs come from `np.linalg.eigh` on the d x d covariance; each axis
+    points so that its largest-magnitude loading is positive. With d = 1 the
+    second eigenvalue is 0 and its component a zero row. Explained-variance
+    fractions are relative to the total variance; identical input vectors
+    have no principal direction and raise an error.
     """
     if len(vectors) < 2:
         raise ValidationError("need at least 2 vectors")
@@ -157,14 +104,12 @@ def pca_2d(vectors: list[ConceptVector]) -> Projection2D:
     if total_variance <= 0.0:
         raise AnalysisError("degenerate covariance: all vectors identical")
 
-    rng = np.random.default_rng(0)
-    lam1, w1 = _dominant_eigenpair(cov, rng)
-    deflated = cov - lam1 * np.outer(w1, w1)
-    lam2, w2 = _dominant_eigenpair(deflated, rng, orthogonal_to=w1)
-    lam1, lam2 = max(lam1, 0.0), max(lam2, 0.0)
-    if lam2 > lam1:
-        lam1, lam2, w1, w2 = lam2, lam1, w2, w1
-    w1, w2 = _orient(w1), _orient(w2)
+    eigenvalues, eigenvectors = np.linalg.eigh(cov)  # ascending order
+    lam1, w1 = max(float(eigenvalues[-1]), 0.0), _orient(eigenvectors[:, -1])
+    if len(dims) == 1:
+        lam2, w2 = 0.0, np.zeros(1)  # no second axis in one dimension
+    else:
+        lam2, w2 = max(float(eigenvalues[-2]), 0.0), _orient(eigenvectors[:, -2])
 
     components = np.vstack([w1, w2])
     coords = centered @ components.T

@@ -31,7 +31,6 @@ def base_config() -> dict:
         "group_by": ["term", "summit"],
         "alpha": 0.05,
         "top_k": 5,
-        "attested": True,
     }
 
 
@@ -87,7 +86,7 @@ class TestConfigTypes:
         ({"lexicons": [str(DATA / "lexicons/lex_en_core.tsv")]}, "lexicons must be an object"),
         ({"group_by": "term"}, "group_by must be a list"),
         ({"top_k": True}, "top_k must be an integer"),
-        ({"attested": "false"}, "attested must be true or false"),
+        ({"deviation_mode": 1}, "deviation_mode must be a string"),
         ({"frequency_tables": {"en": 1}}, "frequency_tables.en must be a string"),
         ({"synth": {"words": "many"}}, "synth.words must be an integer"),
     ])
@@ -99,6 +98,14 @@ class TestConfigTypes:
     def test_null_takes_the_default(self, tmp_path, capsys):
         config = write_config(tmp_path, top_k=None, alpha=None)
         assert main(["validate", "--config", str(config)]) == 0
+
+    def test_removed_attested_key_is_ignored(self, tmp_path):
+        # "attested" changed no number and is no longer a config key
+        config = write_config(tmp_path, attested="anything")
+        out = tmp_path / "run"
+        assert main(["analyze", "--config", str(config), "--output-dir", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert "attested" not in summary["mode"]
 
 
 def _count_load_corpus(monkeypatch) -> list:
@@ -253,7 +260,7 @@ _MANIFEST_LOCATIONS = [(), ("documents",), ("profiles",), ("lemma_dicts",), ("pr
 _CONFIG_LOCATIONS = [(), ("lexicons", "en"), ("frequency_tables", "en"), ("priority", 0)] + [
     (key,) for key in ("manifest", "source_language", "target_language", "lexicons",
                        "concept_map", "frequency_tables", "priority", "group_by", "alpha",
-                       "deviation_mode", "top_k", "attested", "synth")]
+                       "deviation_mode", "top_k", "synth")]
 
 
 class TestNoTraceback:
@@ -299,6 +306,14 @@ class TestAnalyze:
                     "top_concepts.csv", "field_width.csv", "cosine.csv", "euclidean.csv",
                     "pca.csv", "summary.json"}
         assert expected <= set(a)
+
+    def test_bundle_matches_golden_files(self, tmp_path):
+        # the fixture config names its inputs by relative paths, so the checksum
+        # lines and summary.json do not depend on where the repository lives
+        out = tmp_path / "run"
+        assert main(["analyze", "--config", str(DATA / "config.json"),
+                     "--output-dir", str(out)]) == 0
+        assert read_bundle(out) == read_bundle(DATA / "expected_bundle")
 
     def test_headers_carry_table_mode_and_checksums(self, tmp_path):
         config = write_config(tmp_path)
@@ -347,6 +362,25 @@ class TestAnalyze:
         assert "error: concept vector for en/human: empty stratum" in err
         assert not out.exists() or not any(out.iterdir())
         assert len(calls) == 1
+
+    def test_output_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("keep", encoding="utf-8")
+        assert main(["analyze", "--config", str(config), "--output-dir", str(taken)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: output_dir: cannot write {taken}: ")
+        assert taken.read_text(encoding="utf-8") == "keep"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+
+    def test_failed_write_leaves_no_partial_bundle(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "run"
+        # a directory where a table must go; the files sorted before it are written first
+        (out / "tukey.csv").mkdir(parents=True)
+        assert main(["analyze", "--config", str(config), "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: output_dir: cannot write {out / 'tukey.csv'}: ")
+        assert [p.name for p in out.iterdir()] == ["tukey.csv"]
 
     def test_validation_failure_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, concept_map=str(tmp_path / "missing.tsv"))

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import tracemalloc
 import unicodedata
@@ -6,7 +7,7 @@ from bisect import bisect_right
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semdrift import (CorpusStratum, Document, LangProfile, LemmaDict, TranslationKind,
@@ -321,6 +322,15 @@ class TestSaveCorpus:
 _SURFACES = LemmaDict("en", {"said": "say", "says": "say", "saying": "say",
                              "told": "tell", "tells": "tell"})
 _WORDS = ["said", "Said", "SAYS", "saying", "say", "told", "Tell", "tells", "good", "Good"]
+# per language: words of a loaded document, its lemma dict, lemmas of a generated one;
+# "iodine-lemma", "йод-лемма", "Good" and "Мой" would not reload as themselves
+_SAVED = {
+    "en": (_WORDS + ["iodine"],
+           LemmaDict("en", {**_SURFACES.entries, "iodine": "iodine-lemma"}),
+           ["say", "tell", "good", "Good"]),
+    "ru": (["мой", "Йод", "йод", "сказать"], LemmaDict("ru", {"йод": "йод-лемма"}),
+           ["мой", "сказать", "Мой"]),
+}
 
 
 class TestCountOnRead:
@@ -336,14 +346,27 @@ class TestCountOnRead:
         assert doc.total_word_count == len(tokens)
         assert doc.lemmas is None
 
-    @given(st.lists(st.sampled_from(_WORDS), max_size=40),
-           st.lists(st.sampled_from(["say", "tell", "good"]), max_size=40))
-    @settings(max_examples=40, deadline=None)
-    def test_save_and_reload_keep_counts(self, tmp_path_factory, words, lemmas):
-        loaded = Document.from_text("loaded", " ".join(words), default_profile("en"), _SURFACES)
+    @given(st.sampled_from(sorted(_SAVED)).flatmap(lambda language: st.tuples(
+        st.just(language), st.lists(st.sampled_from(_SAVED[language][0]), max_size=40),
+        st.lists(st.sampled_from(_SAVED[language][2]), max_size=40))))
+    @example(("ru", ["мой", "Йод"], []))
+    @settings(max_examples=60, deadline=None)
+    def test_save_and_reload_keep_counts(self, tmp_path_factory, case):
+        language, words, lemmas = case
+        profile = default_profile(language)
+        loaded = Document.from_text("loaded", " ".join(words), profile, _SAVED[language][1])
         generated = Document.from_lemmas("generated", lemmas)
-        stratum = CorpusStratum("en", TranslationKind.SOURCE, {}, [loaded, generated])
-        manifest = save_corpus([stratum], tmp_path_factory.mktemp("corpus"))
+        stratum = CorpusStratum(language, TranslationKind.SOURCE, {}, [loaded, generated])
+        directory = tmp_path_factory.mktemp("corpus")
+        # the reload tokenizes each lemma under the default profile
+        changed = [lemma for doc in (loaded, generated) for lemma in doc.counts
+                   if tokenize(lemma, profile) != [lemma]]
+        if changed:
+            with pytest.raises(ValidationError, match=f"lemma {re.escape(repr(changed[0]))}"):
+                save_corpus([stratum], directory)
+            assert not any(directory.iterdir())
+            return
+        manifest = save_corpus([stratum], directory)
         reloaded = {d.id: list(d.counts.items()) for s in load_corpus(manifest)
                     for d in s.documents}
         assert reloaded == {d.id: list(d.counts.items()) for d in (loaded, generated)}

@@ -68,7 +68,6 @@ class TestMergeDisjoint:
     def test_empty_input(self):
         merged = merge_disjoint([], language_code="en")
         assert all(not lemmas for lemmas in merged.lists.values())
-        assert merged.attested is False
 
     def test_provenance_keeps_losing_sources(self):
         raws = [RawLexiconEntry("fine", POS, "core"), RawLexiconEntry("fine", NEG, "extra")]

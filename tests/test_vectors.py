@@ -160,6 +160,13 @@ class TestPca2d:
                 original = euclidean(vectors[i], vectors[j])
                 assert projected <= original + 1e-9
 
+    def test_one_dimension_has_a_zero_second_axis(self):
+        proj = pca_2d([vec([1.0], label="a"), vec([3.0], label="b"), vec([5.0], label="c")])
+        assert proj.eigenvalues == (4.0, 0.0)
+        assert proj.explained_variance == (1.0, 0.0)
+        assert np.array_equal(proj.components, [[1.0], [0.0]])
+        assert np.array_equal(proj.coords, [[-2.0, 0.0], [0.0, 0.0], [2.0, 0.0]])
+
     def test_identical_vectors_degenerate(self):
         v = np.ones(8)
         with pytest.raises(AnalysisError, match="degenerate covariance"):
