@@ -3,11 +3,10 @@
 from .errors import (AnalysisError, DegenerateVarianceWarning, IngestError, SemdriftError,
                      ValidationError)
 from .freq import (ClassDeviation, ClassFrequencyStats, DeviationMode, FrequencyTable,
-                   TokensPerLemma, expected_deviation, observed_frequency, sentiment_stats,
-                   tokens_per_lemma, unique_lemma_counts)
+                   TokensPerLemma, expected_deviation, sentiment_stats, tokens_per_lemma)
 from .ingest import (DEFAULT_PROFILES, CorpusStratum, Document, LangProfile, LemmaDict,
                      TranslationKind, default_profile, lemmatize, load_corpus, save_corpus,
-                     stratify, tokenize)
+                     tokenize)
 from .lexicon import (DEFAULT_PRIORITY, Concept, ConceptMap, RawLexiconEntry, SentimentClass,
                       SentimentLexicon, Side, find_conflicts, load_concept_map,
                       load_lexicon_sources, merge_disjoint)
@@ -33,8 +32,7 @@ __all__ = [
     "concept_vector", "cosine", "default_profile", "euclidean", "expected_deviation",
     "f_cdf", "field_width_index", "field_width_report", "filler_vocab", "find_conflicts",
     "generate_source", "lemmatize", "load_concept_map", "load_corpus",
-    "load_lexicon_sources", "merge_disjoint", "observed_frequency", "one_way_anova",
-    "pca_2d", "save_corpus", "sentiment_stats", "stratify", "studentized_range_cdf",
-    "tokenize", "tokens_per_lemma", "top_k_concepts", "tukey_hsd", "unique_lemma_counts",
-    "variant_counts",
+    "load_lexicon_sources", "merge_disjoint", "one_way_anova", "pca_2d", "save_corpus",
+    "sentiment_stats", "studentized_range_cdf", "tokenize", "tokens_per_lemma",
+    "top_k_concepts", "tukey_hsd", "variant_counts",
 ]

@@ -12,7 +12,7 @@ from enum import Enum
 from math import isfinite
 from statistics import median
 
-from .errors import AnalysisError, ValidationError
+from .errors import ValidationError
 from .ingest import CorpusStratum, Lemma, read_text
 from .lexicon import SentimentClass, SentimentLexicon
 
@@ -89,21 +89,6 @@ def _class_counts(stratum: CorpusStratum,
         members = lexicon.lists[cls]
         per_class[cls] = Counter({lem: n for lem, n in counts.items() if lem in members})
     return per_class
-
-
-def unique_lemma_counts(stratum: CorpusStratum,
-                        lexicon: SentimentLexicon) -> dict[SentimentClass, int]:
-    """Distinct stratum lemmas per sentiment class; token multiplicity is ignored."""
-    _check_language(stratum, lexicon.language_code, "lexicon")
-    return {cls: len(c) for cls, c in _class_counts(stratum, lexicon).items()}
-
-
-def observed_frequency(stratum: CorpusStratum, lemma: Lemma) -> float:
-    """Token count of `lemma` as a percent of the stratum's total words."""
-    total = stratum.total_word_count
-    if total == 0:
-        raise AnalysisError("empty stratum")
-    return 100.0 * stratum.lemma_counts()[lemma] / total
 
 
 @dataclass(frozen=True)

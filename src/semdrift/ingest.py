@@ -359,32 +359,6 @@ def group_strata(strata: list[CorpusStratum],
     return {values: groups[values] for values in sorted(groups)}
 
 
-def stratify(strata: list[CorpusStratum], key: str) -> dict[str, CorpusStratum]:
-    """Regroup strata by one grouping key (or "language" / "translation_kind").
-
-    Strata sharing the key value are concatenated; word counts are additive.
-    Merged groups must be monolingual; the translation kind becomes None when mixed.
-    """
-    for stratum in strata:
-        if _key_value(stratum, key) is None:
-            raise ValidationError(f"stratum {stratum.label!r} lacks grouping key {key!r}")
-    merged: dict[str, CorpusStratum] = {}
-    for (value,), members in group_strata(strata, (key,)).items():
-        languages = {m.language_code for m in members}
-        if len(languages) > 1:
-            raise ValidationError(
-                f"cannot merge strata with mixed languages for {key}={value!r}: "
-                f"{sorted(languages)}")
-        kinds = {m.translation_kind for m in members}
-        kind = kinds.pop() if len(kinds) == 1 else None
-        shared = dict(members[0].group_keys)
-        for m in members[1:]:
-            shared = {k: v for k, v in shared.items() if m.group_keys.get(k) == v}
-        docs = [d for m in members for d in m.documents]
-        merged[value] = CorpusStratum(languages.pop(), kind, shared, docs)
-    return merged
-
-
 _PLAIN_ID = re.compile(r"[A-Za-z0-9._-]*")
 
 

@@ -90,12 +90,6 @@ class SentimentLexicon:
                 return cls
         return None
 
-    def all_lemmas(self) -> frozenset[Lemma]:
-        out: frozenset[Lemma] = frozenset()
-        for members in self.lists.values():
-            out |= members
-        return out
-
 
 def find_conflicts(raws: list[RawLexiconEntry]) -> dict[Lemma, set[SentimentClass]]:
     """Lemmas claimed by more than one sentiment class across the raw entries."""

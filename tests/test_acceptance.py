@@ -17,6 +17,7 @@ import pytest
 
 import semdrift as sd
 from semdrift import SentimentClass, Side
+from semdrift.ingest import group_strata
 
 from helpers import DATA, fixture_concept_map, fixture_lexicons, reference_table_en
 from test_cli import read_bundle, write_config
@@ -71,7 +72,7 @@ def test_criterion_2_counting_matches_brute_force_recount():
         doc = sd.Document.from_text("fixture", text, profile, lemma_dict)
         stratum = sd.CorpusStratum("en", sd.TranslationKind.SOURCE, {}, [doc])
         assert stratum.total_word_count == 1000
-        uniques = sd.unique_lemma_counts(stratum, lexicon)
+        per_class = sd.sentiment_stats(stratum, lexicon)
         per_lemma = sd.tokens_per_lemma(stratum, lexicon)
 
         # independent brute-force recount: raw token scan + dict lookup + Counter
@@ -80,14 +81,15 @@ def test_criterion_2_counting_matches_brute_force_recount():
         assert sum(counts.values()) == 1000
         for cls in SentimentClass:
             members = [lem for lem in counts if lem in lexicon.lists[cls]]
-            assert uniques[cls] == len(members)
+            assert per_class[cls].unique_lemma_count == len(members)
             if members:
                 expected_mean = sum(counts[m] for m in members) / len(members)
                 assert abs(per_lemma[cls].mean - expected_mean) < 1e-9
                 expected_hist = Counter(counts[m] for m in members)
                 assert per_lemma[cls].histogram == dict(expected_hist)
+            assert sorted(per_class[cls].observed_freq_pct) == sorted(members)
             for lem in members:
-                observed = sd.observed_frequency(stratum, lem)
+                observed = per_class[cls].observed_freq_pct[lem]
                 assert abs(observed - 100.0 * counts[lem] / 1000) < 1e-9
 
 
@@ -227,9 +229,10 @@ def test_criterion_5_channel_recovery():
 def test_criterion_6a_summit_word_counts():
     with criterion(6, "summit corpus word counts", 60.0):
         strata = sd.load_corpus(os.environ["SEMDRIFT_SUMMIT_MANIFEST"])
-        totals = sd.stratify(strata, "language")
-        assert totals["ru"].total_word_count == 12338
-        assert totals["en"].total_word_count == 14667
+        totals = {language: sum(s.total_word_count for s in members)
+                  for (language,), members in group_strata(strata, ("language",)).items()}
+        assert totals["ru"] == 12338
+        assert totals["en"] == 14667
         cell = {(s.language_code, s.group_keys.get("summit"), s.group_keys.get("term")):
                 s.total_word_count for s in strata}
         assert cell[("ru", "G8", "2000-2003")] == 757
@@ -258,8 +261,8 @@ def test_criterion_6b_novels_unique_lemma_ordering():
                 merged = sd.CorpusStratum(
                     "en", sd.TranslationKind(kind), {"author": author},
                     [d for m in members for d in m.documents])
-                counts = sd.unique_lemma_counts(merged, lexicon)
-                per_kind[kind] = sum(counts.values())
+                per_kind[kind] = sum(row.unique_lemma_count for row in
+                                     sd.sentiment_stats(merged, lexicon).values())
             assert per_kind["human"] > per_kind["machine"], (author, per_kind)
 
 

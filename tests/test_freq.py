@@ -7,9 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from semdrift import (DeviationMode, FrequencyTable, SentimentClass, SentimentLexicon,
-                      expected_deviation, observed_frequency, sentiment_stats,
-                      tokens_per_lemma, unique_lemma_counts)
-from semdrift.errors import AnalysisError, ValidationError
+                      expected_deviation, sentiment_stats, tokens_per_lemma)
+from semdrift.errors import ValidationError
 
 from helpers import make_stratum
 
@@ -24,25 +23,36 @@ def tiny_lexicon(language="en") -> SentimentLexicon:
     })
 
 
+def unique_counts(stratum, lexicon):
+    return {cls: row.unique_lemma_count
+            for cls, row in sentiment_stats(stratum, lexicon).items()}
+
+
+def observed_pct(stratum, lexicon):
+    """Observed percent of every attested lexicon lemma, over all classes."""
+    return {lem: pct for row in sentiment_stats(stratum, lexicon).values()
+            for lem, pct in row.observed_freq_pct.items()}
+
+
 class TestUniqueLemmaCounts:
     def test_distinctness(self):
         stratum = make_stratum(["good", "good", "bad", "say"])
-        counts = unique_lemma_counts(stratum, tiny_lexicon())
+        counts = unique_counts(stratum, tiny_lexicon())
         assert counts == {POS: 1, NEG: 1, EPI: 1}
 
     def test_empty_stratum(self):
-        counts = unique_lemma_counts(make_stratum([]), tiny_lexicon())
+        counts = unique_counts(make_stratum([]), tiny_lexicon())
         assert counts == {POS: 0, NEG: 0, EPI: 0}
 
     def test_language_mismatch(self):
         with pytest.raises(ValidationError, match="language mismatch"):
-            unique_lemma_counts(make_stratum(["good"], language="ru"), tiny_lexicon())
+            sentiment_stats(make_stratum(["good"], language="ru"), tiny_lexicon())
 
     def test_monotone_under_union(self):
         a = make_stratum(["good", "say"])
         b = make_stratum(["great", "say", "bad"], doc_id="doc-2")
         both = make_stratum(["good", "say", "great", "say", "bad"], doc_id="doc-3")
-        ca, cb, cu = (unique_lemma_counts(s, tiny_lexicon()) for s in (a, b, both))
+        ca, cb, cu = (unique_counts(s, tiny_lexicon()) for s in (a, b, both))
         for cls in SentimentClass:
             assert max(ca[cls], cb[cls]) <= cu[cls] <= ca[cls] + cb[cls]
 
@@ -50,30 +60,27 @@ class TestUniqueLemmaCounts:
 class TestObservedFrequency:
     def test_direct_count(self):
         stratum = make_stratum(["good"] * 2 + ["x"] * 98)
-        assert observed_frequency(stratum, "good") == pytest.approx(2.0)
+        assert observed_pct(stratum, tiny_lexicon()) == {"good": pytest.approx(2.0)}
 
     def test_absent_lemma(self):
-        assert observed_frequency(make_stratum(["x"]), "good") == 0.0
-
-    def test_empty_stratum_errors(self):
-        with pytest.raises(AnalysisError, match="empty stratum"):
-            observed_frequency(make_stratum([]), "good")
+        assert observed_pct(make_stratum(["x"]), tiny_lexicon()) == {}
 
     @given(st.lists(st.sampled_from("abcde"), min_size=1, max_size=300))
     def test_frequencies_sum_to_100(self, lemmas):
-        stratum = make_stratum(lemmas)
-        total = sum(observed_frequency(stratum, lem) for lem in set(lemmas))
+        lexicon = SentimentLexicon("en", {POS: frozenset("ab"), NEG: frozenset("c"),
+                                          EPI: frozenset("de")})
+        total = sum(observed_pct(make_stratum(lemmas), lexicon).values())
         assert total == pytest.approx(100.0, abs=1e-9)
 
     def test_brute_force_recount_on_fixture(self):
         rng = np.random.default_rng(7)
         vocab = ["good", "great", "bad", "say", "tell", "walk", "run"]
         lemmas = list(rng.choice(vocab, 1000))
-        stratum = make_stratum(lemmas)
+        observed = observed_pct(make_stratum(lemmas), tiny_lexicon())
         counter = Counter(lemmas)
-        for lemma in vocab:
-            assert observed_frequency(stratum, lemma) == \
-                pytest.approx(100.0 * counter[lemma] / 1000, abs=1e-12)
+        assert set(observed) == {"good", "great", "bad", "say", "tell"}
+        for lemma, pct in observed.items():
+            assert pct == pytest.approx(100.0 * counter[lemma] / 1000, abs=1e-12)
 
 
 class TestTokensPerLemma:

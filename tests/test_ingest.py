@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from semdrift import (CorpusStratum, Document, LangProfile, LemmaDict, TranslationKind,
                       default_profile, filler_vocab, lemmatize, load_corpus, save_corpus,
-                      stratify, tokenize)
+                      tokenize)
 from semdrift.errors import IngestError, ValidationError
+from semdrift.ingest import group_strata
 
 from helpers import DATA, make_stratum
 
@@ -240,42 +241,41 @@ class TestLoadCorpus:
             [("мой", 1), ("йод-лемма", 1)]
 
 
+def _word_counts(groups):
+    return {values: sum(m.total_word_count for m in members)
+            for values, members in groups.items()}
+
+
 class TestStratify:
+    """Regrouping strata with `group_strata`."""
+
     def test_regroup_is_additive(self):
         strata = [s for s in load_corpus(DATA / "manifest.json") if s.language_code == "ru"]
-        merged = stratify(strata, "summit")
-        assert set(merged) == {"G8", "G20"}
-        assert sum(m.total_word_count for m in merged.values()) == \
-            sum(s.total_word_count for s in strata)
+        merged = _word_counts(group_strata(strata, ("summit",)))
+        assert list(merged) == [("G20",), ("G8",)]
+        assert sum(merged.values()) == sum(s.total_word_count for s in strata)
 
     def test_regroup_by_language(self):
         strata = load_corpus(DATA / "manifest.json")
-        merged = stratify(strata, "language")
-        assert set(merged) == {"ru", "en"}
-        for code, m in merged.items():
-            assert m.language_code == code
-            assert m.total_word_count == sum(
-                s.total_word_count for s in strata if s.language_code == code)
+        groups = group_strata(strata, ("language",))
+        assert list(groups) == [("en",), ("ru",)]
+        for (code,), members in groups.items():
+            assert members == [s for s in strata if s.language_code == code]
 
-    def test_missing_key_names_stratum(self):
-        strata = load_corpus(DATA / "manifest.json")
-        with pytest.raises(ValidationError, match="lacks grouping key 'genre'"):
-            stratify(strata, "genre")
-
-    def test_mixed_language_merge_rejected(self):
-        a = make_stratum(["say"], language="en", group_keys={"summit": "G8"})
-        b = make_stratum(["сказать"], language="ru", group_keys={"summit": "G8"},
-                         doc_id="doc-2")
-        with pytest.raises(ValidationError, match="mixed languages"):
-            stratify([a, b], "summit")
+    def test_stratum_lacking_a_key_is_left_out(self):
+        a = make_stratum(["say"], group_keys={"summit": "G8"})
+        b = make_stratum(["tell"], group_keys={"term": "2000"}, doc_id="doc-2")
+        c = make_stratum(["good"], group_keys={"summit": "G8"}, doc_id="doc-3")
+        assert group_strata([a, b, c], ("summit",)) == {("G8",): [a, c]}
+        assert group_strata([a, b, c], ("summit", "term")) == {}
 
     def test_conservation_over_every_key(self):
         strata = [s for s in load_corpus(DATA / "manifest.json")
                   if s.language_code == "en"]
         total = sum(s.total_word_count for s in strata)
         for key in ("summit", "term", "translation_kind", "language"):
-            merged = stratify(strata, key)
-            assert sum(m.total_word_count for m in merged.values()) == total
+            merged = _word_counts(group_strata(strata, (key,)))
+            assert sum(merged.values()) == total
 
 
 class TestSaveCorpus:

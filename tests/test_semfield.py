@@ -150,18 +150,22 @@ class TestFieldWidthIndex:
     def test_top_machine_concepts_compared_across_versions(self):
         # rank the machine translation's heaviest concepts, then compare their
         # variant counts across all three text versions of the fixture corpus
-        from semdrift import load_corpus, stratify
+        from semdrift import CorpusStratum, TranslationKind, load_corpus
+        from semdrift.ingest import group_strata
 
         from helpers import DATA
 
         cmap = fixture_concept_map()
         strata = load_corpus(DATA / "manifest.json")
-        en = stratify([s for s in strata if s.language_code == "en"], "translation_kind")
-        ru = stratify([s for s in strata if s.language_code == "ru"], "translation_kind")
+        merged = {kind: CorpusStratum(language, TranslationKind(kind), {},
+                                      [d for m in members for d in m.documents])
+                  for (language, kind), members in group_strata(
+                      strata, ("language", "translation_kind")).items()}
         machine = {p.concept_id: p
-                   for p in variant_counts(en["machine"], cmap, Side.TARGET)}
-        human = {p.concept_id: p for p in variant_counts(en["human"], cmap, Side.TARGET)}
-        source = {p.concept_id: p for p in variant_counts(ru["source"], cmap, Side.SOURCE)}
+                   for p in variant_counts(merged["machine"], cmap, Side.TARGET)}
+        human = {p.concept_id: p for p in variant_counts(merged["human"], cmap, Side.TARGET)}
+        source = {p.concept_id: p
+                  for p in variant_counts(merged["source"], cmap, Side.SOURCE)}
         top = top_k_concepts(list(machine.values()), 5)
         assert len(top) == 5
         for p in top:

@@ -143,36 +143,75 @@ class TestFCdf:
             f_cdf(1.0, 0, 5)
 
 
+def _rule(n, lo, hi):
+    nodes, weights = stats._legendre_rule(n)
+    half = 0.5 * (hi - lo)
+    return half * nodes + 0.5 * (hi + lo), half * weights
+
+
+def _chi_density(s, df):
+    ln_norm = (0.5 * df * math.log(df) - math.lgamma(0.5 * df)
+               - (0.5 * df - 1.0) * math.log(2.0))
+    return np.exp(ln_norm + (df - 1.0) * np.log(s) - 0.5 * df * s * s)
+
+
 def row_loop_srange_cdf(q, k, df):
-    """The quadrature of `studentized_range_cdf`, one outer node and one erf at a time."""
-    def rule(n, lo, hi):
-        nodes, weights = stats._legendre_rule(n)
-        half = 0.5 * (hi - lo)
-        return half * nodes + 0.5 * (hi + lo), half * weights
+    """The k >= 3 quadrature of `studentized_range_cdf`, one outer node and one cell at a time.
 
+    Cells at or beyond the saturation bounds take 0.0 or 1.0 without an erf call.
+    """
     def normal_cdf(values):
-        return np.array([0.5 * (1.0 + math.erf(v * (1.0 / math.sqrt(2.0)))) for v in values])
+        out = []
+        for v in values:
+            if v <= stats._PHI_ZERO:
+                out.append(0.0)
+            elif v >= stats._PHI_ONE:
+                out.append(1.0)
+            else:
+                out.append(0.5 * (1.0 + math.erf(v * (1.0 / math.sqrt(2.0)))))
+        return np.array(out)
 
-    z, wz = rule(96, -9.0, 9.0)
+    z, wz = _rule(96, -9.0, 9.0)
     phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     big_phi = normal_cdf(z)
+    if df < 4:
+        s, ws = _rule(160, 0.0, 14.0)
+        weights = ws * _chi_density(s, df)
+    else:
+        s, ws = _rule(64, *stats._chi_range(df))
+        t = s * s * (df / (df - 1.0))
+        weights = ws * np.exp(0.5 * (df - 1.0) * (np.log(t) - t + 1.0))
+        weights = weights / math.fsum(weights.tolist())
+    total = 0
+    for w, sv in zip(weights, s):
+        row = np.sum(wz * k * phi * (big_phi - normal_cdf(z - q * sv)) ** (k - 1))
+        total += w * row
+    return min(1.0, max(0.0, float(total)))
+
+
+def fixed_rule_srange_cdf(q, k, df):
+    """The quadrature used for every k before the fitted range: 160 chi-scale nodes on
+    [0, 14] for df < 4, else on 1 -+ 12/sqrt(df), times 96 location nodes on [-9, 9]."""
+    z, wz = _rule(96, -9.0, 9.0)
+    phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    big_phi = stats._normal_cdf_array(z)
     if df < 4:
         s_lo, s_hi = 0.0, 14.0
     else:
         s_lo, s_hi = max(0.0, 1.0 - 12.0 / math.sqrt(df)), 1.0 + 12.0 / math.sqrt(df)
-    s, ws = rule(160, s_lo, s_hi)
-    ln_norm = (0.5 * df * math.log(df) - math.lgamma(0.5 * df)
-               - (0.5 * df - 1.0) * math.log(2.0))
-    density = np.exp(ln_norm + (df - 1.0) * np.log(s) - 0.5 * df * s * s)
-    total = 0
-    for w, d, sv in zip(ws, density, s):
-        row = np.sum(wz * k * phi * (big_phi - normal_cdf(z - q * sv)) ** (k - 1))
-        total += w * d * row
-    return min(1.0, max(0.0, float(total)))
+    s, ws = _rule(160, s_lo, s_hi)
+    shifted = stats._normal_cdf_array(z[None, :] - (q * s)[:, None])
+    rows = np.sum(wz * k * phi * (big_phi - shifted) ** (k - 1), axis=1)
+    return min(1.0, max(0.0, float(sum(ws * _chi_density(s, df) * rows))))
+
+
+def _tabulated_rule_sizes():
+    lines = stats._LEGENDRE_TABLE.read_text(encoding="ascii").splitlines()
+    return sorted({int(line.split()[0]) for line in lines if line and line[0] != "#"})
 
 
 class TestLegendreTable:
-    @pytest.mark.parametrize("n", [stats._INNER_NODES, stats._OUTER_NODES])
+    @pytest.mark.parametrize("n", _tabulated_rule_sizes())
     def test_matches_leggauss(self, n):
         nodes, weights = stats._legendre_rule(n)
         ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
@@ -180,8 +219,45 @@ class TestLegendreTable:
         np.testing.assert_array_max_ulp(weights, ref_weights, maxulp=4)
 
 
+class TestSaturatedNormalCdf:
+    def test_erf_formula_is_exact_beyond_the_bounds(self):
+        # every cell the kernel fills without an erf call gets the value erf would give
+        def formula(x):
+            return 0.5 * (1.0 + math.erf(x * (1.0 / math.sqrt(2.0))))
+
+        below = np.concatenate([np.linspace(stats._PHI_ZERO - 2.0, stats._PHI_ZERO, 100_000),
+                                -np.logspace(1.0, 300.0, 1_000)])
+        above = np.linspace(stats._PHI_ONE, 9.0, 100_000)
+        assert all(formula(x) == 0.0 for x in below.tolist())
+        assert all(formula(x) == 1.0 for x in above.tolist())
+        # the bounds are tight to about 1e-4: just inside them erf is not saturated
+        assert formula(stats._PHI_ZERO + 1e-4) > 0.0
+        assert formula(stats._PHI_ONE - 1e-4) < 1.0
+
+    @given(st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=200))
+    @settings(max_examples=50)
+    def test_array_equals_per_value_erf(self, values):
+        x = np.array(values)
+        expected = [0.5 * (1.0 + math.erf(v * (1.0 / math.sqrt(2.0)))) for v in values]
+        assert stats._normal_cdf_array(x).tolist() == expected
+
+
+class TestChiRange:
+    @pytest.mark.parametrize("df", [4, 5, 15, 16, 38, 120, 1000, 10**6])
+    def test_density_at_the_ends_is_the_drop_below_the_peak(self, df):
+        def log_density(s):
+            return (df - 1.0) * math.log(s) - 0.5 * df * s * s
+
+        peak = math.sqrt((df - 1.0) / df)
+        lo, hi = stats._chi_range(df)
+        assert 0.0 < lo < peak < hi
+        for end in (lo, hi):
+            assert log_density(end) - log_density(peak) == \
+                pytest.approx(-stats._CHI_LOG_DROP, abs=1e-8)
+
+
 class TestStudentizedRangeCdf:
-    @given(st.floats(1e-3, 30.0), st.integers(2, 20), st.integers(1, 2000))
+    @given(st.floats(1e-3, 30.0), st.integers(3, 20), st.integers(1, 2000))
     @settings(max_examples=30, deadline=None)
     def test_equals_row_loop_reference(self, q, k, df):
         assert studentized_range_cdf(q, k, df) == row_loop_srange_cdf(q, k, df)
@@ -203,13 +279,33 @@ class TestStudentizedRangeCdf:
             assert all(0.0 <= v <= 1.0 for v in values)
 
     def test_against_scipy_grid(self):
+        # df 15, 16 and 38 are the error degrees of freedom of the benchmark workloads
         worst = 0.0
-        for k in (2, 3, 4, 6, 10):
-            for df in (1, 3, 12, 30, 120):
+        for k in range(2, 11):
+            for df in (1, 2, 3, 15, 16, 38, 120, 1000):
                 for q in (0.5, 1.0, 2.0, 3.77, 5.0, 8.0):
                     ref = sps.studentized_range.cdf(q, k, df)
                     worst = max(worst, abs(studentized_range_cdf(q, k, df) - ref))
-        assert worst <= 1e-6
+        # the worst gap, 1.33e-12 at q = 0.5, k = 9, df = 1, is scipy's own error
+        assert worst <= 1.5e-12
+
+    def test_certain_range_has_cdf_one_at_large_df(self):
+        # the upper tail at q = 60 is far below 1e-100 for these df; a chi density
+        # whose normalising constant lost ~eps * df to lgamma cancellation missed 1
+        # by 2.3e-13 at df = 1000 and 6.5e-9 at df = 10^7
+        for k in (3, 7):
+            for df in (38, 1000, 10**5, 10**7):
+                assert studentized_range_cdf(60.0, k, df) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 5, 15, 16, 38, 120, 1000])
+    def test_two_groups_in_closed_form(self, df):
+        # P(Q <= q) = P(F(1, df) <= q^2 / 2) for k = 2; the worst gaps over this grid are
+        # 2.4e-13 to scipy and 3.0e-13 to the quadrature, both at df = 1000
+        for q in (0.05, 0.5, 1.0, 2.0, 2.77, 3.77, 5.0, 8.0, 12.0):
+            closed = studentized_range_cdf(q, 2, df)
+            assert closed == f_cdf(q * q / 2.0, 1, df)
+            assert closed == pytest.approx(sps.studentized_range.cdf(q, 2, df), abs=4e-13)
+            assert closed == pytest.approx(fixed_rule_srange_cdf(q, 2, df), abs=4e-13)
 
     def test_against_double_quadrature_oracle(self):
         # independent adaptive double integration of the defining integral
