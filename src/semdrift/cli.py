@@ -11,7 +11,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import freq, ingest, semfield, stats, synth, vectors
@@ -30,7 +30,7 @@ EXIT_CONFIG = 2
 
 @dataclass
 class RunConfig:
-    """Resolved run settings; paths are absolute, `raw_paths` keeps them as written."""
+    """Resolved run settings; paths are absolute, and `inputs` maps each as written to it."""
 
     base_dir: Path
     manifest: Path | None = None
@@ -46,7 +46,7 @@ class RunConfig:
     top_k: int = 5
     output_dir: Path = Path("out")
     synth_options: dict = field(default_factory=dict)
-    raw_paths: dict[str, str] = field(default_factory=dict)
+    inputs: dict[str, Path] = field(default_factory=dict)
 
     def mode_line(self) -> str:
         priority = ">".join(cls.value for cls in self.priority)
@@ -71,8 +71,10 @@ _SYNTH_TYPES = {
 def load_config(path, overrides: dict | None = None) -> RunConfig:
     """Read a JSON config file and apply command-line overrides.
 
-    Every value is checked against its JSON type, so a malformed config ends
-    in a ValidationError rather than a misread value or a traceback.
+    `overrides` maps config keys to values (None sets nothing); a `_SYNTH_TYPES`
+    key goes into the `synth` block. Every value, overrides included, is checked
+    against its JSON type, so a malformed config ends in a ValidationError
+    rather than a misread value or a traceback. Synth numbers load as floats.
     """
     path = Path(path)
     try:
@@ -81,20 +83,19 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(body, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
-    if overrides:
-        body = {**body, **{k: v for k, v in overrides.items() if v is not None}}
-    body = check_types(body, _CONFIG_TYPES)
+    given = {k: v for k, v in (overrides or {}).items() if v is not None}
+    body = check_types({**body, **{k: v for k, v in given.items() if k in _CONFIG_TYPES}},
+                       _CONFIG_TYPES)
 
     base = path.parent
     config = RunConfig(base_dir=base)
 
-    def resolve(raw: str, label: str) -> Path:
-        config.raw_paths[label] = raw
-        p = Path(raw)
-        return p if p.is_absolute() else base / p
+    def resolve(raw: str) -> Path:
+        config.inputs[raw] = base / raw  # an absolute path replaces base
+        return config.inputs[raw]
 
     if "manifest" in body:
-        config.manifest = resolve(body["manifest"], "manifest")
+        config.manifest = resolve(body["manifest"])
     config.source_language = body.get("source_language")
     config.target_language = body.get("target_language")
     for lang, paths in body.get("lexicons", {}).items():
@@ -103,13 +104,12 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         check_type(f"lexicons.{lang}", paths, list)
         for p in paths:
             check_type(f"lexicons.{lang} entry", p, str)
-        config.lexicons[lang] = [
-            resolve(p, f"lexicon:{lang}:{i}") for i, p in enumerate(paths)]
+        config.lexicons[lang] = [resolve(p) for p in paths]
     if body.get("concept_map"):
-        config.concept_map = resolve(body["concept_map"], "concept_map")
+        config.concept_map = resolve(body["concept_map"])
     for lang, p in body.get("frequency_tables", {}).items():
         check_type(f"frequency_tables.{lang}", p, str)
-        config.frequency_tables[lang] = resolve(p, f"frequency_table:{lang}")
+        config.frequency_tables[lang] = resolve(p)
 
     if "priority" in body:
         try:
@@ -135,11 +135,12 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     if config.top_k < 1:
         raise ValidationError(f"top_k must be >= 1, got {config.top_k}")
     if "output_dir" in body:
-        raw = body["output_dir"]
-        p = Path(raw)
-        config.output_dir = p if p.is_absolute() else base / p
-        config.raw_paths["output_dir"] = raw
-    config.synth_options = check_types(body.get("synth", {}), _SYNTH_TYPES, "synth.")
+        config.output_dir = base / body["output_dir"]
+    synth_options = check_types(
+        {**body.get("synth", {}), **{k: v for k, v in given.items() if k in _SYNTH_TYPES}},
+        _SYNTH_TYPES, "synth.")
+    config.synth_options = {k: float(v) if _SYNTH_TYPES.get(k) is NUMBER else v
+                            for k, v in synth_options.items()}
     for cid, weight in config.synth_options.get("concept_budget", {}).items():
         check_type(f"synth.concept_budget.{cid}", weight, NUMBER)
     return config
@@ -156,12 +157,6 @@ class ValidationReport:
     tables: dict[str, FrequencyTable] = field(default_factory=dict)
     strata: list[CorpusStratum] = field(default_factory=list)
 
-    def error(self, message: str):
-        self.errors.append(message)
-
-    def warning(self, message: str):
-        self.warnings.append(message)
-
 
 def _load_lexicons(config: RunConfig, report: ValidationReport) -> dict[str, SentimentLexicon]:
     lexicons: dict[str, SentimentLexicon] = {}
@@ -169,18 +164,17 @@ def _load_lexicons(config: RunConfig, report: ValidationReport) -> dict[str, Sen
         try:
             raws = load_lexicon_sources(config.lexicons[lang], lang)
         except SemdriftError as exc:
-            report.error(f"lexicon {lang}: {exc}")
+            report.errors.append(f"lexicon {lang}: {exc}")
             continue
-        for lemma, classes in sorted(find_conflicts(raws).items()):
-            winner = next(c for c in config.priority if c in classes)
-            names = ", ".join(c.value for c in sorted(classes, key=list(SentimentClass).index))
-            report.warning(
-                f"lexicon {lang}: cross-listed lemma {lemma!r} ({names}) "
-                f"resolved to {winner.value}")
         lexicon = merge_disjoint(raws, config.priority, language_code=lang)
+        for lemma, classes in sorted(find_conflicts(raws).items()):
+            names = ", ".join(c.value for c in sorted(classes, key=list(SentimentClass).index))
+            report.warnings.append(
+                f"lexicon {lang}: cross-listed lemma {lemma!r} ({names}) "
+                f"resolved to {lexicon.class_of(lemma).value}")
         for cls in SentimentClass:
             if not lexicon.lists[cls]:
-                report.error(f"lexicon {lang}: empty {cls.value} list after merge")
+                report.errors.append(f"lexicon {lang}: empty {cls.value} list after merge")
         lexicons[lang] = lexicon
     return lexicons
 
@@ -190,17 +184,17 @@ def _load_concept_map(config: RunConfig, lexicons: dict[str, SentimentLexicon],
     if config.concept_map is None:
         return None
     if not config.source_language or not config.target_language:
-        report.error("concept_map requires source_language and target_language")
+        report.errors.append("concept_map requires source_language and target_language")
         return None
     src = lexicons.get(config.source_language)
     tgt = lexicons.get(config.target_language)
     if src is None or tgt is None:
-        report.error("concept_map requires lexicons for both configured languages")
+        report.errors.append("concept_map requires lexicons for both configured languages")
         return None
     try:
         return load_concept_map(config.concept_map, src, tgt)
     except SemdriftError as exc:
-        report.error(f"concept map: {exc}")
+        report.errors.append(f"concept map: {exc}")
         return None
 
 
@@ -211,10 +205,10 @@ def _load_frequency_tables(config: RunConfig,
         try:
             tables[lang] = FrequencyTable.load(config.frequency_tables[lang], lang)
         except SemdriftError as exc:
-            report.error(f"frequency table {lang}: {exc}")
+            report.errors.append(f"frequency table {lang}: {exc}")
     for lang in sorted(config.lexicons):
         if lang not in config.frequency_tables:
-            report.warning(f"no frequency table for {lang}; deviations skipped")
+            report.warnings.append(f"no frequency table for {lang}; deviations skipped")
     return tables
 
 
@@ -232,18 +226,18 @@ def run_validation(config: RunConfig, *, need_manifest: bool = True) -> Validati
     report.tables = _load_frequency_tables(config, report)
     if need_manifest:
         if config.manifest is None:
-            report.error("config does not name a manifest")
+            report.errors.append("config does not name a manifest")
         else:
             try:
                 report.strata = ingest.load_corpus(config.manifest)
                 if not report.strata:
-                    report.error("manifest lists no documents")
+                    report.errors.append("manifest lists no documents")
             except SemdriftError as exc:
-                report.error(f"manifest: {exc}")
+                report.errors.append(f"manifest: {exc}")
         carried = {key for stratum in report.strata for key in stratum.group_keys}
         for factor in config.group_by:
             if report.strata and factor != "translation_kind" and factor not in carried:
-                report.error(f"group_by factor {factor!r}: no document has this group key")
+                report.errors.append(f"group_by factor {factor!r}: no document has this group key")
     return report
 
 
@@ -270,21 +264,8 @@ def _fmt(value) -> str:
 
 
 def _checksum_inputs(config: RunConfig) -> tuple[str, dict[str, str]]:
-    files: dict[str, str] = {}
-    paths: list[tuple[str, Path]] = []
-    if config.manifest:
-        paths.append((config.raw_paths.get("manifest", str(config.manifest)), config.manifest))
-    for lang, lex_paths in sorted(config.lexicons.items()):
-        for i, p in enumerate(lex_paths):
-            paths.append((config.raw_paths.get(f"lexicon:{lang}:{i}", str(p)), p))
-    if config.concept_map:
-        paths.append((config.raw_paths.get("concept_map", str(config.concept_map)),
-                      config.concept_map))
-    for lang, p in sorted(config.frequency_tables.items()):
-        paths.append((config.raw_paths.get(f"frequency_table:{lang}", str(p)), p))
-    for raw, p in sorted(paths):
-        if p.exists():
-            files[raw] = hashlib.sha256(p.read_bytes()).hexdigest()
+    files = {raw: hashlib.sha256(p.read_bytes()).hexdigest()
+             for raw, p in config.inputs.items() if p.exists()}
     combined = hashlib.sha256(
         "".join(f"{k}:{v}\n" for k, v in sorted(files.items())).encode()).hexdigest()
     return combined, files
@@ -607,17 +588,25 @@ def _json_safe(value):
     return value
 
 
+def _fail(code: int, *messages) -> int:
+    for message in messages:
+        print(f"error: {message}", file=sys.stderr)
+    return code
+
+
+def _write_failed(exc: OSError, config: RunConfig) -> int:
+    return _fail(EXIT_CONFIG, f"output_dir: cannot write {exc.filename or config.output_dir}: "
+                              f"{exc.strerror or exc}")
+
+
 def cmd_analyze(config: RunConfig) -> int:
     report = run_validation(config)
     if report.errors:
-        for message in report.errors:
-            print(f"error: {message}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(EXIT_CONFIG, *report.errors)
     try:
         bundle = analyze(config, report)
     except SemdriftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ANALYSIS
+        return _fail(EXIT_ANALYSIS, exc)
     written: list[Path] = []
     try:
         config.output_dir.mkdir(parents=True, exist_ok=True)
@@ -629,80 +618,51 @@ def cmd_analyze(config: RunConfig) -> int:
         for path in written:
             with contextlib.suppress(OSError):
                 path.unlink()
-        print(f"error: output_dir: cannot write {exc.filename or config.output_dir}: "
-              f"{exc.strerror or exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _write_failed(exc, config)
     print(f"wrote {len(bundle)} files to {config.output_dir}")
     return EXIT_OK
 
 
-def cmd_synth(config: RunConfig, args) -> int:
-    report = ValidationReport()
-    lexicons = _load_lexicons(config, report)
-    cmap = _load_concept_map(config, lexicons, report)
+_CHANNEL_KEYS = {"seed": "seed", "factor": "narrow_widen_factor", "norm_pull": "norm_pull",
+                 "length_inflation": "length_inflation"}
+
+
+def cmd_synth(config: RunConfig) -> int:
+    """Write a synthetic source corpus and its channel output; a bad setting exits 2 unwritten."""
+    report = run_validation(config, need_manifest=False)
+    cmap, ref = report.concept_map, report.tables.get(config.target_language)
     if cmap is None:
-        report.error("synth requires a concept_map")
-    target_lang = config.target_language
-    ref = None
-    if target_lang and target_lang in config.frequency_tables:
-        try:
-            ref = FrequencyTable.load(config.frequency_tables[target_lang], target_lang)
-        except SemdriftError as exc:
-            report.error(f"frequency table {target_lang}: {exc}")
-    options = config.synth_options
-    words = args.words if args.words is not None else int(options.get("words", 10_000))
-    seed = args.seed if args.seed is not None else int(options.get("seed", 0))
-    density = float(options.get("concept_density", 0.2))
-    filler_size = int(options.get("filler_size", 200))
-    try:
-        kind = ChannelKind(args.kind if args.kind else options.get("kind", "machine"))
-        factor = args.factor if args.factor is not None else options.get("factor")
-        if factor is None:
-            factor = (synth.DEFAULT_MACHINE_FACTOR if kind is ChannelKind.MACHINE
-                      else synth.DEFAULT_HUMAN_FACTOR)
-        pull = args.pull if args.pull is not None else float(options.get("norm_pull", 0.0))
-        inflation = (args.inflation if args.inflation is not None
-                     else float(options.get("length_inflation", synth.DEFAULT_LENGTH_INFLATION)))
-        params = ChannelParams(kind, float(factor), norm_pull=pull,
-                               length_inflation=inflation, seed=seed)
-    except (ValueError, ValidationError) as exc:
-        report.error(f"channel parameters: {exc}")
-        params = None
-    if ref is None and params is not None:
-        report.error(f"synth requires a frequency table for the target language "
-                     f"({target_lang!r})")
-    budget = options.get("concept_budget") or {}
-    if cmap is not None:
-        if not budget:
-            budget = {cid: 1.0 for cid in cmap.concepts}
-        unknown = sorted(set(budget) - set(cmap.concepts))
-        if unknown:
-            report.error(f"synth concept_budget: unknown concept id {unknown[0]!r}")
+        report.errors.append("synth requires a concept_map")
+    if ref is None:
+        report.errors.append(f"synth requires a frequency table for the target language "
+                             f"({config.target_language!r})")
     if report.errors:
-        for message in report.errors:
-            print(f"error: {message}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(EXIT_CONFIG, *report.errors)
+    options = config.synth_options
+    words = options.get("words", 10_000)
+    density = options.get("concept_density", synth.DEFAULT_CONCEPT_DENSITY)
+    filler_size = options.get("filler_size", synth.DEFAULT_FILLER_SIZE)
+    budget = options.get("concept_budget") or {cid: 1.0 for cid in cmap.concepts}
+    given = {name: options[key] for key, name in _CHANNEL_KEYS.items() if key in options}
     try:
-        source = synth.generate_source(cmap, words, budget, seed,
+        kind = ChannelKind(options.get("kind", ChannelKind.MACHINE))
+    except ValueError as exc:
+        return _fail(EXIT_CONFIG, exc)
+    channel = ChannelParams.human if kind is ChannelKind.HUMAN else ChannelParams.machine
+    try:
+        params = channel(**given)
+        source = synth.generate_source(cmap, words, budget, params.seed,
                                        concept_density=density, filler_size=filler_size)
         translated = synth.apply_channel(source, cmap, params, ref)
-        out_dir = config.output_dir if args.output_dir is None else Path(args.output_dir)
-        manifest_path = ingest.save_corpus([source, translated], out_dir)
-        params_blob = {
-            "kind": params.kind.value,
-            "narrow_widen_factor": params.narrow_widen_factor,
-            "norm_pull": params.norm_pull,
-            "length_inflation": params.length_inflation,
-            "seed": params.seed,
-            "words": words,
-            "concept_density": density,
-            "filler_size": filler_size,
-        }
-        (out_dir / "channel_params.json").write_text(
+        manifest_path = ingest.save_corpus([source, translated], config.output_dir)
+        params_blob = {**asdict(params), "words": words, "concept_density": density,
+                       "filler_size": filler_size}
+        (config.output_dir / "channel_params.json").write_text(
             json.dumps(params_blob, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    except SemdriftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ANALYSIS
+    except ValidationError as exc:
+        return _fail(EXIT_CONFIG, exc)
+    except OSError as exc:
+        return _write_failed(exc, config)
     print(f"wrote corpus manifest {manifest_path}")
     return EXIT_OK
 
@@ -713,54 +673,50 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Sentiment and semantic-field shift analytics for translated corpora")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # every other flag's dest is the config key it overrides
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="JSON run configuration")
+    writes = argparse.ArgumentParser(add_help=False)
+    writes.add_argument("--output-dir", help="override the configured output directory; "
+                                             "relative to the working directory")
 
     sub.add_parser("validate", parents=[common],
                    help="check lexicons, concept map, tables, and manifest")
 
-    p_analyze = sub.add_parser("analyze", parents=[common],
+    p_analyze = sub.add_parser("analyze", parents=[common, writes],
                                help="run the full analysis and write the report bundle")
-    p_analyze.add_argument("--output-dir", help="override the configured output directory")
     p_analyze.add_argument("--deviation-mode", choices=[m.value for m in DeviationMode])
     p_analyze.add_argument("--alpha", type=float)
     p_analyze.add_argument("--top-k", type=int)
 
-    p_synth = sub.add_parser("synth", parents=[common],
+    p_synth = sub.add_parser("synth", parents=[common, writes],
                              help="generate a synthetic source corpus and channel output")
     p_synth.add_argument("--kind", choices=[k.value for k in ChannelKind])
     p_synth.add_argument("--words", type=int)
     p_synth.add_argument("--seed", type=int)
     p_synth.add_argument("--factor", type=float,
                          help="expected attested-variant ratio, output over source")
-    p_synth.add_argument("--pull", type=float,
+    p_synth.add_argument("--pull", dest="norm_pull", type=float,
                          help="per-token probability of resampling from the reference")
-    p_synth.add_argument("--inflation", type=float, help="output/input word-count ratio")
-    p_synth.add_argument("--output-dir")
+    p_synth.add_argument("--inflation", dest="length_inflation", type=float,
+                         help="output/input word-count ratio")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides: dict = {}
     if getattr(args, "output_dir", None):
-        overrides["output_dir"] = args.output_dir
-    if getattr(args, "deviation_mode", None):
-        overrides["deviation_mode"] = args.deviation_mode
-    if getattr(args, "alpha", None) is not None:
-        overrides["alpha"] = args.alpha
-    if getattr(args, "top_k", None) is not None:
-        overrides["top_k"] = args.top_k
+        # the flag is relative to the working directory, the config key to the config file
+        args.output_dir = str(Path(args.output_dir).absolute())
     try:
-        config = load_config(args.config, overrides)
+        config = load_config(args.config, vars(args))
     except SemdriftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(EXIT_CONFIG, exc)
     if args.command == "validate":
         return cmd_validate(config)
     if args.command == "analyze":
         return cmd_analyze(config)
-    return cmd_synth(config, args)
+    return cmd_synth(config)
 
 
 if __name__ == "__main__":

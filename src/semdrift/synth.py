@@ -26,6 +26,8 @@ DEFAULT_MACHINE_FACTOR = 0.4
 DEFAULT_HUMAN_FACTOR = 1.3
 # target/source word-count ratio typical of ru->en translation
 DEFAULT_LENGTH_INFLATION = 1.19
+DEFAULT_CONCEPT_DENSITY = 0.2
+DEFAULT_FILLER_SIZE = 200
 
 _ASCII_LOWER = "abcdefghijklmnopqrstuvwxyz"
 
@@ -115,8 +117,8 @@ def _randomized_round(x: float, rng: np.random.Generator) -> int:
 
 def generate_source(cmap: ConceptMap, target_words: int,
                     concept_budget: dict[str, float], seed: int, *,
-                    concept_density: float = 0.2,
-                    filler_size: int = 200) -> CorpusStratum:
+                    concept_density: float = DEFAULT_CONCEPT_DENSITY,
+                    filler_size: int = DEFAULT_FILLER_SIZE) -> CorpusStratum:
     """Sample a source-language stratum of exactly `target_words` lemmas.
 
     A `concept_density` share of the tokens is drawn from concepts in

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import semdrift.ingest
 from semdrift import load_corpus
-from semdrift.cli import main
+from semdrift.cli import _CONFIG_TYPES, _SYNTH_TYPES, _build_parser, main
 from semdrift.errors import IngestError, ValidationError
 
 from helpers import DATA
@@ -52,14 +52,17 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "0 errors" in out
 
-    def test_conflicts_reported_with_resolution(self, tmp_path, capsys):
-        config = write_config(tmp_path)
+    @pytest.mark.parametrize("priority, clear, fine", [
+        (["epistemic", "negative", "positive"], "epistemic", "negative"),
+        (["positive", "negative", "epistemic"], "positive", "positive"),
+    ], ids=["epistemic-first", "positive-first"])
+    def test_conflicts_reported_with_resolution(self, tmp_path, capsys, priority, clear, fine):
+        # the report names the class each lemma has in the merged lexicon
+        config = write_config(tmp_path, priority=priority)
         main(["validate", "--config", str(config)])
         out = capsys.readouterr().out
-        assert "cross-listed lemma 'clear'" in out
-        assert "resolved to epistemic" in out
-        assert "cross-listed lemma 'fine'" in out
-        assert "resolved to negative" in out
+        assert f"cross-listed lemma 'clear' (positive, epistemic) resolved to {clear}\n" in out
+        assert f"cross-listed lemma 'fine' (positive, negative) resolved to {fine}\n" in out
 
     def test_missing_frequency_table_exits_2(self, tmp_path, capsys):
         config = write_config(
@@ -98,6 +101,13 @@ class TestConfigTypes:
     def test_null_takes_the_default(self, tmp_path, capsys):
         config = write_config(tmp_path, top_k=None, alpha=None)
         assert main(["validate", "--config", str(config)]) == 0
+
+    @pytest.mark.parametrize("command", ["analyze", "synth"])
+    def test_every_flag_is_a_typed_config_key(self, command):
+        # a flag reaches a run only through load_config, so its dest must be a checked key
+        args = vars(_build_parser().parse_args([command, "--config", "c.json"]))
+        flags = args.keys() - {"command", "config", "output_dir"}
+        assert flags and flags <= _CONFIG_TYPES.keys() | _SYNTH_TYPES.keys()
 
     def test_removed_attested_key_is_ignored(self, tmp_path):
         # "attested" changed no number and is no longer a config key
@@ -437,6 +447,41 @@ class TestSynth:
                      "--output-dir", str(tmp_path / "s")]) == 2
         assert "length_inflation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, options, message", [
+        (["--words", "0"], {}, "target_words must be > 0, got 0"),
+        ([], {"filler_size": 0}, "filler_size must be >= 1, got 0"),
+        ([], {"concept_density": 1.5}, "concept_density must be in [0, 1], got 1.5"),
+        ([], {"concept_budget": {"say": -1}}, "concept weights must be >= 0"),
+        ([], {"concept_budget": {"nope": 1}}, "unknown concept id in budget: 'nope'"),
+        ([], {"kind": "robot"}, "'robot' is not a valid ChannelKind"),
+    ])
+    def test_out_of_range_setting_exits_2_unwritten(self, tmp_path, capsys, flags, options,
+                                                    message):
+        config = self.synth_config(tmp_path, **options)
+        out = tmp_path / "s"
+        assert main(["synth", "--config", str(config), *flags, "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_output_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
+        config = self.synth_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("keep", encoding="utf-8")
+        assert main(["synth", "--config", str(config), "--output-dir", str(taken)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: output_dir: cannot write {taken}: ")
+        assert taken.read_text(encoding="utf-8") == "keep"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+
+    def test_broken_source_frequency_table_exits_2(self, tmp_path, capsys):
+        # synth validates its inputs as `validate` does, the source-side table included
+        config = write_config(tmp_path, synth={"words": 4000},
+                              frequency_tables={"ru": str(tmp_path / "missing.tsv"),
+                                                "en": str(DATA / "freq_en.tsv")})
+        out = tmp_path / "s"
+        assert main(["synth", "--config", str(config), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: frequency table ru: ")
+        assert not out.exists()
+
     def test_synth_then_analyze_recovers_direction(self, tmp_path):
         config = self.synth_config(tmp_path)
         corpus_dir = tmp_path / "corpus"
@@ -453,3 +498,19 @@ class TestSynth:
         widths = {w["stratum"]: w["width_ratio_vs_baseline"]
                   for w in summary["field_width"]}
         assert widths["en/machine"] < 1.0
+
+
+@pytest.mark.parametrize("command", ["analyze", "synth"])
+def test_output_dir_flag_is_relative_to_the_working_directory(tmp_path, monkeypatch, command):
+    (tmp_path / "conf").mkdir()
+    config = write_config(tmp_path / "conf", output_dir="from_config", synth={"words": 4000})
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main([command, "--config", str(config), "--output-dir", "out"]) == 0
+    assert (work / "out").is_dir()
+    assert not (tmp_path / "conf" / "out").exists()
+    # the config's own output_dir stays relative to the config file
+    assert main([command, "--config", str(config)]) == 0
+    assert (tmp_path / "conf" / "from_config").is_dir()
+    assert not (work / "from_config").exists()
