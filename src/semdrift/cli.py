@@ -4,7 +4,6 @@ Exit codes: 0 success, 1 analysis error, 2 configuration/validation error.
 """
 
 import argparse
-import contextlib
 import csv
 import hashlib
 import io
@@ -32,7 +31,6 @@ EXIT_CONFIG = 2
 class RunConfig:
     """Resolved run settings; paths are absolute, and `inputs` maps each as written to it."""
 
-    base_dir: Path
     manifest: Path | None = None
     source_language: str | None = None
     target_language: str | None = None
@@ -88,7 +86,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
                        _CONFIG_TYPES)
 
     base = path.parent
-    config = RunConfig(base_dir=base)
+    config = RunConfig()
 
     def resolve(raw: str) -> Path:
         config.inputs[raw] = base / raw  # an absolute path replaces base
@@ -607,17 +605,13 @@ def cmd_analyze(config: RunConfig) -> int:
         bundle = analyze(config, report)
     except SemdriftError as exc:
         return _fail(EXIT_ANALYSIS, exc)
-    written: list[Path] = []
     try:
         config.output_dir.mkdir(parents=True, exist_ok=True)
-        for name in sorted(bundle):
-            written.append(config.output_dir / name)
-            written[-1].write_text(bundle[name], encoding="utf-8")
+        with ingest.remove_on_failure([]) as written:  # no half-written bundle
+            for name in sorted(bundle):
+                written.append(config.output_dir / name)
+                written[-1].write_text(bundle[name], encoding="utf-8")
     except OSError as exc:
-        # leave no half-written bundle behind
-        for path in written:
-            with contextlib.suppress(OSError):
-                path.unlink()
         return _write_failed(exc, config)
     print(f"wrote {len(bundle)} files to {config.output_dir}")
     return EXIT_OK
@@ -628,7 +622,7 @@ _CHANNEL_KEYS = {"seed": "seed", "factor": "narrow_widen_factor", "norm_pull": "
 
 
 def cmd_synth(config: RunConfig) -> int:
-    """Write a synthetic source corpus and its channel output; a bad setting exits 2 unwritten."""
+    """Write a synthetic corpus and its channel output; a failure leaves none of its files."""
     report = run_validation(config, need_manifest=False)
     cmap, ref = report.concept_map, report.tables.get(config.target_language)
     if cmap is None:
@@ -654,11 +648,14 @@ def cmd_synth(config: RunConfig) -> int:
         source = synth.generate_source(cmap, words, budget, params.seed,
                                        concept_density=density, filler_size=filler_size)
         translated = synth.apply_channel(source, cmap, params, ref)
-        manifest_path = ingest.save_corpus([source, translated], config.output_dir)
         params_blob = {**asdict(params), "words": words, "concept_density": density,
                        "filler_size": filler_size}
-        (config.output_dir / "channel_params.json").write_text(
-            json.dumps(params_blob, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        config.output_dir.mkdir(parents=True, exist_ok=True)
+        # save_corpus removes its own files if it fails; this removes the parameters
+        with ingest.remove_on_failure([config.output_dir / "channel_params.json"]) as written:
+            written[0].write_text(json.dumps(params_blob, indent=2, sort_keys=True) + "\n",
+                                  encoding="utf-8")
+            manifest_path = ingest.save_corpus([source, translated], config.output_dir)
     except ValidationError as exc:
         return _fail(EXIT_CONFIG, exc)
     except OSError as exc:

@@ -184,20 +184,16 @@ class ClassFrequencyStats:
     token_count: int
     mean_tokens_per_lemma: float | None
     observed_freq_pct: dict[Lemma, float]
-    expected_deviation: dict[Lemma, float] | None = None
 
 
-def sentiment_stats(stratum: CorpusStratum, lexicon: SentimentLexicon,
-                    ref: FrequencyTable | None = None,
-                    mode: DeviationMode = DeviationMode.DIFFERENCE,
-                    ) -> dict[SentimentClass, ClassFrequencyStats]:
+def sentiment_stats(stratum: CorpusStratum,
+                    lexicon: SentimentLexicon) -> dict[SentimentClass, ClassFrequencyStats]:
     """Unique counts, token counts, tokens-per-lemma, and observed percent per class.
 
-    With a reference table the per-lemma expected deviations are attached too.
+    Per-lemma deviations from a reference table come from `expected_deviation`.
     """
     _check_language(stratum, lexicon.language_code, "lexicon")
     total = stratum.total_word_count
-    deviations = expected_deviation(stratum, lexicon, ref, mode) if ref else None
     out: dict[SentimentClass, ClassFrequencyStats] = {}
     for cls, counter in _class_counts(stratum, lexicon).items():
         tokens = sum(counter.values())
@@ -208,6 +204,5 @@ def sentiment_stats(stratum: CorpusStratum, lexicon: SentimentLexicon,
             token_count=tokens,
             mean_tokens_per_lemma=tokens / uniques if uniques else None,
             observed_freq_pct={lem: 100.0 * n / total for lem, n in sorted(counter.items())},
-            expected_deviation=dict(deviations[cls].per_lemma) if deviations else None,
         )
     return out

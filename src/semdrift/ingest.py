@@ -8,6 +8,7 @@ never splits a word. Each text is counted as it is read: a loaded document is
 a bag of lemmas, so memory grows with the vocabulary, not with the tokens.
 """
 
+import contextlib
 import hashlib
 import json
 import re
@@ -376,6 +377,19 @@ def _document_filename(doc_id: str) -> str:
     return f"{stem}~{digest}.txt"
 
 
+@contextlib.contextmanager
+def remove_on_failure(written: list[Path]):
+    """Yield `written`; if the block raises, remove the files listed there (add each
+    path before writing it, so that a half-written file goes too) and re-raise."""
+    try:
+        yield written
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise
+
+
 def save_corpus(strata: list[CorpusStratum], directory,
                 manifest_name: str = "manifest.json") -> Path:
     """Write strata as one text file per document plus a manifest, ready to reload.
@@ -388,7 +402,7 @@ def save_corpus(strata: list[CorpusStratum], directory,
     ValidationError raised before anything is written. Otherwise the reload
     reproduces every document's lemma counts.
     A document's file is `{id}.txt` when the id is made of `[A-Za-z0-9._-]`;
-    see `_document_filename` for other ids.
+    see `_document_filename` for other ids. A failed write removes those written.
     """
     checked: dict[str, set[Lemma]] = {}
     for stratum in strata:
@@ -410,20 +424,21 @@ def save_corpus(strata: list[CorpusStratum], directory,
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
-    for stratum in strata:
-        for doc in stratum.documents:
-            fname = _document_filename(doc.id)
-            lemmas = doc.lemmas if doc.lemmas is not None else doc.counts.elements()
-            (directory / fname).write_text(" ".join(lemmas), encoding="utf-8")
-            entries.append({
-                "path": fname,
-                "id": doc.id,
-                "language": stratum.language_code,
-                "translation_kind": stratum.translation_kind.value,
-                "group_keys": dict(sorted(stratum.group_keys.items())),
-            })
-    manifest_path = directory / manifest_name
-    manifest_path.write_text(
-        json.dumps({"documents": entries}, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
-    return manifest_path
+    with remove_on_failure([]) as written:
+        for stratum in strata:
+            for doc in stratum.documents:
+                fname = _document_filename(doc.id)
+                lemmas = doc.lemmas if doc.lemmas is not None else doc.counts.elements()
+                written.append(directory / fname)
+                written[-1].write_text(" ".join(lemmas), encoding="utf-8")
+                entries.append({
+                    "path": fname,
+                    "id": doc.id,
+                    "language": stratum.language_code,
+                    "translation_kind": stratum.translation_kind.value,
+                    "group_keys": dict(sorted(stratum.group_keys.items())),
+                })
+        written.append(directory / manifest_name)
+        written[-1].write_text(json.dumps({"documents": entries}, ensure_ascii=False, indent=2,
+                                          sort_keys=True) + "\n", encoding="utf-8")
+    return written[-1]

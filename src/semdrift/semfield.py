@@ -76,14 +76,13 @@ class FieldWidthReport:
 
     stratum_label: str
     mean_variants_per_concept: float | None
-    concepts_ranked: tuple[VariantProfile, ...]
     width_ratio_vs_baseline: float
     excluded_concepts: tuple[str, ...]
 
 
 def field_width_report(stratum_label: str, test: list[VariantProfile],
                        baseline: list[VariantProfile]) -> FieldWidthReport:
-    """Bundle the width index with per-concept rankings and exclusions.
+    """Bundle the width index with the mean attested variants and exclusions.
 
     `excluded_concepts` lists concepts the test stratum attests but the
     baseline does not; they cannot enter the ratio.
@@ -97,7 +96,6 @@ def field_width_report(stratum_label: str, test: list[VariantProfile],
     return FieldWidthReport(
         stratum_label=stratum_label,
         mean_variants_per_concept=mean_variants,
-        concepts_ranked=tuple(top_k_concepts(test, len(test))) if test else (),
         width_ratio_vs_baseline=ratio,
         excluded_concepts=excluded,
     )

@@ -14,6 +14,7 @@ concept-total conservation guarantee only holds at pull 0.
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import islice, product
 
 import numpy as np
 
@@ -92,19 +93,11 @@ def filler_vocab(language_code: str, size: int) -> tuple[str, ...]:
                    for cp in range(lo, hi + 1) if chr(cp).islower()]
         if len(letters) >= 2:
             alphabet = "".join(letters[:26])
-    base = len(alphabet)
     width = 4
-    while base ** width < max(size, 1):
+    while len(alphabet) ** width < size:
         width += 1
-    words = []
-    for i in range(size):
-        digits = []
-        n = i
-        for _ in range(width):
-            digits.append(alphabet[n % base])
-            n //= base
-        words.append(alphabet[0] * 2 + "".join(reversed(digits)))
-    return tuple(words)
+    codes = islice(product(alphabet, repeat=width), size)
+    return tuple(alphabet[0] * 2 + "".join(code) for code in codes)
 
 
 def _randomized_round(x: float, rng: np.random.Generator) -> int:
@@ -168,7 +161,6 @@ def generate_source(cmap: ConceptMap, target_words: int,
 @dataclass
 class _ConceptPlan:
     pool: list[str]
-    extras: list[str]
     emission: dict[str, float] = field(default_factory=dict)
 
 
@@ -207,7 +199,7 @@ def _plan_concept(concept, counts, params: ChannelParams, ref: FrequencyTable,
         emission[target] = emission.get(target, 0.0) + (1.0 - extra_share) * counts[v] / n_in
     for t in extras:
         emission[t] = emission.get(t, 0.0) + extra_share / len(extras)
-    return _ConceptPlan(pool, extras, emission)
+    return _ConceptPlan(pool, emission)
 
 
 def apply_channel(source: CorpusStratum, cmap: ConceptMap, params: ChannelParams,

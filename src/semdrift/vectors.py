@@ -72,7 +72,7 @@ class Projection2D:
     labels: tuple[str, ...]
     coords: np.ndarray              # shape (n, 2)
     explained_variance: tuple[float, float]
-    components: np.ndarray          # shape (2, d), orthonormal rows (d = 1: second is zero)
+    components: np.ndarray          # shape (2, d); a row past min(n - 1, d) is zero
     eigenvalues: tuple[float, float]
 
 
@@ -85,11 +85,12 @@ def _orient(vec: np.ndarray) -> np.ndarray:
 def pca_2d(vectors: list[ConceptVector]) -> Projection2D:
     """Project vectors onto the top two principal axes of their sample covariance.
 
-    Eigenpairs come from `np.linalg.eigh` on the d x d covariance; each axis
-    points so that its largest-magnitude loading is positive. With d = 1 the
-    second eigenvalue is 0 and its component a zero row. Explained-variance
-    fractions are relative to the total variance; identical input vectors
-    have no principal direction and raise an error.
+    The axes come from one thin SVD of the centred n x d data, so no d x d
+    matrix is formed; each points so that its largest-magnitude loading is
+    positive. Centred rows span at most min(n - 1, d) axes: one beyond that is
+    a zero row with zero coordinates, eigenvalue and fraction. Eigenvalues are
+    coordinate variances; fractions are s_i^2 over the sum for the axes that
+    exist, so none exceeds 1. Identical input vectors raise an error.
     """
     if len(vectors) < 2:
         raise ValidationError("need at least 2 vectors")
@@ -99,24 +100,21 @@ def pca_2d(vectors: list[ConceptVector]) -> Projection2D:
             raise ValidationError("vectors have different dims")
     X = np.vstack([v.values for v in vectors])
     centered = X - X.mean(axis=0)
-    cov = centered.T @ centered / (X.shape[0] - 1)
-    total_variance = float(np.trace(cov))
-    if total_variance <= 0.0:
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    power = s[:min(len(vectors) - 1, len(dims))] ** 2  # one per axis that exists
+    if power.sum() <= 0.0:
         raise AnalysisError("degenerate covariance: all vectors identical")
 
-    eigenvalues, eigenvectors = np.linalg.eigh(cov)  # ascending order
-    lam1, w1 = max(float(eigenvalues[-1]), 0.0), _orient(eigenvectors[:, -1])
-    if len(dims) == 1:
-        lam2, w2 = 0.0, np.zeros(1)  # no second axis in one dimension
-    else:
-        lam2, w2 = max(float(eigenvalues[-2]), 0.0), _orient(eigenvectors[:, -2])
-
-    components = np.vstack([w1, w2])
-    coords = centered @ components.T
+    axes = min(len(power), 2)
+    components = np.zeros((2, len(dims)))
+    components[:axes] = [_orient(w) for w in vt[:axes]]
+    coords = np.zeros((len(vectors), 2))
+    coords[:, :axes] = centered @ components[:axes].T
+    fractions = np.append(power / power.sum(), 0.0)  # at least one axis exists
     return Projection2D(
         labels=tuple(v.stratum_label for v in vectors),
         coords=coords,
-        explained_variance=(lam1 / total_variance, lam2 / total_variance),
+        explained_variance=(float(fractions[0]), float(fractions[1])),
         components=components,
-        eigenvalues=(lam1, lam2),
+        eigenvalues=tuple(float(c @ c) / (len(vectors) - 1) for c in coords.T),
     )

@@ -127,13 +127,6 @@ class TestTokensPerLemma:
             for b in supports[i + 1:]:
                 assert not (a & b)
 
-    def test_sentiment_stats_attach_deviations_with_reference(self):
-        stratum = make_stratum(["good"] + ["x"] * 99)
-        ref = FrequencyTable("en", {"good": 5_000.0})
-        stats = sentiment_stats(stratum, tiny_lexicon(), ref)
-        assert stats[POS].expected_deviation == {"good": pytest.approx(0.5)}
-        assert sentiment_stats(stratum, tiny_lexicon())[POS].expected_deviation is None
-
 
 class TestExpectedDeviation:
     def test_exact_match_is_zero(self):

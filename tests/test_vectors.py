@@ -1,6 +1,8 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -112,6 +114,22 @@ def dense_projection(vectors):
     return centered @ top, eigvals[order], cov
 
 
+# concept rates as the CLI sees them: per-1,000-word values with two decimals
+RATES = st.integers(0, 10_000).map(lambda k: k / 100)
+
+
+@st.composite
+def low_rank_rows(draw):
+    """2-8 rows of 1-12 rates: multiples of one row, or repeats of at most three rows."""
+    n, d = draw(st.integers(2, 8)), draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        scales = draw(st.lists(st.integers(0, 100), min_size=n, max_size=n))
+        return np.outer(np.array(scales) / 10, draw(arrays(float, d, elements=RATES)))
+    distinct = draw(st.lists(arrays(float, d, elements=RATES), min_size=1, max_size=3))
+    picks = draw(st.lists(st.sampled_from(range(len(distinct))), min_size=n, max_size=n))
+    return np.array([distinct[i] for i in picks])
+
+
 class TestPca2d:
     def test_collinear_input_is_rank_one(self):
         base = np.array([1.0, 2, 3, 4, 0, 0, 0, 0])
@@ -166,6 +184,31 @@ class TestPca2d:
         assert proj.explained_variance == (1.0, 0.0)
         assert np.array_equal(proj.components, [[1.0], [0.0]])
         assert np.array_equal(proj.coords, [[-2.0, 0.0], [0.0, 0.0], [2.0, 0.0]])
+
+    def test_two_vectors_have_a_zero_second_axis(self):
+        rng = np.random.default_rng(8)
+        proj = pca_2d([vec(rng.random(8) * 10, label=label, dims=DIMS8) for label in "ab"])
+        assert proj.eigenvalues[1] == 0.0
+        assert proj.explained_variance == (1.0, 0.0)
+        assert np.array_equal(proj.coords[:, 1], [0.0, 0.0])
+        assert np.array_equal(proj.components[1], np.zeros(8))
+
+    @settings(deadline=None)
+    @given(low_rank_rows())
+    def test_low_rank_inputs_keep_fractions_and_missing_axes_exact(self, rows):
+        assume(np.any(rows != rows[0]))
+        vectors = [vec(row, label=f"v{i}") for i, row in enumerate(rows)]
+        proj = pca_2d(vectors)
+        first, second = proj.explained_variance
+        assert 0.0 <= first <= 1.0 and 0.0 <= second <= 1.0
+        assert first + second <= 1.0 + 2.3e-16  # one ulp from two rounded quotients
+        if min(len(rows) - 1, rows.shape[1]) < 2:
+            assert proj.eigenvalues[1] == 0.0 and second == 0.0
+            assert not np.any(proj.coords[:, 1]) and not np.any(proj.components[1])
+        oracle, _, _ = dense_projection(vectors)
+        for i, j in combinations(range(len(rows)), 2):
+            assert np.linalg.norm(proj.coords[i] - proj.coords[j]) == pytest.approx(
+                np.linalg.norm(oracle[i] - oracle[j]), abs=1e-6)
 
     def test_identical_vectors_degenerate(self):
         v = np.ones(8)
