@@ -75,12 +75,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     rather than a misread value or a traceback. Synth numbers load as floats.
     """
     path = Path(path)
-    try:
-        body = json.loads(ingest.read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(body, dict):
-        raise ValidationError(f"{path}: config must be a JSON object")
+    body = ingest.read_json(path)
     given = {k: v for k, v in (overrides or {}).items() if v is not None}
     body = check_types({**body, **{k: v for k, v in given.items() if k in _CONFIG_TYPES}},
                        _CONFIG_TYPES)

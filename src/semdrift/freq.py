@@ -5,7 +5,6 @@ total words. Deviations compare that against a reference table of per-million
 frequencies from a general-purpose corpus (percent = per-million / 10,000).
 """
 
-import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -13,7 +12,7 @@ from math import isfinite
 from statistics import median
 
 from .errors import ValidationError
-from .ingest import CorpusStratum, Lemma, read_text
+from .ingest import CorpusStratum, Lemma, read_tsv
 from .lexicon import SentimentClass, SentimentLexicon
 
 PER_MILLION_TO_PCT = 1.0 / 10_000.0
@@ -34,33 +33,26 @@ class FrequencyTable:
 
     @classmethod
     def load(cls, path, language_code: str) -> "FrequencyTable":
-        """Read a TSV of `lemma<TAB>per_million` (NFC-normalized).
+        """Read a TSV of `lemma<TAB>per_million` (see `read_tsv`).
 
-        The first `#` comment names the corpus.
+        The first non-empty `#` comment names the corpus, without a leading
+        "corpus:". A lemma listed again with a different frequency is a
+        ValidationError.
         """
         freqs: dict[str, float] = {}
-        corpus_name = ""
-        text = unicodedata.normalize("NFC", read_text(path))
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if not corpus_name:
-                    corpus_name = line.lstrip("#").strip()
-                    if corpus_name.lower().startswith("corpus:"):
-                        corpus_name = corpus_name[len("corpus:"):].strip()
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0]:
-                raise ValidationError(f"{path}:{lineno}: expected 'lemma<TAB>per_million'")
+        comments: list[str] = []
+        for lineno, (lemma, number) in read_tsv(path, "lemma<TAB>per_million", comments):
             try:
-                pm = float(parts[1])
+                pm = float(number)
             except ValueError:
-                raise ValidationError(
-                    f"{path}:{lineno}: not a number: {parts[1]!r}") from None
-            freqs[parts[0]] = pm
-        return cls(language_code, freqs, corpus_name)
+                raise ValidationError(f"{path}:{lineno}: not a number: {number!r}") from None
+            if lemma in freqs and freqs[lemma] != pm:
+                raise ValidationError(f"{path}:{lineno}: lemma {lemma!r} repeated with a "
+                                      f"different frequency")
+            freqs[lemma] = pm
+        names = (c[len("corpus:"):].strip() if c.lower().startswith("corpus:") else c
+                 for c in comments)
+        return cls(language_code, freqs, next(filter(None, names), ""))
 
     def lookup(self, lemma: Lemma) -> tuple[float, bool]:
         """Per-million frequency and a coverage flag; absent lemmas are (0.0, False)."""

@@ -2,9 +2,9 @@
 
 Texts come in through a JSON manifest that assigns each file a language, a
 translation kind, and free-form grouping keys (term, summit, author, ...).
-Documents sharing all three land in the same stratum. Texts and lemma
-dictionaries are brought to Unicode normal form NFC, so a decomposed letter
-never splits a word. Each text is counted as it is read: a loaded document is
+Documents sharing all three land in the same stratum. Texts and every TSV
+resource are brought to Unicode normal form NFC, so a decomposed letter never
+splits a word. Each text is counted as it is read: a loaded document is
 a bag of lemmas, so memory grows with the vocabulary, not with the tokens.
 """
 
@@ -39,6 +39,43 @@ def read_text(path, name=None) -> str:
         raise IngestError(f"cannot read {name}: {exc.strerror}") from None
     except ValueError as exc:  # a NUL or an unencodable character in the path
         raise IngestError(f"cannot read {name}: {exc}") from None
+
+
+def read_tsv(path, columns: str, comments: list[str] | None = None):
+    """Yield `(line number, fields)` for each data row of a TSV resource file.
+
+    The file is read in NFC; lines and fields are stripped of surrounding
+    whitespace, and blank lines and `#` comments are skipped (with `comments`
+    given, each comment's text after the `#` is appended to it). A row whose
+    field count differs from `columns`, a spec like "lemma<TAB>class", is a
+    ValidationError naming `path:line`.
+    """
+    width = columns.count("<TAB>") + 1
+    text = unicodedata.normalize("NFC", read_text(path))
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if comments is not None:
+                comments.append(line.lstrip("#").strip())
+            continue
+        fields = [f.strip() for f in line.split("\t")]
+        if len(fields) != width:
+            raise ValidationError(f"{path}:{lineno}: expected '{columns}'")
+        yield lineno, fields
+
+
+def read_json(path) -> dict:
+    """Parse a JSON file whose top level must be an object; anything else is a
+    ValidationError naming the path."""
+    try:
+        body = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(body, dict):
+        raise ValidationError(f"{path}: the top level must be a JSON object")
+    return body
 
 
 class TranslationKind(str, Enum):
@@ -138,18 +175,20 @@ class LemmaDict:
                 raise ValidationError(f"empty lemma for surface form {surface!r}")
 
     @classmethod
-    def load(cls, path, language_code: str) -> "LemmaDict":
-        """Read a TSV of `surface<TAB>lemma` pairs (NFC-normalized); `#` lines are comments."""
+    def load(cls, path, language_code: str, case_fold: bool = True) -> "LemmaDict":
+        """Read a TSV of `surface<TAB>lemma` pairs (see `read_tsv`).
+
+        Surface forms are casefolded when the language's profile folds tokens,
+        so an entry meets the tokens it was written for. A surface form listed
+        again with a different lemma is a ValidationError.
+        """
         entries: dict[str, str] = {}
-        text = unicodedata.normalize("NFC", read_text(path))
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise ValidationError(f"{path}:{lineno}: expected 'surface<TAB>lemma'")
-            entries[parts[0].casefold()] = parts[1]
+        for lineno, (surface, lemma) in read_tsv(path, "surface<TAB>lemma"):
+            if case_fold:
+                surface = surface.casefold()
+            if entries.setdefault(surface, lemma) != lemma:
+                raise ValidationError(f"{path}:{lineno}: surface form {surface!r} repeated "
+                                      f"with a different lemma")
         return cls(language_code, entries)
 
 
@@ -201,7 +240,7 @@ class CorpusStratum:
     """
 
     language_code: str
-    translation_kind: TranslationKind | None
+    translation_kind: TranslationKind
     group_keys: dict[str, str] = field(default_factory=dict)
     documents: list[Document] = field(default_factory=list)
 
@@ -227,8 +266,7 @@ class CorpusStratum:
 
     @property
     def label(self) -> str:
-        kind = self.translation_kind.value if self.translation_kind else "mixed"
-        parts = [self.language_code, kind]
+        parts = [self.language_code, self.translation_kind.value]
         if self.group_keys:
             parts.append(",".join(f"{k}={v}" for k, v in sorted(self.group_keys.items())))
         return "/".join(parts)
@@ -275,13 +313,8 @@ def load_corpus(manifest_path) -> list[CorpusStratum]:
     its document as it is read and dropped before the next is read.
     """
     manifest_path = Path(manifest_path)
-    try:
-        manifest = json.loads(read_text(manifest_path))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{manifest_path}: invalid JSON: {exc}") from exc
-    if isinstance(manifest, dict):
-        manifest = check_types(manifest, _MANIFEST_TYPES)
-    if not isinstance(manifest, dict) or "documents" not in manifest:
+    manifest = check_types(read_json(manifest_path), _MANIFEST_TYPES)
+    if "documents" not in manifest:
         raise ValidationError(f"{manifest_path}: manifest must contain a 'documents' list")
     try:
         return _load_documents(manifest, manifest_path.parent)
@@ -295,11 +328,12 @@ def _load_documents(manifest: dict, base: Path) -> list[CorpusStratum]:
     lemma_dicts: dict[str, LemmaDict] = {}
     for code, rel in manifest.get("lemma_dicts", {}).items():
         check_type(f"lemma_dicts.{code}", rel, str)
-        lemma_dicts[code] = LemmaDict.load(base / rel, code)
+        profile = profiles.get(code)
+        lemma_dicts[code] = LemmaDict.load(base / rel, code,
+                                           profile is None or profile.case_fold)
 
     seen_ids: set[str] = set()
     grouped: dict[tuple, list[Document]] = {}
-    meta: dict[tuple, tuple[str, TranslationKind, dict[str, str]]] = {}
     for i, entry in enumerate(manifest["documents"]):
         check_type(f"documents[{i}]", entry, dict)
         entry = check_types(entry, _ENTRY_TYPES, f"documents[{i}].")
@@ -326,22 +360,17 @@ def _load_documents(manifest: dict, base: Path) -> list[CorpusStratum]:
         doc = Document.from_text(doc_id, read_text(base / entry["path"], entry["path"]),
                                  profiles[language], lemma_dicts.get(language))
 
-        key = (language, kind.value, tuple(sorted(group_keys.items())))
-        grouped.setdefault(key, []).append(doc)
-        meta[key] = (language, kind, dict(group_keys))
+        grouped.setdefault((language, kind, tuple(sorted(group_keys.items()))), []).append(doc)
 
-    strata = []
-    for key in sorted(grouped):
-        language, kind, group_keys = meta[key]
-        strata.append(CorpusStratum(language, kind, group_keys, grouped[key]))
-    return strata
+    return [CorpusStratum(language, kind, dict(items), grouped[language, kind, items])
+            for language, kind, items in sorted(grouped)]
 
 
 def _key_value(stratum: CorpusStratum, key: str) -> str | None:
     if key == "language":
         return stratum.language_code
     if key == "translation_kind":
-        return stratum.translation_kind.value if stratum.translation_kind else None
+        return stratum.translation_kind.value
     return stratum.group_keys.get(key)
 
 
@@ -390,9 +419,8 @@ def remove_on_failure(written: list[Path]):
         raise
 
 
-def save_corpus(strata: list[CorpusStratum], directory,
-                manifest_name: str = "manifest.json") -> Path:
-    """Write strata as one text file per document plus a manifest, ready to reload.
+def save_corpus(strata: list[CorpusStratum], directory) -> Path:
+    """Write strata as one text file per document plus `manifest.json`, ready to reload.
 
     Document text is the space-joined lemma sequence of a generated document,
     or each lemma of a loaded one repeated by its count in first-occurrence
@@ -406,9 +434,6 @@ def save_corpus(strata: list[CorpusStratum], directory,
     """
     checked: dict[str, set[Lemma]] = {}
     for stratum in strata:
-        if stratum.translation_kind is None:
-            raise ValidationError(
-                f"cannot save stratum {stratum.label!r} without a translation_kind")
         profile = default_profile(stratum.language_code)
         seen = checked.setdefault(stratum.language_code, set())
         for doc in stratum.documents:
@@ -438,7 +463,7 @@ def save_corpus(strata: list[CorpusStratum], directory,
                     "translation_kind": stratum.translation_kind.value,
                     "group_keys": dict(sorted(stratum.group_keys.items())),
                 })
-        written.append(directory / manifest_name)
+        written.append(directory / "manifest.json")
         written[-1].write_text(json.dumps({"documents": entries}, ensure_ascii=False, indent=2,
                                           sort_keys=True) + "\n", encoding="utf-8")
     return written[-1]

@@ -2,23 +2,32 @@
 
 Lexicon sources are TSV files of `lemma<TAB>class`. A lemma claimed by more
 than one class is assigned to the highest-priority class so that no word can
-drive two sentiment scores at once. Both file kinds are read in Unicode
-normal form NFC, the form the tokenizer produces.
+drive two sentiment scores at once. Both file kinds are read by
+`ingest.read_tsv`, in Unicode normal form NFC, the form the tokenizer produces.
 """
 
-import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
 from .errors import ValidationError
-from .ingest import Lemma, read_text
+from .ingest import Lemma, read_tsv
 
 
 class SentimentClass(str, Enum):
     POSITIVE = "positive"
     NEGATIVE = "negative"
     EPISTEMIC = "epistemic"
+
+
+_CLASS_OF_LABEL = {cls.value: cls for cls in SentimentClass}
+
+
+def _sentiment_class(label: str, path, lineno: int) -> SentimentClass:
+    try:
+        return _CLASS_OF_LABEL[label]
+    except KeyError:
+        raise ValidationError(f"{path}: unknown class {label!r} at line {lineno}") from None
 
 
 # Epistemic lists are the smallest and the easiest to drown out, so they win conflicts.
@@ -47,20 +56,8 @@ def load_lexicon_sources(paths, language_code: str) -> list[RawLexiconEntry]:
     entries: list[RawLexiconEntry] = []
     for path in paths:
         source = Path(path).stem
-        text = unicodedata.normalize("NFC", read_text(path))
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0]:
-                raise ValidationError(f"{path}:{lineno}: expected 'lemma<TAB>class'")
-            try:
-                sentiment = SentimentClass(parts[1])
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: unknown class {parts[1]!r} at line {lineno}") from None
-            entries.append(RawLexiconEntry(parts[0], sentiment, source))
+        for lineno, (lemma, label) in read_tsv(path, "lemma<TAB>class"):
+            entries.append(RawLexiconEntry(lemma, _sentiment_class(label, path, lineno), source))
     return entries
 
 
@@ -170,20 +167,19 @@ class ConceptMap:
                             f"side: {seen[lemma]!r} and {cid!r}")
                     seen[lemma] = cid
 
-    def language_for(self, side: Side) -> str:
-        return self.source_language if side is Side.SOURCE else self.target_language
+    def check_language(self, language_code: str, side: Side) -> None:
+        """Raise ValidationError unless `side` of the map is in `language_code`."""
+        expected = self.source_language if side is Side.SOURCE else self.target_language
+        if language_code != expected:
+            raise ValidationError(
+                f"language mismatch: stratum is {language_code!r} but the "
+                f"{side.value} side of the concept map is {expected!r}")
 
     def lemmas(self, side: Side) -> frozenset[Lemma]:
         out: set[Lemma] = set()
         for concept in self.concepts.values():
             out.update(concept.lemmas(side))
         return frozenset(out)
-
-    def concept_of(self, lemma: Lemma, side: Side) -> Concept | None:
-        for concept in self.concepts.values():
-            if lemma in concept.lemmas(side):
-                return concept
-        return None
 
 
 def load_concept_map(path, source_lexicon: SentimentLexicon,
@@ -194,21 +190,9 @@ def load_concept_map(path, source_lexicon: SentimentLexicon,
     Every listed lemma must be in the matching lexicon under the concept's class.
     """
     concepts: dict[str, Concept] = {}
-    text = unicodedata.normalize("NFC", read_text(path))
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise ValidationError(
-                f"{path}:{lineno}: expected 'concept_id<TAB>class<TAB>src,...<TAB>tgt,...'")
-        cid, cls_label, src_field, tgt_field = parts
-        try:
-            sentiment = SentimentClass(cls_label)
-        except ValueError:
-            raise ValidationError(
-                f"{path}: unknown class {cls_label!r} at line {lineno}") from None
+    rows = read_tsv(path, "concept_id<TAB>class<TAB>src,...<TAB>tgt,...")
+    for lineno, (cid, cls_label, src_field, tgt_field) in rows:
+        sentiment = _sentiment_class(cls_label, path, lineno)
         if cid in concepts:
             raise ValidationError(f"{path}:{lineno}: duplicate concept id {cid!r}")
         src = tuple(s for s in src_field.split(",") if s)

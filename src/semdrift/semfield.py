@@ -28,11 +28,7 @@ class VariantProfile:
 def variant_counts(stratum: CorpusStratum, cmap: ConceptMap,
                    side: Side) -> list[VariantProfile]:
     """Profile every concept against the stratum, including unattested ones."""
-    expected_language = cmap.language_for(side)
-    if stratum.language_code != expected_language:
-        raise ValidationError(
-            f"language mismatch: stratum is {stratum.language_code!r} but the "
-            f"{side.value} side of the concept map is {expected_language!r}")
+    cmap.check_language(stratum.language_code, side)
     counts = stratum.lemma_counts()
     profiles = []
     for cid in sorted(cmap.concepts):

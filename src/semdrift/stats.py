@@ -58,8 +58,6 @@ class AnovaResult:
     group_means: dict[str, float]
     ss_between: float
     ss_within: float
-    ms_between: float
-    ms_within: float
     degenerate: bool = False
     # variance-heterogeneity diagnostic (Levene on deviations from group means);
     # reported alongside the test but never acted upon
@@ -80,9 +78,7 @@ class PairComparison:
 @dataclass(frozen=True)
 class TukeyResult:
     pairs: tuple[PairComparison, ...]
-    alpha: float
     df_within: int
-    ms_within: float
     degenerate: bool = False
 
 
@@ -147,21 +143,18 @@ def one_way_anova(groups: list[GroupSample]) -> AnovaResult:
     group_means = dict(zip(labels, means))
     if all_identical:
         return AnovaResult(0.0, df_between, df_within, 1.0, group_means,
-                           0.0, 0.0, 0.0, 0.0, degenerate=True)
+                           0.0, 0.0, degenerate=True)
     levene_stat, levene_p = _levene_diagnostic(groups, means)
     if ss_within == 0.0:
         warnings.warn("zero within-group variance with nonzero between-group variance",
                       DegenerateVarianceWarning, stacklevel=2)
         return AnovaResult(math.inf, df_between, df_within, 0.0, group_means,
-                           ss_between, 0.0, ss_between / df_between, 0.0, degenerate=True,
+                           ss_between, 0.0, degenerate=True,
                            levene_stat=levene_stat, levene_p=levene_p)
-    ms_between = ss_between / df_between
-    ms_within = ss_within / df_within
-    f_stat = ms_between / ms_within
+    f_stat = (ss_between / df_between) / (ss_within / df_within)
     p_value = 1.0 - f_cdf(f_stat, df_between, df_within)
     return AnovaResult(f_stat, df_between, df_within, p_value, group_means,
-                       ss_between, ss_within, ms_between, ms_within,
-                       levene_stat=levene_stat, levene_p=levene_p)
+                       ss_between, ss_within, levene_stat=levene_stat, levene_p=levene_p)
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
@@ -363,13 +356,10 @@ def tukey_hsd(groups: list[GroupSample], alpha: float = 0.05) -> TukeyResult:
     k = len(groups)
     df_within = sum(ns) - k
     degenerate = ss_within == 0.0
-    if degenerate:
-        if not all_identical:
-            warnings.warn("zero within-group variance; Tukey q statistics are degenerate",
-                          DegenerateVarianceWarning, stacklevel=2)
-        ms_within = 0.0
-    else:
-        ms_within = ss_within / df_within
+    if degenerate and not all_identical:
+        warnings.warn("zero within-group variance; Tukey q statistics are degenerate",
+                      DegenerateVarianceWarning, stacklevel=2)
+    ms_within = ss_within / df_within
     cdf_at: dict[float, float] = {}
     pairs = []
     for (i, a), (j, b) in combinations(enumerate(labels), 2):
@@ -384,4 +374,4 @@ def tukey_hsd(groups: list[GroupSample], alpha: float = 0.05) -> TukeyResult:
                 cdf_at[q] = studentized_range_cdf(q, k, df_within)
             p = 1.0 - cdf_at[q]
         pairs.append(PairComparison(a, b, diff, q, p, p < alpha))
-    return TukeyResult(tuple(pairs), alpha, df_within, ms_within, degenerate)
+    return TukeyResult(tuple(pairs), df_within, degenerate)

@@ -30,11 +30,7 @@ class ConceptVector:
 
 def concept_vector(stratum: CorpusStratum, cmap: ConceptMap, side: Side) -> ConceptVector:
     """Per-1,000-word token rate of each concept's lemmas, dims sorted by concept id."""
-    expected_language = cmap.language_for(side)
-    if stratum.language_code != expected_language:
-        raise ValidationError(
-            f"language mismatch: stratum is {stratum.language_code!r} but the "
-            f"{side.value} side of the concept map is {expected_language!r}")
+    cmap.check_language(stratum.language_code, side)
     total = stratum.total_word_count
     if total == 0:
         raise AnalysisError("empty stratum")

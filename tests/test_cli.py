@@ -100,6 +100,13 @@ class TestValidate:
         path.write_text("{not json", encoding="utf-8")
         assert main(["validate", "--config", str(path)]) == 2
 
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        assert main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {path}: the top level must be a JSON object\n"
+
 
 class TestConfigTypes:
     @pytest.mark.parametrize("overrides, message", [

@@ -1,3 +1,4 @@
+import re
 import unicodedata
 from collections import Counter
 
@@ -199,6 +200,22 @@ class TestFrequencyTable:
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
             FrequencyTable("en", {"x": -1.0})
+
+    def test_lemma_repeated_with_another_frequency_rejected(self, tmp_path):
+        p = tmp_path / "f.tsv"
+        p.write_text("good\t10\nbad\t5\ngood\t20\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=re.escape(f"{p}:3: lemma 'good' repeated")):
+            FrequencyTable.load(p, "en")
+
+    def test_exact_repeat_accepted(self, tmp_path):
+        p = tmp_path / "f.tsv"
+        p.write_text("good\t10\ngood\t1e1\n", encoding="utf-8")
+        assert FrequencyTable.load(p, "en").freqs == {"good": 10.0}
+
+    def test_first_non_empty_comment_names_the_corpus(self, tmp_path):
+        p = tmp_path / "f.tsv"
+        p.write_text("#\n# corpus:\n#  second \ngood\t1\n# third\n", encoding="utf-8")
+        assert FrequencyTable.load(p, "en").corpus_name == "second"
 
     def test_malformed_line(self, tmp_path):
         p = tmp_path / "f.tsv"

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semdrift import (CorpusStratum, Document, LangProfile, LemmaDict, TranslationKind,
-                      default_profile, filler_vocab, lemmatize, load_corpus, save_corpus,
+from semdrift import (CorpusStratum, Document, FrequencyTable, LangProfile, LemmaDict,
+                      TranslationKind, default_profile, filler_vocab, lemmatize,
+                      load_concept_map, load_corpus, load_lexicon_sources, save_corpus,
                       tokenize)
 from semdrift.errors import IngestError, ValidationError
 from semdrift.ingest import group_strata
 
-from helpers import DATA, make_stratum
+from helpers import DATA, fixture_lexicons, make_stratum
 
 
 def _reference_tokenize(text: str, profile: LangProfile) -> list[str]:
@@ -239,6 +240,79 @@ class TestLoadCorpus:
             lemma_dicts={"ru": "d.tsv"})
         assert list(load_corpus(path)[0].documents[0].counts.items()) == \
             [("мой", 1), ("йод-лемма", 1)]
+
+    def test_lemma_dict_follows_a_non_folding_profile(self, tmp_path):
+        (tmp_path / "a.txt").write_text("Haus haus", encoding="utf-8")
+        (tmp_path / "d.tsv").write_text("Haus\thaus-lemma\n", encoding="utf-8")
+        path = _write_manifest(
+            tmp_path,
+            [{"path": "a.txt", "id": "a", "language": "de", "translation_kind": "source"}],
+            lemma_dicts={"de": "d.tsv"},
+            profiles={"de": {"letters": ["A-Z", "a-z"], "case_fold": False}})
+        assert dict(load_corpus(path)[0].documents[0].counts) == {"haus-lemma": 1, "haus": 1}
+
+    def test_manifest_must_be_a_json_object(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text("[]", encoding="utf-8")
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{path}: the top level must be a JSON object")):
+            load_corpus(path)
+
+
+class TestLemmaDictLoad:
+    @pytest.mark.parametrize("rows, case_fold, line, key", [
+        ("go\tgo1\ngo\tgo2\n", True, 2, "go"),
+        ("go\tgo1\nGo\tgo3\n", True, 2, "go"),
+        ("Go\tgo1\n# note\nGo\tgo3\n", False, 3, "Go"),
+    ], ids=["same-form", "same-after-folding", "not-folded"])
+    def test_surface_form_repeated_with_another_lemma_rejected(self, tmp_path, rows,
+                                                                case_fold, line, key):
+        p = tmp_path / "d.tsv"
+        p.write_text(rows, encoding="utf-8")
+        with pytest.raises(ValidationError, match=re.escape(f"{p}:{line}: surface form {key!r}")):
+            LemmaDict.load(p, "en", case_fold)
+
+    def test_exact_repeat_and_distinct_case_accepted(self, tmp_path):
+        p = tmp_path / "d.tsv"
+        p.write_text("go\tgo1\ngo\tgo1\nGo\tgo3\n", encoding="utf-8")
+        assert LemmaDict.load(p, "de", case_fold=False).entries == {"go": "go1", "Go": "go3"}
+        with pytest.raises(ValidationError, match="repeated with a different lemma"):
+            LemmaDict.load(p, "en")
+
+
+def _lexicon_rows(path):
+    return [(e.lemma, e.sentiment.value) for e in load_lexicon_sources([path], "en")]
+
+
+def _concept_rows(path):
+    cmap = load_concept_map(path, *fixture_lexicons())
+    return {cid: (c.sentiment.value, c.source_lemmas, c.target_lemmas)
+            for cid, c in cmap.concepts.items()}
+
+
+# loader, a row with padded fields, what that row loads as, the loader's column spec
+_TSV_LOADERS = {
+    "lemma-dict": (lambda p: LemmaDict.load(p, "en").entries, "said \t say",
+                   {"said": "say"}, "surface<TAB>lemma"),
+    "lexicon": (_lexicon_rows, "good\u3000\tpositive ", [("good", "positive")],
+                "lemma<TAB>class"),
+    "concept-map": (_concept_rows, "say \t epistemic\t сказать,говорить \t say",
+                    {"say": ("epistemic", ("сказать", "говорить"), ("say",))},
+                    "concept_id<TAB>class<TAB>src,...<TAB>tgt,..."),
+    "frequency-table": (lambda p: FrequencyTable.load(p, "en").freqs, "good \t 10",
+                        {"good": 10.0}, "lemma<TAB>per_million"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TSV_LOADERS))
+def test_tsv_loaders_strip_fields_and_name_the_line_of_a_bad_row(tmp_path, kind):
+    load, row, loaded, columns = _TSV_LOADERS[kind]
+    p = tmp_path / f"{kind}.tsv"
+    p.write_text(f"# header\n\n{row}\n", encoding="utf-8")
+    assert load(p) == loaded
+    p.write_text(f"# header\n\n{row}\n{row}\textra\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=re.escape(f"{p}:4: expected '{columns}'")):
+        load(p)
 
 
 def _word_counts(groups):

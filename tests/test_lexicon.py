@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semdrift import (RawLexiconEntry, SentimentClass, SentimentLexicon, Side,
+from semdrift import (RawLexiconEntry, SentimentClass, SentimentLexicon,
                       find_conflicts, load_concept_map, load_lexicon_sources, merge_disjoint)
 from semdrift.errors import ValidationError
 
@@ -183,10 +183,3 @@ class TestConceptMap:
                      "say\tepistemic\tговорить\ttell\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="duplicate concept id"):
             load_concept_map(p, ru, en)
-
-    def test_side_lookup(self):
-        ru, en = fixture_lexicons()
-        cmap = load_concept_map(DATA / "concepts.tsv", ru, en)
-        assert cmap.concept_of("сказать", Side.SOURCE).concept_id == "say"
-        assert cmap.concept_of("say", Side.TARGET).concept_id == "say"
-        assert cmap.concept_of("сказать", Side.TARGET) is None
