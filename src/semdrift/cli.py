@@ -5,11 +5,13 @@ Exit codes: 0 success, 1 analysis error, 2 configuration/validation error.
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
 import math
 import sys
+import unicodedata
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -73,6 +75,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     key goes into the `synth` block. Every value, overrides included, is checked
     against its JSON type, so a malformed config ends in a ValidationError
     rather than a misread value or a traceback. Synth numbers load as floats.
+    Object keys, languages and `group_by` factors are read in NFC, paths as written.
     """
     path = Path(path)
     body = ingest.read_json(path)
@@ -82,6 +85,8 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
 
     base = path.parent
     config = RunConfig()
+    # languages and factors meet names read in NFC (manifest, TSV resources)
+    nfc = functools.partial(unicodedata.normalize, "NFC")
 
     def resolve(raw: str) -> Path:
         config.inputs[raw] = base / raw  # an absolute path replaces base
@@ -89,8 +94,8 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
 
     if "manifest" in body:
         config.manifest = resolve(body["manifest"])
-    config.source_language = body.get("source_language")
-    config.target_language = body.get("target_language")
+    config.source_language, config.target_language = (
+        nfc(body[key]) if key in body else None for key in ("source_language", "target_language"))
     for lang, paths in body.get("lexicons", {}).items():
         if isinstance(paths, str):
             paths = [paths]
@@ -114,7 +119,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
                 f"priority must be a permutation of the three classes: {body['priority']}")
     for factor in body.get("group_by", []):
         check_type("group_by entry", factor, str)
-    config.group_by = list(body.get("group_by", []))
+    config.group_by = list(map(nfc, body.get("group_by", [])))
     config.alpha = float(body.get("alpha", 0.05))
     if not 0.0 < config.alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {config.alpha}")

@@ -2,10 +2,11 @@
 
 Texts come in through a JSON manifest that assigns each file a language, a
 translation kind, and free-form grouping keys (term, summit, author, ...).
-Documents sharing all three land in the same stratum. Texts and every TSV
-resource are brought to Unicode normal form NFC, so a decomposed letter never
-splits a word. Each text is counted as it is read: a loaded document is
-a bag of lemmas, so memory grows with the vocabulary, not with the tokens.
+Documents sharing all three land in the same stratum. Texts, every TSV
+resource and the manifest's names are brought to Unicode normal form NFC, so a
+decomposed letter never splits a word or a stratum. Each text is counted as it
+is read: a loaded document is a bag of lemmas, so memory grows with the
+vocabulary, not with the tokens.
 """
 
 import contextlib
@@ -68,14 +69,22 @@ def read_tsv(path, columns: str, comments: list[str] | None = None):
 
 def read_json(path) -> dict:
     """Parse a JSON file whose top level must be an object; anything else is a
-    ValidationError naming the path."""
+    ValidationError naming the path. Object keys are read in NFC; string values
+    are left as written, since some of them are file paths."""
     try:
-        body = json.loads(read_text(path))
+        body = json.loads(read_text(path), object_pairs_hook=lambda pairs: {
+            unicodedata.normalize("NFC", k): v for k, v in pairs})
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(body, dict):
         raise ValidationError(f"{path}: the top level must be a JSON object")
     return body
+
+
+# The code points where `str.split()` cuts: exactly those for which `str.isspace()` holds.
+_WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+               "\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a"
+               "\u2028\u2029\u202f\u205f\u3000")
 
 
 class TranslationKind(str, Enum):
@@ -90,6 +99,8 @@ class LangProfile:
 
     The merged code-point ranges compile to one regex character class, so a
     token is a maximal run of word characters found by a single `findall`.
+    `_splits_at_whitespace` holds when no whitespace character is a word
+    character, so that no token crosses a `str.split()` cut.
     """
 
     language_code: str
@@ -106,6 +117,8 @@ class LangProfile:
         # \U escapes spell every range end, so "-", "]", "\\" and "^" need no escaping
         char_class = "".join(f"\\U{lo:08x}-\\U{hi:08x}" for lo, hi in merged)
         object.__setattr__(self, "_word_run", re.compile(f"[{char_class}]+"))
+        object.__setattr__(self, "_splits_at_whitespace",
+                           self._word_run.search(_WHITESPACE) is None)
 
     @classmethod
     def from_letters(cls, language_code: str, letters, case_fold: bool = True) -> "LangProfile":
@@ -222,13 +235,26 @@ class Document:
     @classmethod
     def from_text(cls, doc_id: str, text: str, profile: LangProfile,
                   lemma_dict: LemmaDict | None = None) -> "Document":
-        """Count the text's tokens, then lemmatize each distinct form once."""
-        forms = Counter(tokenize(text, profile))
+        """Count the text's whitespace-separated chunks, tokenize each distinct
+        chunk once, then lemmatize each distinct form once.
+
+        Exact when the profile splits at whitespace: no token crosses a
+        whitespace character, and NFC never composes one with a neighbour.
+        Each form first appears in the first distinct chunk holding it, so
+        the counts keep first-occurrence order. Any other profile
+        tokenizes the whole text as its one chunk.
+        """
+        text = unicodedata.normalize("NFC", text)
+        chunks = Counter(text.split()) if profile._splits_at_whitespace else {text: 1}
+        forms: dict[str, int] = {}
+        for chunk, n in chunks.items():
+            for form in tokenize(chunk, profile):
+                forms[form] = forms.get(form, 0) + n
         if lemma_dict is None:
             lemma_dict = LemmaDict(profile.language_code)
         counts: Counter = Counter()
         for lemma, n in zip(lemmatize(list(forms), lemma_dict), forms.values()):
-            counts[lemma] += n
+            counts[lemma] = counts.get(lemma, 0) + n
         return cls(doc_id, counts)
 
 
@@ -236,7 +262,7 @@ class Document:
 class CorpusStratum:
     """A sub-corpus sharing language, translation kind, and grouping keys.
 
-    Treated as immutable after construction; lemma counts are cached.
+    Treated as immutable after construction; lemma counts and the label are cached.
     """
 
     language_code: str
@@ -264,7 +290,7 @@ class CorpusStratum:
     def lemma_counts(self) -> Counter:
         return self._lemma_counts
 
-    @property
+    @cached_property
     def label(self) -> str:
         parts = [self.language_code, self.translation_kind.value]
         if self.group_keys:
@@ -307,7 +333,8 @@ def load_corpus(manifest_path) -> list[CorpusStratum]:
           ]
         }
 
-    Relative paths resolve against the manifest's directory. A value of the
+    Relative paths resolve against the manifest's directory; ids, languages,
+    and group keys and values are read in NFC, paths as written. A value of the
     wrong JSON type is a ValidationError; a listed file that cannot be read or
     decoded is an IngestError naming the manifest. Each text is counted into
     its document as it is read and dropped before the next is read.
@@ -340,12 +367,12 @@ def _load_documents(manifest: dict, base: Path) -> list[CorpusStratum]:
         for required in ("path", "id", "language", "translation_kind"):
             if required not in entry:
                 raise ValidationError(f"manifest entry missing field {required!r}: {entry}")
-        doc_id = entry["id"]
+        doc_id = unicodedata.normalize("NFC", entry["id"])
         if doc_id in seen_ids:
             raise ValidationError(f"duplicate document id: {doc_id!r}")
         seen_ids.add(doc_id)
 
-        language = entry["language"]
+        language = unicodedata.normalize("NFC", entry["language"])
         if language not in profiles:
             raise ValidationError(f"unknown language_code: {language!r}")
         try:
@@ -356,6 +383,7 @@ def _load_documents(manifest: dict, base: Path) -> list[CorpusStratum]:
         group_keys = entry.get("group_keys", {})
         if not all(isinstance(v, str) for v in group_keys.values()):
             raise ValidationError(f"group_keys must map strings to strings: {group_keys!r}")
+        group_keys = {k: unicodedata.normalize("NFC", v) for k, v in group_keys.items()}
 
         doc = Document.from_text(doc_id, read_text(base / entry["path"], entry["path"]),
                                  profiles[language], lemma_dicts.get(language))

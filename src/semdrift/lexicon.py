@@ -186,8 +186,9 @@ def load_concept_map(path, source_lexicon: SentimentLexicon,
                      target_lexicon: SentimentLexicon) -> ConceptMap:
     """Read a concept-map TSV and validate it against both lexicons.
 
-    Format: `concept_id<TAB>class<TAB>src1,src2,...<TAB>tgt1,tgt2,...`.
-    Every listed lemma must be in the matching lexicon under the concept's class.
+    Format: `concept_id<TAB>class<TAB>src1,src2,...<TAB>tgt1,tgt2,...`; each
+    list item is stripped and empty items are skipped. Every listed lemma must
+    be in the matching lexicon under the concept's class.
     """
     concepts: dict[str, Concept] = {}
     rows = read_tsv(path, "concept_id<TAB>class<TAB>src,...<TAB>tgt,...")
@@ -195,8 +196,8 @@ def load_concept_map(path, source_lexicon: SentimentLexicon,
         sentiment = _sentiment_class(cls_label, path, lineno)
         if cid in concepts:
             raise ValidationError(f"{path}:{lineno}: duplicate concept id {cid!r}")
-        src = tuple(s for s in src_field.split(",") if s)
-        tgt = tuple(s for s in tgt_field.split(",") if s)
+        src, tgt = (tuple(s for s in map(str.strip, listed.split(",")) if s)
+                    for listed in (src_field, tgt_field))
         concept = Concept(cid, sentiment, src, tgt)
         for side, lexicon, lemmas in (
                 (Side.SOURCE, source_lexicon, src), (Side.TARGET, target_lexicon, tgt)):

@@ -1,6 +1,7 @@
 import difflib
 import json
 import re
+import unicodedata
 from itertools import islice
 from pathlib import Path
 
@@ -99,6 +100,18 @@ class TestValidate:
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
         assert main(["validate", "--config", str(path)]) == 2
+
+    def test_group_by_meets_a_group_key_in_another_normal_form(self, tmp_path, capsys):
+        body = absolute_manifest()
+        for doc in body["documents"]:
+            doc["group_keys"][unicodedata.normalize("NFD", "période")] = \
+                doc["group_keys"].pop("term")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(body), encoding="utf-8")
+        config = write_config(tmp_path, manifest=str(manifest),
+                              group_by=[unicodedata.normalize("NFC", "période"), "summit"])
+        assert main(["validate", "--config", str(config)]) == 0
+        assert "0 errors" in capsys.readouterr().out
 
     def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys):
         path = tmp_path / "list.json"

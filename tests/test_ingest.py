@@ -15,7 +15,7 @@ from semdrift import (CorpusStratum, Document, FrequencyTable, LangProfile, Lemm
                       load_concept_map, load_corpus, load_lexicon_sources, save_corpus,
                       tokenize)
 from semdrift.errors import IngestError, ValidationError
-from semdrift.ingest import group_strata
+from semdrift.ingest import _WHITESPACE, group_strata
 
 from helpers import DATA, fixture_lexicons, make_stratum
 
@@ -124,6 +124,19 @@ class TestTokenize:
         with pytest.raises(ValidationError, match="unknown language_code"):
             default_profile("tlh")
 
+    def test_whitespace_is_where_str_split_cuts(self):
+        assert set(_WHITESPACE) == {chr(c) for c in range(sys.maxunicode + 1)
+                                    if chr(c).isspace()}
+        assert len(_WHITESPACE) == 29
+
+    @pytest.mark.parametrize("language", ["en", "ru"])
+    def test_default_profiles_split_at_whitespace(self, language):
+        assert default_profile(language)._splits_at_whitespace
+
+    @pytest.mark.parametrize("letters", [["a-z", " "], ["a-z", "\u3000"], ["\x00-\x85"]])
+    def test_profile_with_a_whitespace_letter_does_not_split(self, letters):
+        assert not LangProfile.from_letters("xx", letters)._splits_at_whitespace
+
 
 class TestLemmatize:
     def test_lookup_with_identity_fallback(self):
@@ -161,6 +174,45 @@ def _write_manifest(tmp_path, documents, **extra):
 
 
 class TestLoadCorpus:
+    def test_names_differing_only_in_normal_form_are_one(self, tmp_path):
+        # one stratum, not two that both print the label "en/source/année=й"
+        (tmp_path / "a.txt").write_text("one", encoding="utf-8")
+        path = _write_manifest(tmp_path, [
+            {"path": "a.txt", "id": doc_id, "language": "en", "translation_kind": "source",
+             "group_keys": {unicodedata.normalize(form, "année"):
+                            unicodedata.normalize(form, "й")}}
+            for doc_id, form in (("a", "NFC"), ("b", "NFD"))])
+        strata = load_corpus(path)
+        assert [(s.label, [d.id for d in s.documents]) for s in strata] == \
+            [("en/source/année=й", ["a", "b"])]
+
+    def test_ids_differing_only_in_normal_form_are_duplicates(self, tmp_path):
+        (tmp_path / "a.txt").write_text("one", encoding="utf-8")
+        path = _write_manifest(tmp_path, [
+            {"path": "a.txt", "id": unicodedata.normalize(form, "й"), "language": "en",
+             "translation_kind": "source"} for form in ("NFC", "NFD")])
+        with pytest.raises(ValidationError, match="duplicate document id"):
+            load_corpus(path)
+
+    def test_language_meets_its_profile_and_lemma_dict_in_any_normal_form(self, tmp_path):
+        (tmp_path / "a.txt").write_text("ab", encoding="utf-8")
+        (tmp_path / "d.tsv").write_text("ab\tab-lemma\n", encoding="utf-8")
+        nfc, nfd = (unicodedata.normalize(form, "ё") for form in ("NFC", "NFD"))
+        path = _write_manifest(
+            tmp_path,
+            [{"path": "a.txt", "id": "a", "language": nfc, "translation_kind": "source"}],
+            lemma_dicts={nfd: "d.tsv"}, profiles={nfd: {"letters": ["a-z"]}})
+        [stratum] = load_corpus(path)
+        assert stratum.language_code == nfc
+        assert list(stratum.documents[0].counts.items()) == [("ab-lemma", 1)]
+
+    def test_paths_are_read_as_written(self, tmp_path):
+        name = unicodedata.normalize("NFD", "й.txt")
+        (tmp_path / name).write_text("one", encoding="utf-8")
+        path = _write_manifest(tmp_path, [
+            {"path": name, "id": "a", "language": "en", "translation_kind": "source"}])
+        assert load_corpus(path)[0].total_word_count == 1
+
     def test_single_file_word_count(self, tmp_path):
         # 25 four-word lines, counted by hand
         (tmp_path / "a.txt").write_text("alpha beta gamma delta\n" * 25, encoding="utf-8")
@@ -407,15 +459,41 @@ _SAVED = {
 }
 
 
+# separators: whitespace where `str.split()` cuts (U+2000 also changes under NFC),
+# punctuation and digits; words in NFC or NFD, whose letters NFD may decompose
+_SEPARATORS = ["\t", "\x1c", "\x85", "\xa0", "\u2000", "\u2028", "\u3000", " ", "\n",
+               ", ", ".", "-", "1", "42", ""]
+_TEXT_WORDS = {"en": _WORDS + ["café", "naïve"],
+               "ru": ["мой", "Мой", "йод", "Йод", "ёлка", "Ёлка", "сказал"]}
+_TEXT_DICTS = {"en": _SURFACES,
+               "ru": LemmaDict("ru", {"йод": "йод-лемма", "ёлка": "ель", "Йод": "йод"})}
+
+
+def _text_profiles(language: str) -> list[LangProfile]:
+    """The default profile, one that keeps case, and one whose letters include " "."""
+    default = default_profile(language)
+    return [default, LangProfile(language, default.letter_classes, case_fold=False),
+            LangProfile(language, default.letter_classes + ((0x20, 0x20),))]
+
+
 class TestCountOnRead:
-    @given(st.lists(st.tuples(st.one_of(st.sampled_from(_WORDS), st.text(max_size=4)),
-                              st.sampled_from([" ", ", ", "\n", "-", "1", ""])), max_size=60))
-    def test_counts_equal_lemmatized_tokens_in_order(self, pieces):
+    @given(st.sampled_from(sorted(_TEXT_WORDS)).flatmap(lambda language: st.tuples(
+        st.sampled_from(_text_profiles(language)),
+        st.lists(st.tuples(
+            st.one_of(st.tuples(st.sampled_from(_TEXT_WORDS[language]),
+                                st.sampled_from(["NFC", "NFD"]))
+                      .map(lambda w: unicodedata.normalize(w[1], w[0])),
+                      st.text(max_size=4)),
+            st.sampled_from(_SEPARATORS)), max_size=60),
+        st.just(_TEXT_DICTS[language]))))
+    @example((_text_profiles("ru")[2], [("мой", " "), ("йод", "")], _TEXT_DICTS["ru"]))
+    def test_counts_equal_lemmatized_tokens_in_order(self, case):
+        # from_text tokenizes distinct whitespace chunks; tokenize sees the whole text
+        profile, pieces, lemma_dict = case
         text = "".join(word + sep for word, sep in pieces)
-        profile = default_profile("en")
-        doc = Document.from_text("d", text, profile, _SURFACES)
+        doc = Document.from_text("d", text, profile, lemma_dict)
         tokens = tokenize(text, profile)
-        expected = Counter(lemmatize(tokens, _SURFACES))
+        expected = Counter(lemmatize(tokens, lemma_dict))
         assert list(doc.counts.items()) == list(expected.items())
         assert doc.total_word_count == len(tokens)
         assert doc.lemmas is None

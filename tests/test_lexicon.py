@@ -147,6 +147,14 @@ class TestConceptMap:
         assert load_concept_map(p, ru, en).concepts["good"].source_lemmas == \
             ("хороший", "добрый")
 
+    def test_list_items_are_stripped_and_empty_ones_skipped(self, tmp_path):
+        ru, en = fixture_lexicons()
+        p = tmp_path / "c.tsv"
+        p.write_text("say\tepistemic\tсказать, говорить\tsay ,, tell,\n", encoding="utf-8")
+        say = load_concept_map(p, ru, en).concepts["say"]
+        assert say.source_lemmas == ("сказать", "говорить")
+        assert say.target_lemmas == ("say", "tell")
+
     def test_absent_lemma_names_side(self, tmp_path):
         ru, en = fixture_lexicons()
         p = tmp_path / "c.tsv"
