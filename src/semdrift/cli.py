@@ -5,19 +5,16 @@ Exit codes: 0 success, 1 analysis error, 2 configuration/validation error.
 
 import argparse
 import csv
-import functools
 import hashlib
 import io
 import json
 import math
 import sys
-import unicodedata
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import freq, ingest, semfield, stats, synth, vectors
-from .errors import (NUMBER, AnalysisError, SemdriftError, ValidationError, check_type,
-                     check_types)
+from .errors import NUMBER, PATH, AnalysisError, SemdriftError, ValidationError, check
 from .freq import DeviationMode, FrequencyTable
 from .ingest import CorpusStratum, TranslationKind, group_strata
 from .lexicon import (DEFAULT_PRIORITY, ConceptMap, SentimentClass, SentimentLexicon, Side,
@@ -54,39 +51,39 @@ class RunConfig:
                 f"alpha={self.alpha:g} top_k={self.top_k}")
 
 
-# JSON type of each config key; a key that is absent or null takes the RunConfig default.
-_CONFIG_TYPES = {
-    "manifest": str, "source_language": str, "target_language": str, "lexicons": dict,
-    "concept_map": str, "frequency_tables": dict, "priority": list, "group_by": list,
-    "alpha": NUMBER, "deviation_mode": str, "top_k": int, "output_dir": str,
-    "synth": dict,
-}
+# The spec (see `errors.check`) of each config key; a key that is absent or null takes the
+# RunConfig default. `lexicons` maps a language to a path or a list of paths.
 _SYNTH_TYPES = {
-    "words": int, "seed": int, "kind": str, "factor": NUMBER, "norm_pull": NUMBER,
+    "words": int, "seed": int, "kind": ChannelKind, "factor": NUMBER, "norm_pull": NUMBER,
     "length_inflation": NUMBER, "concept_density": NUMBER, "filler_size": int,
-    "concept_budget": dict,
+    "concept_budget": {str: NUMBER},
 }
+_CONFIG_TYPES = {
+    "manifest": PATH, "source_language": str, "target_language": str, "lexicons": dict,
+    "concept_map": PATH, "frequency_tables": {str: PATH}, "priority": [SentimentClass],
+    "group_by": [str], "alpha": NUMBER, "deviation_mode": DeviationMode, "top_k": int,
+    "output_dir": PATH, "synth": _SYNTH_TYPES,
+}
+_SETTINGS = ("source_language", "target_language", "group_by", "alpha", "deviation_mode",
+             "top_k")
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
     """Read a JSON config file and apply command-line overrides.
 
     `overrides` maps config keys to values (None sets nothing); a `_SYNTH_TYPES`
-    key goes into the `synth` block. Every value, overrides included, is checked
-    against its JSON type, so a malformed config ends in a ValidationError
-    rather than a misread value or a traceback. Synth numbers load as floats.
-    Object keys, languages and `group_by` factors are read in NFC, paths as written.
+    key goes into the `synth` block. Every value, overrides included, is
+    checked against its spec in `_CONFIG_TYPES` (see `errors.check`), so a
+    malformed config ends in a ValidationError rather than a misread value or
+    a traceback: names are read in NFC, paths as written, numbers as floats.
     """
     path = Path(path)
-    body = ingest.read_json(path)
     given = {k: v for k, v in (overrides or {}).items() if v is not None}
-    body = check_types({**body, **{k: v for k, v in given.items() if k in _CONFIG_TYPES}},
-                       _CONFIG_TYPES)
+    body = check("", {**ingest.read_json(path),
+                      **{k: v for k, v in given.items() if k in _CONFIG_TYPES}}, _CONFIG_TYPES)
 
     base = path.parent
-    config = RunConfig()
-    # languages and factors meet names read in NFC (manifest, TSV resources)
-    nfc = functools.partial(unicodedata.normalize, "NFC")
+    config = RunConfig(**{key: body[key] for key in _SETTINGS if key in body})
 
     def resolve(raw: str) -> Path:
         config.inputs[raw] = base / raw  # an absolute path replaces base
@@ -94,53 +91,29 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
 
     if "manifest" in body:
         config.manifest = resolve(body["manifest"])
-    config.source_language, config.target_language = (
-        nfc(body[key]) if key in body else None for key in ("source_language", "target_language"))
     for lang, paths in body.get("lexicons", {}).items():
-        if isinstance(paths, str):
-            paths = [paths]
-        check_type(f"lexicons.{lang}", paths, list)
-        for p in paths:
-            check_type(f"lexicons.{lang} entry", p, str)
+        paths = check(f"lexicons.{lang}", [paths] if isinstance(paths, str) else paths, [PATH])
         config.lexicons[lang] = [resolve(p) for p in paths]
     if body.get("concept_map"):
         config.concept_map = resolve(body["concept_map"])
     for lang, p in body.get("frequency_tables", {}).items():
-        check_type(f"frequency_tables.{lang}", p, str)
         config.frequency_tables[lang] = resolve(p)
 
     if "priority" in body:
-        try:
-            config.priority = tuple(SentimentClass(c) for c in body["priority"])
-        except ValueError as exc:
-            raise ValidationError(f"invalid priority entry: {exc}") from None
+        config.priority = tuple(body["priority"])
         if sorted(config.priority) != sorted(SentimentClass):
             raise ValidationError(
-                f"priority must be a permutation of the three classes: {body['priority']}")
-    for factor in body.get("group_by", []):
-        check_type("group_by entry", factor, str)
-    config.group_by = list(map(nfc, body.get("group_by", [])))
-    config.alpha = float(body.get("alpha", 0.05))
+                f"priority must be a permutation of the three classes: "
+                f"{[c.value for c in config.priority]}")
     if not 0.0 < config.alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {config.alpha}")
-    try:
-        config.deviation_mode = DeviationMode(body.get("deviation_mode", "difference"))
-    except ValueError:
-        raise ValidationError(
-            f"deviation_mode must be 'difference' or 'ratio', "
-            f"got {body.get('deviation_mode')!r}") from None
-    config.top_k = body.get("top_k", 5)
     if config.top_k < 1:
         raise ValidationError(f"top_k must be >= 1, got {config.top_k}")
     if "output_dir" in body:
         config.output_dir = base / body["output_dir"]
-    synth_options = check_types(
-        {**body.get("synth", {}), **{k: v for k, v in given.items() if k in _SYNTH_TYPES}},
-        _SYNTH_TYPES, "synth.")
-    config.synth_options = {k: float(v) if _SYNTH_TYPES.get(k) is NUMBER else v
-                            for k, v in synth_options.items()}
-    for cid, weight in config.synth_options.get("concept_budget", {}).items():
-        check_type(f"synth.concept_budget.{cid}", weight, NUMBER)
+    # the flags' values are checked here, the config file's with the rest of its body
+    config.synth_options = {**body.get("synth", {}), **check(
+        "synth", {k: v for k, v in given.items() if k in _SYNTH_TYPES}, _SYNTH_TYPES)}
     return config
 
 
@@ -638,10 +611,7 @@ def cmd_synth(config: RunConfig) -> int:
     filler_size = options.get("filler_size", synth.DEFAULT_FILLER_SIZE)
     budget = options.get("concept_budget") or {cid: 1.0 for cid in cmap.concepts}
     given = {name: options[key] for key, name in _CHANNEL_KEYS.items() if key in options}
-    try:
-        kind = ChannelKind(options.get("kind", ChannelKind.MACHINE))
-    except ValueError as exc:
-        return _fail(EXIT_CONFIG, exc)
+    kind = options.get("kind", ChannelKind.MACHINE)
     channel = ChannelParams.human if kind is ChannelKind.HUMAN else ChannelParams.machine
     try:
         params = channel(**given)

@@ -1,5 +1,9 @@
-"""Exception hierarchy shared by all semdrift modules, and the JSON type checks that raise
+"""Exception hierarchy shared by all semdrift modules, and the JSON value check that raises
 ValidationError."""
+
+import sys
+import unicodedata
+from enum import Enum
 
 
 class SemdriftError(Exception):
@@ -22,24 +26,53 @@ class DegenerateVarianceWarning(UserWarning):
     """Emitted when a statistical test runs on data with zero within-group variance."""
 
 
-NUMBER = (int, float)
-_TYPE_NAMES = {str: "a string", int: "an integer", NUMBER: "a number", bool: "true or false",
-               dict: "an object", list: "a list"}
+NUMBER = (int, float)  # a JSON number, which comes back as a float
+PATH = (str,)          # a string kept as written, so a file name in any normal form opens
+_TYPE_NAMES = {str: "a string", PATH: "a string", int: "an integer", NUMBER: "a number",
+               bool: "true or false", dict: "an object", list: "a list"}
 
 
-def check_type(name: str, value, expected) -> None:
-    """Raise ValidationError unless `value` has the JSON type `expected`.
+def check(name: str, value, spec):
+    """Return the JSON value `value` checked against `spec`, or raise a ValidationError
+    naming where it failed (`name`, then `.key` for object members, `[i]` for list items).
 
+    A spec is one of:
+    - `[item]`: a list, each item of spec `item`;
+    - `{str: item}`: an object with any keys, each value of spec `item`;
+    - `{key: spec, ...}`: an object whose listed keys have those specs; a null
+      value is dropped, so the key takes its default, and unknown keys pass through;
+    - an Enum: a string that is one of its values, returned as the member;
+    - `NUMBER`, a finite number returned as a float; `str`, returned in NFC;
+      `PATH`, a string returned as written; or `int`, `bool`, `dict`, `list`.
     JSON booleans are neither integers nor numbers here, although Python's are.
     """
+    if isinstance(spec, list):
+        _check_type(name, value, list)
+        return [check(f"{name}[{i}]", item, spec[0]) for i, item in enumerate(value)]
+    if isinstance(spec, dict):
+        _check_type(name, value, dict)
+        prefix = f"{name}." if name else ""
+        if str in spec:
+            return {k: check(prefix + k, v, spec[str]) for k, v in value.items()}
+        return {k: check(prefix + k, v, spec[k]) if k in spec else v
+                for k, v in value.items() if v is not None}
+    if isinstance(spec, type) and issubclass(spec, Enum):
+        _check_type(name, value, str)
+        try:
+            return spec(value)
+        except ValueError:
+            allowed = ", ".join(repr(member.value) for member in spec)
+            raise ValidationError(f"{name} must be one of {allowed}, got {value!r}") from None
+    _check_type(name, value, spec)
+    if spec is NUMBER:  # Python's JSON reader also takes NaN, Infinity and 400-digit integers
+        if not abs(value) <= sys.float_info.max:
+            raise ValidationError(f"{name} must be a finite number within the float range")
+        return float(value)
+    if spec is str:
+        return unicodedata.normalize("NFC", value)
+    return value
+
+
+def _check_type(name: str, value, expected) -> None:
     if isinstance(value, bool) != (expected is bool) or not isinstance(value, expected):
         raise ValidationError(f"{name} must be {_TYPE_NAMES[expected]}, got {value!r}")
-
-
-def check_types(body: dict, types: dict, prefix: str = "") -> dict:
-    """Check every known key of a JSON object and return it without its null values."""
-    body = {k: v for k, v in body.items() if v is not None}
-    for key, expected in types.items():
-        if key in body:
-            check_type(prefix + key, body[key], expected)
-    return body

@@ -3,8 +3,8 @@
 Texts come in through a JSON manifest that assigns each file a language, a
 translation kind, and free-form grouping keys (term, summit, author, ...).
 Documents sharing all three land in the same stratum. Texts, every TSV
-resource and the manifest's names are brought to Unicode normal form NFC, so a
-decomposed letter never splits a word or a stratum. Each text is counted as it
+resource and every manifest string but the paths are brought to Unicode normal
+form NFC, so a decomposed letter never splits a word or a stratum. Each text is counted as it
 is read: a loaded document is a bag of lemmas, so memory grows with the
 vocabulary, not with the tokens.
 """
@@ -21,7 +21,7 @@ from enum import Enum
 from functools import cached_property
 from pathlib import Path
 
-from .errors import IngestError, ValidationError, check_type, check_types
+from .errors import PATH, IngestError, ValidationError, check
 
 Lemma = str
 
@@ -69,12 +69,22 @@ def read_tsv(path, columns: str, comments: list[str] | None = None):
 
 def read_json(path) -> dict:
     """Parse a JSON file whose top level must be an object; anything else is a
-    ValidationError naming the path. Object keys are read in NFC; string values
-    are left as written, since some of them are file paths."""
+    ValidationError naming the path. Object keys are read in NFC, and two keys
+    of one object that differ as written but not in NFC are a ValidationError;
+    values are left as written (see `errors.check`)."""
+    def nfc_keys(pairs) -> dict:
+        body, written = {}, {}
+        for key, value in pairs:
+            nfc = unicodedata.normalize("NFC", key)
+            if written.setdefault(nfc, key) != key:
+                raise ValidationError(f"{path}: object key {nfc!r} is written in two normal "
+                                      f"forms: {ascii(written[nfc])} and {ascii(key)}")
+            body[nfc] = value
+        return body
+
     try:
-        body = json.loads(read_text(path), object_pairs_hook=lambda pairs: {
-            unicodedata.normalize("NFC", k): v for k, v in pairs})
-    except json.JSONDecodeError as exc:
+        body = json.loads(read_text(path), object_pairs_hook=nfc_keys)
+    except (ValueError, RecursionError) as exc:  # also an integer of over 4,300 digits
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(body, dict):
         raise ValidationError(f"{path}: the top level must be a JSON object")
@@ -298,24 +308,23 @@ class CorpusStratum:
         return "/".join(parts)
 
 
-# JSON type of each manifest key; an optional key that is absent or null takes its default.
-_MANIFEST_TYPES = {"documents": list, "lemma_dicts": dict, "profiles": dict}
-_PROFILE_TYPES = {"letters": list, "case_fold": bool}
-_ENTRY_TYPES = {"path": str, "id": str, "language": str, "translation_kind": str,
-                "group_keys": dict}
+# The spec (see `errors.check`) of each manifest key; an optional key that is absent or
+# null takes its default.
+_MANIFEST_TYPES = {
+    "documents": [{"path": PATH, "id": str, "language": str,
+                   "translation_kind": TranslationKind, "group_keys": {str: str}}],
+    "lemma_dicts": {str: PATH},
+    "profiles": {str: {"letters": [str], "case_fold": bool}},
+}
 
 
 def _parse_profiles(spec: dict) -> dict[str, LangProfile]:
     profiles = dict(DEFAULT_PROFILES)
     for code, body in spec.items():
-        check_type(f"profiles.{code}", body, dict)
-        body = check_types(body, _PROFILE_TYPES, f"profiles.{code}.")
-        letters = body.get("letters")
-        if not letters:
+        if not body.get("letters"):
             raise ValidationError(f"profile for {code!r} needs a non-empty 'letters' list")
-        for letter_spec in letters:
-            check_type(f"profiles.{code}.letters entry", letter_spec, str)
-        profiles[code] = LangProfile.from_letters(code, letters, body.get("case_fold", True))
+        profiles[code] = LangProfile.from_letters(code, body["letters"],
+                                                  body.get("case_fold", True))
     return profiles
 
 
@@ -333,14 +342,15 @@ def load_corpus(manifest_path) -> list[CorpusStratum]:
           ]
         }
 
-    Relative paths resolve against the manifest's directory; ids, languages,
-    and group keys and values are read in NFC, paths as written. A value of the
-    wrong JSON type is a ValidationError; a listed file that cannot be read or
+    Relative paths resolve against the manifest's directory. Every value is
+    checked against `_MANIFEST_TYPES`: strings (ids, languages, group keys and
+    values, profile letters) are read in NFC, paths as written, and a value of
+    the wrong JSON type is a ValidationError; a listed file that cannot be read or
     decoded is an IngestError naming the manifest. Each text is counted into
     its document as it is read and dropped before the next is read.
     """
     manifest_path = Path(manifest_path)
-    manifest = check_types(read_json(manifest_path), _MANIFEST_TYPES)
+    manifest = check("", read_json(manifest_path), _MANIFEST_TYPES)
     if "documents" not in manifest:
         raise ValidationError(f"{manifest_path}: manifest must contain a 'documents' list")
     try:
@@ -354,7 +364,6 @@ def _load_documents(manifest: dict, base: Path) -> list[CorpusStratum]:
     profiles = _parse_profiles(manifest.get("profiles", {}))
     lemma_dicts: dict[str, LemmaDict] = {}
     for code, rel in manifest.get("lemma_dicts", {}).items():
-        check_type(f"lemma_dicts.{code}", rel, str)
         profile = profiles.get(code)
         lemma_dicts[code] = LemmaDict.load(base / rel, code,
                                            profile is None or profile.case_fold)
@@ -362,28 +371,16 @@ def _load_documents(manifest: dict, base: Path) -> list[CorpusStratum]:
     seen_ids: set[str] = set()
     grouped: dict[tuple, list[Document]] = {}
     for i, entry in enumerate(manifest["documents"]):
-        check_type(f"documents[{i}]", entry, dict)
-        entry = check_types(entry, _ENTRY_TYPES, f"documents[{i}].")
         for required in ("path", "id", "language", "translation_kind"):
             if required not in entry:
-                raise ValidationError(f"manifest entry missing field {required!r}: {entry}")
-        doc_id = unicodedata.normalize("NFC", entry["id"])
+                raise ValidationError(f"documents[{i}] is missing field {required!r}")
+        doc_id, language, kind = entry["id"], entry["language"], entry["translation_kind"]
         if doc_id in seen_ids:
             raise ValidationError(f"duplicate document id: {doc_id!r}")
         seen_ids.add(doc_id)
-
-        language = unicodedata.normalize("NFC", entry["language"])
         if language not in profiles:
             raise ValidationError(f"unknown language_code: {language!r}")
-        try:
-            kind = TranslationKind(entry["translation_kind"])
-        except ValueError:
-            raise ValidationError(
-                f"unknown translation_kind: {entry['translation_kind']!r}") from None
         group_keys = entry.get("group_keys", {})
-        if not all(isinstance(v, str) for v in group_keys.values()):
-            raise ValidationError(f"group_keys must map strings to strings: {group_keys!r}")
-        group_keys = {k: unicodedata.normalize("NFC", v) for k, v in group_keys.items()}
 
         doc = Document.from_text(doc_id, read_text(base / entry["path"], entry["path"]),
                                  profiles[language], lemma_dicts.get(language))

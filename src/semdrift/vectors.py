@@ -92,8 +92,7 @@ def pca_2d(vectors: list[ConceptVector]) -> Projection2D:
         raise ValidationError("need at least 2 vectors")
     dims = vectors[0].dims
     for v in vectors[1:]:
-        if v.dims != dims:
-            raise ValidationError("vectors have different dims")
+        _check_dims(vectors[0], v)
     X = np.vstack([v.values for v in vectors])
     centered = X - X.mean(axis=0)
     _, s, vt = np.linalg.svd(centered, full_matrices=False)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import semdrift.ingest
 from semdrift import load_corpus
-from semdrift.cli import _CONFIG_TYPES, _SYNTH_TYPES, _build_parser, main
+from semdrift.cli import _CONFIG_TYPES, _SYNTH_TYPES, _build_parser, load_config, main
 from semdrift.errors import IngestError, ValidationError
 
 from helpers import DATA
@@ -131,6 +131,22 @@ class TestConfigTypes:
         ({"deviation_mode": 1}, "deviation_mode must be a string"),
         ({"frequency_tables": {"en": 1}}, "frequency_tables.en must be a string"),
         ({"synth": {"words": "many"}}, "synth.words must be an integer"),
+        ({"deviation_mode": "ratios"},
+         "deviation_mode must be one of 'difference', 'ratio', got 'ratios'"),
+        ({"priority": ["positive", "bad", "negative"]},
+         "priority[1] must be one of 'positive', 'negative', 'epistemic', got 'bad'"),
+        ({"synth": {"kind": ["human"]}}, "synth.kind must be a string, got ['human']"),
+        ({"synth": {"kind": "robot"}},
+         "synth.kind must be one of 'machine', 'human', got 'robot'"),
+        ({"lexicons": {"en": [5]}}, "lexicons.en[0] must be a string"),
+        ({"group_by": ["term", 1]}, "group_by[1] must be a string"),
+        ({"synth": {"concept_budget": {"say": "x"}}},
+         "synth.concept_budget.say must be a number"),
+        ({"alpha": 10 ** 400}, "alpha must be a finite number within the float range"),
+        ({"synth": {"length_inflation": float("inf")}},
+         "synth.length_inflation must be a finite number within the float range"),
+        ({"synth": {"concept_budget": {"say": float("nan")}}},
+         "synth.concept_budget.say must be a finite number within the float range"),
     ])
     def test_wrong_type_exits_2(self, tmp_path, capsys, overrides, message):
         config = write_config(tmp_path, **overrides)
@@ -231,13 +247,19 @@ class TestManifestTypes:
         ({}, {"path": "."}, IngestError, "cannot read ."),
         ({}, {"language": ["ru"]}, ValidationError, "documents[0].language must be a string"),
         ({"profiles": {"de": {"letters": [5]}}}, {}, ValidationError,
-         "profiles.de.letters entry must be a string"),
+         "profiles.de.letters[0] must be a string"),
         ({}, {"path": "latin1.txt"}, IngestError, "latin1.txt: not UTF-8 text (byte 3)"),
         ({}, {"id": [1]}, ValidationError, "documents[0].id must be a string"),
         ({"documents": {"ru-g8-t1": {}}}, {}, ValidationError, "documents must be a list"),
+        ({}, {"group_keys": {"term": 2000}}, ValidationError,
+         "documents[0].group_keys.term must be a string, got 2000"),
+        ({}, {"translation_kind": ["source"]}, ValidationError,
+         "documents[0].translation_kind must be a string"),
+        ({}, {"id": None}, ValidationError, "documents[0] is missing field 'id'"),
     ], ids=["profiles-list", "profile-list", "lemma-dicts-list", "lemma-dict-number",
             "path-number", "path-directory", "language-list", "letters-number",
-            "text-not-utf8", "id-list", "documents-object"])
+            "text-not-utf8", "id-list", "documents-object", "group-key-number",
+            "kind-list", "id-null"])
     def test_wrong_type_or_unreadable_file_exits_2(self, tmp_path, capsys, top, first_doc,
                                                    error, message):
         (tmp_path / "latin1.txt").write_bytes("café".encode("latin-1"))
@@ -260,9 +282,12 @@ class TestManifestTypes:
 
 # Relative paths resolve against the directory of the fuzzed file, which holds a
 # Latin-1 "latin1.txt"; "" and "." name that directory itself.
+# Enum values, near misses of them and decomposed text stand where enums and names go.
 _STRINGS = st.one_of(
     st.text(max_size=4),
-    st.sampled_from(["ru", "en", "de", "source", "human", "a-z", "term"]),
+    st.text(max_size=4).map(lambda text: unicodedata.normalize("NFD", text)),
+    st.sampled_from(["ru", "en", "de", "source", "human", "a-z", "term", "robot", "Source",
+                     "ratio", "epistemic", "ä", unicodedata.normalize("NFD", "ä")]),
     st.sampled_from(["", ".", "latin1.txt", "missing.txt", str(DATA / "freq_en.tsv"),
                      str(DATA / "texts")]))
 _JSON = st.recursive(
@@ -271,7 +296,8 @@ _JSON = st.recursive(
                             st.dictionaries(_STRINGS, inner, max_size=3)),
     max_leaves=6)
 _DELETE = object()
-_EDIT_VALUES = st.one_of(_STRINGS, _JSON, st.just(_DELETE))
+_EDIT_VALUES = st.one_of(_STRINGS, _JSON, st.lists(_STRINGS, min_size=1, max_size=2),
+                         st.just(_DELETE))
 
 
 def _edit(body, location: tuple, value):
@@ -306,10 +332,66 @@ _MANIFEST_LOCATIONS = [(), ("documents",), ("profiles",), ("lemma_dicts",), ("pr
                        ("lemma_dicts", "en"), ("documents", 0), ("documents", 1)] + [
     ("documents", 0, key) for key in ("path", "id", "language", "translation_kind",
                                       "group_keys")] + [("documents", 1, "group_keys", "term")]
-_CONFIG_LOCATIONS = [(), ("lexicons", "en"), ("frequency_tables", "en"), ("priority", 0)] + [
+_CONFIG_LOCATIONS = [(), ("lexicons", "en"), ("frequency_tables", "en"), ("priority", 0),
+                     ("synth", "kind"), ("synth", "factor"), ("synth", "concept_budget")] + [
     (key,) for key in ("manifest", "source_language", "target_language", "lexicons",
                        "concept_map", "frequency_tables", "priority", "group_by", "alpha",
                        "deviation_mode", "top_k", "synth")]
+
+
+def _nfc(text: str) -> str:
+    return unicodedata.normalize("NFC", text)
+
+
+class TestNormalForms:
+    # a language with its own profile, read under every name the config and manifest hold
+    TEXT = _nfc("Mädchen été")
+
+    def write_inputs(self, tmp_path, nfd_field: str) -> Path:
+        """Write a config and a manifest with every string in NFC but `nfd_field`'s."""
+        def form(field: str, text: str) -> str:
+            return unicodedata.normalize("NFD" if field == nfd_field else "NFC", text)
+
+        text_name = form("path", "é.txt")
+        (tmp_path / text_name).write_text(self.TEXT, encoding="utf-8")
+        manifest_name = form("manifest", "mé.json")
+        (tmp_path / manifest_name).write_text(json.dumps({
+            "profiles": {_nfc("dé"): {"letters": ["A-Z", "a-z", form("letters", "äé")]}},
+            "documents": [{"path": text_name, "id": form("id", "é-1"),
+                           "language": form("language", "dé"), "translation_kind": "source",
+                           "group_keys": {_nfc("année"): form("group_keys", "été")}}],
+        }, ensure_ascii=False), encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "manifest": manifest_name, "source_language": form("source_language", "dé"),
+            "target_language": form("target_language", "dé"),
+            "group_by": [form("group_by", "année")]}, ensure_ascii=False), encoding="utf-8")
+        return config
+
+    @pytest.mark.parametrize("nfd_field", [
+        "source_language", "target_language", "group_by", "id", "language", "group_keys",
+        "letters", "manifest", "path"])
+    def test_strings_are_read_in_nfc_and_paths_as_written(self, tmp_path, nfd_field):
+        # a path that NFC changed would name no file: only the decomposed name exists
+        config = load_config(self.write_inputs(tmp_path, nfd_field))
+        assert (config.source_language, config.target_language, config.group_by) == \
+            (_nfc("dé"), _nfc("dé"), [_nfc("année")])
+        [stratum] = load_corpus(config.manifest)
+        assert (stratum.label, [(d.id, dict(d.counts)) for d in stratum.documents]) == \
+            (_nfc("dé/source/année=été"), [(_nfc("é-1"), {_nfc("mädchen"): 1, _nfc("été"): 1})])
+
+    def test_keys_equal_in_nfc_exit_2(self, tmp_path, capsys):
+        body = absolute_manifest()
+        body["documents"][0]["group_keys"] = {_nfc("année"): "a",
+                                              unicodedata.normalize("NFD", "année"): "b"}
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(body, ensure_ascii=False), encoding="utf-8")
+        message = f"{manifest}: object key {_nfc('année')!r} is written in two normal forms"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_corpus(manifest)
+        config = write_config(tmp_path, manifest=str(manifest))
+        assert main(["validate", "--config", str(config)]) == 2
+        assert f"error: manifest: {message}" in capsys.readouterr().out
 
 
 class TestNoTraceback:
@@ -333,7 +415,7 @@ class TestNoTraceback:
                               _EDIT_VALUES), min_size=1, max_size=3))
     @settings(max_examples=100, deadline=None)
     def test_fuzzed_config(self, tmp_path_factory, edits):
-        body = base_config()
+        body = {**base_config(), "synth": {"kind": "human", "factor": 1.5}}
         for location, value in edits:
             body = _edit(body, location, value)
         assert _exit_codes(tmp_path_factory.mktemp("config"), body) <= {0, 1, 2}
@@ -495,7 +577,7 @@ class TestSynth:
         ([], {"concept_density": 1.5}, "concept_density must be in [0, 1], got 1.5"),
         ([], {"concept_budget": {"say": -1}}, "concept weights must be >= 0"),
         ([], {"concept_budget": {"nope": 1}}, "unknown concept id in budget: 'nope'"),
-        ([], {"kind": "robot"}, "'robot' is not a valid ChannelKind"),
+        ([], {"kind": "robot"}, "synth.kind must be one of 'machine', 'human', got 'robot'"),
     ])
     def test_out_of_range_setting_exits_2_unwritten(self, tmp_path, capsys, flags, options,
                                                     message):

@@ -15,7 +15,7 @@ from semdrift import (CorpusStratum, Document, FrequencyTable, LangProfile, Lemm
                       load_concept_map, load_corpus, load_lexicon_sources, save_corpus,
                       tokenize)
 from semdrift.errors import IngestError, ValidationError
-from semdrift.ingest import _WHITESPACE, group_strata
+from semdrift.ingest import _WHITESPACE, group_strata, read_json
 
 from helpers import DATA, fixture_lexicons, make_stratum
 
@@ -206,12 +206,15 @@ class TestLoadCorpus:
         assert stratum.language_code == nfc
         assert list(stratum.documents[0].counts.items()) == [("ab-lemma", 1)]
 
-    def test_paths_are_read_as_written(self, tmp_path):
-        name = unicodedata.normalize("NFD", "й.txt")
-        (tmp_path / name).write_text("one", encoding="utf-8")
-        path = _write_manifest(tmp_path, [
-            {"path": name, "id": "a", "language": "en", "translation_kind": "source"}])
-        assert load_corpus(path)[0].total_word_count == 1
+    def test_profile_letters_are_read_in_nfc(self, tmp_path):
+        # decomposed, "ä" would be "a" plus a combining diaeresis that no word holds
+        (tmp_path / "a.txt").write_text("Mädchen spielt", encoding="utf-8")
+        path = _write_manifest(
+            tmp_path,
+            [{"path": "a.txt", "id": "a", "language": "de", "translation_kind": "source"}],
+            profiles={"de": {"letters": ["A-Z", "a-z",
+                                         unicodedata.normalize("NFD", "äöüß")]}})
+        assert dict(load_corpus(path)[0].documents[0].counts) == {"mädchen": 1, "spielt": 1}
 
     def test_single_file_word_count(self, tmp_path):
         # 25 four-word lines, counted by hand
@@ -266,7 +269,9 @@ class TestLoadCorpus:
         (tmp_path / "a.txt").write_text("one", encoding="utf-8")
         path = _write_manifest(tmp_path, [
             {"path": "a.txt", "id": "x", "language": "en", "translation_kind": "robot"}])
-        with pytest.raises(ValidationError, match="unknown translation_kind"):
+        with pytest.raises(ValidationError, match=re.escape(
+                "documents[0].translation_kind must be one of 'source', 'human', 'machine', "
+                "got 'robot'")):
             load_corpus(path)
 
     def test_lemma_dict_applied(self, tmp_path):
@@ -309,6 +314,23 @@ class TestLoadCorpus:
         with pytest.raises(ValidationError,
                            match=re.escape(f"{path}: the top level must be a JSON object")):
             load_corpus(path)
+
+
+class TestReadJson:
+    def test_a_key_repeated_as_written_keeps_its_last_value(self, tmp_path):
+        # keys equal only after NFC are an error instead (TestNormalForms in test_cli.py)
+        path = tmp_path / "keys.json"
+        path.write_text('{"g": {"année": "a", "année": "b"}}', encoding="utf-8")
+        assert read_json(path) == {"g": {"année": "b"}}
+
+    @pytest.mark.parametrize("text", ['{"a": ' + "9" * 5000 + "}",
+                                      '{"a": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+                             ids=["integer-of-5000-digits", "lists-100000-deep"])
+    def test_beyond_the_parser_limits_is_invalid_json(self, tmp_path, text):
+        path = tmp_path / "big.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: invalid JSON: ")):
+            read_json(path)
 
 
 class TestLemmaDictLoad:
