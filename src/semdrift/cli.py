@@ -24,6 +24,8 @@ from .synth import ChannelKind, ChannelParams
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
 EXIT_CONFIG = 2
+# the largest synth.words: about 0.5 GiB of peak memory and 0.2 GB of corpus files
+MAX_SYNTH_WORDS = 10_000_000
 
 
 @dataclass
@@ -596,6 +598,10 @@ _CHANNEL_KEYS = {"seed": "seed", "factor": "narrow_widen_factor", "norm_pull": "
 
 def cmd_synth(config: RunConfig) -> int:
     """Write a synthetic corpus and its channel output; a failure leaves none of its files."""
+    options = config.synth_options
+    words = options.get("words", 10_000)
+    if words > MAX_SYNTH_WORDS:
+        return _fail(EXIT_CONFIG, f"synth.words must be at most {MAX_SYNTH_WORDS}, got {words}")
     report = run_validation(config, need_manifest=False)
     cmap, ref = report.concept_map, report.tables.get(config.target_language)
     if cmap is None:
@@ -605,8 +611,6 @@ def cmd_synth(config: RunConfig) -> int:
                              f"({config.target_language!r})")
     if report.errors:
         return _fail(EXIT_CONFIG, *report.errors)
-    options = config.synth_options
-    words = options.get("words", 10_000)
     density = options.get("concept_density", synth.DEFAULT_CONCEPT_DENSITY)
     filler_size = options.get("filler_size", synth.DEFAULT_FILLER_SIZE)
     budget = options.get("concept_budget") or {cid: 1.0 for cid in cmap.concepts}

@@ -14,14 +14,15 @@ of which is scipy's own error. The rules are read from the table
 them and the p-values do not depend on the platform's eigenvalue solver.
 """
 
+from __future__ import annotations
+
 import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateVarianceWarning, ValidationError
 
@@ -36,6 +37,9 @@ _PHI_ONE = 8.2441
 _BETA_MAX_ITER = 300
 _BETA_EPS = 3e-16
 _LEGENDRE_TABLE = Path(__file__).with_name("gauss_legendre.txt")
+
+if TYPE_CHECKING:  # numpy is imported where k >= 3 needs it, so k = 2 runs without it
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -220,6 +224,7 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Each table line is `n node weight`, the values written with `float.hex`.
     """
+    import numpy as np
     nodes, weights = [], []
     for line in _LEGENDRE_TABLE.read_text(encoding="ascii").splitlines():
         fields = line.split()
@@ -238,6 +243,7 @@ def _gauss_legendre(n: int, lo: float, hi: float):
 
 def _normal_cdf_array(values: np.ndarray) -> np.ndarray:
     """The normal CDF at each value; math.erf runs only where it is not saturated."""
+    import numpy as np
     out = (values >= _PHI_ONE).astype(float)
     live = (values > _PHI_ZERO) & (values < _PHI_ONE)
     scaled = values[live] * (1.0 / math.sqrt(2.0))
@@ -249,6 +255,7 @@ def _normal_cdf_array(values: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=1)
 def _inner_rule():
     """Nodes, weights, normal density and normal CDF of the inner (location) rule."""
+    import numpy as np
     z, wz = _gauss_legendre(_INNER_NODES, -9.0, 9.0)
     phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     return z, wz, phi, _normal_cdf_array(z)
@@ -276,6 +283,7 @@ def _chi_range(df: int) -> tuple[float, float]:
 @lru_cache(maxsize=128)
 def _outer_rule(df: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes of the chi-scale rule for `df` and their weights times the chi density."""
+    import numpy as np
     if df < 4:
         s, ws = _gauss_legendre(_SMALL_DF_NODES, 0.0, 14.0)
         ln_norm = (0.5 * df * math.log(df) - math.lgamma(0.5 * df)
@@ -316,7 +324,7 @@ def studentized_range_cdf(q: float, k: int, df: int) -> float:
     s, weighted_density = _outer_rule(df)
     # one row per outer node: the inner integral at range r = q * s
     shifted = _normal_cdf_array(z[None, :] - (q * s)[:, None])
-    rows = np.sum(wz * k * phi * (big_phi - shifted) ** (k - 1), axis=1)
+    rows = (wz * k * phi * (big_phi - shifted) ** (k - 1)).sum(axis=1)
     # Python's sum adds the rows in order; as numpy scalars they also escape the
     # compensated float summation of newer Pythons, so the result never depends on it
     total = float(sum(weighted_density * rows))

@@ -11,17 +11,21 @@ distribution, so at pull 1.0 the output matches target-language norms and the
 concept-total conservation guarantee only holds at pull 0.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import islice, product
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError
 from .freq import FrequencyTable
 from .ingest import DEFAULT_PROFILES, CorpusStratum, Document, TranslationKind
 from .lexicon import ConceptMap, Side
+
+if TYPE_CHECKING:  # numpy's RNG is imported by the two samplers, which alone use it
+    import numpy as np
 
 DEFAULT_MACHINE_FACTOR = 0.4
 DEFAULT_HUMAN_FACTOR = 1.3
@@ -134,6 +138,7 @@ def generate_source(cmap: ConceptMap, target_words: int,
     if any(w < 0 for w in concept_budget.values()):
         raise ValidationError("concept weights must be >= 0")
 
+    import numpy as np
     rng = np.random.default_rng(seed)
     active = sorted(cid for cid, w in concept_budget.items() if w > 0)
     total_weight = sum(concept_budget[cid] for cid in active)
@@ -220,6 +225,7 @@ def apply_channel(source: CorpusStratum, cmap: ConceptMap, params: ChannelParams
             f"language mismatch: frequency table is {target_ref.language_code!r} but "
             f"the concept map's target side is {cmap.target_language!r}")
 
+    import numpy as np
     rng = np.random.default_rng(params.seed)
     counts = source.lemma_counts()
     inflation = params.length_inflation

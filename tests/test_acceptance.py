@@ -168,7 +168,8 @@ def test_criterion_4_pca_against_dense_eigendecomposition():
             oracle = centered @ eigvecs[:, order[:2]]
             for i in range(len(vectors)):
                 for j in range(i + 1, len(vectors)):
-                    mine = np.linalg.norm(projection.coords[i] - projection.coords[j])
+                    mine = np.linalg.norm(np.asarray(projection.coords[i])
+                                          - np.asarray(projection.coords[j]))
                     ref = np.linalg.norm(oracle[i] - oracle[j])
                     assert abs(mine - ref) <= 1e-6
         base = rng.random(8)

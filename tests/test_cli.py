@@ -578,6 +578,8 @@ class TestSynth:
         ([], {"concept_budget": {"say": -1}}, "concept weights must be >= 0"),
         ([], {"concept_budget": {"nope": 1}}, "unknown concept id in budget: 'nope'"),
         ([], {"kind": "robot"}, "synth.kind must be one of 'machine', 'human', got 'robot'"),
+        ([], {"words": 10**12}, "synth.words must be at most 10000000, got 1000000000000"),
+        (["--words", "10000001"], {}, "synth.words must be at most 10000000, got 10000001"),
     ])
     def test_out_of_range_setting_exits_2_unwritten(self, tmp_path, capsys, flags, options,
                                                     message):

@@ -1,0 +1,99 @@
+"""Cold start: each command imports numpy only where it runs it, and the package's
+exports load on first access.
+
+numpy costs about 150 ms and 15 MiB at start-up, so `validate` and an `analyze`
+whose Tukey tests all compare two groups must run without it. Each command runs
+in a fresh interpreter, which reports its exit code and whether numpy was loaded.
+"""
+
+import hashlib
+import importlib
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+import semdrift
+
+from helpers import DATA
+
+ROOT = Path(__file__).parent.parent
+PROBE = ("import json, sys\n"
+         "from semdrift.cli import main\n"
+         "code = main(sys.argv[1:])\n"
+         "print(json.dumps({'code': code, 'numpy': 'numpy' in sys.modules}))\n")
+# sha256 over the name and bytes of each file `synth` writes for tests/data/config.json
+# with its default settings; numpy's Generator streams define these bytes
+SYNTH_DIGEST = "517ab4d66cbe5ba2de295412505193dc595f523b0bfc95bb11f2c777b53c7adc"
+
+
+def run_fresh(code: str, *args: str) -> str:
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                        os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True)
+    return proc.stdout.splitlines()[-1]
+
+
+def run_command(*args: str) -> dict:
+    return json.loads(run_fresh(PROBE, *args, "--config", str(DATA / "config.json")))
+
+
+def digest(directory: Path) -> str:
+    h = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+def test_validate_never_imports_numpy():
+    assert run_command("validate") == {"code": 0, "numpy": False}
+
+
+def test_two_group_analyze_never_imports_numpy(tmp_path):
+    assert run_command("analyze", "--output-dir", str(tmp_path)) == {"code": 0, "numpy": False}
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    tests = Counter((r["language"], r["factor"], r["slice"], r["class"], r["metric"])
+                    for r in summary["tukey"])
+    assert tests and set(tests.values()) == {1}  # one pair per test: every k is 2
+
+
+def test_synth_imports_numpy_and_writes_the_same_bytes(tmp_path):
+    assert run_command("synth", "--output-dir", str(tmp_path)) == {"code": 0, "numpy": True}
+    assert digest(tmp_path) == SYNTH_DIGEST
+
+
+def test_importing_the_package_loads_no_module():
+    loaded = run_fresh("import sys, semdrift\n"
+                       "print(sorted(m for m in sys.modules if m.startswith('semdrift')))")
+    assert loaded == "['semdrift']"
+
+
+def test_every_export_resolves_to_its_home_module():
+    for name in semdrift.__all__:
+        home = importlib.import_module(f"semdrift.{semdrift._HOME[name]}")
+        value = getattr(semdrift, name)
+        assert value is getattr(home, name)
+        if hasattr(value, "__module__"):  # classes and functions name where they are defined
+            assert value.__module__ == home.__name__, name
+
+
+def test_dir_lists_every_export():
+    assert set(semdrift.__all__) <= set(dir(semdrift))
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "pca2d", "_HOMES"])
+def test_unknown_name_raises_attribute_error(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(semdrift, name)
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from semdrift import *", namespace)
+    assert set(semdrift.__all__) <= set(namespace)

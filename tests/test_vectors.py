@@ -29,14 +29,14 @@ class TestConceptVector:
     def test_no_hits_is_zero_vector(self):
         cmap = fixture_concept_map()
         v = concept_vector(make_stratum(["filler"] * 10, language="en"), cmap, Side.TARGET)
-        assert np.all(v.values == 0.0)
+        assert np.all(np.asarray(v.values) == 0.0)
 
     def test_document_permutation_invariance(self):
         cmap = fixture_concept_map()
         lemmas = ["say", "tell", "good", "filler", "bad", "say"]
         a = concept_vector(make_stratum(lemmas, language="en"), cmap, Side.TARGET)
         b = concept_vector(make_stratum(lemmas[::-1], language="en"), cmap, Side.TARGET)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(np.asarray(a.values), np.asarray(b.values))
 
     def test_empty_stratum_errors(self):
         cmap = fixture_concept_map()
@@ -114,6 +114,13 @@ def dense_projection(vectors):
     return centered @ top, eigvals[order], cov
 
 
+def svd_projection(vectors):
+    """Oracle: numpy's thin SVD of the centred data; coordinates are U times s."""
+    X = np.vstack([v.values for v in vectors])
+    u, s, _ = np.linalg.svd(X - X.mean(axis=0), full_matrices=False)
+    return u[:, :2] * s[:2], s
+
+
 # concept rates as the CLI sees them: per-1,000-word values with two decimals
 RATES = st.integers(0, 10_000).map(lambda k: k / 100)
 
@@ -136,13 +143,13 @@ class TestPca2d:
         vectors = [vec(base * k, label=f"v{k}", dims=DIMS8) for k in (1, 2, 3, 4)]
         proj = pca_2d(vectors)
         assert proj.explained_variance[1] < 1e-9
-        assert np.all(np.abs(proj.coords[:, 1]) < 1e-9)
+        assert np.all(np.abs(np.asarray(proj.coords)[:, 1]) < 1e-9)
 
     def test_centering_makes_projections_sum_to_zero(self):
         rng = np.random.default_rng(3)
         vectors = [vec(rng.random(8) * 5, label=f"v{i}", dims=DIMS8) for i in range(6)]
         proj = pca_2d(vectors)
-        assert np.allclose(proj.coords.sum(axis=0), 0.0, atol=1e-8)
+        assert np.allclose(np.asarray(proj.coords).sum(axis=0), 0.0, atol=1e-8)
 
     def test_matches_dense_eigendecomposition(self):
         rng = np.random.default_rng(42)
@@ -150,11 +157,12 @@ class TestPca2d:
             vectors = [vec(rng.random(8) * 10, label=f"v{i}", dims=DIMS8)
                        for i in range(5)]
             proj = pca_2d(vectors)
+            coords = np.asarray(proj.coords)
             oracle, eigvals, cov = dense_projection(vectors)
             n = len(vectors)
             for i in range(n):
                 for j in range(i + 1, n):
-                    mine = np.linalg.norm(proj.coords[i] - proj.coords[j])
+                    mine = np.linalg.norm(coords[i] - coords[j])
                     ref = np.linalg.norm(oracle[i] - oracle[j])
                     assert mine == pytest.approx(ref, abs=1e-6)
             assert proj.explained_variance[0] >= proj.explained_variance[1]
@@ -165,16 +173,16 @@ class TestPca2d:
         vectors = [vec(rng.random(8) * 10, label=f"v{i}", dims=DIMS8) for i in range(6)]
         proj = pca_2d(vectors)
         _, _, cov = dense_projection(vectors)
-        for lam, w in zip(proj.eigenvalues, proj.components):
+        for lam, w in zip(proj.eigenvalues, np.asarray(proj.components)):
             assert np.linalg.norm(cov @ w - lam * w) <= 1e-8 * np.linalg.norm(w)
 
     def test_projection_contracts_distances(self):
         rng = np.random.default_rng(9)
         vectors = [vec(rng.random(8) * 10, label=f"v{i}", dims=DIMS8) for i in range(7)]
-        proj = pca_2d(vectors)
+        coords = np.asarray(pca_2d(vectors).coords)
         for i in range(len(vectors)):
             for j in range(i + 1, len(vectors)):
-                projected = np.linalg.norm(proj.coords[i] - proj.coords[j])
+                projected = np.linalg.norm(coords[i] - coords[j])
                 original = euclidean(vectors[i], vectors[j])
                 assert projected <= original + 1e-9
 
@@ -190,8 +198,8 @@ class TestPca2d:
         proj = pca_2d([vec(rng.random(8) * 10, label=label, dims=DIMS8) for label in "ab"])
         assert proj.eigenvalues[1] == 0.0
         assert proj.explained_variance == (1.0, 0.0)
-        assert np.array_equal(proj.coords[:, 1], [0.0, 0.0])
-        assert np.array_equal(proj.components[1], np.zeros(8))
+        assert np.array_equal(np.asarray(proj.coords)[:, 1], [0.0, 0.0])
+        assert np.array_equal(np.asarray(proj.components[1]), np.zeros(8))
 
     @settings(deadline=None)
     @given(low_rank_rows())
@@ -199,21 +207,32 @@ class TestPca2d:
         assume(np.any(rows != rows[0]))
         vectors = [vec(row, label=f"v{i}") for i, row in enumerate(rows)]
         proj = pca_2d(vectors)
+        coords, components = np.asarray(proj.coords), np.asarray(proj.components)
         first, second = proj.explained_variance
         assert 0.0 <= first <= 1.0 and 0.0 <= second <= 1.0
         assert first + second <= 1.0 + 2.3e-16  # one ulp from two rounded quotients
         if min(len(rows) - 1, rows.shape[1]) < 2:
             assert proj.eigenvalues[1] == 0.0 and second == 0.0
-            assert not np.any(proj.coords[:, 1]) and not np.any(proj.components[1])
+            assert not np.any(coords[:, 1]) and not np.any(components[1])
         oracle, _, _ = dense_projection(vectors)
         for i, j in combinations(range(len(rows)), 2):
-            assert np.linalg.norm(proj.coords[i] - proj.coords[j]) == pytest.approx(
+            assert np.linalg.norm(coords[i] - coords[j]) == pytest.approx(
                 np.linalg.norm(oracle[i] - oracle[j]), abs=1e-6)
+        svd_coords, s = svd_projection(vectors)
+        power = s[:min(len(rows) - 1, rows.shape[1])] ** 2
+        assert first == pytest.approx(power[0] / power.sum(), abs=1e-9)
+        for i, j in combinations(range(len(rows)), 2):
+            assert np.linalg.norm(coords[i] - coords[j]) == pytest.approx(
+                np.linalg.norm(svd_coords[i] - svd_coords[j]), abs=1e-6)
 
     def test_identical_vectors_degenerate(self):
         v = np.ones(8)
         with pytest.raises(AnalysisError, match="degenerate covariance"):
             pca_2d([vec(v, label="a", dims=DIMS8), vec(v, label="b", dims=DIMS8)])
+
+    def test_no_dimensions_degenerate(self):
+        with pytest.raises(AnalysisError, match="degenerate covariance"):
+            pca_2d([vec([], label="a"), vec([], label="b")])
 
     def test_needs_two_vectors(self):
         with pytest.raises(ValidationError, match="at least 2"):
