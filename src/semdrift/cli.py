@@ -24,7 +24,8 @@ from .synth import ChannelKind, ChannelParams
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
 EXIT_CONFIG = 2
-# the largest synth.words: about 0.5 GiB of peak memory and 0.2 GB of corpus files
+# the largest synth.words, filler vocabulary and channel output (words x length_inflation):
+# at synth.words about 0.5 GiB of peak memory and 0.2 GB of corpus files
 MAX_SYNTH_WORDS = 10_000_000
 
 
@@ -600,8 +601,13 @@ def cmd_synth(config: RunConfig) -> int:
     """Write a synthetic corpus and its channel output; a failure leaves none of its files."""
     options = config.synth_options
     words = options.get("words", 10_000)
-    if words > MAX_SYNTH_WORDS:
-        return _fail(EXIT_CONFIG, f"synth.words must be at most {MAX_SYNTH_WORDS}, got {words}")
+    filler_size = options.get("filler_size", synth.DEFAULT_FILLER_SIZE)
+    emitted = words * options.get("length_inflation", synth.DEFAULT_LENGTH_INFLATION)
+    # every size that synth allocates, checked before any input is read
+    for name, size in (("synth.words", words), ("synth.filler_size", filler_size),
+                       ("synth.words x synth.length_inflation", emitted)):
+        if size > MAX_SYNTH_WORDS:
+            return _fail(EXIT_CONFIG, f"{name} must be at most {MAX_SYNTH_WORDS}, got {size}")
     report = run_validation(config, need_manifest=False)
     cmap, ref = report.concept_map, report.tables.get(config.target_language)
     if cmap is None:
@@ -612,7 +618,6 @@ def cmd_synth(config: RunConfig) -> int:
     if report.errors:
         return _fail(EXIT_CONFIG, *report.errors)
     density = options.get("concept_density", synth.DEFAULT_CONCEPT_DENSITY)
-    filler_size = options.get("filler_size", synth.DEFAULT_FILLER_SIZE)
     budget = options.get("concept_budget") or {cid: 1.0 for cid in cmap.concepts}
     given = {name: options[key] for key, name in _CHANNEL_KEYS.items() if key in options}
     kind = options.get("kind", ChannelKind.MACHINE)

@@ -3,26 +3,27 @@
 The F CDF uses the regularized incomplete beta function evaluated by Lentz's
 continued fraction. The studentized range CDF of two groups is the F CDF itself:
 P(Q <= q) = P(F(1, df) <= q^2 / 2). For three or more groups it is a fixed
-double Gauss-Legendre quadrature: 96 nodes over the normal location, and over the
-scaled chi variable either 64 nodes on the range where its density is within
-e^-46 of its peak (df >= 4; the weights are scaled to unit mass there) or 160
-nodes on [0, 14] (df < 4). The normal CDF is evaluated only where it is not
-exactly 0 or 1 in double precision. Against `scipy.stats.studentized_range.cdf`
-the kernel agrees within 1.4e-12 over k = 2-10, df = 1-1000 and q = 0.5-8, most
-of which is scipy's own error. The rules are read from the table
-`gauss_legendre.txt` that ships with the package, so no process recomputes
-them and the p-values do not depend on the platform's eigenvalue solver.
+double Gauss-Legendre quadrature in pure Python: 96 nodes over the normal location,
+and over the scaled chi variable either 64 nodes on the range where its density is
+within e^-46 of its peak (df >= 4; the weights are scaled to unit mass there) or 160
+nodes on [0, 14] (df < 4). Three bounds each drop cells of that grid that add at
+most 1e-19 in all: the leading location nodes of k, the location nodes past r + T_k
+in the row at range r, and the chi nodes of negligible weight. Against
+`scipy.stats.studentized_range.cdf` the kernel agrees within 1.4e-12 over k = 2-10,
+df = 1-1000 and q = 0.5-8, most of which is scipy's own error. The rules are read
+from the table `gauss_legendre.txt` that ships with the package, so no process
+recomputes them and the p-values do not depend on the platform's eigenvalue solver.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .errors import DegenerateVarianceWarning, ValidationError
 
@@ -30,16 +31,13 @@ _INNER_NODES = 96          # normal-location integral, truncated to [-9, 9]
 _OUTER_NODES = 64          # chi-scale integral over the fitted range (df >= 4)
 _SMALL_DF_NODES = 160      # chi-scale integral over [0, 14] (df < 4)
 _CHI_LOG_DROP = 46.0       # the fitted range ends where the chi density is e^-46 of its peak
-# 0.5 * (1 + erf(x / sqrt(2))) is exactly 0.0 at and below _PHI_ZERO and exactly 1.0 at
-# and above _PHI_ONE, so cells outside (_PHI_ZERO, _PHI_ONE) need no erf
-_PHI_ZERO = -8.3744
-_PHI_ONE = 8.2441
+_PRUNE_EPS = 1e-19         # each pruning bound drops cells that add at most this much
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _BETA_MAX_ITER = 300
 _BETA_EPS = 3e-16
 _LEGENDRE_TABLE = Path(__file__).with_name("gauss_legendre.txt")
 
-if TYPE_CHECKING:  # numpy is imported where k >= 3 needs it, so k = 2 runs without it
-    import numpy as np
+_Rule = tuple[tuple[float, ...], tuple[float, ...]]  # nodes and weights
 
 
 @dataclass(frozen=True)
@@ -219,46 +217,86 @@ def f_cdf(x: float, d1: int, d2: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _legendre_rule(n: int) -> _Rule:
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], from the table.
 
     Each table line is `n node weight`, the values written with `float.hex`.
     """
-    import numpy as np
     nodes, weights = [], []
     for line in _LEGENDRE_TABLE.read_text(encoding="ascii").splitlines():
         fields = line.split()
         if fields and fields[0] == str(n):
             nodes.append(float.fromhex(fields[1]))
             weights.append(float.fromhex(fields[2]))
-    return np.array(nodes), np.array(weights)
+    return tuple(nodes), tuple(weights)
 
 
-def _gauss_legendre(n: int, lo: float, hi: float):
+def _gauss_legendre(n: int, lo: float, hi: float) -> _Rule:
     """The n-point Gauss-Legendre rule on [lo, hi]: nodes and weights."""
     nodes, weights = _legendre_rule(n)
-    half = 0.5 * (hi - lo)
-    return half * nodes + 0.5 * (hi + lo), half * weights
-
-
-def _normal_cdf_array(values: np.ndarray) -> np.ndarray:
-    """The normal CDF at each value; math.erf runs only where it is not saturated."""
-    import numpy as np
-    out = (values >= _PHI_ONE).astype(float)
-    live = (values > _PHI_ZERO) & (values < _PHI_ONE)
-    scaled = values[live] * (1.0 / math.sqrt(2.0))
-    erf = np.fromiter(map(math.erf, scaled.tolist()), float, scaled.size)
-    out[live] = 0.5 * (1.0 + erf)
-    return out
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    return tuple(half * x + mid for x in nodes), tuple(half * w for w in weights)
 
 
 @lru_cache(maxsize=1)
-def _inner_rule():
+def _inner_rule() -> tuple[tuple[float, ...], ...]:
     """Nodes, weights, normal density and normal CDF of the inner (location) rule."""
-    import numpy as np
     z, wz = _gauss_legendre(_INNER_NODES, -9.0, 9.0)
-    phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    return z, wz, phi, _normal_cdf_array(z)
+    phi = tuple(math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) for x in z)
+    return z, wz, phi, tuple(0.5 * (1.0 + math.erf(x * _INV_SQRT2)) for x in z)
+
+
+# The three pruning bounds. Each drops only cells whose sum is provably at most
+# _PRUNE_EPS: a cell of inner node j in the row at range r is
+# c_j (Phi(z_j) - Phi(z_j - r))^(k-1) with c_j = w_j k phi(z_j), and the c_j add up to k
+# times the inner rule's mass of phi, 1 + 4e-15.
+
+def _first_inner_node(k: int) -> int:
+    """Bound 1, leading inner nodes: the first node that any row of k evaluates.
+
+    As 0 <= Phi(z - r) <= Phi(z), a cell is at most c_j Phi(z_j)^(k-1) for every r, so the
+    leading nodes whose such bounds add up to at most _PRUNE_EPS are dropped from every row.
+    """
+    _, wz, phi, big_phi = _inner_rule()
+    dropped = 0.0
+    for j, (w, f, p) in enumerate(zip(wz, phi, big_phi)):
+        dropped += w * k * f * p ** (k - 1)
+        if dropped > _PRUNE_EPS:
+            return j
+    return len(wz)
+
+
+def _tail_cutoff(k: int) -> float:
+    """Bound 2, trailing inner nodes: T_k, with k * upper_tail(T_k)^(k-1) <= _PRUNE_EPS.
+
+    As Phi(z) - Phi(z - r) <= 1 - Phi(z - r), a cell with z_j > r + T_k is at most
+    c_j upper_tail(T_k)^(k-1), so a row drops those nodes. Bisection keeps the bound true
+    at `hi` and false at `lo`.
+    """
+    lo, hi = -10.0, 40.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if k * (0.5 * math.erfc(mid * _INV_SQRT2)) ** (k - 1) <= _PRUNE_EPS:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@lru_cache(maxsize=128)
+def _inner_cells(k: int) -> tuple[tuple[float, ...], tuple[tuple[float, float, float], ...],
+                                  float]:
+    """The inner nodes z_j that bound 1 keeps for k, the constants of each one's cell, and T_k.
+
+    As Phi(z) - Phi(z - r) = (erf(u) - erf(u - r / sqrt(2))) / 2 with u = z / sqrt(2), a
+    cell is b_j (e_j - erf(u_j - r / sqrt(2)))^(k-1) with e_j = erf(u_j) and
+    b_j = c_j / 2^(k-1); the constants are (u_j, e_j, b_j).
+    """
+    z, wz, phi, _ = _inner_rule()
+    first = _first_inner_node(k)
+    cells = tuple((x * _INV_SQRT2, math.erf(x * _INV_SQRT2), math.ldexp(w * k * f, 1 - k))
+                  for x, w, f in zip(z[first:], wz[first:], phi[first:]))
+    return z[first:], cells, _tail_cutoff(k)
 
 
 def _chi_range(df: int) -> tuple[float, float]:
@@ -281,21 +319,31 @@ def _chi_range(df: int) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=128)
-def _outer_rule(df: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes of the chi-scale rule for `df` and their weights times the chi density."""
-    import numpy as np
+def _outer_rule(df: int) -> _Rule:
+    """Nodes of the chi-scale rule for `df` and their weights times the chi density.
+
+    Bound 3, outer nodes: a row is at most the sum of c_j Phi(z_j)^(k-1), the inner rule's
+    value of an integral that is 1 (within 2e-11 of it for k <= 20), so a node whose
+    weight is at most _PRUNE_EPS is dropped.
+    """
     if df < 4:
         s, ws = _gauss_legendre(_SMALL_DF_NODES, 0.0, 14.0)
         ln_norm = (0.5 * df * math.log(df) - math.lgamma(0.5 * df)
                    - (0.5 * df - 1.0) * math.log(2.0))
-        return s, ws * np.exp(ln_norm + (df - 1.0) * np.log(s) - 0.5 * df * s * s)
-    s, ws = _gauss_legendre(_OUTER_NODES, *_chi_range(df))
-    # the density relative to its peak (see _chi_range), scaled to unit mass on the
-    # rule: the range holds all but e^-46 of it, and the normalising constant's
-    # lgamma terms, which cancel to ~eps * df, never enter
-    t = s * s * (df / (df - 1.0))
-    weights = ws * np.exp(0.5 * (df - 1.0) * (np.log(t) - t + 1.0))
-    return s, weights / math.fsum(weights.tolist())
+        weights = [w * math.exp(ln_norm + (df - 1.0) * math.log(x) - 0.5 * df * x * x)
+                   for x, w in zip(s, ws)]
+    else:
+        s, ws = _gauss_legendre(_OUTER_NODES, *_chi_range(df))
+        # the density relative to its peak (see _chi_range), scaled to unit mass on the
+        # rule: the range holds all but e^-46 of it, and the normalising constant's
+        # lgamma terms, which cancel to ~eps * df, never enter
+        t = [x * x * (df / (df - 1.0)) for x in s]
+        weights = [w * math.exp(0.5 * (df - 1.0) * (math.log(v) - v + 1.0))
+                   for v, w in zip(t, ws)]
+        mass = math.fsum(weights)
+        weights = [w / mass for w in weights]
+    kept = [(x, w) for x, w in zip(s, weights) if w > _PRUNE_EPS]
+    return tuple(x for x, _ in kept), tuple(w for _, w in kept)
 
 
 def studentized_range_cdf(q: float, k: int, df: int) -> float:
@@ -306,7 +354,10 @@ def studentized_range_cdf(q: float, k: int, df: int) -> float:
     the scaled chi variable (density of sqrt(chi^2_df / df)), the inner over the normal
     location of the range. The outer rule has 64 Gauss-Legendre nodes on the range where
     the chi density is within e^-46 of its peak, or 160 nodes on [0, 14] when df < 4; the
-    inner rule has 96 nodes on [-9, 9]. The result agrees with
+    inner rule has 96 nodes on [-9, 9]. Three pruning bounds each drop cells that add at
+    most 1e-19 in all: the leading inner nodes of k, the inner nodes past r + T_k in the
+    row at range r, and the outer nodes of negligible weight. Each row and the rows'
+    total are summed by `math.fsum`. The result agrees with
     `scipy.stats.studentized_range.cdf` within 1.4e-12 over k = 2-10, df = 1-1000 and
     q = 0.5-8.
     """
@@ -320,15 +371,18 @@ def studentized_range_cdf(q: float, k: int, df: int) -> float:
         return 1.0
     if k == 2:
         return f_cdf(q * q / 2.0, 1, df)
-    z, wz, phi, big_phi = _inner_rule()
-    s, weighted_density = _outer_rule(df)
-    # one row per outer node: the inner integral at range r = q * s
-    shifted = _normal_cdf_array(z[None, :] - (q * s)[:, None])
-    rows = (wz * k * phi * (big_phi - shifted) ** (k - 1)).sum(axis=1)
-    # Python's sum adds the rows in order; as numpy scalars they also escape the
-    # compensated float summation of newer Pythons, so the result never depends on it
-    total = float(sum(weighted_density * rows))
-    return min(1.0, max(0.0, total))
+    z, cells, tail = _inner_cells(k)
+    power, erf, fsum = k - 1, math.erf, math.fsum
+    rows = []
+    for s, weight in zip(*_outer_rule(df)):
+        # the inner integral at range r = q * s, over the cells that bound 2 keeps
+        r = q * s
+        v = r * _INV_SQRT2
+        kept = cells[:bisect_right(z, r + tail)]
+        rows.append(weight * fsum([b * (e - erf(u - v)) ** power for u, e, b in kept]))
+    # math.fsum rounds each sum exactly once, so no digit depends on the order of the
+    # cells or on whether the Python version's sum() compensates
+    return min(1.0, max(0.0, fsum(rows)))
 
 
 def tukey_hsd(groups: list[GroupSample], alpha: float = 0.05) -> TukeyResult:

@@ -580,6 +580,13 @@ class TestSynth:
         ([], {"kind": "robot"}, "synth.kind must be one of 'machine', 'human', got 'robot'"),
         ([], {"words": 10**12}, "synth.words must be at most 10000000, got 1000000000000"),
         (["--words", "10000001"], {}, "synth.words must be at most 10000000, got 10000001"),
+        ([], {"filler_size": 10_000_001},
+         "synth.filler_size must be at most 10000000, got 10000001"),
+        ([], {"length_inflation": 1e12},
+         "synth.words x synth.length_inflation must be at most 10000000, "
+         "got 4000000000000000.0"),
+        (["--inflation", "2500.5"], {},
+         "synth.words x synth.length_inflation must be at most 10000000, got 10002000.0"),
     ])
     def test_out_of_range_setting_exits_2_unwritten(self, tmp_path, capsys, flags, options,
                                                     message):
@@ -587,6 +594,14 @@ class TestSynth:
         out = tmp_path / "s"
         assert main(["synth", "--config", str(config), *flags, "--output-dir", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_sizes_are_bounded_before_any_input_is_read(self, tmp_path, capsys):
+        config = write_config(tmp_path, concept_map=str(tmp_path / "missing.tsv"),
+                              synth={"words": 4000, "length_inflation": 1e12})
+        out = tmp_path / "s"
+        assert main(["synth", "--config", str(config), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: synth.words x synth.length_inflation")
         assert not out.exists()
 
     def test_output_dir_that_is_a_file_exits_2(self, tmp_path, capsys):

@@ -1,15 +1,17 @@
 """Cold start: each command imports numpy only where it runs it, and the package's
 exports load on first access.
 
-numpy costs about 150 ms and 15 MiB at start-up, so `validate` and an `analyze`
-whose Tukey tests all compare two groups must run without it. Each command runs
-in a fresh interpreter, which reports its exit code and whether numpy was loaded.
+numpy costs about 150 ms and 15 MiB at start-up, so `validate` and `analyze` must
+run without it, whether their Tukey tests compare two groups or more; only `synth`
+loads it, for its random generator. Each command runs in a fresh interpreter,
+which reports its exit code and whether numpy was loaded.
 """
 
 import hashlib
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -40,8 +42,25 @@ def run_fresh(code: str, *args: str) -> str:
     return proc.stdout.splitlines()[-1]
 
 
-def run_command(*args: str) -> dict:
-    return json.loads(run_fresh(PROBE, *args, "--config", str(DATA / "config.json")))
+def run_command(*args: str, config: Path = DATA / "config.json") -> dict:
+    return json.loads(run_fresh(PROBE, *args, "--config", str(config)))
+
+
+def three_summit_config(tmp_path: Path) -> Path:
+    """A copy of tests/data with a third summit, "G7", holding a copy of each G8 document."""
+    data = shutil.copytree(DATA, tmp_path / "data")
+    manifest = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
+    manifest["documents"] += [
+        {**doc, "id": f"{doc['id']}-g7", "group_keys": {**doc["group_keys"], "summit": "G7"}}
+        for doc in manifest["documents"] if doc["group_keys"]["summit"] == "G8"]
+    (data / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    return data / "config.json"
+
+
+def pairs_per_test(output_dir: Path) -> Counter:
+    summary = json.loads((output_dir / "summary.json").read_text(encoding="utf-8"))
+    return Counter((r["language"], r["factor"], r["slice"], r["class"], r["metric"])
+                   for r in summary["tukey"])
 
 
 def digest(directory: Path) -> str:
@@ -57,10 +76,18 @@ def test_validate_never_imports_numpy():
 
 def test_two_group_analyze_never_imports_numpy(tmp_path):
     assert run_command("analyze", "--output-dir", str(tmp_path)) == {"code": 0, "numpy": False}
-    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
-    tests = Counter((r["language"], r["factor"], r["slice"], r["class"], r["metric"])
-                    for r in summary["tukey"])
+    tests = pairs_per_test(tmp_path)
     assert tests and set(tests.values()) == {1}  # one pair per test: every k is 2
+
+
+def test_many_group_analyze_never_imports_numpy(tmp_path):
+    out = tmp_path / "out"
+    config = three_summit_config(tmp_path)
+    assert run_command("analyze", "--output-dir", str(out), config=config) == \
+        {"code": 0, "numpy": False}
+    tests = pairs_per_test(out)
+    # every summit test compares three groups (three pairs, k = 3)
+    assert {n for (_, factor, *_), n in tests.items() if factor == "summit"} == {3}
 
 
 def test_synth_imports_numpy_and_writes_the_same_bytes(tmp_path):

@@ -143,8 +143,16 @@ class TestFCdf:
             f_cdf(1.0, 0, 5)
 
 
+# 0.5 * (1 + erf(x / sqrt(2))) is exactly 0.0 at and below PHI_ZERO and exactly 1.0 at
+# and above PHI_ONE, so the dense reference fills the cells outside them without erf
+PHI_ZERO = -8.3744
+PHI_ONE = 8.2441
+EPS = stats._PRUNE_EPS
+
+
 def _rule(n, lo, hi):
-    nodes, weights = stats._legendre_rule(n)
+    """The n-point Gauss-Legendre rule on [lo, hi] as numpy arrays."""
+    nodes, weights = map(np.array, stats._legendre_rule(n))
     half = 0.5 * (hi - lo)
     return half * nodes + 0.5 * (hi + lo), half * weights
 
@@ -155,38 +163,85 @@ def _chi_density(s, df):
     return np.exp(ln_norm + (df - 1.0) * np.log(s) - 0.5 * df * s * s)
 
 
+def _normal_cdf_array(values):
+    """The normal CDF at each value; math.erf runs only where it is not saturated."""
+    out = (values >= PHI_ONE).astype(float)
+    live = (values > PHI_ZERO) & (values < PHI_ONE)
+    scaled = values[live] * (1.0 / math.sqrt(2.0))
+    erf = np.fromiter(map(math.erf, scaled.tolist()), float, scaled.size)
+    out[live] = 0.5 * (1.0 + erf)
+    return out
+
+
+def _dense_outer_rule(df):
+    """Every node of the chi-scale rule for `df` and its weight times the chi density."""
+    if df < 4:
+        s, ws = _rule(160, 0.0, 14.0)
+        return s, ws * _chi_density(s, df)
+    s, ws = _rule(64, *stats._chi_range(df))
+    t = s * s * (df / (df - 1.0))
+    weights = ws * np.exp(0.5 * (df - 1.0) * (np.log(t) - t + 1.0))
+    return s, weights / math.fsum(weights.tolist())
+
+
+def dense_srange_cdf(q, k, df):
+    """The numpy kernel `studentized_range_cdf` used for k >= 3 before the pruning bounds:
+    every cell of the 64x96 (160x96 for df < 4) grid, rows summed by numpy."""
+    z, wz = _rule(96, -9.0, 9.0)
+    phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    big_phi = _normal_cdf_array(z)
+    s, weighted_density = _dense_outer_rule(df)
+    shifted = _normal_cdf_array(z[None, :] - (q * s)[:, None])
+    rows = (wz * k * phi * (big_phi - shifted) ** (k - 1)).sum(axis=1)
+    total = float(sum(weighted_density * rows))
+    return min(1.0, max(0.0, total))
+
+
 def row_loop_srange_cdf(q, k, df):
     """The k >= 3 quadrature of `studentized_range_cdf`, one outer node and one cell at a time.
 
-    Cells at or beyond the saturation bounds take 0.0 or 1.0 without an erf call.
+    Leading inner nodes go while their cell bounds c Phi(z)^(k-1) add up to at most EPS
+    (bound 1), a row stops at its first node past r + T_k (bound 2), and outer nodes of
+    weight at most EPS are skipped (bound 3). A cell is c / 2^(k-1) times
+    (erf(z / sqrt 2) - erf(z / sqrt 2 - r / sqrt 2))^(k-1).
     """
-    def normal_cdf(values):
-        out = []
-        for v in values:
-            if v <= stats._PHI_ZERO:
-                out.append(0.0)
-            elif v >= stats._PHI_ONE:
-                out.append(1.0)
-            else:
-                out.append(0.5 * (1.0 + math.erf(v * (1.0 / math.sqrt(2.0)))))
-        return np.array(out)
-
-    z, wz = _rule(96, -9.0, 9.0)
-    phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    big_phi = normal_cdf(z)
+    inv = 1.0 / math.sqrt(2.0)
+    z, wz = (v.tolist() for v in _rule(96, -9.0, 9.0))
+    c = [w * k * (math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)) for x, w in zip(z, wz)]
+    first, dropped = 0, 0.0
+    while True:
+        dropped += c[first] * (0.5 * (1.0 + math.erf(z[first] * inv))) ** (k - 1)
+        if dropped > EPS:
+            break
+        first += 1
     if df < 4:
-        s, ws = _rule(160, 0.0, 14.0)
-        weights = ws * _chi_density(s, df)
+        s, ws = (v.tolist() for v in _rule(160, 0.0, 14.0))
+        ln_norm = (0.5 * df * math.log(df) - math.lgamma(0.5 * df)
+                   - (0.5 * df - 1.0) * math.log(2.0))
+        weights = [w * math.exp(ln_norm + (df - 1.0) * math.log(x) - 0.5 * df * x * x)
+                   for x, w in zip(s, ws)]
     else:
-        s, ws = _rule(64, *stats._chi_range(df))
-        t = s * s * (df / (df - 1.0))
-        weights = ws * np.exp(0.5 * (df - 1.0) * (np.log(t) - t + 1.0))
-        weights = weights / math.fsum(weights.tolist())
-    total = 0
+        s, ws = (v.tolist() for v in _rule(64, *stats._chi_range(df)))
+        weights = []
+        for x, w in zip(s, ws):
+            t = x * x * (df / (df - 1.0))
+            weights.append(w * math.exp(0.5 * (df - 1.0) * (math.log(t) - t + 1.0)))
+        mass = math.fsum(weights)
+        weights = [w / mass for w in weights]
+    tail = stats._tail_cutoff(k)
+    rows = []
     for w, sv in zip(weights, s):
-        row = np.sum(wz * k * phi * (big_phi - normal_cdf(z - q * sv)) ** (k - 1))
-        total += w * row
-    return min(1.0, max(0.0, float(total)))
+        if w <= EPS:
+            continue
+        r = q * sv
+        cells = []
+        for j in range(first, 96):
+            if z[j] > r + tail:
+                break
+            u = z[j] * inv
+            cells.append(c[j] / 2 ** (k - 1) * (math.erf(u) - math.erf(u - r * inv)) ** (k - 1))
+        rows.append(w * math.fsum(cells))
+    return min(1.0, max(0.0, math.fsum(rows)))
 
 
 def fixed_rule_srange_cdf(q, k, df):
@@ -194,13 +249,13 @@ def fixed_rule_srange_cdf(q, k, df):
     [0, 14] for df < 4, else on 1 -+ 12/sqrt(df), times 96 location nodes on [-9, 9]."""
     z, wz = _rule(96, -9.0, 9.0)
     phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    big_phi = stats._normal_cdf_array(z)
+    big_phi = _normal_cdf_array(z)
     if df < 4:
         s_lo, s_hi = 0.0, 14.0
     else:
         s_lo, s_hi = max(0.0, 1.0 - 12.0 / math.sqrt(df)), 1.0 + 12.0 / math.sqrt(df)
     s, ws = _rule(160, s_lo, s_hi)
-    shifted = stats._normal_cdf_array(z[None, :] - (q * s)[:, None])
+    shifted = _normal_cdf_array(z[None, :] - (q * s)[:, None])
     rows = np.sum(wz * k * phi * (big_phi - shifted) ** (k - 1), axis=1)
     return min(1.0, max(0.0, float(sum(ws * _chi_density(s, df) * rows))))
 
@@ -215,31 +270,78 @@ class TestLegendreTable:
     def test_matches_leggauss(self, n):
         nodes, weights = stats._legendre_rule(n)
         ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
-        np.testing.assert_array_max_ulp(nodes, ref_nodes, maxulp=4)
-        np.testing.assert_array_max_ulp(weights, ref_weights, maxulp=4)
+        np.testing.assert_array_max_ulp(np.array(nodes), ref_nodes, maxulp=4)
+        np.testing.assert_array_max_ulp(np.array(weights), ref_weights, maxulp=4)
 
 
 class TestSaturatedNormalCdf:
+    """The saturation bounds of the dense reference kernel are exact."""
+
     def test_erf_formula_is_exact_beyond_the_bounds(self):
-        # every cell the kernel fills without an erf call gets the value erf would give
+        # every cell the dense reference fills without an erf call gets the value erf
+        # would give
         def formula(x):
             return 0.5 * (1.0 + math.erf(x * (1.0 / math.sqrt(2.0))))
 
-        below = np.concatenate([np.linspace(stats._PHI_ZERO - 2.0, stats._PHI_ZERO, 100_000),
+        below = np.concatenate([np.linspace(PHI_ZERO - 2.0, PHI_ZERO, 100_000),
                                 -np.logspace(1.0, 300.0, 1_000)])
-        above = np.linspace(stats._PHI_ONE, 9.0, 100_000)
+        above = np.linspace(PHI_ONE, 9.0, 100_000)
         assert all(formula(x) == 0.0 for x in below.tolist())
         assert all(formula(x) == 1.0 for x in above.tolist())
         # the bounds are tight to about 1e-4: just inside them erf is not saturated
-        assert formula(stats._PHI_ZERO + 1e-4) > 0.0
-        assert formula(stats._PHI_ONE - 1e-4) < 1.0
+        assert formula(PHI_ZERO + 1e-4) > 0.0
+        assert formula(PHI_ONE - 1e-4) < 1.0
 
     @given(st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=200))
     @settings(max_examples=50)
     def test_array_equals_per_value_erf(self, values):
         x = np.array(values)
         expected = [0.5 * (1.0 + math.erf(v * (1.0 / math.sqrt(2.0)))) for v in values]
-        assert stats._normal_cdf_array(x).tolist() == expected
+        assert _normal_cdf_array(x).tolist() == expected
+
+
+class TestPruningBounds:
+    @pytest.mark.parametrize("k", range(3, 21))
+    def test_leading_inner_nodes(self, k):
+        # the dropped nodes' cell bounds c_j Phi(z_j)^(k-1) add up to at most EPS, and one
+        # more node would pass it
+        z, wz, phi, big_phi = stats._inner_rule()
+        bounds = [w * k * f * p ** (k - 1) for w, f, p in zip(wz, phi, big_phi)]
+        first = stats._first_inner_node(k)
+        assert 0 < first < len(z)
+        assert math.fsum(bounds[:first]) <= EPS < math.fsum(bounds[:first + 1])
+        assert stats._inner_cells(k)[0] == z[first:]
+
+    @pytest.mark.parametrize("k", range(3, 21))
+    def test_trailing_inner_nodes(self, k):
+        def upper_tail(x):
+            return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+        tail = stats._tail_cutoff(k)
+        assert stats._inner_cells(k)[2] == tail
+        assert k * upper_tail(tail) ** (k - 1) <= EPS < k * upper_tail(tail - 1e-9) ** (k - 1)
+        # the c_j add up to k times the rule's mass of phi, which is 1 to within 4e-15
+        z, wz, phi, big_phi = stats._inner_rule()
+        assert math.fsum(w * f for w, f in zip(wz, phi)) == pytest.approx(1.0, abs=4e-15)
+        # the cells a row drops add up to at most EPS at every range
+        for r in np.linspace(0.0, 30.0, 301).tolist():
+            dropped = [w * k * f * (p - 0.5 * (1.0 + math.erf((x - r) / math.sqrt(2.0))))
+                       ** (k - 1) for x, w, f, p in zip(z, wz, phi, big_phi) if x > r + tail]
+            assert math.fsum(dropped) <= EPS
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 4, 5, 15, 16, 38, 120, 1000, 10**7])
+    def test_outer_nodes(self, df):
+        # the kept nodes are exactly the ones whose weight exceeds EPS ...
+        s, weights = _dense_outer_rule(df)
+        kept_s, kept_w = stats._outer_rule(df)
+        assert list(kept_s) == [x for x, w in zip(s.tolist(), weights.tolist()) if w > EPS]
+        np.testing.assert_allclose(kept_w, weights[weights > EPS], rtol=1e-13)
+        # ... and a row, at most the rule's sum of c_j Phi(z_j)^(k-1), whose integral is 1,
+        # is at most 1 to within 2e-11 (the inner rule's error at k = 20)
+        z, wz, phi, big_phi = stats._inner_rule()
+        for k in range(3, 21):
+            row_bound = math.fsum(w * k * f * p ** (k - 1) for w, f, p in zip(wz, phi, big_phi))
+            assert row_bound <= 1.0 + 2e-11
 
 
 class TestChiRange:
@@ -261,6 +363,16 @@ class TestStudentizedRangeCdf:
     @settings(max_examples=30, deadline=None)
     def test_equals_row_loop_reference(self, q, k, df):
         assert studentized_range_cdf(q, k, df) == row_loop_srange_cdf(q, k, df)
+
+    def test_within_1e15_of_the_dense_kernel(self):
+        # every cell of the grid, before the pruning bounds, summed by numpy
+        worst = 0.0
+        for k in (3, 4, 5, 7, 10, 20):
+            for df in (1, 2, 3, 4, 5, 10, 15, 16, 38, 120, 1000, 10**5, 10**7):
+                for q in (0.01, 0.1, 0.5, 1.0, 2.0, 3.77, 5.0, 8.0, 12.0, 20.0, 60.0):
+                    worst = max(worst, abs(studentized_range_cdf(q, k, df)
+                                           - dense_srange_cdf(q, k, df)))
+        assert worst <= 1e-15
 
     def test_zero(self):
         assert studentized_range_cdf(0.0, 3, 12) == 0.0
