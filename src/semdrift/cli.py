@@ -48,11 +48,6 @@ class RunConfig:
     synth_options: dict = field(default_factory=dict)
     inputs: dict[str, Path] = field(default_factory=dict)
 
-    def mode_line(self) -> str:
-        priority = ">".join(cls.value for cls in self.priority)
-        return (f"deviation={self.deviation_mode.value} priority={priority} "
-                f"alpha={self.alpha:g} top_k={self.top_k}")
-
 
 # The spec (see `errors.check`) of each config key; a key that is absent or null takes the
 # RunConfig default. `lexicons` maps a language to a path or a list of paths.
@@ -305,34 +300,39 @@ def analyze(config: RunConfig, inputs: ValidationReport) -> dict[str, str]:
         },
         "skipped": [],
     }
-    unique, hist = _count_tables(inputs, summary)
-    tables = [unique, hist, *_deviation_tables(config, inputs, summary),
-              *_anova_tables(config, inputs, unique, summary)]
-    cmap = inputs.concept_map
-    if cmap is not None:
+    by_kind = group_strata(inputs.strata, ("language", "translation_kind"))
+    unique, *per_stratum = _stratum_tables(config, inputs, summary)
+    tables = [unique, *per_stratum, *_anova_tables(config, inputs, by_kind, unique, summary)]
+    if inputs.concept_map is not None:
         # semantic field and vectors over (language, translation kind) merges
         merged = [CorpusStratum(language, TranslationKind(kind), {},
                                 [d for m in members for d in m.documents])
-                  for (language, kind), members in group_strata(
-                      inputs.strata, ("language", "translation_kind")).items()]
-        sides = {cmap.target_language: Side.TARGET, cmap.source_language: Side.SOURCE}
-        tables += _field_tables(config, cmap, merged, sides, summary)
-        tables += _vector_tables(cmap, merged, sides, summary)
+                  for (language, kind), members in by_kind.items()]
+        tables += _concept_tables(config, inputs.concept_map, merged, summary)
 
-    mode = config.mode_line()
+    priority = ">".join(cls.value for cls in config.priority)
+    mode = (f"deviation={config.deviation_mode.value} priority={priority} "
+            f"alpha={config.alpha:g} top_k={config.top_k}")
     bundle = {f"{table.name}.csv": table.to_csv(mode, checksum) for table in tables}
     bundle["summary.json"] = json.dumps(_json_safe(summary), ensure_ascii=False,
                                         indent=2, sort_keys=True) + "\n"
     return bundle
 
 
-def _count_tables(inputs: ValidationReport, summary: dict) -> list[_Table]:
-    """Per-stratum sentiment counts; the ANOVA stage tests these same records."""
+def _stratum_tables(config: RunConfig, inputs: ValidationReport, summary: dict) -> list[_Table]:
+    """Per-stratum sentiment counts and their deviations from the reference norm, in one
+    pass; the ANOVA stage tests the unique_lemmas records."""
     unique = _Table("unique_lemmas", ["stratum", "language", "translation_kind", "class",
                                       "unique_lemmas", "tokens", "mean_tokens_per_lemma"],
                     {"unique_lemmas": "unique_lemma_count", "tokens": "token_count"})
     hist = _Table("tokens_per_lemma_hist",
                   ["stratum", "class", "tokens_per_lemma", "lemma_count"])
+    deviation = _Table(
+        "deviation", ["stratum", "class", "mode", "mean_deviation", "median_deviation",
+                      "covered_lemmas", "uncovered_lemmas"],
+        {"covered_lemmas": "n_covered", "uncovered_lemmas": lambda r: len(r["uncovered"])})
+    by_lemma = _Table("deviation_lemmas", ["stratum", "class", "lemma", "observed_pct",
+                                           "expected_pct", "value", "status"])
     summary["strata"] = []
     for stratum in inputs.strata:
         where = {"language": stratum.language_code,
@@ -347,6 +347,9 @@ def _count_tables(inputs: ValidationReport, summary: dict) -> list[_Table]:
             continue
         class_stats = freq.sentiment_stats(stratum, lexicon)
         per_lemma = freq.tokens_per_lemma(stratum, lexicon)
+        ref = inputs.tables.get(stratum.language_code)
+        deviations = (freq.expected_deviation(stratum, lexicon, ref, config.deviation_mode)
+                      if ref is not None and stratum.total_word_count else None)
         entry["classes"] = {}
         for cls in SentimentClass:
             cs = class_stats[cls]
@@ -360,49 +363,32 @@ def _count_tables(inputs: ValidationReport, summary: dict) -> list[_Table]:
             hist.records += [{"stratum": stratum.label, "class": cls.value,
                               "tokens_per_lemma": n, "lemma_count": histogram[n]}
                              for n in sorted(histogram)]
-    return [unique, hist]
-
-
-def _deviation_tables(config: RunConfig, inputs: ValidationReport,
-                      summary: dict) -> list[_Table]:
-    """Observed-vs-expected frequency deviations per stratum and class."""
-    deviation = _Table(
-        "deviation", ["stratum", "class", "mode", "mean_deviation", "median_deviation",
-                      "covered_lemmas", "uncovered_lemmas"],
-        {"covered_lemmas": "n_covered", "uncovered_lemmas": lambda r: len(r["uncovered"])})
-    by_lemma = _Table("deviation_lemmas", ["stratum", "class", "lemma", "observed_pct",
-                                           "expected_pct", "value", "status"])
-    for stratum in inputs.strata:
-        lexicon = inputs.lexicons.get(stratum.language_code)
-        ref = inputs.tables.get(stratum.language_code)
-        if lexicon is None or ref is None or stratum.total_word_count == 0:
-            continue
-        deviations = freq.expected_deviation(stratum, lexicon, ref, config.deviation_mode)
-        for cls in SentimentClass:
+            if deviations is None:
+                continue
             dev = deviations[cls]
-            where = {"stratum": stratum.label, "class": cls.value}
+            at = {"stratum": stratum.label, "class": cls.value}
             deviation.records.append({
-                **where, "mode": dev.mode.value, "mean_deviation": dev.mean_deviation,
+                **at, "mode": dev.mode.value, "mean_deviation": dev.mean_deviation,
                 "median_deviation": dev.median_deviation, "n_covered": len(dev.per_lemma),
                 "uncovered": list(dev.uncovered)})
-            by_lemma.records += [{**where, "lemma": lemma, "observed_pct": dev.observed_pct[lemma],
+            by_lemma.records += [{**at, "lemma": lemma, "observed_pct": dev.observed_pct[lemma],
                                   "expected_pct": dev.expected_pct[lemma],
                                   "value": dev.per_lemma[lemma], "status": "covered"}
                                  for lemma in sorted(dev.per_lemma)]
-            by_lemma.records += [{**where, "lemma": lemma, "observed_pct": dev.observed_pct[lemma],
+            by_lemma.records += [{**at, "lemma": lemma, "observed_pct": dev.observed_pct[lemma],
                                   "expected_pct": None, "value": None, "status": "uncovered"}
                                  for lemma in dev.uncovered]
     summary["deviations"] = deviation.to_summary()
-    return [deviation, by_lemma]
+    return [unique, hist, deviation, by_lemma]
 
 
-def _anova_tables(config: RunConfig, inputs: ValidationReport, unique: _Table,
-                  summary: dict) -> list[_Table]:
+def _anova_tables(config: RunConfig, inputs: ValidationReport, by_kind: dict,
+                  unique: _Table, summary: dict) -> list[_Table]:
     """ANOVA + Tukey per factor, class and metric.
 
     Grouping-key factors run within one (language, translation kind) slice so
-    a term or summit effect is not confounded with the translation kind; the
-    translation_kind factor itself runs per language.
+    a term or summit effect is not confounded with the translation kind (`by_kind`
+    holds those slices); the translation_kind factor itself runs per language.
     """
     anova = _Table("anova", ["language", "slice", "factor", "class", "metric", "groups",
                              "df_between", "df_within", "f_stat", "p_value", "levene_stat",
@@ -413,7 +399,6 @@ def _anova_tables(config: RunConfig, inputs: ValidationReport, unique: _Table,
     observed = {(r["stratum"], r["class"]): r for r in unique.records}
     group_factors = [f for f in dict.fromkeys(config.group_by) if f != "translation_kind"]
     by_language = group_strata(inputs.strata, ("language",))
-    by_kind = group_strata(inputs.strata, ("language", "translation_kind"))
     for language in sorted(inputs.lexicons):
         slices = [("all", by_language.get((language,), []), ["translation_kind"])]
         if group_factors:
@@ -454,9 +439,19 @@ def _anova_tables(config: RunConfig, inputs: ValidationReport, unique: _Table,
     return [anova, tukey]
 
 
-def _field_tables(config: RunConfig, cmap: ConceptMap, merged: list[CorpusStratum],
-                  sides: dict[str, Side], summary: dict) -> list[_Table]:
-    """Variant profiles, top-k concepts and field width against the source stratum."""
+def _cosine_or_none(u: vectors.ConceptVector, v: vectors.ConceptVector) -> float | None:
+    try:
+        return vectors.cosine(u, v)
+    except AnalysisError:
+        return None
+
+
+def _concept_tables(config: RunConfig, cmap: ConceptMap, merged: list[CorpusStratum],
+                    summary: dict) -> list[_Table]:
+    """Variant profiles, top-k concepts and concept vectors in one pass over the merged
+    strata; then field width against the source stratum, cosine and Euclidean matrices
+    over the concept vectors, and their 2-D projection."""
+    sides = {cmap.target_language: Side.TARGET, cmap.source_language: Side.SOURCE}
     variant_headers = ["concept_id", "class", "variant_count", "token_total", "variants_list"]
     variants = _Table("variants", ["stratum", *variant_headers], {"variants_list": "variants"})
     top = _Table("top_concepts", ["stratum", "rank", *variant_headers],
@@ -465,6 +460,7 @@ def _field_tables(config: RunConfig, cmap: ConceptMap, merged: list[CorpusStratu
                                    "width_ratio_vs_baseline", "excluded_concepts"])
     summary["variants"] = {}
     profiles_of: dict[str, list] = {}
+    concept_vectors = []
     baseline_label = None
     for stratum in merged:
         side = sides.get(stratum.language_code)
@@ -484,13 +480,17 @@ def _field_tables(config: RunConfig, cmap: ConceptMap, merged: list[CorpusStratu
             {k: v for k, v in r.items() if k != "stratum"} for r in record_of.values()]
         top.records += [{**record_of[p.concept_id], "rank": rank} for rank, p in
                         enumerate(semfield.top_k_concepts(profiles, config.top_k), 1)]
+        try:
+            concept_vectors.append(vectors.concept_vector(stratum, cmap, side))
+        except AnalysisError as exc:
+            raise AnalysisError(f"concept vector for {stratum.label}: {exc}") from exc
     if baseline_label is None:
         summary["skipped"].append("field width: no source-kind stratum as baseline")
     else:
         baseline = profiles_of[baseline_label]
         for label in sorted(profiles_of.keys() - {baseline_label}):
             try:
-                report = semfield.field_width_report(label, profiles_of[label], baseline)
+                report = semfield.field_width_report(profiles_of[label], baseline)
             except AnalysisError as exc:
                 summary["skipped"].append(f"field width {label}: {exc}")
                 continue
@@ -500,35 +500,15 @@ def _field_tables(config: RunConfig, cmap: ConceptMap, merged: list[CorpusStratu
                 "width_ratio_vs_baseline": report.width_ratio_vs_baseline,
                 "excluded_concepts": list(report.excluded_concepts)})
     summary["field_width"] = width.to_summary()
-    return [variants, top, width]
 
-
-def _cosine_or_none(u: vectors.ConceptVector, v: vectors.ConceptVector) -> float | None:
-    try:
-        return vectors.cosine(u, v)
-    except AnalysisError:
-        return None
-
-
-def _vector_tables(cmap: ConceptMap, merged: list[CorpusStratum], sides: dict[str, Side],
-                   summary: dict) -> list[_Table]:
-    """Cosine and Euclidean matrices over the concept vectors, and their 2-D projection."""
-    concept_vectors = []
-    for stratum in merged:
-        if stratum.language_code not in sides:
-            continue
-        try:
-            concept_vectors.append(
-                vectors.concept_vector(stratum, cmap, sides[stratum.language_code]))
-        except AnalysisError as exc:
-            raise AnalysisError(f"concept vector for {stratum.label}: {exc}") from exc
     labels = [v.stratum_label for v in concept_vectors]
     cosine = _Table("cosine", ["label", *labels])
     euclidean = _Table("euclidean", ["label", *labels])
+    tables = [variants, top, width, cosine, euclidean]
     if len(concept_vectors) < 2:
         summary["similarity"] = {}
         summary["skipped"].append("similarity: fewer than 2 concept vectors")
-        return [cosine, euclidean]
+        return tables
     summary["similarity"] = {"labels": labels}
     for table, metric in ((cosine, _cosine_or_none), (euclidean, vectors.euclidean)):
         table.records = [{"label": u.stratum_label,
@@ -540,7 +520,7 @@ def _vector_tables(cmap: ConceptMap, merged: list[CorpusStratum], sides: dict[st
         projection = vectors.pca_2d(concept_vectors)
     except AnalysisError as exc:
         summary["skipped"].append(f"pca: {exc}")
-        return [cosine, euclidean]
+        return tables
     ev = list(projection.explained_variance)
     pca = _Table("pca", ["label", "x", "y"],
                  footer=f"# explained_variance: {_fmt(ev[0])},{_fmt(ev[1])}\n")
@@ -548,7 +528,7 @@ def _vector_tables(cmap: ConceptMap, merged: list[CorpusStratum], sides: dict[st
                    for label, (x, y) in zip(projection.labels, projection.coords)]
     summary["pca"] = {"labels": labels, "coords": [[r["x"], r["y"]] for r in pca.records],
                       "explained_variance": ev}
-    return [cosine, euclidean, pca]
+    return [*tables, pca]
 
 
 def _json_safe(value):

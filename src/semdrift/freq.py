@@ -24,7 +24,6 @@ class FrequencyTable:
 
     language_code: str
     freqs: dict[Lemma, float]
-    corpus_name: str = ""
 
     def __post_init__(self):
         for lemma, pm in self.freqs.items():
@@ -35,13 +34,10 @@ class FrequencyTable:
     def load(cls, path, language_code: str) -> "FrequencyTable":
         """Read a TSV of `lemma<TAB>per_million` (see `read_tsv`).
 
-        The first non-empty `#` comment names the corpus, without a leading
-        "corpus:". A lemma listed again with a different frequency is a
-        ValidationError.
+        A lemma listed again with a different frequency is a ValidationError.
         """
         freqs: dict[str, float] = {}
-        comments: list[str] = []
-        for lineno, (lemma, number) in read_tsv(path, "lemma<TAB>per_million", comments):
+        for lineno, (lemma, number) in read_tsv(path, "lemma<TAB>per_million"):
             try:
                 pm = float(number)
             except ValueError:
@@ -50,9 +46,7 @@ class FrequencyTable:
                 raise ValidationError(f"{path}:{lineno}: lemma {lemma!r} repeated with a "
                                       f"different frequency")
             freqs[lemma] = pm
-        names = (c[len("corpus:"):].strip() if c.lower().startswith("corpus:") else c
-                 for c in comments)
-        return cls(language_code, freqs, next(filter(None, names), ""))
+        return cls(language_code, freqs)
 
     def lookup(self, lemma: Lemma) -> tuple[float, bool]:
         """Per-million frequency and a coverage flag; absent lemmas are (0.0, False)."""

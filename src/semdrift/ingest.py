@@ -42,12 +42,11 @@ def read_text(path, name=None) -> str:
         raise IngestError(f"cannot read {name}: {exc}") from None
 
 
-def read_tsv(path, columns: str, comments: list[str] | None = None):
+def read_tsv(path, columns: str):
     """Yield `(line number, fields)` for each data row of a TSV resource file.
 
     The file is read in NFC; lines and fields are stripped of surrounding
-    whitespace, and blank lines and `#` comments are skipped (with `comments`
-    given, each comment's text after the `#` is appended to it). A row whose
+    whitespace, and blank lines and `#` comments are skipped. A row whose
     field count differs from `columns`, a spec like "lemma<TAB>class", is a
     ValidationError naming `path:line`.
     """
@@ -55,11 +54,7 @@ def read_tsv(path, columns: str, comments: list[str] | None = None):
     text = unicodedata.normalize("NFC", read_text(path))
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if comments is not None:
-                comments.append(line.lstrip("#").strip())
+        if not line or line.startswith("#"):
             continue
         fields = [f.strip() for f in line.split("\t")]
         if len(fields) != width:
@@ -346,8 +341,10 @@ def load_corpus(manifest_path) -> list[CorpusStratum]:
     checked against `_MANIFEST_TYPES`: strings (ids, languages, group keys and
     values, profile letters) are read in NFC, paths as written, and a value of
     the wrong JSON type is a ValidationError; a listed file that cannot be read or
-    decoded is an IngestError naming the manifest. Each text is counted into
-    its document as it is read and dropped before the next is read.
+    decoded is an IngestError naming the manifest. A group key named after a
+    document field (`language`, `translation_kind`) and group keys that give two
+    strata one label are ValidationErrors. Each text is counted into its
+    document as it is read and dropped before the next is read.
     """
     manifest_path = Path(manifest_path)
     manifest = check("", read_json(manifest_path), _MANIFEST_TYPES)
@@ -381,22 +378,25 @@ def _load_documents(manifest: dict, base: Path) -> list[CorpusStratum]:
         if language not in profiles:
             raise ValidationError(f"unknown language_code: {language!r}")
         group_keys = entry.get("group_keys", {})
+        for field_name in ("language", "translation_kind"):
+            if field_name in group_keys:  # grouping by it reads the document's own field
+                raise ValidationError(f"documents[{i}].group_keys.{field_name}: a group key "
+                                      f"may not share its name with a document field")
 
         doc = Document.from_text(doc_id, read_text(base / entry["path"], entry["path"]),
                                  profiles[language], lemma_dicts.get(language))
 
         grouped.setdefault((language, kind, tuple(sorted(group_keys.items()))), []).append(doc)
 
-    return [CorpusStratum(language, kind, dict(items), grouped[language, kind, items])
-            for language, kind, items in sorted(grouped)]
-
-
-def _key_value(stratum: CorpusStratum, key: str) -> str | None:
-    if key == "language":
-        return stratum.language_code
-    if key == "translation_kind":
-        return stratum.translation_kind.value
-    return stratum.group_keys.get(key)
+    strata = [CorpusStratum(language, kind, dict(items), grouped[language, kind, items])
+              for language, kind, items in sorted(grouped)]
+    labelled: dict[str, CorpusStratum] = {}
+    for stratum in strata:  # the bundle and the ANOVA tell strata apart by label
+        other = labelled.setdefault(stratum.label, stratum)
+        if other is not stratum:
+            raise ValidationError(f"group keys {other.group_keys} and {stratum.group_keys} "
+                                  f"give two strata one label: {stratum.label!r}")
+    return strata
 
 
 def group_strata(strata: list[CorpusStratum],
@@ -408,7 +408,10 @@ def group_strata(strata: list[CorpusStratum],
     """
     groups: dict[tuple[str, ...], list[CorpusStratum]] = {}
     for stratum in strata:
-        values = tuple(_key_value(stratum, key) for key in keys)
+        # the document's own fields win; `load_corpus` refuses a group key named after one
+        fields = {**stratum.group_keys, "language": stratum.language_code,
+                  "translation_kind": stratum.translation_kind.value}
+        values = tuple(fields.get(key) for key in keys)
         if None not in values:
             groups.setdefault(values, []).append(stratum)
     return {values: groups[values] for values in sorted(groups)}
@@ -452,8 +455,9 @@ def save_corpus(strata: list[CorpusStratum], directory) -> Path:
     order. The manifest names no profiles or lemma dicts, so `load_corpus`
     tokenizes each lemma under its language's default profile; a lemma that
     would not come back as itself there (say `йод-лемма` or `Good`) is a
-    ValidationError raised before anything is written. Otherwise the reload
-    reproduces every document's lemma counts.
+    ValidationError raised before anything is written, and so is a document id,
+    group key or group-key value not in NFC, the form the manifest is read in.
+    Otherwise the reload reproduces every document's id and lemma counts.
     A document's file is `{id}.txt` when the id is made of `[A-Za-z0-9._-]`;
     see `_document_filename` for other ids. A failed write removes those written.
     """
@@ -461,6 +465,12 @@ def save_corpus(strata: list[CorpusStratum], directory) -> Path:
     for stratum in strata:
         profile = default_profile(stratum.language_code)
         seen = checked.setdefault(stratum.language_code, set())
+        for name in (*stratum.group_keys, *stratum.group_keys.values(),
+                     *(doc.id for doc in stratum.documents)):
+            nfc = unicodedata.normalize("NFC", name)
+            if nfc != name:
+                raise ValidationError(f"cannot save {name!r}: the manifest is read in NFC, "
+                                      f"where it would become {nfc!r}")
         for doc in stratum.documents:
             for lemma in doc.counts:
                 if lemma in seen:

@@ -116,11 +116,8 @@ def merge_disjoint(raws: list[RawLexiconEntry],
     for lemma, claimed in claims.items():
         winner = next(cls for cls in priority if cls in claimed)
         lists[winner].add(lemma)
-    return SentimentLexicon(
-        language_code,
-        {cls: frozenset(members) for cls, members in lists.items()},
-        {lemma: tuple(sorted(srcs)) for lemma, srcs in sources.items()},
-    )
+    return SentimentLexicon(language_code, lists,
+                            {lemma: tuple(sorted(srcs)) for lemma, srcs in sources.items()})
 
 
 @dataclass(frozen=True)

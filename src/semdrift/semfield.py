@@ -70,13 +70,12 @@ def field_width_index(test: list[VariantProfile],
 class FieldWidthReport:
     """Width summary for one stratum relative to a baseline."""
 
-    stratum_label: str
     mean_variants_per_concept: float | None
     width_ratio_vs_baseline: float
     excluded_concepts: tuple[str, ...]
 
 
-def field_width_report(stratum_label: str, test: list[VariantProfile],
+def field_width_report(test: list[VariantProfile],
                        baseline: list[VariantProfile]) -> FieldWidthReport:
     """Bundle the width index with the mean attested variants and exclusions.
 
@@ -89,9 +88,4 @@ def field_width_report(stratum_label: str, test: list[VariantProfile],
     baseline_attested = {p.concept_id for p in baseline if p.variant_count > 0}
     excluded = tuple(sorted(
         p.concept_id for p in attested if p.concept_id not in baseline_attested))
-    return FieldWidthReport(
-        stratum_label=stratum_label,
-        mean_variants_per_concept=mean_variants,
-        width_ratio_vs_baseline=ratio,
-        excluded_concepts=excluded,
-    )
+    return FieldWidthReport(mean_variants, ratio, excluded)

@@ -14,7 +14,7 @@ concept-total conservation guarantee only holds at pull 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import islice, product
 from typing import TYPE_CHECKING
@@ -67,6 +67,8 @@ class ChannelParams:
         if not self.length_inflation > 0:
             raise ValidationError(
                 f"length_inflation must be > 0, got {self.length_inflation}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def machine(cls, seed: int = 0, **overrides) -> "ChannelParams":
@@ -104,14 +106,6 @@ def filler_vocab(language_code: str, size: int) -> tuple[str, ...]:
     return tuple(alphabet[0] * 2 + "".join(code) for code in codes)
 
 
-def _randomized_round(x: float, rng: np.random.Generator) -> int:
-    base = math.floor(x)
-    frac = x - base
-    if frac > 0.0 and rng.random() < frac:
-        base += 1
-    return base
-
-
 def generate_source(cmap: ConceptMap, target_words: int,
                     concept_budget: dict[str, float], seed: int, *,
                     concept_density: float = DEFAULT_CONCEPT_DENSITY,
@@ -132,16 +126,20 @@ def generate_source(cmap: ConceptMap, target_words: int,
         raise ValidationError(f"concept_density must be in [0, 1], got {concept_density}")
     if filler_size < 1:
         raise ValidationError(f"filler_size must be >= 1, got {filler_size}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     unknown = sorted(set(concept_budget) - set(cmap.concepts))
     if unknown:
         raise ValidationError(f"unknown concept id in budget: {unknown[0]!r}")
     if any(w < 0 for w in concept_budget.values()):
         raise ValidationError("concept weights must be >= 0")
+    active = sorted(cid for cid, w in concept_budget.items() if w > 0)
+    total_weight = sum(concept_budget[cid] for cid in active)
+    if total_weight == math.inf:
+        raise ValidationError("concept weights must sum to a finite number")
 
     import numpy as np
     rng = np.random.default_rng(seed)
-    active = sorted(cid for cid, w in concept_budget.items() if w > 0)
-    total_weight = sum(concept_budget[cid] for cid in active)
     n_concept = round(target_words * concept_density) if total_weight > 0 else 0
     n_filler = target_words - n_concept
 
@@ -163,14 +161,10 @@ def generate_source(cmap: ConceptMap, target_words: int,
                          {"origin": "synthetic", "seed": str(seed)}, [doc])
 
 
-@dataclass
-class _ConceptPlan:
-    pool: list[str]
-    emission: dict[str, float] = field(default_factory=dict)
-
-
 def _plan_concept(concept, counts, params: ChannelParams, ref: FrequencyTable,
-                  rng: np.random.Generator) -> _ConceptPlan | None:
+                  rng: np.random.Generator) -> tuple[list[str], dict[str, float], int] | None:
+    """The variant pool, the emission probabilities and the input token count of a
+    concept the source attests; None for one it does not."""
     src, tgt = concept.source_lemmas, concept.target_lemmas
     attested = [(i, v) for i, v in enumerate(src) if counts[v] > 0]
     if not attested:
@@ -178,7 +172,13 @@ def _plan_concept(concept, counts, params: ChannelParams, ref: FrequencyTable,
     n_in = sum(counts[v] for _, v in attested)
     v_in = len(attested)
 
-    budget = _randomized_round(params.narrow_widen_factor * v_in, rng)
+    wanted = params.narrow_widen_factor * v_in
+    if wanted == math.inf:
+        raise ValidationError(f"narrow_widen_factor is too large: {params.narrow_widen_factor:g}"
+                              f" times {v_in} attested variants overflows")
+    budget = math.floor(wanted)  # rounded up with probability equal to the fraction
+    if wanted > budget and rng.random() < wanted - budget:
+        budget += 1
     if params.kind is ChannelKind.MACHINE:
         budget = min(budget, v_in)       # hard cap: never widen the field
     budget = max(1, min(budget, len(tgt)))
@@ -204,7 +204,7 @@ def _plan_concept(concept, counts, params: ChannelParams, ref: FrequencyTable,
         emission[target] = emission.get(target, 0.0) + (1.0 - extra_share) * counts[v] / n_in
     for t in extras:
         emission[t] = emission.get(t, 0.0) + extra_share / len(extras)
-    return _ConceptPlan(pool, emission)
+    return pool, emission, n_in
 
 
 def apply_channel(source: CorpusStratum, cmap: ConceptMap, params: ChannelParams,
@@ -230,19 +230,31 @@ def apply_channel(source: CorpusStratum, cmap: ConceptMap, params: ChannelParams
     counts = source.lemma_counts()
     inflation = params.length_inflation
 
+    # A machine channel's norm pull redirects draws that land on capped-out variants:
+    # one outside an attested concept's pool goes to the pool's top variant, and one of a
+    # concept the source never attested (which must not appear at all) to the reference's
+    # most frequent non-concept lemma, or is dropped if the reference has none.
+    redirect = params.norm_pull > 0.0 and params.kind is ChannelKind.MACHINE
+    remap: dict[str, str | None] = {}
+    if redirect:
+        concept_targets = cmap.lemmas(Side.TARGET)
+        fallback = max((lem for lem in target_ref.freqs if lem not in concept_targets),
+                       key=target_ref.freqs.__getitem__, default=None)
     pieces: list[np.ndarray] = []
-    plans: dict[str, _ConceptPlan] = {}
     for cid in sorted(cmap.concepts):
         concept = cmap.concepts[cid]
         plan = _plan_concept(concept, counts, params, target_ref, rng)
         if plan is None:
+            if redirect:
+                remap.update(dict.fromkeys(concept.target_lemmas, fallback))
             continue
-        plans[cid] = plan
-        n_in = sum(counts[v] for v in concept.source_lemmas)
+        pool, emission, n_in = plan
+        if redirect:
+            remap.update((t, pool[0]) for t in concept.target_lemmas if t not in pool)
         n_out = round(n_in * inflation)
         if n_out:
-            targets = sorted(plan.emission)
-            probs = np.array([plan.emission[t] for t in targets])
+            targets = sorted(emission)
+            probs = np.array([emission[t] for t in targets])
             probs /= probs.sum()
             pieces.append(rng.choice(np.array(targets, dtype=object), n_out, p=probs))
 
@@ -261,8 +273,6 @@ def apply_channel(source: CorpusStratum, cmap: ConceptMap, params: ChannelParams
     output = np.concatenate(pieces) if pieces else np.array([], dtype=object)
 
     if params.norm_pull > 0.0 and output.size:
-        remap = _machine_remap(cmap, plans, target_ref) \
-            if params.kind is ChannelKind.MACHINE else {}
         ref_lemmas = sorted(target_ref.freqs)
         weights = np.array([target_ref.freqs[lem] for lem in ref_lemmas], dtype=float)
         if weights.sum() <= 0.0:
@@ -272,12 +282,10 @@ def apply_channel(source: CorpusStratum, cmap: ConceptMap, params: ChannelParams
         n_replace = int(mask.sum())
         if n_replace:
             draws = rng.choice(np.array(ref_lemmas, dtype=object), n_replace, p=weights)
-            resolved = np.array(
-                [remap.get(lem, lem) for lem in draws], dtype=object)
-            keep = np.array([lem is None for lem in resolved])
-            positions = np.flatnonzero(mask)
-            apply_at = positions[~keep]
-            output[apply_at] = resolved[~keep]
+            resolved = np.array([remap.get(lem, lem) for lem in draws], dtype=object)
+            # a draw redirected to None is dropped, and its position keeps the channel's token
+            landed = np.array([lem is not None for lem in resolved])
+            output[np.flatnonzero(mask)[landed]] = resolved[landed]
 
     rng.shuffle(output)
     kind = TranslationKind(params.kind.value)
@@ -285,32 +293,3 @@ def apply_channel(source: CorpusStratum, cmap: ConceptMap, params: ChannelParams
     group_keys = {**source.group_keys, "channel": params.kind.value}
     return CorpusStratum(cmap.target_language, kind, group_keys, [doc])
 
-
-def _machine_remap(cmap: ConceptMap, plans: dict[str, "_ConceptPlan"],
-                   ref: FrequencyTable) -> dict[str, str | None]:
-    """Where norm-pull draws may land on capped-out variants, redirect them.
-
-    Variants outside an attested concept's pool go to the pool's top variant;
-    variants of concepts the source never attested must not appear at all, so
-    they redirect to the reference's most frequent non-concept lemma (or are
-    dropped if the reference has none).
-    """
-    concept_targets = cmap.lemmas(Side.TARGET)
-    fallback = None
-    best = -1.0
-    for lemma, pm in ref.freqs.items():
-        if lemma not in concept_targets and pm > best:
-            fallback, best = lemma, pm
-    remap: dict[str, str | None] = {}
-    for cid in sorted(cmap.concepts):
-        tgt = cmap.concepts[cid].target_lemmas
-        plan = plans.get(cid)
-        if plan is None:
-            for t in tgt:
-                remap[t] = fallback
-        else:
-            pool_set = set(plan.pool)
-            for t in tgt:
-                if t not in pool_set:
-                    remap[t] = plan.pool[0]
-    return remap

@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import hashlib
 from functools import lru_cache
 from pathlib import Path
 
@@ -8,6 +9,14 @@ from semdrift import (ConceptMap, CorpusStratum, Document, FrequencyTable, Senti
                       merge_disjoint)
 
 DATA = Path(__file__).parent / "data"
+
+
+def digest(directory: Path) -> str:
+    """sha256 over the name and bytes of each file in a directory, in name order."""
+    h = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
 
 
 def make_stratum(lemmas, language="en", kind=TranslationKind.SOURCE,
@@ -50,4 +59,4 @@ def reference_table_en(filler_size: int = 200) -> FrequencyTable:
     remainder = 1_000_000.0 - sum(freqs.values())
     for lemma in filler:
         freqs[lemma] = remainder / len(filler)
-    return FrequencyTable("en", freqs, "synthetic reference")
+    return FrequencyTable("en", freqs)

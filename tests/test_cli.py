@@ -1,4 +1,5 @@
 import difflib
+import importlib.util
 import json
 import re
 import unicodedata
@@ -14,7 +15,12 @@ from semdrift import load_corpus
 from semdrift.cli import _CONFIG_TYPES, _SYNTH_TYPES, _build_parser, load_config, main
 from semdrift.errors import IngestError, ValidationError
 
-from helpers import DATA
+from helpers import DATA, digest
+
+ROOT = Path(__file__).parent.parent
+# sha256 (see helpers.digest) of the analyze bundle of the tiny seed-1 many-groups benchmark
+# corpus, whose 3 x 3 summit x term grid gives Tukey tests of k = 3 groups
+MANY_GROUPS_DIGEST = "56c23e180f0b4167a2df5dfe9add5b70d50849f959db67f59d8a30de17aee3c1"
 
 
 def base_config() -> dict:
@@ -280,6 +286,48 @@ class TestManifestTypes:
         assert not out.exists()
 
 
+class TestGroupKeys:
+    """Group keys that would make two strata indistinguishable are a manifest error."""
+
+    def test_keys_that_blur_two_strata_exit_2(self, tmp_path, capsys):
+        body = absolute_manifest()
+        # en-hum-g8-t2 would share the label of en-hum-g8-t1, and unique_lemmas.csv
+        # and the ANOVA, which look strata up by label, would mix the two
+        body["documents"][5]["group_keys"] = {"summit": "G8,term=2000-2003"}
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(body), encoding="utf-8")
+        message = ("group keys {'summit': 'G8', 'term': '2000-2003'} and "
+                   "{'summit': 'G8,term=2000-2003'} give two strata one label: "
+                   "'en/human/summit=G8,term=2000-2003'")
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_corpus(manifest)
+        config = write_config(tmp_path, manifest=str(manifest))
+        out = tmp_path / "bundle"
+        assert main(["analyze", "--config", str(config), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: manifest: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["language", "translation_kind"])
+    def test_key_named_after_a_document_field_exits_2(self, tmp_path, capsys, name):
+        # grouping by such a key would read the document's own field instead, so
+        # every ANOVA over it would find one group and be skipped
+        body = absolute_manifest()
+        for doc in body["documents"]:
+            doc["group_keys"] = {name: doc["group_keys"]["summit"],
+                                 "term": doc["group_keys"]["term"]}
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(body), encoding="utf-8")
+        message = (f"documents[0].group_keys.{name}: a group key may not share its name "
+                   f"with a document field")
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_corpus(manifest)
+        config = write_config(tmp_path, manifest=str(manifest), group_by=[name])
+        out = tmp_path / "bundle"
+        assert main(["analyze", "--config", str(config), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: manifest: {message}\n"
+        assert not out.exists()
+
+
 # Relative paths resolve against the directory of the fuzzed file, which holds a
 # Latin-1 "latin1.txt"; "" and "." name that directory itself.
 # Enum values, near misses of them and decomposed text stand where enums and names go.
@@ -541,6 +589,19 @@ class TestAnalyze:
         assert "# mode: deviation=ratio" in text
         assert ",ratio," in text
 
+    def test_three_group_bundle_matches_pinned_digest(self, tmp_path):
+        spec = importlib.util.spec_from_file_location("workloads",
+                                                      ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        workload = workloads.many_groups(ROOT, tmp_path / "corpus", 1, tiny=True)
+        out = tmp_path / "bundle"
+        assert main(["analyze", "--config", str(workload.directory / workload.config),
+                     "--output-dir", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert {len(r["group_means"]) for r in summary["anova"]} >= {3}
+        assert digest(out) == MANY_GROUPS_DIGEST
+
 
 class TestSynth:
     def synth_config(self, tmp_path, **synth_options):
@@ -587,6 +648,11 @@ class TestSynth:
          "got 4000000000000000.0"),
         (["--inflation", "2500.5"], {},
          "synth.words x synth.length_inflation must be at most 10000000, got 10002000.0"),
+        (["--seed", "-1"], {}, "seed must be >= 0, got -1"),
+        (["--factor", "1e308"], {},
+         "narrow_widen_factor is too large: 1e+308 times 3 attested variants overflows"),
+        ([], {"concept_budget": {"say": 1e308, "think": 1e308}},
+         "concept weights must sum to a finite number"),
     ])
     def test_out_of_range_setting_exits_2_unwritten(self, tmp_path, capsys, flags, options,
                                                     message):

@@ -184,11 +184,11 @@ class TestExpectedDeviation:
 
 
 class TestFrequencyTable:
-    def test_load_with_corpus_name(self, tmp_path):
+    def test_load_skips_comment_lines(self, tmp_path):
         p = tmp_path / "f.tsv"
-        p.write_text("# corpus: toy reference\ngood\t123.5\n", encoding="utf-8")
+        p.write_text("# corpus: toy reference\ngood\t123.5\n#\tbad\t7\n", encoding="utf-8")
         table = FrequencyTable.load(p, "en")
-        assert table.corpus_name == "toy reference"
+        assert table.freqs == {"good": 123.5}
         assert table.lookup("good") == (123.5, True)
         assert table.lookup("nope") == (0.0, False)
 
@@ -211,11 +211,6 @@ class TestFrequencyTable:
         p = tmp_path / "f.tsv"
         p.write_text("good\t10\ngood\t1e1\n", encoding="utf-8")
         assert FrequencyTable.load(p, "en").freqs == {"good": 10.0}
-
-    def test_first_non_empty_comment_names_the_corpus(self, tmp_path):
-        p = tmp_path / "f.tsv"
-        p.write_text("#\n# corpus:\n#  second \ngood\t1\n# third\n", encoding="utf-8")
-        assert FrequencyTable.load(p, "en").corpus_name == "second"
 
     def test_malformed_line(self, tmp_path):
         p = tmp_path / "f.tsv"

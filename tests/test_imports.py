@@ -7,7 +7,6 @@ loads it, for its random generator. Each command runs in a fresh interpreter,
 which reports its exit code and whether numpy was loaded.
 """
 
-import hashlib
 import importlib
 import json
 import os
@@ -21,7 +20,7 @@ import pytest
 
 import semdrift
 
-from helpers import DATA
+from helpers import DATA, digest
 
 ROOT = Path(__file__).parent.parent
 PROBE = ("import json, sys\n"
@@ -61,13 +60,6 @@ def pairs_per_test(output_dir: Path) -> Counter:
     summary = json.loads((output_dir / "summary.json").read_text(encoding="utf-8"))
     return Counter((r["language"], r["factor"], r["slice"], r["class"], r["metric"])
                    for r in summary["tukey"])
-
-
-def digest(directory: Path) -> str:
-    h = hashlib.sha256()
-    for path in sorted(directory.iterdir()):
-        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
-    return h.hexdigest()
 
 
 def test_validate_never_imports_numpy():

@@ -446,6 +446,17 @@ class TestSaveCorpus:
         counts = {d.id: list(d.counts.items()) for d in load_corpus(manifest)[0].documents}
         assert counts == {i: [(w, 1)] for i, w in words.items()}
 
+    @pytest.mark.parametrize("group_keys, doc_id", [
+        ({}, "\uf900"), ({"summit": "\uf900"}, "a"), ({"e\u0301t\u00e9": "1"}, "a")],
+        ids=["id", "group-key-value", "group-key"])
+    def test_name_not_in_nfc_is_refused_before_writing(self, tmp_path, group_keys, doc_id):
+        # U+F900 and "e" + combining acute both change under NFC
+        stratum = CorpusStratum("en", TranslationKind.SOURCE, group_keys,
+                                [Document.from_lemmas(doc_id, ("alpha",))])
+        with pytest.raises(ValidationError, match="the manifest is read in NFC"):
+            save_corpus([stratum], tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_plain_ids_keep_their_name(self, tmp_path):
         doc = Document.from_lemmas("synthetic-source-seed7.v2", ("alpha",))
         save_corpus([CorpusStratum("en", TranslationKind.SOURCE, {}, [doc])], tmp_path)
@@ -459,7 +470,14 @@ class TestSaveCorpus:
     def test_round_trip_keeps_each_documents_counts(self, tmp_path_factory, lemmas_by_id):
         docs = [Document.from_lemmas(i, lemmas) for i, lemmas in lemmas_by_id.items()]
         stratum = CorpusStratum("en", TranslationKind.SOURCE, {}, docs)
-        manifest = save_corpus([stratum], tmp_path_factory.mktemp("corpus"))
+        directory = tmp_path_factory.mktemp("corpus")
+        if any(unicodedata.normalize("NFC", i) != i for i in lemmas_by_id):
+            # the manifest is read in NFC, so such an id could not come back as itself
+            with pytest.raises(ValidationError, match="the manifest is read in NFC"):
+                save_corpus([stratum], directory)
+            assert list(directory.iterdir()) == []
+            return
+        manifest = save_corpus([stratum], directory)
         reloaded = {d.id: list(d.counts.items()) for s in load_corpus(manifest)
                     for d in s.documents}
         assert reloaded == {i: list(Counter(lemmas).items())

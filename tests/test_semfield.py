@@ -142,7 +142,7 @@ class TestFieldWidthIndex:
     def test_report_lists_excluded_concepts(self):
         baseline = [profile("a", 2, 5), profile("b", 0, 0)]
         test = [profile("a", 1, 5), profile("b", 2, 3)]
-        report = field_width_report("test", test, baseline)
+        report = field_width_report(test, baseline)
         assert report.excluded_concepts == ("b",)
         assert report.width_ratio_vs_baseline == pytest.approx(0.5)
         assert report.mean_variants_per_concept == pytest.approx(1.5)

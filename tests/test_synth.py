@@ -1,13 +1,22 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from semdrift import (ChannelKind, ChannelParams, Side, apply_channel, filler_vocab,
-                      generate_source, variant_counts)
+                      generate_source, synth, variant_counts)
+from semdrift.cli import main
 from semdrift.errors import ValidationError
 from semdrift.lexicon import Concept, ConceptMap, SentimentClass
 
-from helpers import fixture_concept_map, reference_table_en
+from helpers import DATA, digest, fixture_concept_map, reference_table_en
+
+# sha256 (see helpers.digest) of what `synth --kind machine --pull 0.5` writes for
+# tests/data/config.json; numpy's Generator streams define these bytes
+MACHINE_PULL_DIGEST = "f75a9ad4619fd4a230a32ff4a14d1318108124ac6dfdaf3f238918ea887edddf"
 
 
 def concept_tokens(stratum, cmap, side):
@@ -29,6 +38,10 @@ class TestChannelParams:
     def test_pull_range(self):
         with pytest.raises(ValidationError, match="norm_pull"):
             ChannelParams(ChannelKind.HUMAN, 1.3, norm_pull=1.5)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            ChannelParams.machine(seed=-1)
 
 
 class TestFillerVocab:
@@ -74,6 +87,14 @@ class TestGenerateSource:
     def test_empty_map_rejected(self):
         with pytest.raises(ValidationError, match="empty concept map"):
             generate_source(ConceptMap("ru", "en", {}), 100, {}, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            generate_source(fixture_concept_map(), 100, {"say": 1.0}, seed=-1)
+
+    def test_weights_that_overflow_their_sum_rejected(self):
+        with pytest.raises(ValidationError, match="concept weights must sum to a finite"):
+            generate_source(fixture_concept_map(), 100, {"say": 1e308, "think": 1e308}, seed=0)
 
 
 class TestApplyChannel:
@@ -182,11 +203,63 @@ class TestApplyChannel:
                 tolerance = 4.0 * np.sqrt(expected) / np.sqrt(n_seeds) + 2.0
                 assert abs(mean_out - expected) <= tolerance, src_lemma
 
+    def test_factor_that_overflows_the_variant_budget_rejected(self):
+        cmap = fixture_concept_map()
+        source = generate_source(cmap, 1000, {"say": 1.0}, seed=0)
+        params = ChannelParams.human(narrow_widen_factor=1e308)
+        with pytest.raises(ValidationError, match="narrow_widen_factor is too large: 1e\\+308 "
+                                                  "times 3 attested variants overflows"):
+            apply_channel(source, cmap, params, reference_table_en())
+
     def test_language_mismatch_rejected(self):
         cmap = fixture_concept_map()
         budget = {cid: 1.0 for cid in cmap.concepts}
         source = generate_source(cmap, 100, budget, seed=0)
         bad_ref = reference_table_en()
-        bad_ref = type(bad_ref)("de", bad_ref.freqs, bad_ref.corpus_name)
+        bad_ref = type(bad_ref)("de", bad_ref.freqs)
         with pytest.raises(ValidationError, match="language mismatch"):
             apply_channel(source, cmap, ChannelParams.machine(), bad_ref)
+
+
+def run_recording_plans(source, cmap, params, ref):
+    """Run the channel and return its output with the plan made for each concept."""
+    plans = {}
+    plan_concept = synth._plan_concept
+
+    def recording(concept, *args):
+        plans[concept.concept_id] = plan_concept(concept, *args)
+        return plans[concept.concept_id]
+
+    with mock.patch.object(synth, "_plan_concept", recording):
+        return apply_channel(source, cmap, params, ref), plans
+
+
+class TestMachinePull:
+    """A machine channel's norm pull redirects draws away from capped-out variants."""
+
+    @given(seed=st.integers(0, 2**16), pull=st.floats(0.05, 1.0),
+           factor=st.floats(0.1, 3.0), words=st.integers(50, 3000),
+           weights=st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 4.0]), min_size=9,
+                            max_size=9))
+    @settings(max_examples=40, deadline=None)
+    def test_concept_tokens_stay_in_their_pools(self, seed, pull, factor, words, weights):
+        cmap = fixture_concept_map()
+        budget = dict(zip(sorted(cmap.concepts), weights))
+        source = generate_source(cmap, words, budget, seed)
+        params = ChannelParams.machine(seed, norm_pull=pull, narrow_widen_factor=factor)
+        out, plans = run_recording_plans(source, cmap, params, reference_table_en())
+        counts, source_counts = out.lemma_counts(), source.lemma_counts()
+        for cid, concept in cmap.concepts.items():
+            emitted = {t for t in concept.target_lemmas if counts[t]}
+            if plans[cid] is None:  # the source never attested this concept
+                assert emitted == set(), cid
+                continue
+            pool = set(plans[cid][0])
+            assert emitted <= pool, cid
+            attested = sum(1 for v in concept.source_lemmas if source_counts[v])
+            assert len(emitted) <= attested, cid
+
+    def test_cli_output_bytes_are_pinned(self, tmp_path):
+        assert main(["synth", "--config", str(DATA / "config.json"), "--kind", "machine",
+                     "--pull", "0.5", "--output-dir", str(tmp_path)]) == 0
+        assert digest(tmp_path) == MACHINE_PULL_DIGEST
