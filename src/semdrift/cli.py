@@ -24,9 +24,6 @@ from .synth import ChannelKind, ChannelParams
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
 EXIT_CONFIG = 2
-# the largest synth.words, filler vocabulary and channel output (words x length_inflation):
-# at synth.words about 0.5 GiB of peak memory and 0.2 GB of corpus files
-MAX_SYNTH_WORDS = 10_000_000
 
 
 @dataclass
@@ -586,8 +583,9 @@ def cmd_synth(config: RunConfig) -> int:
     # every size that synth allocates, checked before any input is read
     for name, size in (("synth.words", words), ("synth.filler_size", filler_size),
                        ("synth.words x synth.length_inflation", emitted)):
-        if size > MAX_SYNTH_WORDS:
-            return _fail(EXIT_CONFIG, f"{name} must be at most {MAX_SYNTH_WORDS}, got {size}")
+        if size > synth.MAX_SYNTH_WORDS:
+            return _fail(EXIT_CONFIG,
+                         f"{name} must be at most {synth.MAX_SYNTH_WORDS}, got {size}")
     report = run_validation(config, need_manifest=False)
     cmap, ref = report.concept_map, report.tables.get(config.target_language)
     if cmap is None:

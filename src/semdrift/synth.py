@@ -17,15 +17,11 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import islice, product
-from typing import TYPE_CHECKING
 
 from .errors import ValidationError
 from .freq import FrequencyTable
 from .ingest import DEFAULT_PROFILES, CorpusStratum, Document, TranslationKind
 from .lexicon import ConceptMap, Side
-
-if TYPE_CHECKING:  # numpy's RNG is imported by the two samplers, which alone use it
-    import numpy as np
 
 DEFAULT_MACHINE_FACTOR = 0.4
 DEFAULT_HUMAN_FACTOR = 1.3
@@ -33,6 +29,13 @@ DEFAULT_HUMAN_FACTOR = 1.3
 DEFAULT_LENGTH_INFLATION = 1.19
 DEFAULT_CONCEPT_DENSITY = 0.2
 DEFAULT_FILLER_SIZE = 200
+# the most words a source or a channel output may hold, and the largest filler
+# vocabulary: at 10 M words about 0.5 GiB of peak memory and 0.2 GB of corpus files
+MAX_SYNTH_WORDS = 10_000_000
+# A sampler with fewer words than this to draw runs `_pcg64.Generator`, which needs no
+# numpy import; one with more runs numpy's own Generator, which draws faster once
+# loaded. Both give the same streams, so no output depends on the choice.
+PURE_PYTHON_WORDS = 50_000
 
 _ASCII_LOWER = "abcdefghijklmnopqrstuvwxyz"
 
@@ -128,43 +131,69 @@ def generate_source(cmap: ConceptMap, target_words: int,
         raise ValidationError(f"filler_size must be >= 1, got {filler_size}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
+    for name, size in (("target_words", target_words), ("filler_size", filler_size)):
+        if size > MAX_SYNTH_WORDS:
+            raise ValidationError(f"{name} must be at most {MAX_SYNTH_WORDS}, got {size}")
     unknown = sorted(set(concept_budget) - set(cmap.concepts))
     if unknown:
         raise ValidationError(f"unknown concept id in budget: {unknown[0]!r}")
     if any(w < 0 for w in concept_budget.values()):
         raise ValidationError("concept weights must be >= 0")
     active = sorted(cid for cid, w in concept_budget.items() if w > 0)
-    total_weight = sum(concept_budget[cid] for cid in active)
-    if total_weight == math.inf:
-        raise ValidationError("concept weights must sum to a finite number")
+    probs = _proportions([concept_budget[cid] for cid in active],
+                         "concept weights must sum to a finite number") if active else []
 
-    import numpy as np
-    rng = np.random.default_rng(seed)
-    n_concept = round(target_words * concept_density) if total_weight > 0 else 0
-    n_filler = target_words - n_concept
-
-    pieces: list[np.ndarray] = []
+    rng = _generator(seed, target_words)
+    n_concept = round(target_words * concept_density) if active else 0
+    lemmas: list[str] = []
     if n_concept:
-        probs = np.array([concept_budget[cid] for cid in active], dtype=float)
-        probs /= probs.sum()
-        per_concept = rng.multinomial(n_concept, probs)
-        for cid, n_c in zip(active, per_concept):
-            variants = np.array(cmap.concepts[cid].source_lemmas, dtype=object)
-            pieces.append(variants[rng.integers(0, len(variants), n_c)])
-    filler = np.array(filler_vocab(cmap.source_language, filler_size), dtype=object)
-    pieces.append(filler[rng.integers(0, filler_size, n_filler)])
-
-    lemmas = np.concatenate(pieces)
+        for cid, n_c in zip(active, rng.multinomial(n_concept, probs)):
+            variants = cmap.concepts[cid].source_lemmas
+            lemmas += [variants[i] for i in rng.integers(0, len(variants), n_c)]
+    filler = filler_vocab(cmap.source_language, filler_size)
+    lemmas += [filler[i] for i in rng.integers(0, filler_size, target_words - n_concept)]
     rng.shuffle(lemmas)
     doc = Document.from_lemmas(f"synthetic-source-seed{seed}", lemmas)
     return CorpusStratum(cmap.source_language, TranslationKind.SOURCE,
                          {"origin": "synthetic", "seed": str(seed)}, [doc])
 
 
+def _generator(seed: int, words: int):
+    """A random generator for a sampler that draws `words` words (see PURE_PYTHON_WORDS)."""
+    from . import _pcg64
+    return (_pcg64.Generator if words < PURE_PYTHON_WORDS else _pcg64.NumpyGenerator)(seed)
+
+
+def _proportions(weights, error: str = "weights must sum to a finite positive number"
+                 ) -> list[float]:
+    """The weights over their sum, as numpy's `probs /= probs.sum()` rounds them;
+    ValidationError(error) when the sum is not finite and positive."""
+    from ._pcg64 import pairwise_sum
+    weights = [float(w) for w in weights]
+    total = pairwise_sum(weights)
+    if not 0.0 < total < math.inf:
+        raise ValidationError(error)
+    return [w / total for w in weights]
+
+
+def _sample(rng, items, weights, size: int) -> list:
+    """`size` items drawn with replacement in proportion to their weights."""
+    return [items[i] for i in rng.choice(len(items), size, p=_proportions(weights))]
+
+
+def _output_size(n_in: int, inflation: float) -> int:
+    """round(n_in x inflation), once the product is known to be at most MAX_SYNTH_WORDS."""
+    n_out = n_in * inflation
+    if not n_out <= MAX_SYNTH_WORDS:
+        raise ValidationError(f"length_inflation {inflation:g} times {n_in} input words must "
+                              f"be at most {MAX_SYNTH_WORDS} words")
+    return round(n_out)
+
+
 def _plan_concept(concept, counts, params: ChannelParams, ref: FrequencyTable,
-                  rng: np.random.Generator) -> tuple[list[str], dict[str, float], int] | None:
-    """The variant pool, the emission probabilities and the input token count of a
-    concept the source attests; None for one it does not."""
+                  rng) -> tuple[list[str], dict[str, float]] | None:
+    """The variant pool and the emission probabilities of a concept the source
+    attests; None for one it does not."""
     src, tgt = concept.source_lemmas, concept.target_lemmas
     attested = [(i, v) for i, v in enumerate(src) if counts[v] > 0]
     if not attested:
@@ -204,7 +233,7 @@ def _plan_concept(concept, counts, params: ChannelParams, ref: FrequencyTable,
         emission[target] = emission.get(target, 0.0) + (1.0 - extra_share) * counts[v] / n_in
     for t in extras:
         emission[t] = emission.get(t, 0.0) + extra_share / len(extras)
-    return pool, emission, n_in
+    return pool, emission
 
 
 def apply_channel(source: CorpusStratum, cmap: ConceptMap, params: ChannelParams,
@@ -225,10 +254,20 @@ def apply_channel(source: CorpusStratum, cmap: ConceptMap, params: ChannelParams
             f"language mismatch: frequency table is {target_ref.language_code!r} but "
             f"the concept map's target side is {cmap.target_language!r}")
 
-    import numpy as np
-    rng = np.random.default_rng(params.seed)
     counts = source.lemma_counts()
+    concepts = [cmap.concepts[cid] for cid in sorted(cmap.concepts)]
     inflation = params.length_inflation
+    source_concept_lemmas = cmap.lemmas(Side.SOURCE)
+    nonconcept = {lem: n for lem, n in counts.items() if lem not in source_concept_lemmas}
+    # every output size, bounded before anything is drawn
+    n_outs = [_output_size(sum(counts[v] for v in c.source_lemmas), inflation)
+              for c in concepts]
+    n_fill = _output_size(sum(nonconcept.values()), inflation)
+    planned = sum(n_outs) + n_fill
+    if planned > MAX_SYNTH_WORDS:
+        raise ValidationError(f"the channel output of {planned} words must be at most "
+                              f"{MAX_SYNTH_WORDS} words")
+    rng = _generator(params.seed, planned)
 
     # A machine channel's norm pull redirects draws that land on capped-out variants:
     # one outside an attested concept's pool goes to the pool's top variant, and one of a
@@ -240,52 +279,35 @@ def apply_channel(source: CorpusStratum, cmap: ConceptMap, params: ChannelParams
         concept_targets = cmap.lemmas(Side.TARGET)
         fallback = max((lem for lem in target_ref.freqs if lem not in concept_targets),
                        key=target_ref.freqs.__getitem__, default=None)
-    pieces: list[np.ndarray] = []
-    for cid in sorted(cmap.concepts):
-        concept = cmap.concepts[cid]
+    output: list[str] = []
+    for concept, n_out in zip(concepts, n_outs):
         plan = _plan_concept(concept, counts, params, target_ref, rng)
         if plan is None:
             if redirect:
                 remap.update(dict.fromkeys(concept.target_lemmas, fallback))
             continue
-        pool, emission, n_in = plan
+        pool, emission = plan
         if redirect:
             remap.update((t, pool[0]) for t in concept.target_lemmas if t not in pool)
-        n_out = round(n_in * inflation)
         if n_out:
             targets = sorted(emission)
-            probs = np.array([emission[t] for t in targets])
-            probs /= probs.sum()
-            pieces.append(rng.choice(np.array(targets, dtype=object), n_out, p=probs))
-
-    source_concept_lemmas = cmap.lemmas(Side.SOURCE)
-    nonconcept = {lem: n for lem, n in counts.items() if lem not in source_concept_lemmas}
-    if nonconcept:
+            output += _sample(rng, targets, [emission[t] for t in targets], n_out)
+    if n_fill:
         distinct = sorted(nonconcept)
         target_fill = filler_vocab(cmap.target_language, len(distinct))
-        n_in = sum(nonconcept.values())
-        n_out = round(n_in * inflation)
-        if n_out:
-            probs = np.array([nonconcept[lem] for lem in distinct], dtype=float)
-            probs /= probs.sum()
-            pieces.append(rng.choice(np.array(target_fill, dtype=object), n_out, p=probs))
+        output += _sample(rng, target_fill, [nonconcept[lem] for lem in distinct], n_fill)
 
-    output = np.concatenate(pieces) if pieces else np.array([], dtype=object)
-
-    if params.norm_pull > 0.0 and output.size:
+    if params.norm_pull > 0.0 and output:
         ref_lemmas = sorted(target_ref.freqs)
-        weights = np.array([target_ref.freqs[lem] for lem in ref_lemmas], dtype=float)
-        if weights.sum() <= 0.0:
-            raise ValidationError("norm_pull requires a frequency table with positive mass")
-        weights /= weights.sum()
-        mask = rng.random(output.size) < params.norm_pull
-        n_replace = int(mask.sum())
-        if n_replace:
-            draws = rng.choice(np.array(ref_lemmas, dtype=object), n_replace, p=weights)
-            resolved = np.array([remap.get(lem, lem) for lem in draws], dtype=object)
-            # a draw redirected to None is dropped, and its position keeps the channel's token
-            landed = np.array([lem is not None for lem in resolved])
-            output[np.flatnonzero(mask)[landed]] = resolved[landed]
+        probs = _proportions([target_ref.freqs[lem] for lem in ref_lemmas],
+                             "norm_pull requires a frequency table whose values sum to a "
+                             "finite positive number")
+        pulled = [i for i, u in enumerate(rng.random(len(output))) if u < params.norm_pull]
+        if pulled:
+            for i, k in zip(pulled, rng.choice(len(ref_lemmas), len(pulled), p=probs)):
+                lemma = remap.get(ref_lemmas[k], ref_lemmas[k])
+                if lemma is not None:  # a dropped draw leaves the channel's token in place
+                    output[i] = lemma
 
     rng.shuffle(output)
     kind = TranslationKind(params.kind.value)

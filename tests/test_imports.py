@@ -2,23 +2,29 @@
 exports load on first access.
 
 numpy costs about 150 ms and 15 MiB at start-up, so `validate` and `analyze` must
-run without it, whether their Tukey tests compare two groups or more; only `synth`
-loads it, for its random generator. Each command runs in a fresh interpreter,
-which reports its exit code and whether numpy was loaded.
+run without it, whether their Tukey tests compare two groups or more, and `synth`
+loads it only for a sampler with at least `synth.PURE_PYTHON_WORDS` words to draw;
+below that, `semdrift._pcg64` draws the same streams, and `validate` and `analyze`
+never load it. Each command runs in a fresh interpreter, which reports its exit
+code and the modules it loaded.
 """
 
 import importlib
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import semdrift
+from semdrift import synth
+from semdrift.cli import main
 
 from helpers import DATA, digest
 
@@ -26,7 +32,8 @@ ROOT = Path(__file__).parent.parent
 PROBE = ("import json, sys\n"
          "from semdrift.cli import main\n"
          "code = main(sys.argv[1:])\n"
-         "print(json.dumps({'code': code, 'numpy': 'numpy' in sys.modules}))\n")
+         "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n")
+PURE_GENERATOR = "semdrift._pcg64"
 # sha256 over the name and bytes of each file `synth` writes for tests/data/config.json
 # with its default settings; numpy's Generator streams define these bytes
 SYNTH_DIGEST = "517ab4d66cbe5ba2de295412505193dc595f523b0bfc95bb11f2c777b53c7adc"
@@ -41,8 +48,10 @@ def run_fresh(code: str, *args: str) -> str:
     return proc.stdout.splitlines()[-1]
 
 
-def run_command(*args: str, config: Path = DATA / "config.json") -> dict:
-    return json.loads(run_fresh(PROBE, *args, "--config", str(config)))
+def run_command(*args: str, config: Path = DATA / "config.json") -> tuple[int, set[str]]:
+    """The command's exit code and the modules loaded when it returned."""
+    result = json.loads(run_fresh(PROBE, *args, "--config", str(config)))
+    return result["code"], set(result["modules"])
 
 
 def three_summit_config(tmp_path: Path) -> Path:
@@ -63,11 +72,15 @@ def pairs_per_test(output_dir: Path) -> Counter:
 
 
 def test_validate_never_imports_numpy():
-    assert run_command("validate") == {"code": 0, "numpy": False}
+    code, modules = run_command("validate")
+    assert code == 0
+    assert not {"numpy", PURE_GENERATOR} & modules
 
 
 def test_two_group_analyze_never_imports_numpy(tmp_path):
-    assert run_command("analyze", "--output-dir", str(tmp_path)) == {"code": 0, "numpy": False}
+    code, modules = run_command("analyze", "--output-dir", str(tmp_path))
+    assert code == 0
+    assert not {"numpy", PURE_GENERATOR} & modules
     tests = pairs_per_test(tmp_path)
     assert tests and set(tests.values()) == {1}  # one pair per test: every k is 2
 
@@ -75,16 +88,32 @@ def test_two_group_analyze_never_imports_numpy(tmp_path):
 def test_many_group_analyze_never_imports_numpy(tmp_path):
     out = tmp_path / "out"
     config = three_summit_config(tmp_path)
-    assert run_command("analyze", "--output-dir", str(out), config=config) == \
-        {"code": 0, "numpy": False}
+    code, modules = run_command("analyze", "--output-dir", str(out), config=config)
+    assert code == 0
+    assert not {"numpy", PURE_GENERATOR} & modules
     tests = pairs_per_test(out)
     # every summit test compares three groups (three pairs, k = 3)
     assert {n for (_, factor, *_), n in tests.items() if factor == "summit"} == {3}
 
 
-def test_synth_imports_numpy_and_writes_the_same_bytes(tmp_path):
-    assert run_command("synth", "--output-dir", str(tmp_path)) == {"code": 0, "numpy": True}
+def test_default_synth_loads_no_numpy_and_writes_the_same_bytes(tmp_path):
+    # at 10,000 words both samplers run the pure generator, the one module that synth
+    # loads beyond those validate loads
+    code, modules = run_command("synth", "--output-dir", str(tmp_path))
+    assert code == 0
+    assert modules - run_command("validate")[1] == {PURE_GENERATOR}
     assert digest(tmp_path) == SYNTH_DIGEST
+
+
+def test_synth_at_the_cut_loads_numpy_and_writes_the_pure_generators_bytes(tmp_path):
+    words = str(synth.PURE_PYTHON_WORDS)
+    code, modules = run_command("synth", "--words", words, "--output-dir", str(tmp_path / "np"))
+    assert code == 0
+    assert "numpy" in modules
+    with mock.patch.object(synth, "PURE_PYTHON_WORDS", math.inf):
+        assert main(["synth", "--config", str(DATA / "config.json"), "--words", words,
+                     "--output-dir", str(tmp_path / "pure")]) == 0
+    assert digest(tmp_path / "np") == digest(tmp_path / "pure")
 
 
 def test_importing_the_package_loads_no_module():

@@ -1,3 +1,5 @@
+import math
+import shutil
 from unittest import mock
 
 import numpy as np
@@ -8,6 +10,7 @@ from scipy import stats as sps
 
 from semdrift import (ChannelKind, ChannelParams, Side, apply_channel, filler_vocab,
                       generate_source, synth, variant_counts)
+from semdrift._pcg64 import Generator, NumpyGenerator
 from semdrift.cli import main
 from semdrift.errors import ValidationError
 from semdrift.lexicon import Concept, ConceptMap, SentimentClass
@@ -91,6 +94,14 @@ class TestGenerateSource:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
             generate_source(fixture_concept_map(), 100, {"say": 1.0}, seed=-1)
+
+    @pytest.mark.parametrize("option", ["target_words", "filler_size"])
+    def test_size_beyond_the_word_cap_rejected(self, option):
+        sizes = {"target_words": 100, "filler_size": 200, option: synth.MAX_SYNTH_WORDS + 1}
+        with pytest.raises(ValidationError, match=f"{option} must be at most 10000000, "
+                                                  f"got 10000001"):
+            generate_source(fixture_concept_map(), sizes["target_words"], {"say": 1.0}, 0,
+                            filler_size=sizes["filler_size"])
 
     def test_weights_that_overflow_their_sum_rejected(self):
         with pytest.raises(ValidationError, match="concept weights must sum to a finite"):
@@ -211,6 +222,18 @@ class TestApplyChannel:
                                                   "times 3 attested variants overflows"):
             apply_channel(source, cmap, params, reference_table_en())
 
+    @pytest.mark.parametrize("inflation", [1e308, math.inf, 1e15, 11_000.0])
+    def test_output_beyond_the_word_cap_rejected_before_sampling(self, inflation):
+        # 1,000 source words: 200 on "say", 800 filler; at 11,000 each part stays under
+        # the cap but the whole output does not
+        cmap = fixture_concept_map()
+        source = generate_source(cmap, 1000, {"say": 1.0}, seed=0)
+        params = ChannelParams.machine(length_inflation=inflation)
+        with mock.patch.object(synth, "_generator") as generator, \
+                pytest.raises(ValidationError, match="must be at most 10000000 words"):
+            apply_channel(source, cmap, params, reference_table_en())
+        generator.assert_not_called()
+
     def test_language_mismatch_rejected(self):
         cmap = fixture_concept_map()
         budget = {cid: 1.0 for cid in cmap.concepts}
@@ -263,3 +286,44 @@ class TestMachinePull:
         assert main(["synth", "--config", str(DATA / "config.json"), "--kind", "machine",
                      "--pull", "0.5", "--output-dir", str(tmp_path)]) == 0
         assert digest(tmp_path) == MACHINE_PULL_DIGEST
+
+
+class TestGenerators:
+    """Below `PURE_PYTHON_WORDS` words a sampler runs the pure generator, above it numpy's."""
+
+    @pytest.mark.parametrize("kind", ["machine", "human"])
+    @pytest.mark.parametrize("pull", ["0", "0.5"])
+    def test_both_generators_write_the_same_bytes(self, tmp_path, kind, pull):
+        written, used = [], []
+        make = synth._generator
+
+        def recording(seed, words):
+            rng = make(seed, words)
+            used.append(type(rng))
+            return rng
+
+        for cut in (0, math.inf):
+            out = tmp_path / str(cut)
+            with mock.patch.object(synth, "PURE_PYTHON_WORDS", cut), \
+                    mock.patch.object(synth, "_generator", recording):
+                assert main(["synth", "--config", str(DATA / "config.json"), "--kind", kind,
+                             "--pull", pull, "--output-dir", str(out)]) == 0
+            written.append(digest(out))
+        assert used == [NumpyGenerator] * 2 + [Generator] * 2
+        assert written[0] == written[1]
+
+    def test_reference_mass_that_overflows_exits_2_unwritten(self, tmp_path, capsys):
+        data = shutil.copytree(DATA, tmp_path / "data")
+        table = data / "freq_en.tsv"
+        rows = table.read_text(encoding="utf-8").splitlines()
+        table.write_text("".join(row + "\n" if row.startswith("#") else
+                                 row.split("\t")[0] + "\t1e308\n" for row in rows),
+                         encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(data / "config.json")]) == 0
+        assert main(["synth", "--config", str(data / "config.json"), "--pull", "0.5",
+                     "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.endswith(
+            "error: norm_pull requires a frequency table whose values sum to a finite "
+            "positive number\n")
+        assert not out.exists()
