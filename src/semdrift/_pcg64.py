@@ -4,15 +4,13 @@
 value, in lists instead of arrays: SeedSequence seeding of a PCG64 generator (O'Neill
 2014, "PCG: A Family of Simple Fast Space-Efficient Statistically Good Algorithms for
 Random Number Generation"), numpy's carried 32-bit half, `random`, `integers` (Lemire's
-32-bit bounded draw), `shuffle`, `choice` with `p`, and `multinomial` through numpy's
-binomial sampler (inversion, or BTPE: Kachitvichyanukul & Schmeiser 1988, "Binomial
-random variate generation", CACM 31(2)). `pairwise_sum` is `np.add.reduce` on float64.
+32-bit bounded draw), `shuffle` and `choice` with `p`. `pairwise_sum` is `np.add.reduce`
+on float64.
 
 It avoids importing numpy, which costs more than the draws themselves on a small
 corpus; per draw it is slower, so `NumpyGenerator` answers the same calls from numpy.
 """
 
-import math
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -68,17 +66,6 @@ def _seed_sequence(seed: int) -> tuple[int, int]:
         words.append(value ^ value >> 16)
     state = [lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])]
     return state[0] << 64 | state[1], state[2] << 64 | state[3]
-
-
-def _log(x: float) -> float:
-    """C's `log`: -inf at 0 and nan below, where `math.log` raises."""
-    if x > 0.0:
-        return math.log(x)
-    return -math.inf if x == 0.0 else math.nan
-
-
-def _stirling_tail(x: float, x2: float) -> float:
-    return (13680. - (462. - (132. - (99. - 140. / x2) / x2) / x2) / x2) / x / 166320.
 
 
 class Generator:
@@ -167,120 +154,6 @@ class Generator:
         cdf = [c / last for c in cdf]
         return [bisect_right(cdf, u) for u in self.random(size)]
 
-    def multinomial(self, n: int, pvals: list[float]) -> list[int]:
-        """Counts of `n` draws over `pvals`: one binomial per category but the last."""
-        counts = [0] * len(pvals)
-        remaining_p, left = 1.0, n
-        for j, p in enumerate(pvals[:-1]):
-            counts[j] = self._binomial(left, p / remaining_p)
-            left -= counts[j]
-            if left <= 0:
-                break
-            remaining_p -= p
-        if left > 0:
-            counts[-1] = left
-        return counts
-
-    def _binomial(self, n: int, p: float) -> int:
-        if n == 0 or p == 0.0:
-            return 0
-        if p <= 0.5:
-            return self._inversion(n, p) if p * n <= 30.0 else self._btpe(n, p)
-        q = 1.0 - p  # mirrored, so the sampler sees a probability of at most one half
-        return n - (self._inversion(n, q) if q * n <= 30.0 else self._btpe(n, q))
-
-    def _inversion(self, n: int, p: float) -> int:
-        """Sequential search from 0, restarted past a bound 10 sd above the mean."""
-        q = 1.0 - p
-        qn = math.exp(n * math.log(q))
-        mean = n * p
-        bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
-        x, px, u = 0, qn, self.random()
-        while u > px:
-            x += 1
-            if x > bound:
-                x, px, u = 0, qn, self.random()
-            else:
-                u -= px
-                px = (n - x + 1) * p * px / (x * q)
-        return x
-
-    def _btpe(self, n: int, p: float) -> int:
-        """Kachitvichyanukul & Schmeiser's BTPE, as numpy orders its float operations."""
-        r = min(p, 1.0 - p)
-        q = 1.0 - r
-        fm = n * r + r
-        m = math.floor(fm)
-        p1 = math.floor(2.195 * math.sqrt(n * r * q) - 4.6 * q) + 0.5
-        xm = m + 0.5
-        xl = xm - p1
-        xr = xm + p1
-        c = 0.134 + 20.5 / (15.3 + m)
-        a = (fm - xl) / (fm - xl * r)
-        laml = a * (1.0 + a / 2.0)
-        a = (xr - fm) / (xr * q)
-        lamr = a * (1.0 + a / 2.0)
-        p2 = p1 * (1.0 + 2.0 * c)
-        p3 = p2 + c / laml
-        p4 = p3 + c / lamr
-        nrq = n * r * q
-        while True:
-            u = self.random() * p4
-            v = self.random()
-            if u <= p1:  # triangular region: accept at once
-                return math.floor(xm - p1 * v + u)
-            if u <= p2:  # parallelograms
-                x = xl + (u - p1) / c
-                v = v * c + 1.0 - abs(m - x + 0.5) / p1
-                if v > 1.0:
-                    continue
-                y = math.floor(x)
-            elif u <= p3:  # left exponential tail
-                if v == 0.0:
-                    continue
-                y = math.floor(xl + math.log(v) / laml)
-                if y < 0:
-                    continue
-                v = v * (u - p2) * laml
-            else:  # right exponential tail
-                if v == 0.0:
-                    continue
-                y = math.floor(xr - math.log(v) / lamr)
-                if y > n:
-                    continue
-                v = v * (u - p3) * lamr
-
-            k = abs(y - m)
-            if not (k > 20 and k < nrq / 2.0 - 1):  # explicit ratio of probabilities
-                s = r / q
-                a = s * (n + 1)
-                f = 1.0
-                if m < y:
-                    for i in range(m + 1, y + 1):
-                        f *= a / i - s
-                elif m > y:
-                    for i in range(y + 1, m + 1):
-                        f /= a / i - s
-                if v > f:
-                    continue
-                return y
-
-            # squeeze, then the Stirling bound on the log ratio
-            rho = (k / nrq) * ((k * (k / 3.0 + 0.625) + 0.16666666666666666) / nrq + 0.5)
-            t = -k * k / (2 * nrq)
-            log_v = _log(v)
-            if log_v < t - rho:
-                return y
-            if log_v > t + rho:
-                continue
-            x1, f1, z, w = float(y + 1), float(m + 1), float(n + 1 - m), float(n - y + 1)
-            if log_v > (xm * math.log(f1 / x1) + (n - m + 0.5) * math.log(z / w)
-                        + (y - m) * math.log(w * r / (x1 * q))
-                        + _stirling_tail(f1, f1 * f1) + _stirling_tail(z, z * z)
-                        + _stirling_tail(x1, x1 * x1) + _stirling_tail(w, w * w)):
-                continue
-            return y
-
 
 def pairwise_sum(values: list[float]) -> float:
     """`np.add.reduce` of a float64 array: numpy's pairwise summation, bit for bit."""
@@ -326,6 +199,3 @@ class NumpyGenerator:
 
     def choice(self, a: int, size: int, p: list[float]) -> list[int]:
         return self._rng.choice(a, size, p=p).tolist()
-
-    def multinomial(self, n: int, pvals: list[float]) -> list[int]:
-        return self._rng.multinomial(n, pvals).tolist()

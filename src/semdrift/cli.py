@@ -596,7 +596,7 @@ def cmd_synth(config: RunConfig) -> int:
     if report.errors:
         return _fail(EXIT_CONFIG, *report.errors)
     density = options.get("concept_density", synth.DEFAULT_CONCEPT_DENSITY)
-    budget = options.get("concept_budget") or {cid: 1.0 for cid in cmap.concepts}
+    budget = options.get("concept_budget", {cid: 1.0 for cid in cmap.concepts})
     given = {name: options[key] for key, name in _CHANNEL_KEYS.items() if key in options}
     kind = options.get("kind", ChannelKind.MACHINE)
     channel = ChannelParams.human if kind is ChannelKind.HUMAN else ChannelParams.machine

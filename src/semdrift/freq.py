@@ -42,6 +42,9 @@ class FrequencyTable:
                 pm = float(number)
             except ValueError:
                 raise ValidationError(f"{path}:{lineno}: not a number: {number!r}") from None
+            if not isfinite(pm) or pm < 0:
+                raise ValidationError(f"{path}:{lineno}: invalid frequency for {lemma!r}: "
+                                      f"{number}")
             if lemma in freqs and freqs[lemma] != pm:
                 raise ValidationError(f"{path}:{lineno}: lemma {lemma!r} repeated with a "
                                       f"different frequency")

@@ -27,11 +27,11 @@ Lemma = str
 
 
 def read_text(path, name=None) -> str:
-    """Decode a UTF-8 file. A missing, unreadable or undecodable file is an
-    IngestError naming `name` (by default the path)."""
+    """Decode a UTF-8 file, dropping a leading byte order mark. A missing, unreadable
+    or undecodable file is an IngestError naming `name` (by default the path)."""
     name = path if name is None else name
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except FileNotFoundError:
         raise IngestError(f"file not found: {name}") from None
     except UnicodeDecodeError as exc:

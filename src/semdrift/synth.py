@@ -147,9 +147,12 @@ def generate_source(cmap: ConceptMap, target_words: int,
     n_concept = round(target_words * concept_density) if active else 0
     lemmas: list[str] = []
     if n_concept:
-        for cid, n_c in zip(active, rng.multinomial(n_concept, probs)):
-            variants = cmap.concepts[cid].source_lemmas
-            lemmas += [variants[i] for i in rng.integers(0, len(variants), n_c)]
+        variants, weights = [], []
+        for cid, share in zip(active, probs):
+            source_lemmas = cmap.concepts[cid].source_lemmas
+            variants += source_lemmas
+            weights += [share / len(source_lemmas)] * len(source_lemmas)
+        lemmas = _sample(rng, variants, weights, n_concept)
     filler = filler_vocab(cmap.source_language, filler_size)
     lemmas += [filler[i] for i in rng.integers(0, filler_size, target_words - n_concept)]
     rng.shuffle(lemmas)

@@ -11,16 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semdrift.ingest
-from semdrift import load_corpus
+from semdrift import Side, load_corpus
 from semdrift.cli import _CONFIG_TYPES, _SYNTH_TYPES, _build_parser, load_config, main
 from semdrift.errors import IngestError, ValidationError
 
-from helpers import DATA, digest
+from helpers import DATA, digest, fixture_concept_map
 
 ROOT = Path(__file__).parent.parent
-# sha256 (see helpers.digest) of the analyze bundle of the tiny seed-1 many-groups benchmark
-# corpus, whose 3 x 3 summit x term grid gives Tukey tests of k = 3 groups
-MANY_GROUPS_DIGEST = "56c23e180f0b4167a2df5dfe9add5b70d50849f959db67f59d8a30de17aee3c1"
+# sha256s (see helpers.digest) of the texts `synth` writes for the tiny seed-1 many-groups
+# benchmark corpus, and of their analyze bundle: a 3 x 3 summit x term grid gives Tukey
+# tests of k = 3 groups. A synth change moves both pins, an analyze change only the second.
+MANY_GROUPS_TEXTS_DIGEST = "4eaa39b0cb262b09e2dd2c5edf7368bd4af94f67bade4d046669e9547d969e83"
+MANY_GROUPS_DIGEST = "0dff1478564ecfcfc7b1ba3d3005bcca79191a6af03facbedd412572db43c86e"
 
 
 def base_config() -> dict:
@@ -125,6 +127,12 @@ class TestValidate:
         assert main(["validate", "--config", str(path)]) == 2
         assert capsys.readouterr().err == \
             f"error: {path}: the top level must be a JSON object\n"
+
+    def test_config_with_a_byte_order_mark_reads_as_without_one(self, tmp_path):
+        marked = tmp_path / "marked.json"
+        marked.write_text(json.dumps(base_config()), encoding="utf-8-sig")
+        assert load_config(marked) == load_config(write_config(tmp_path))
+        assert main(["validate", "--config", str(marked)]) == 0
 
 
 class TestConfigTypes:
@@ -600,6 +608,7 @@ class TestAnalyze:
                      "--output-dir", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         assert {len(r["group_means"]) for r in summary["anova"]} >= {3}
+        assert digest(workload.directory / "texts") == MANY_GROUPS_TEXTS_DIGEST
         assert digest(out) == MANY_GROUPS_DIGEST
 
 
@@ -625,6 +634,19 @@ class TestSynth:
         by_kind = {s.translation_kind.value: s.total_word_count for s in strata}
         ratio = by_kind["human"] / by_kind["source"]
         assert abs(ratio - 1.19) <= 0.005 * 1.19
+
+    @pytest.mark.parametrize("options, tokens", [
+        ({}, 400), ({"concept_budget": None}, 400), ({"concept_budget": {}}, 0),
+        ({"concept_budget": {"say": 0}}, 0)], ids=["absent", "null", "empty", "zero"])
+    def test_only_an_absent_budget_takes_every_concept(self, tmp_path, options, tokens):
+        config = self.synth_config(tmp_path, words=2000, **options)
+        out = tmp_path / "s"
+        assert main(["synth", "--config", str(config), "--output-dir", str(out)]) == 0
+        source = next(s for s in load_corpus(out / "manifest.json")
+                      if s.translation_kind.value == "source")
+        counts = source.lemma_counts()
+        assert sum(counts[lem] for lem in fixture_concept_map().lemmas(Side.SOURCE)) == tokens
+        assert source.total_word_count == 2000
 
     def test_invalid_inflation_exits_2(self, tmp_path, capsys):
         config = self.synth_config(tmp_path)

@@ -212,6 +212,14 @@ class TestFrequencyTable:
         p.write_text("good\t10\ngood\t1e1\n", encoding="utf-8")
         assert FrequencyTable.load(p, "en").freqs == {"good": 10.0}
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400", "-1"])
+    def test_invalid_frequency_names_its_line(self, tmp_path, value):
+        p = tmp_path / "f.tsv"
+        p.write_text(f"bad\t5\ngood\t{value}\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{p}:2: invalid frequency for 'good': {value}")):
+            FrequencyTable.load(p, "en")
+
     def test_malformed_line(self, tmp_path):
         p = tmp_path / "f.tsv"
         p.write_text("good\tlots\n", encoding="utf-8")

@@ -36,7 +36,7 @@ PROBE = ("import json, sys\n"
 PURE_GENERATOR = "semdrift._pcg64"
 # sha256 over the name and bytes of each file `synth` writes for tests/data/config.json
 # with its default settings; numpy's Generator streams define these bytes
-SYNTH_DIGEST = "517ab4d66cbe5ba2de295412505193dc595f523b0bfc95bb11f2c777b53c7adc"
+SYNTH_DIGEST = "86a237cdea76387a8d8d970c18f7b912abaf10b5e9f25c5ce22f4574d5c21a4a"
 
 
 def run_fresh(code: str, *args: str) -> str:

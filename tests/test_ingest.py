@@ -333,6 +333,35 @@ class TestReadJson:
             read_json(path)
 
 
+class TestByteOrderMark:
+    """A file saved with a UTF-8 byte order mark reads as the same file saved without one:
+    the mark never becomes part of the first row's first field."""
+
+    @pytest.mark.parametrize("rows, load", [
+        ("good\tgood-lemma\n", lambda p: LemmaDict.load(p, "en")),
+        ("good\tpositive\n", lambda p: load_lexicon_sources([p], "en")),
+        ("good\t123.5\n", lambda p: FrequencyTable.load(p, "en")),
+        ("good\tpositive\tхороший,добрый\tgood\n",
+         lambda p: load_concept_map(p, *fixture_lexicons())),
+    ], ids=["lemma-dict", "lexicon", "frequency-table", "concept-map"])
+    def test_tsv_resource(self, tmp_path, rows, load):
+        for encoding in ("utf-8", "utf-8-sig"):
+            (tmp_path / encoding).mkdir()
+            (tmp_path / encoding / "r.tsv").write_text(rows, encoding=encoding)
+        marked = load(tmp_path / "utf-8-sig" / "r.tsv")
+        assert marked == load(tmp_path / "utf-8" / "r.tsv")
+        assert "\ufeff" not in repr(marked)
+
+    def test_manifest(self, tmp_path):
+        (tmp_path / "a.txt").write_text("good words", encoding="utf-8")
+        documents = [{"path": "a.txt", "id": "a", "language": "en",
+                      "translation_kind": "source"}]
+        plain = load_corpus(_write_manifest(tmp_path, documents))
+        marked = tmp_path / "marked.json"
+        marked.write_text(json.dumps({"documents": documents}), encoding="utf-8-sig")
+        assert load_corpus(marked) == plain
+
+
 class TestLemmaDictLoad:
     @pytest.mark.parametrize("rows, case_fold, line, key", [
         ("go\tgo1\ngo\tgo2\n", True, 2, "go"),

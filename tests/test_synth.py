@@ -19,7 +19,7 @@ from helpers import DATA, digest, fixture_concept_map, reference_table_en
 
 # sha256 (see helpers.digest) of what `synth --kind machine --pull 0.5` writes for
 # tests/data/config.json; numpy's Generator streams define these bytes
-MACHINE_PULL_DIGEST = "f75a9ad4619fd4a230a32ff4a14d1318108124ac6dfdaf3f238918ea887edddf"
+MACHINE_PULL_DIGEST = "64e22c12167d399fb739fc7af88b3302c8d38e76eb0c196c80a1c7e4fe1ff103"
 
 
 def concept_tokens(stratum, cmap, side):
@@ -67,6 +67,24 @@ class TestGenerateSource:
         tokens = concept_tokens(stratum, cmap, Side.SOURCE)
         assert tokens["say"] == 200
         assert sum(tokens.values()) == 200
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_variant_counts_follow_the_budget(self, seed):
+        # each variant of concept c is drawn with probability share_c / len(variants_c);
+        # "say" has three source variants and "know" two
+        cmap = fixture_concept_map()
+        budget = {"say": 3.0, "know": 1.0}
+        words, density = 40_000, 0.5
+        stratum = generate_source(cmap, words, budget, seed, concept_density=density)
+        counts = stratum.lemma_counts()
+        n_concept = round(words * density)
+        assert sum(concept_tokens(stratum, cmap, Side.SOURCE).values()) == n_concept
+        for cid, concept in cmap.concepts.items():
+            share = budget.get(cid, 0.0) / sum(budget.values())
+            p = share / len(concept.source_lemmas)
+            sigma = math.sqrt(n_concept * p * (1 - p))
+            for variant in concept.source_lemmas:
+                assert abs(counts[variant] - n_concept * p) <= 5 * sigma, variant
 
     def test_seed_determinism(self):
         cmap = fixture_concept_map()
