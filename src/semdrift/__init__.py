@@ -1,7 +1,7 @@
 """semdrift: sentiment and semantic-field shift analytics for translated corpora.
 
 Each export is imported from its module on first access (PEP 562), so
-`import semdrift` loads no module, and numpy only comes in with what uses it.
+`import semdrift` loads no module, and each command loads only what it uses.
 """
 
 import importlib

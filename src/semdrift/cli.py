@@ -89,7 +89,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     for lang, paths in body.get("lexicons", {}).items():
         paths = check(f"lexicons.{lang}", [paths] if isinstance(paths, str) else paths, [PATH])
         config.lexicons[lang] = [resolve(p) for p in paths]
-    if body.get("concept_map"):
+    if "concept_map" in body:
         config.concept_map = resolve(body["concept_map"])
     for lang, p in body.get("frequency_tables", {}).items():
         config.frequency_tables[lang] = resolve(p)

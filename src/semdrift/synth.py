@@ -14,9 +14,10 @@ concept-total conservation guarantee only holds at pull 0.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import islice, product
+from itertools import accumulate, islice, product
 
 from .errors import ValidationError
 from .freq import FrequencyTable
@@ -30,12 +31,9 @@ DEFAULT_LENGTH_INFLATION = 1.19
 DEFAULT_CONCEPT_DENSITY = 0.2
 DEFAULT_FILLER_SIZE = 200
 # the most words a source or a channel output may hold, and the largest filler
-# vocabulary: at 10 M words about 0.5 GiB of peak memory and 0.2 GB of corpus files
+# vocabulary: 10 M words in and 10 M out peaked at 439 MiB and wrote 0.2 GB of corpus
+# files (2-core VM, Python 3.11)
 MAX_SYNTH_WORDS = 10_000_000
-# A sampler with fewer words than this to draw runs `_pcg64.Generator`, which needs no
-# numpy import; one with more runs numpy's own Generator, which draws faster once
-# loaded. Both give the same streams, so no output depends on the choice.
-PURE_PYTHON_WORDS = 50_000
 
 _ASCII_LOWER = "abcdefghijklmnopqrstuvwxyz"
 
@@ -137,51 +135,56 @@ def generate_source(cmap: ConceptMap, target_words: int,
     unknown = sorted(set(concept_budget) - set(cmap.concepts))
     if unknown:
         raise ValidationError(f"unknown concept id in budget: {unknown[0]!r}")
-    if any(w < 0 for w in concept_budget.values()):
-        raise ValidationError("concept weights must be >= 0")
+    invalid = sorted(cid for cid, w in concept_budget.items() if not w >= 0)  # NaN too
+    if invalid:
+        raise ValidationError(f"concept weights must be >= 0, got "
+                              f"{concept_budget[invalid[0]]!r} for {invalid[0]!r}")
     active = sorted(cid for cid, w in concept_budget.items() if w > 0)
-    probs = _proportions([concept_budget[cid] for cid in active],
-                         "concept weights must sum to a finite number") if active else []
+    if not sum(concept_budget[cid] for cid in active) < math.inf:
+        raise ValidationError("concept weights must sum to a finite number")
 
-    rng = _generator(seed, target_words)
+    uniform = _uniform(seed)
     n_concept = round(target_words * concept_density) if active else 0
     lemmas: list[str] = []
     if n_concept:
         variants, weights = [], []
-        for cid, share in zip(active, probs):
+        for cid in active:
             source_lemmas = cmap.concepts[cid].source_lemmas
             variants += source_lemmas
-            weights += [share / len(source_lemmas)] * len(source_lemmas)
-        lemmas = _sample(rng, variants, weights, n_concept)
+            weights += [concept_budget[cid] / len(source_lemmas)] * len(source_lemmas)
+        lemmas = _sample(uniform, variants, weights, n_concept)
     filler = filler_vocab(cmap.source_language, filler_size)
-    lemmas += [filler[i] for i in rng.integers(0, filler_size, target_words - n_concept)]
-    rng.shuffle(lemmas)
+    lemmas += [filler[int(uniform() * filler_size)] for _ in range(target_words - n_concept)]
+    _shuffle(uniform, lemmas)
     doc = Document.from_lemmas(f"synthetic-source-seed{seed}", lemmas)
     return CorpusStratum(cmap.source_language, TranslationKind.SOURCE,
                          {"origin": "synthetic", "seed": str(seed)}, [doc])
 
 
-def _generator(seed: int, words: int):
-    """A random generator for a sampler that draws `words` words (see PURE_PYTHON_WORDS)."""
-    from . import _pcg64
-    return (_pcg64.Generator if words < PURE_PYTHON_WORDS else _pcg64.NumpyGenerator)(seed)
+# uniform() takes 2**53 equally likely values, so `int(uniform() * n)` draws each value
+# below n with a relative bias under n / 2**53: at most 1.2e-9 up to MAX_SYNTH_WORDS.
+
+def _uniform(seed: int):
+    """`random.Random(seed).random`, the one method synth draws with: Python keeps its
+    sequence for a given seed the same across versions."""
+    from random import Random
+    return Random(seed).random
 
 
-def _proportions(weights, error: str = "weights must sum to a finite positive number"
-                 ) -> list[float]:
-    """The weights over their sum, as numpy's `probs /= probs.sum()` rounds them;
-    ValidationError(error) when the sum is not finite and positive."""
-    from ._pcg64 import pairwise_sum
-    weights = [float(w) for w in weights]
-    total = pairwise_sum(weights)
-    if not 0.0 < total < math.inf:
-        raise ValidationError(error)
-    return [w / total for w in weights]
+def _sample(uniform, items, weights, size: int) -> list:
+    """`size` items drawn with replacement in proportion to their weights, whose sum
+    must be finite and positive."""
+    cdf = list(accumulate(weights))
+    total = cdf[-1]
+    cdf = [c / total for c in cdf]  # ends at 1.0 exactly, above every uniform() draw
+    return [items[bisect_right(cdf, uniform())] for _ in range(size)]
 
 
-def _sample(rng, items, weights, size: int) -> list:
-    """`size` items drawn with replacement in proportion to their weights."""
-    return [items[i] for i in rng.choice(len(items), size, p=_proportions(weights))]
+def _shuffle(uniform, items: list) -> None:
+    """Fisher-Yates from the end, in place."""
+    for i in range(len(items) - 1, 0, -1):
+        j = int(uniform() * (i + 1))
+        items[i], items[j] = items[j], items[i]
 
 
 def _output_size(n_in: int, inflation: float) -> int:
@@ -194,7 +197,7 @@ def _output_size(n_in: int, inflation: float) -> int:
 
 
 def _plan_concept(concept, counts, params: ChannelParams, ref: FrequencyTable,
-                  rng) -> tuple[list[str], dict[str, float]] | None:
+                  uniform) -> tuple[list[str], dict[str, float]] | None:
     """The variant pool and the emission probabilities of a concept the source
     attests; None for one it does not."""
     src, tgt = concept.source_lemmas, concept.target_lemmas
@@ -209,7 +212,7 @@ def _plan_concept(concept, counts, params: ChannelParams, ref: FrequencyTable,
         raise ValidationError(f"narrow_widen_factor is too large: {params.narrow_widen_factor:g}"
                               f" times {v_in} attested variants overflows")
     budget = math.floor(wanted)  # rounded up with probability equal to the fraction
-    if wanted > budget and rng.random() < wanted - budget:
+    if wanted > budget and uniform() < wanted - budget:
         budget += 1
     if params.kind is ChannelKind.MACHINE:
         budget = min(budget, v_in)       # hard cap: never widen the field
@@ -270,7 +273,7 @@ def apply_channel(source: CorpusStratum, cmap: ConceptMap, params: ChannelParams
     if planned > MAX_SYNTH_WORDS:
         raise ValidationError(f"the channel output of {planned} words must be at most "
                               f"{MAX_SYNTH_WORDS} words")
-    rng = _generator(params.seed, planned)
+    uniform = _uniform(params.seed)
 
     # A machine channel's norm pull redirects draws that land on capped-out variants:
     # one outside an attested concept's pool goes to the pool's top variant, and one of a
@@ -284,7 +287,7 @@ def apply_channel(source: CorpusStratum, cmap: ConceptMap, params: ChannelParams
                        key=target_ref.freqs.__getitem__, default=None)
     output: list[str] = []
     for concept, n_out in zip(concepts, n_outs):
-        plan = _plan_concept(concept, counts, params, target_ref, rng)
+        plan = _plan_concept(concept, counts, params, target_ref, uniform)
         if plan is None:
             if redirect:
                 remap.update(dict.fromkeys(concept.target_lemmas, fallback))
@@ -294,25 +297,25 @@ def apply_channel(source: CorpusStratum, cmap: ConceptMap, params: ChannelParams
             remap.update((t, pool[0]) for t in concept.target_lemmas if t not in pool)
         if n_out:
             targets = sorted(emission)
-            output += _sample(rng, targets, [emission[t] for t in targets], n_out)
+            output += _sample(uniform, targets, [emission[t] for t in targets], n_out)
     if n_fill:
         distinct = sorted(nonconcept)
         target_fill = filler_vocab(cmap.target_language, len(distinct))
-        output += _sample(rng, target_fill, [nonconcept[lem] for lem in distinct], n_fill)
+        output += _sample(uniform, target_fill, [nonconcept[lem] for lem in distinct], n_fill)
 
     if params.norm_pull > 0.0 and output:
         ref_lemmas = sorted(target_ref.freqs)
-        probs = _proportions([target_ref.freqs[lem] for lem in ref_lemmas],
-                             "norm_pull requires a frequency table whose values sum to a "
-                             "finite positive number")
-        pulled = [i for i, u in enumerate(rng.random(len(output))) if u < params.norm_pull]
-        if pulled:
-            for i, k in zip(pulled, rng.choice(len(ref_lemmas), len(pulled), p=probs)):
-                lemma = remap.get(ref_lemmas[k], ref_lemmas[k])
-                if lemma is not None:  # a dropped draw leaves the channel's token in place
-                    output[i] = lemma
+        weights = [target_ref.freqs[lem] for lem in ref_lemmas]
+        if not 0.0 < sum(weights) < math.inf:
+            raise ValidationError("norm_pull requires a frequency table whose values sum to "
+                                  "a finite positive number")
+        pulled = [i for i in range(len(output)) if uniform() < params.norm_pull]
+        for i, lemma in zip(pulled, _sample(uniform, ref_lemmas, weights, len(pulled))):
+            lemma = remap.get(lemma, lemma)
+            if lemma is not None:  # a dropped draw leaves the channel's token in place
+                output[i] = lemma
 
-    rng.shuffle(output)
+    _shuffle(uniform, output)
     kind = TranslationKind(params.kind.value)
     doc = Document.from_lemmas(f"synthetic-{params.kind.value}-seed{params.seed}", output)
     group_keys = {**source.group_keys, "channel": params.kind.value}

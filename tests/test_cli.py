@@ -21,8 +21,8 @@ ROOT = Path(__file__).parent.parent
 # sha256s (see helpers.digest) of the texts `synth` writes for the tiny seed-1 many-groups
 # benchmark corpus, and of their analyze bundle: a 3 x 3 summit x term grid gives Tukey
 # tests of k = 3 groups. A synth change moves both pins, an analyze change only the second.
-MANY_GROUPS_TEXTS_DIGEST = "4eaa39b0cb262b09e2dd2c5edf7368bd4af94f67bade4d046669e9547d969e83"
-MANY_GROUPS_DIGEST = "0dff1478564ecfcfc7b1ba3d3005bcca79191a6af03facbedd412572db43c86e"
+MANY_GROUPS_TEXTS_DIGEST = "6b124168a0ca394e86b3afe41c39433b2dbfc12f20727f61c88393ccd91e4009"
+MANY_GROUPS_DIGEST = "86552eeea1f893e3569e130be29ee2fff47ccc303c6dbecbb22e0646b63a2023"
 
 
 def base_config() -> dict:
@@ -120,6 +120,15 @@ class TestValidate:
                               group_by=[unicodedata.normalize("NFC", "période"), "summit"])
         assert main(["validate", "--config", str(config)]) == 0
         assert "0 errors" in capsys.readouterr().out
+
+    def test_empty_concept_map_path_exits_2(self, tmp_path, capsys):
+        # "" names the config's own directory; only an absent key or null means no map
+        config = write_config(tmp_path, concept_map="")
+        assert main(["validate", "--config", str(config)]) == 2
+        assert f"error: concept map: cannot read {tmp_path}: " in capsys.readouterr().out
+        out = tmp_path / "run"
+        assert main(["analyze", "--config", str(config), "--output-dir", str(out)]) == 2
+        assert not out.exists()
 
     def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys):
         path = tmp_path / "list.json"
@@ -658,7 +667,7 @@ class TestSynth:
         (["--words", "0"], {}, "target_words must be > 0, got 0"),
         ([], {"filler_size": 0}, "filler_size must be >= 1, got 0"),
         ([], {"concept_density": 1.5}, "concept_density must be in [0, 1], got 1.5"),
-        ([], {"concept_budget": {"say": -1}}, "concept weights must be >= 0"),
+        ([], {"concept_budget": {"say": -1}}, "concept weights must be >= 0, got -1.0 for 'say'"),
         ([], {"concept_budget": {"nope": 1}}, "unknown concept id in budget: 'nope'"),
         ([], {"kind": "robot"}, "synth.kind must be one of 'machine', 'human', got 'robot'"),
         ([], {"words": 10**12}, "synth.words must be at most 10000000, got 1000000000000"),

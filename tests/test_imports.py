@@ -1,30 +1,24 @@
-"""Cold start: each command imports numpy only where it runs it, and the package's
-exports load on first access.
+"""Cold start: no command imports numpy, and the package's exports load on first access.
 
-numpy costs about 150 ms and 15 MiB at start-up, so `validate` and `analyze` must
-run without it, whether their Tukey tests compare two groups or more, and `synth`
-loads it only for a sampler with at least `synth.PURE_PYTHON_WORDS` words to draw;
-below that, `semdrift._pcg64` draws the same streams, and `validate` and `analyze`
-never load it. Each command runs in a fresh interpreter, which reports its exit
-code and the modules it loaded.
+numpy costs about 150 ms and 15 MiB at start-up. `validate` and `analyze` run without
+it, whether their Tukey tests compare two groups or more, and `synth` draws from
+Python's own `random.Random` at any size, loading no semdrift module that `validate`
+does not. Each command runs in a fresh interpreter, which reports its exit code and
+the modules it loaded.
 """
 
 import importlib
 import json
-import math
 import os
 import shutil
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
 import semdrift
-from semdrift import synth
-from semdrift.cli import main
 
 from helpers import DATA, digest
 
@@ -33,10 +27,9 @@ PROBE = ("import json, sys\n"
          "from semdrift.cli import main\n"
          "code = main(sys.argv[1:])\n"
          "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n")
-PURE_GENERATOR = "semdrift._pcg64"
 # sha256 over the name and bytes of each file `synth` writes for tests/data/config.json
-# with its default settings; numpy's Generator streams define these bytes
-SYNTH_DIGEST = "86a237cdea76387a8d8d970c18f7b912abaf10b5e9f25c5ce22f4574d5c21a4a"
+# with its default settings; the seed's `random.Random(seed).random()` stream defines them
+SYNTH_DIGEST = "e41009883e164e4ce3057bd05e087ace69ad2bf0eab5e109cb84b028557375ad"
 
 
 def run_fresh(code: str, *args: str) -> str:
@@ -74,13 +67,13 @@ def pairs_per_test(output_dir: Path) -> Counter:
 def test_validate_never_imports_numpy():
     code, modules = run_command("validate")
     assert code == 0
-    assert not {"numpy", PURE_GENERATOR} & modules
+    assert "numpy" not in modules
 
 
 def test_two_group_analyze_never_imports_numpy(tmp_path):
     code, modules = run_command("analyze", "--output-dir", str(tmp_path))
     assert code == 0
-    assert not {"numpy", PURE_GENERATOR} & modules
+    assert "numpy" not in modules
     tests = pairs_per_test(tmp_path)
     assert tests and set(tests.values()) == {1}  # one pair per test: every k is 2
 
@@ -90,30 +83,30 @@ def test_many_group_analyze_never_imports_numpy(tmp_path):
     config = three_summit_config(tmp_path)
     code, modules = run_command("analyze", "--output-dir", str(out), config=config)
     assert code == 0
-    assert not {"numpy", PURE_GENERATOR} & modules
+    assert "numpy" not in modules
     tests = pairs_per_test(out)
     # every summit test compares three groups (three pairs, k = 3)
     assert {n for (_, factor, *_), n in tests.items() if factor == "summit"} == {3}
 
 
+def semdrift_modules_beyond_validate(modules: set[str]) -> set[str]:
+    return {m for m in modules - run_command("validate")[1] if m.startswith("semdrift.")}
+
+
 def test_default_synth_loads_no_numpy_and_writes_the_same_bytes(tmp_path):
-    # at 10,000 words both samplers run the pure generator, the one module that synth
-    # loads beyond those validate loads
     code, modules = run_command("synth", "--output-dir", str(tmp_path))
     assert code == 0
-    assert modules - run_command("validate")[1] == {PURE_GENERATOR}
+    assert "numpy" not in modules
+    assert not semdrift_modules_beyond_validate(modules)
     assert digest(tmp_path) == SYNTH_DIGEST
 
 
-def test_synth_at_the_cut_loads_numpy_and_writes_the_pure_generators_bytes(tmp_path):
-    words = str(synth.PURE_PYTHON_WORDS)
-    code, modules = run_command("synth", "--words", words, "--output-dir", str(tmp_path / "np"))
+def test_large_synth_loads_no_numpy(tmp_path):
+    # six times the default 10,000 words: every size draws from the same generator
+    code, modules = run_command("synth", "--words", "60000", "--output-dir", str(tmp_path))
     assert code == 0
-    assert "numpy" in modules
-    with mock.patch.object(synth, "PURE_PYTHON_WORDS", math.inf):
-        assert main(["synth", "--config", str(DATA / "config.json"), "--words", words,
-                     "--output-dir", str(tmp_path / "pure")]) == 0
-    assert digest(tmp_path / "np") == digest(tmp_path / "pure")
+    assert "numpy" not in modules
+    assert not semdrift_modules_beyond_validate(modules)
 
 
 def test_importing_the_package_loads_no_module():

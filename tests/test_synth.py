@@ -1,5 +1,7 @@
 import math
 import shutil
+from collections import Counter
+from itertools import permutations
 from unittest import mock
 
 import numpy as np
@@ -10,7 +12,6 @@ from scipy import stats as sps
 
 from semdrift import (ChannelKind, ChannelParams, Side, apply_channel, filler_vocab,
                       generate_source, synth, variant_counts)
-from semdrift._pcg64 import Generator, NumpyGenerator
 from semdrift.cli import main
 from semdrift.errors import ValidationError
 from semdrift.lexicon import Concept, ConceptMap, SentimentClass
@@ -18,8 +19,8 @@ from semdrift.lexicon import Concept, ConceptMap, SentimentClass
 from helpers import DATA, digest, fixture_concept_map, reference_table_en
 
 # sha256 (see helpers.digest) of what `synth --kind machine --pull 0.5` writes for
-# tests/data/config.json; numpy's Generator streams define these bytes
-MACHINE_PULL_DIGEST = "64e22c12167d399fb739fc7af88b3302c8d38e76eb0c196c80a1c7e4fe1ff103"
+# tests/data/config.json; the seed's `random.Random(seed).random()` stream defines these bytes
+MACHINE_PULL_DIGEST = "e3018446942c4943deda8cb8fc8b8039fd88c2c2784797e810a8e97752e517db"
 
 
 def concept_tokens(stratum, cmap, side):
@@ -120,6 +121,14 @@ class TestGenerateSource:
                                                   f"got 10000001"):
             generate_source(fixture_concept_map(), sizes["target_words"], {"say": 1.0}, 0,
                             filler_size=sizes["filler_size"])
+
+    @pytest.mark.parametrize("budget, shown", [({"say": math.nan, "think": 1.0}, "nan"),
+                                               ({"say": math.nan}, "nan"),
+                                               ({"say": -1.0, "think": 1.0}, "-1.0")])
+    def test_weight_that_is_not_at_least_zero_rejected(self, budget, shown):
+        with pytest.raises(ValidationError,
+                           match=f"concept weights must be >= 0, got {shown} for 'say'"):
+            generate_source(fixture_concept_map(), 1000, budget, seed=0)
 
     def test_weights_that_overflow_their_sum_rejected(self):
         with pytest.raises(ValidationError, match="concept weights must sum to a finite"):
@@ -247,10 +256,10 @@ class TestApplyChannel:
         cmap = fixture_concept_map()
         source = generate_source(cmap, 1000, {"say": 1.0}, seed=0)
         params = ChannelParams.machine(length_inflation=inflation)
-        with mock.patch.object(synth, "_generator") as generator, \
+        with mock.patch.object(synth, "_uniform") as seeding, \
                 pytest.raises(ValidationError, match="must be at most 10000000 words"):
             apply_channel(source, cmap, params, reference_table_en())
-        generator.assert_not_called()
+        seeding.assert_not_called()
 
     def test_language_mismatch_rejected(self):
         cmap = fixture_concept_map()
@@ -307,28 +316,25 @@ class TestMachinePull:
 
 
 class TestGenerators:
-    """Below `PURE_PYTHON_WORDS` words a sampler runs the pure generator, above it numpy's."""
+    """The draws every sampler makes from one seeded `random.Random(seed).random`."""
 
-    @pytest.mark.parametrize("kind", ["machine", "human"])
-    @pytest.mark.parametrize("pull", ["0", "0.5"])
-    def test_both_generators_write_the_same_bytes(self, tmp_path, kind, pull):
-        written, used = [], []
-        make = synth._generator
+    def test_shuffle_reaches_every_permutation_evenly(self):
+        # a swap index of int(uniform() * i) (Sattolo's cycles) never leaves [0, 1, 2] as is
+        uniform, n = synth._uniform(0), 6000
+        seen = Counter()
+        for _ in range(n):
+            items = [0, 1, 2]
+            synth._shuffle(uniform, items)
+            seen[tuple(items)] += 1
+        assert set(seen) == set(permutations(range(3)))
+        sigma = math.sqrt(n * (1 / 6) * (5 / 6))
+        for perm, count in seen.items():
+            assert abs(count - n / 6) <= 5 * sigma, perm
 
-        def recording(seed, words):
-            rng = make(seed, words)
-            used.append(type(rng))
-            return rng
-
-        for cut in (0, math.inf):
-            out = tmp_path / str(cut)
-            with mock.patch.object(synth, "PURE_PYTHON_WORDS", cut), \
-                    mock.patch.object(synth, "_generator", recording):
-                assert main(["synth", "--config", str(DATA / "config.json"), "--kind", kind,
-                             "--pull", pull, "--output-dir", str(out)]) == 0
-            written.append(digest(out))
-        assert used == [NumpyGenerator] * 2 + [Generator] * 2
-        assert written[0] == written[1]
+    @pytest.mark.parametrize("weights, allowed", [([0, 1, 0], {1}), ([1, 0], {0})])
+    def test_zero_weights_are_never_drawn(self, weights, allowed):
+        drawn = synth._sample(synth._uniform(1), range(len(weights)), weights, 10_000)
+        assert set(drawn) == allowed
 
     def test_reference_mass_that_overflows_exits_2_unwritten(self, tmp_path, capsys):
         data = shutil.copytree(DATA, tmp_path / "data")
