@@ -1,7 +1,10 @@
 """semdrift: sentiment and semantic-field shift analytics for translated corpora.
 
 Each export is imported from its module on first access (PEP 562), so
-`import semdrift` loads no module, and each command loads only what it uses.
+`import semdrift` loads no module. Each command loads only the modules it runs:
+`validate` loads `cli`, `errors`, `freq`, `ingest` and `lexicon`, `synth` adds `synth`,
+and `analyze` adds `semfield`, `stats` and `vectors` (`cli` imports those four where it
+calls them). `tests/test_imports.py` pins each set.
 """
 
 import importlib
@@ -13,8 +16,8 @@ _EXPORTS = {
                "ValidationError"),
     "freq": ("ClassDeviation", "ClassFrequencyStats", "DeviationMode", "FrequencyTable",
              "TokensPerLemma", "expected_deviation", "sentiment_stats", "tokens_per_lemma"),
-    "ingest": ("DEFAULT_PROFILES", "CorpusStratum", "Document", "LangProfile", "LemmaDict",
-               "TranslationKind", "default_profile", "lemmatize", "load_corpus",
+    "ingest": ("DEFAULT_PROFILES", "ChannelKind", "CorpusStratum", "Document", "LangProfile",
+               "LemmaDict", "TranslationKind", "default_profile", "lemmatize", "load_corpus",
                "save_corpus", "tokenize"),
     "lexicon": ("DEFAULT_PRIORITY", "Concept", "ConceptMap", "RawLexiconEntry",
                 "SentimentClass", "SentimentLexicon", "Side", "find_conflicts",
@@ -23,8 +26,7 @@ _EXPORTS = {
                  "field_width_report", "top_k_concepts", "variant_counts"),
     "stats": ("AnovaResult", "GroupSample", "PairComparison", "TukeyResult", "f_cdf",
               "one_way_anova", "studentized_range_cdf", "tukey_hsd"),
-    "synth": ("ChannelKind", "ChannelParams", "apply_channel", "filler_vocab",
-              "generate_source"),
+    "synth": ("ChannelParams", "apply_channel", "filler_vocab", "generate_source"),
     "vectors": ("ConceptVector", "Projection2D", "concept_vector", "cosine", "euclidean",
                 "pca_2d"),
 }

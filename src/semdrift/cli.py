@@ -13,13 +13,12 @@ import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from . import freq, ingest, semfield, stats, synth, vectors
+from . import freq, ingest
 from .errors import NUMBER, PATH, AnalysisError, SemdriftError, ValidationError, check
 from .freq import DeviationMode, FrequencyTable
-from .ingest import CorpusStratum, TranslationKind, group_strata
+from .ingest import ChannelKind, CorpusStratum, TranslationKind, group_strata
 from .lexicon import (DEFAULT_PRIORITY, ConceptMap, SentimentClass, SentimentLexicon, Side,
                       find_conflicts, load_concept_map, load_lexicon_sources, merge_disjoint)
-from .synth import ChannelKind, ChannelParams
 
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
@@ -105,6 +104,8 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     if config.top_k < 1:
         raise ValidationError(f"top_k must be >= 1, got {config.top_k}")
     if "output_dir" in body:
+        if not body["output_dir"]:  # base / "" is the config's own directory
+            raise ValidationError("output_dir must not be empty")
         config.output_dir = base / body["output_dir"]
     # the flags' values are checked here, the config file's with the rest of its body
     config.synth_options = {**body.get("synth", {}), **check(
@@ -387,6 +388,7 @@ def _anova_tables(config: RunConfig, inputs: ValidationReport, by_kind: dict,
     a term or summit effect is not confounded with the translation kind (`by_kind`
     holds those slices); the translation_kind factor itself runs per language.
     """
+    from . import stats
     anova = _Table("anova", ["language", "slice", "factor", "class", "metric", "groups",
                              "df_between", "df_within", "f_stat", "p_value", "levene_stat",
                              "levene_p", "degenerate"], csv_only=("groups",))
@@ -436,18 +438,19 @@ def _anova_tables(config: RunConfig, inputs: ValidationReport, by_kind: dict,
     return [anova, tukey]
 
 
-def _cosine_or_none(u: vectors.ConceptVector, v: vectors.ConceptVector) -> float | None:
-    try:
-        return vectors.cosine(u, v)
-    except AnalysisError:
-        return None
-
-
 def _concept_tables(config: RunConfig, cmap: ConceptMap, merged: list[CorpusStratum],
                     summary: dict) -> list[_Table]:
     """Variant profiles, top-k concepts and concept vectors in one pass over the merged
     strata; then field width against the source stratum, cosine and Euclidean matrices
     over the concept vectors, and their 2-D projection."""
+    from . import semfield, vectors
+
+    def cosine_or_none(u, v) -> float | None:
+        try:
+            return vectors.cosine(u, v)
+        except AnalysisError:
+            return None
+
     sides = {cmap.target_language: Side.TARGET, cmap.source_language: Side.SOURCE}
     variant_headers = ["concept_id", "class", "variant_count", "token_total", "variants_list"]
     variants = _Table("variants", ["stratum", *variant_headers], {"variants_list": "variants"})
@@ -507,7 +510,7 @@ def _concept_tables(config: RunConfig, cmap: ConceptMap, merged: list[CorpusStra
         summary["skipped"].append("similarity: fewer than 2 concept vectors")
         return tables
     summary["similarity"] = {"labels": labels}
-    for table, metric in ((cosine, _cosine_or_none), (euclidean, vectors.euclidean)):
+    for table, metric in ((cosine, cosine_or_none), (euclidean, vectors.euclidean)):
         table.records = [{"label": u.stratum_label,
                           **{v.stratum_label: metric(u, v) for v in concept_vectors}}
                          for u in concept_vectors]
@@ -576,6 +579,7 @@ _CHANNEL_KEYS = {"seed": "seed", "factor": "narrow_widen_factor", "norm_pull": "
 
 def cmd_synth(config: RunConfig) -> int:
     """Write a synthetic corpus and its channel output; a failure leaves none of its files."""
+    from . import synth
     options = config.synth_options
     words = options.get("words", 10_000)
     filler_size = options.get("filler_size", synth.DEFAULT_FILLER_SIZE)
@@ -598,8 +602,8 @@ def cmd_synth(config: RunConfig) -> int:
     density = options.get("concept_density", synth.DEFAULT_CONCEPT_DENSITY)
     budget = options.get("concept_budget", {cid: 1.0 for cid in cmap.concepts})
     given = {name: options[key] for key, name in _CHANNEL_KEYS.items() if key in options}
-    kind = options.get("kind", ChannelKind.MACHINE)
-    channel = ChannelParams.human if kind is ChannelKind.HUMAN else ChannelParams.machine
+    channel = (synth.ChannelParams.human if options.get("kind") is ChannelKind.HUMAN
+               else synth.ChannelParams.machine)
     try:
         params = channel(**given)
         source = synth.generate_source(cmap, words, budget, params.seed,

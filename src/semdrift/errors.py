@@ -58,11 +58,7 @@ def check(name: str, value, spec):
                 for k, v in value.items() if v is not None}
     if isinstance(spec, type) and issubclass(spec, Enum):
         _check_type(name, value, str)
-        try:
-            return spec(value)
-        except ValueError:
-            allowed = ", ".join(repr(member.value) for member in spec)
-            raise ValidationError(f"{name} must be one of {allowed}, got {value!r}") from None
+        return member(name, value, spec)
     _check_type(name, value, spec)
     if spec is NUMBER:  # Python's JSON reader also takes NaN, Infinity and 400-digit integers
         if not abs(value) <= sys.float_info.max:
@@ -71,6 +67,16 @@ def check(name: str, value, spec):
     if spec is str:
         return unicodedata.normalize("NFC", value)
     return value
+
+
+def member(name: str, value, enum: type[Enum]):
+    """`value` as a member of `enum`, given as the member or its value, or a ValidationError
+    naming `name` and the allowed values."""
+    try:
+        return enum(value)
+    except ValueError:
+        allowed = ", ".join(repr(m.value) for m in enum)
+        raise ValidationError(f"{name} must be one of {allowed}, got {value!r}") from None
 
 
 def _check_type(name: str, value, expected) -> None:

@@ -9,9 +9,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from math import isfinite
-from statistics import median
 
-from .errors import ValidationError
+from .errors import ValidationError, member
 from .ingest import CorpusStratum, Lemma, read_tsv
 from .lexicon import SentimentClass, SentimentLexicon
 
@@ -119,6 +118,12 @@ class ClassDeviation:
     median_deviation: float | None
 
 
+def _median(values: list[float]) -> float:
+    """`statistics.median` of a non-empty list, bit for bit, without importing it."""
+    ordered, middle = sorted(values), len(values) // 2
+    return ordered[middle] if len(values) % 2 else (ordered[middle - 1] + ordered[middle]) / 2
+
+
 def expected_deviation(stratum: CorpusStratum, lexicon: SentimentLexicon,
                        ref: FrequencyTable,
                        mode: DeviationMode = DeviationMode.DIFFERENCE
@@ -131,6 +136,7 @@ def expected_deviation(stratum: CorpusStratum, lexicon: SentimentLexicon,
     excluded from the mean and listed under `uncovered` instead of being
     silently treated as zero.
     """
+    mode = member("mode", mode, DeviationMode)
     _check_language(stratum, lexicon.language_code, "lexicon")
     _check_language(stratum, ref.language_code, "frequency table")
     total = stratum.total_word_count
@@ -159,7 +165,7 @@ def expected_deviation(stratum: CorpusStratum, lexicon: SentimentLexicon,
             per_lemma=per_lemma,
             uncovered=tuple(uncovered),
             mean_deviation=sum(values) / len(values) if values else None,
-            median_deviation=median(values) if values else None,
+            median_deviation=_median(values) if values else None,
         )
     return out
 

@@ -98,6 +98,11 @@ class TranslationKind(str, Enum):
     MACHINE = "machine"
 
 
+class ChannelKind(str, Enum):  # the kinds a synthetic channel emits
+    MACHINE = "machine"
+    HUMAN = "human"
+
+
 @dataclass(frozen=True)
 class LangProfile:
     """Per-language tokenizer settings: which code points count as word characters.

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import ValidationError, member
 from .ingest import Lemma, read_tsv
 
 
@@ -142,6 +142,7 @@ class Concept:
                     f"concept {self.concept_id!r} repeats a {side_name} lemma")
 
     def lemmas(self, side: Side) -> tuple[Lemma, ...]:
+        side = member("side", side, Side)
         return self.source_lemmas if side is Side.SOURCE else self.target_lemmas
 
 
@@ -166,6 +167,7 @@ class ConceptMap:
 
     def check_language(self, language_code: str, side: Side) -> None:
         """Raise ValidationError unless `side` of the map is in `language_code`."""
+        side = member("side", side, Side)
         expected = self.source_language if side is Side.SOURCE else self.target_language
         if language_code != expected:
             raise ValidationError(

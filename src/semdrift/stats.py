@@ -15,8 +15,6 @@ from the table `gauss_legendre.txt` that ships with the package, so no process
 recomputes them and the p-values do not depend on the platform's eigenvalue solver.
 """
 
-from __future__ import annotations
-
 import math
 import warnings
 from bisect import bisect_right

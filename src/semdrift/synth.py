@@ -11,17 +11,14 @@ distribution, so at pull 1.0 the output matches target-language norms and the
 concept-total conservation guarantee only holds at pull 0.
 """
 
-from __future__ import annotations
-
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from enum import Enum
 from itertools import accumulate, islice, product
 
-from .errors import ValidationError
+from .errors import ValidationError, member
 from .freq import FrequencyTable
-from .ingest import DEFAULT_PROFILES, CorpusStratum, Document, TranslationKind
+from .ingest import DEFAULT_PROFILES, ChannelKind, CorpusStratum, Document, TranslationKind
 from .lexicon import ConceptMap, Side
 
 DEFAULT_MACHINE_FACTOR = 0.4
@@ -36,11 +33,6 @@ DEFAULT_FILLER_SIZE = 200
 MAX_SYNTH_WORDS = 10_000_000
 
 _ASCII_LOWER = "abcdefghijklmnopqrstuvwxyz"
-
-
-class ChannelKind(str, Enum):
-    MACHINE = "machine"
-    HUMAN = "human"
 
 
 @dataclass(frozen=True)
@@ -60,6 +52,7 @@ class ChannelParams:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", member("kind", self.kind, ChannelKind))
         if not self.narrow_widen_factor > 0:
             raise ValidationError(
                 f"narrow_widen_factor must be > 0, got {self.narrow_widen_factor}")

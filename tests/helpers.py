@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import ast
 import hashlib
 from functools import lru_cache
 from pathlib import Path
@@ -9,6 +10,17 @@ from semdrift import (ConceptMap, CorpusStratum, Document, FrequencyTable, Senti
                       merge_disjoint)
 
 DATA = Path(__file__).parent / "data"
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
+
+
+def perfbench_constant(module: str, name: str):
+    """A literal module-level constant of a perfbench module, read without importing it."""
+    tree = ast.parse((PERFBENCH / f"{module}.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"perfbench/{module}.py defines no {name}")
 
 
 def digest(directory: Path) -> str:

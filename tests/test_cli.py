@@ -2,6 +2,7 @@ import difflib
 import importlib.util
 import json
 import re
+import shutil
 import unicodedata
 from itertools import islice
 from pathlib import Path
@@ -570,6 +571,26 @@ class TestAnalyze:
         assert capsys.readouterr().err.startswith(f"error: output_dir: cannot write {taken}: ")
         assert taken.read_text(encoding="utf-8") == "keep"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+
+    @pytest.mark.parametrize("command, flags", [
+        ("validate", []), ("synth", []), ("analyze", []),
+        ("synth", ["--output-dir", ""]), ("analyze", ["--output-dir", ""])])
+    def test_empty_output_dir_exits_2_and_leaves_the_inputs(self, tmp_path, capsys, command,
+                                                            flags):
+        # "" would resolve to the config's own directory, among the inputs
+        data = shutil.copytree(DATA, tmp_path / "data")
+        config = data / "config.json"
+        if not flags:
+            body = json.loads(config.read_text(encoding="utf-8"))
+            config.write_text(json.dumps({**body, "output_dir": ""}), encoding="utf-8")
+
+        def files():
+            return {p: p.read_bytes() for p in sorted(data.rglob("*")) if p.is_file()}
+
+        before = files()
+        assert main([command, "--config", str(config), *flags]) == 2
+        assert capsys.readouterr().err == "error: output_dir must not be empty\n"
+        assert files() == before
 
     def test_failed_write_leaves_no_partial_bundle(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -1,4 +1,5 @@
 import re
+import statistics
 import unicodedata
 from collections import Counter
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from semdrift import (DeviationMode, FrequencyTable, SentimentClass, SentimentLexicon,
                       expected_deviation, sentiment_stats, tokens_per_lemma)
 from semdrift.errors import ValidationError
+from semdrift.freq import _median
 
 from helpers import make_stratum
 
@@ -160,6 +162,27 @@ class TestExpectedDeviation:
         ref = FrequencyTable("ru", {"good": 1.0})
         with pytest.raises(ValidationError, match="language mismatch"):
             expected_deviation(make_stratum(["good"]), tiny_lexicon(), ref)
+
+    @pytest.mark.parametrize("mode", list(DeviationMode))
+    def test_mode_spelled_as_its_value_is_the_member(self, mode):
+        stratum = make_stratum(["good"] * 3 + ["great", "bad"] + ["x"] * 95)
+        ref = FrequencyTable("en", {"good": 20_000.0, "great": 5_000.0, "bad": 1_000.0})
+        spelled = expected_deviation(stratum, tiny_lexicon(), ref, mode.value)
+        assert spelled == expected_deviation(stratum, tiny_lexicon(), ref, mode)
+        assert all(dev.mode is mode for dev in spelled.values())
+
+    @pytest.mark.parametrize("mode", ["diff", None, 1])
+    def test_unknown_mode_names_the_allowed_values(self, mode):
+        ref = FrequencyTable("en", {"good": 1.0})
+        with pytest.raises(ValidationError, match=re.escape(
+                f"mode must be one of 'difference', 'ratio', got {mode!r}")):
+            expected_deviation(make_stratum(["good"]), tiny_lexicon(), ref, mode)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1),
+           st.floats(allow_nan=False, allow_infinity=False))
+    def test_median_is_statistics_median_bit_for_bit(self, values, extra):
+        for xs in (values, values + [extra]):  # one odd length, one even
+            assert repr(_median(xs)) == repr(statistics.median(xs))
 
     def test_mean_deviation_near_zero_when_sampled_from_reference(self):
         # Monte-Carlo oracle: strata drawn iid from the reference distribution

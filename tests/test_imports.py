@@ -1,10 +1,13 @@
-"""Cold start: no command imports numpy, and the package's exports load on first access.
+"""Cold start: each command loads only the semdrift modules it runs, and never numpy.
 
-numpy costs about 150 ms and 15 MiB at start-up. `validate` and `analyze` run without
-it, whether their Tukey tests compare two groups or more, and `synth` draws from
-Python's own `random.Random` at any size, loading no semdrift module that `validate`
-does not. Each command runs in a fresh interpreter, which reports its exit code and
-the modules it loaded.
+numpy costs about 150 ms and 15 MiB at start-up. No command imports it: `validate` and
+`analyze` run without it whether their Tukey tests compare two groups or more, and
+`synth` draws from Python's own `random.Random` at any size. Every command loads `cli`,
+`errors`, `freq`, `ingest` and `lexicon`; on top of these `synth` loads only `synth`, and
+`analyze` loads `semfield`, `stats` and `vectors` but not `synth`. The benchmark's set-up
+job, `perfbench/run.py`'s `SETUP_CODE`, loads what `validate` does. Each command runs in a
+fresh interpreter, which reports its exit code and the modules it loaded; the package's
+exports load on first access.
 """
 
 import importlib
@@ -20,13 +23,17 @@ import pytest
 
 import semdrift
 
-from helpers import DATA, digest
+from helpers import DATA, digest, perfbench_constant
 
 ROOT = Path(__file__).parent.parent
 PROBE = ("import json, sys\n"
          "from semdrift.cli import main\n"
          "code = main(sys.argv[1:])\n"
          "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n")
+# the semdrift modules every command loads, and those `synth` and `analyze` add to them
+COMMON = {f"semdrift{m}" for m in ("", ".cli", ".errors", ".freq", ".ingest", ".lexicon")}
+SYNTH = COMMON | {"semdrift.synth"}
+ANALYZE = COMMON | {"semdrift.semfield", "semdrift.stats", "semdrift.vectors"}
 # sha256 over the name and bytes of each file `synth` writes for tests/data/config.json
 # with its default settings; the seed's `random.Random(seed).random()` stream defines them
 SYNTH_DIGEST = "e41009883e164e4ce3057bd05e087ace69ad2bf0eab5e109cb84b028557375ad"
@@ -64,16 +71,33 @@ def pairs_per_test(output_dir: Path) -> Counter:
                    for r in summary["tukey"])
 
 
+def semdrift_modules(modules: set[str]) -> set[str]:
+    return {m for m in modules if m == "semdrift" or m.startswith("semdrift.")}
+
+
 def test_validate_never_imports_numpy():
     code, modules = run_command("validate")
     assert code == 0
     assert "numpy" not in modules
+    assert semdrift_modules(modules) == COMMON
+
+
+def test_benchmark_setup_job_loads_only_the_common_modules():
+    # the set-up job's own code, run as the benchmark runs it, with the module list
+    # printed at exit
+    setup = perfbench_constant("run", "SETUP_CODE")
+    code = ("import atexit, json, sys\n"
+            "atexit.register(lambda: print(json.dumps(sorted(sys.modules))))\n" + setup)
+    modules = set(json.loads(run_fresh(code, str(DATA / "config.json"))))
+    assert "numpy" not in modules
+    assert semdrift_modules(modules) == COMMON
 
 
 def test_two_group_analyze_never_imports_numpy(tmp_path):
     code, modules = run_command("analyze", "--output-dir", str(tmp_path))
     assert code == 0
     assert "numpy" not in modules
+    assert semdrift_modules(modules) == ANALYZE
     tests = pairs_per_test(tmp_path)
     assert tests and set(tests.values()) == {1}  # one pair per test: every k is 2
 
@@ -84,20 +108,17 @@ def test_many_group_analyze_never_imports_numpy(tmp_path):
     code, modules = run_command("analyze", "--output-dir", str(out), config=config)
     assert code == 0
     assert "numpy" not in modules
+    assert semdrift_modules(modules) == ANALYZE
     tests = pairs_per_test(out)
     # every summit test compares three groups (three pairs, k = 3)
     assert {n for (_, factor, *_), n in tests.items() if factor == "summit"} == {3}
-
-
-def semdrift_modules_beyond_validate(modules: set[str]) -> set[str]:
-    return {m for m in modules - run_command("validate")[1] if m.startswith("semdrift.")}
 
 
 def test_default_synth_loads_no_numpy_and_writes_the_same_bytes(tmp_path):
     code, modules = run_command("synth", "--output-dir", str(tmp_path))
     assert code == 0
     assert "numpy" not in modules
-    assert not semdrift_modules_beyond_validate(modules)
+    assert semdrift_modules(modules) == SYNTH
     assert digest(tmp_path) == SYNTH_DIGEST
 
 
@@ -106,7 +127,7 @@ def test_large_synth_loads_no_numpy(tmp_path):
     code, modules = run_command("synth", "--words", "60000", "--output-dir", str(tmp_path))
     assert code == 0
     assert "numpy" not in modules
-    assert not semdrift_modules_beyond_validate(modules)
+    assert semdrift_modules(modules) == SYNTH
 
 
 def test_importing_the_package_loads_no_module():

@@ -1,15 +1,16 @@
 import random
+import re
 import unicodedata
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semdrift import (RawLexiconEntry, SentimentClass, SentimentLexicon,
+from semdrift import (RawLexiconEntry, SentimentClass, SentimentLexicon, Side,
                       find_conflicts, load_concept_map, load_lexicon_sources, merge_disjoint)
 from semdrift.errors import ValidationError
 
-from helpers import DATA, fixture_lexicons
+from helpers import DATA, fixture_concept_map, fixture_lexicons
 
 POS, NEG, EPI = SentimentClass.POSITIVE, SentimentClass.NEGATIVE, SentimentClass.EPISTEMIC
 
@@ -129,6 +130,24 @@ class TestMergeDisjoint:
 
 
 class TestConceptMap:
+    @pytest.mark.parametrize("side", list(Side))
+    def test_side_spelled_as_its_value_is_the_member(self, side):
+        cmap = fixture_concept_map()
+        say = cmap.concepts["say"]
+        assert say.lemmas(side.value) == say.lemmas(side)
+        assert cmap.lemmas(side.value) == cmap.lemmas(side)
+        language = cmap.source_language if side is Side.SOURCE else cmap.target_language
+        cmap.check_language(language, side.value)
+
+    @pytest.mark.parametrize("side", ["src", None])
+    def test_unknown_side_names_the_allowed_values(self, side):
+        cmap = fixture_concept_map()
+        message = re.escape(f"side must be one of 'source', 'target', got {side!r}")
+        for call in (lambda: cmap.concepts["say"].lemmas(side), lambda: cmap.lemmas(side),
+                     lambda: cmap.check_language("ru", side)):
+            with pytest.raises(ValidationError, match=message):
+                call()
+
     def test_fixture_loads_with_expected_variants(self):
         ru, en = fixture_lexicons()
         cmap = load_concept_map(DATA / "concepts.tsv", ru, en)

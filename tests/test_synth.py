@@ -1,4 +1,5 @@
 import math
+import re
 import shutil
 from collections import Counter
 from itertools import permutations
@@ -46,6 +47,24 @@ class TestChannelParams:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
             ChannelParams.machine(seed=-1)
+
+    @pytest.mark.parametrize("kind", list(ChannelKind))
+    def test_kind_spelled_as_its_value_is_the_member(self, kind):
+        params = ChannelParams(kind.value, 0.4, seed=5)
+        assert params.kind is kind
+        assert params == ChannelParams(kind, 0.4, seed=5)
+        cmap, ref = fixture_concept_map(), reference_table_en()
+        source = generate_source(cmap, 3000, {cid: 1.0 for cid in cmap.concepts}, seed=5)
+        out = apply_channel(source, cmap, params, ref)
+        assert out.translation_kind.value == kind.value
+        expected = apply_channel(source, cmap, ChannelParams(kind, 0.4, seed=5), ref)
+        assert out.lemma_counts() == expected.lemma_counts()
+
+    @pytest.mark.parametrize("kind", ["robot", "source", None])
+    def test_unknown_kind_names_the_allowed_values(self, kind):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"kind must be one of 'machine', 'human', got {kind!r}")):
+            ChannelParams(kind, 0.4)
 
 
 class TestFillerVocab:

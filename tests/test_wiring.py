@@ -5,31 +5,20 @@ records no call to one of the spans it requires. This runs the same tracer on
 the fixture config, so a change that bypasses a required function fails here.
 """
 
-import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from helpers import DATA
+from helpers import DATA, PERFBENCH, perfbench_constant
 
 ROOT = Path(__file__).parent.parent
-PERFBENCH = ROOT / "perfbench"
-
-
-def _constant(module: str, name: str) -> tuple:
-    """A literal module-level constant of a perfbench module, read without importing it."""
-    tree = ast.parse((PERFBENCH / f"{module}.py").read_text(encoding="utf-8"))
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == name for t in node.targets):
-            return ast.literal_eval(node.value)
-    raise LookupError(f"perfbench/{module}.py defines no {name}")
 
 
 def test_traced_synth_and_analyze_call_every_required_span(tmp_path):
-    required = _constant("tracer", "REQUIRED") + _constant("workloads", "STATS_FUNCTIONS")
+    required = (perfbench_constant("tracer", "REQUIRED")
+                + perfbench_constant("workloads", "STATS_FUNCTIONS"))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                         os.environ.get("PYTHONPATH")]))}
