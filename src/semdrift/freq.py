@@ -11,7 +11,7 @@ from enum import Enum
 from math import isfinite
 
 from .errors import ValidationError, member
-from .ingest import CorpusStratum, Lemma, read_tsv
+from .ingest import CorpusStratum, Lemma, check_language, read_tsv
 from .lexicon import SentimentClass, SentimentLexicon
 
 PER_MILLION_TO_PCT = 1.0 / 10_000.0
@@ -62,26 +62,20 @@ class DeviationMode(str, Enum):
     RATIO = "ratio"
 
 
-def _check_language(stratum: CorpusStratum, other_language: str, what: str) -> None:
-    if stratum.language_code != other_language:
-        raise ValidationError(
-            f"language mismatch: stratum is {stratum.language_code!r} but "
-            f"{what} is {other_language!r}")
-
-
 def _class_counts(stratum: CorpusStratum,
                   lexicon: SentimentLexicon) -> dict[SentimentClass, Counter]:
-    counts = stratum.lemma_counts()
-    per_class: dict[SentimentClass, Counter] = {}
-    for cls in SentimentClass:
-        members = lexicon.lists[cls]
-        per_class[cls] = Counter({lem: n for lem, n in counts.items() if lem in members})
+    """The stratum's lemma counts split by class in one pass; unlisted lemmas drop out."""
+    check_language("stratum", stratum.language_code, "lexicon", lexicon.language_code)
+    per_class: dict[SentimentClass, Counter] = {cls: Counter() for cls in SentimentClass}
+    for lemma, n in stratum.lemma_counts().items():
+        cls = lexicon.class_of(lemma)
+        if cls is not None:
+            per_class[cls][lemma] = n
     return per_class
 
 
 @dataclass(frozen=True)
 class TokensPerLemma:
-    sentiment: SentimentClass
     mean: float | None
     histogram: dict[int, int] = field(default_factory=dict)
 
@@ -92,23 +86,15 @@ def tokens_per_lemma(stratum: CorpusStratum,
 
     A class with no attested lemmas reports mean None rather than 0.
     """
-    _check_language(stratum, lexicon.language_code, "lexicon")
-    out: dict[SentimentClass, TokensPerLemma] = {}
-    for cls, counter in _class_counts(stratum, lexicon).items():
-        if counter:
-            mean = sum(counter.values()) / len(counter)
-        else:
-            mean = None
-        histogram = dict(Counter(counter.values()))
-        out[cls] = TokensPerLemma(cls, mean, histogram)
-    return out
+    return {cls: TokensPerLemma(sum(counter.values()) / len(counter) if counter else None,
+                                dict(Counter(counter.values())))
+            for cls, counter in _class_counts(stratum, lexicon).items()}
 
 
 @dataclass(frozen=True)
 class ClassDeviation:
     """Observed-vs-expected frequency summary for one sentiment class."""
 
-    sentiment: SentimentClass
     mode: DeviationMode
     observed_pct: dict[Lemma, float]
     expected_pct: dict[Lemma, float]
@@ -137,11 +123,11 @@ def expected_deviation(stratum: CorpusStratum, lexicon: SentimentLexicon,
     silently treated as zero.
     """
     mode = member("mode", mode, DeviationMode)
-    _check_language(stratum, lexicon.language_code, "lexicon")
-    _check_language(stratum, ref.language_code, "frequency table")
+    per_class = _class_counts(stratum, lexicon)
+    check_language("stratum", stratum.language_code, "frequency table", ref.language_code)
     total = stratum.total_word_count
     out: dict[SentimentClass, ClassDeviation] = {}
-    for cls, counter in _class_counts(stratum, lexicon).items():
+    for cls, counter in per_class.items():
         observed: dict[str, float] = {}
         expected: dict[str, float] = {}
         per_lemma: dict[str, float] = {}
@@ -158,7 +144,6 @@ def expected_deviation(stratum: CorpusStratum, lexicon: SentimentLexicon,
             per_lemma[lemma] = obs - exp if mode is DeviationMode.DIFFERENCE else obs / exp
         values = list(per_lemma.values())
         out[cls] = ClassDeviation(
-            sentiment=cls,
             mode=mode,
             observed_pct=observed,
             expected_pct=expected,
@@ -174,7 +159,6 @@ def expected_deviation(stratum: CorpusStratum, lexicon: SentimentLexicon,
 class ClassFrequencyStats:
     """Headline per-class numbers for one stratum."""
 
-    sentiment: SentimentClass
     unique_lemma_count: int
     token_count: int
     mean_tokens_per_lemma: float | None
@@ -187,14 +171,12 @@ def sentiment_stats(stratum: CorpusStratum,
 
     Per-lemma deviations from a reference table come from `expected_deviation`.
     """
-    _check_language(stratum, lexicon.language_code, "lexicon")
     total = stratum.total_word_count
     out: dict[SentimentClass, ClassFrequencyStats] = {}
     for cls, counter in _class_counts(stratum, lexicon).items():
         tokens = sum(counter.values())
         uniques = len(counter)
         out[cls] = ClassFrequencyStats(
-            sentiment=cls,
             unique_lemma_count=uniques,
             token_count=tokens,
             mean_tokens_per_lemma=tokens / uniques if uniques else None,

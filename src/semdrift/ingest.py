@@ -86,6 +86,13 @@ def read_json(path) -> dict:
     return body
 
 
+def check_language(what: str, found: str, against: str, expected: str) -> None:
+    """Raise ValidationError unless `what`, in `found`, is in the language of `against`."""
+    if found != expected:
+        raise ValidationError(
+            f"language mismatch: {what} is {found!r} but {against} is {expected!r}")
+
+
 # The code points where `str.split()` cuts: exactly those for which `str.isspace()` holds.
 _WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
                "\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a"
@@ -268,6 +275,13 @@ class Document:
         return cls(doc_id, counts)
 
 
+def _claim_id(doc_id: str, seen: set[str]) -> None:
+    """Add a document id to `seen`; an id already there is a ValidationError."""
+    if doc_id in seen:
+        raise ValidationError(f"duplicate document id: {doc_id!r}")
+    seen.add(doc_id)
+
+
 @dataclass
 class CorpusStratum:
     """A sub-corpus sharing language, translation kind, and grouping keys.
@@ -281,10 +295,9 @@ class CorpusStratum:
     documents: list[Document] = field(default_factory=list)
 
     def __post_init__(self):
-        ids = [d.id for d in self.documents]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise ValidationError(f"duplicate document id: {dupes[0]!r}")
+        seen: set[str] = set()
+        for doc_id in sorted(d.id for d in self.documents):  # names the least repeated id
+            _claim_id(doc_id, seen)
 
     @property
     def total_word_count(self) -> int:
@@ -377,9 +390,7 @@ def _load_documents(manifest: dict, base: Path) -> list[CorpusStratum]:
             if required not in entry:
                 raise ValidationError(f"documents[{i}] is missing field {required!r}")
         doc_id, language, kind = entry["id"], entry["language"], entry["translation_kind"]
-        if doc_id in seen_ids:
-            raise ValidationError(f"duplicate document id: {doc_id!r}")
-        seen_ids.add(doc_id)
+        _claim_id(doc_id, seen_ids)
         if language not in profiles:
             raise ValidationError(f"unknown language_code: {language!r}")
         group_keys = entry.get("group_keys", {})
@@ -460,13 +471,15 @@ def save_corpus(strata: list[CorpusStratum], directory) -> Path:
     order. The manifest names no profiles or lemma dicts, so `load_corpus`
     tokenizes each lemma under its language's default profile; a lemma that
     would not come back as itself there (say `йод-лемма` or `Good`) is a
-    ValidationError raised before anything is written, and so is a document id,
+    ValidationError raised before anything is written. So is a document id that
+    two strata share, whose files would overwrite each other, and a document id,
     group key or group-key value not in NFC, the form the manifest is read in.
     Otherwise the reload reproduces every document's id and lemma counts.
     A document's file is `{id}.txt` when the id is made of `[A-Za-z0-9._-]`;
     see `_document_filename` for other ids. A failed write removes those written.
     """
     checked: dict[str, set[Lemma]] = {}
+    ids: set[str] = set()
     for stratum in strata:
         profile = default_profile(stratum.language_code)
         seen = checked.setdefault(stratum.language_code, set())
@@ -477,6 +490,7 @@ def save_corpus(strata: list[CorpusStratum], directory) -> Path:
                 raise ValidationError(f"cannot save {name!r}: the manifest is read in NFC, "
                                       f"where it would become {nfc!r}")
         for doc in stratum.documents:
+            _claim_id(doc.id, ids)
             for lemma in doc.counts:
                 if lemma in seen:
                     continue

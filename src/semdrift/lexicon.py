@@ -11,7 +11,7 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import ValidationError, member
-from .ingest import Lemma, read_tsv
+from .ingest import Lemma, check_language, read_tsv
 
 
 class SentimentClass(str, Enum):
@@ -73,19 +73,20 @@ class SentimentLexicon:
         lists = {cls: frozenset(self.lists.get(cls, frozenset())) for cls in SentimentClass}
         object.__setattr__(self, "lists", lists)
         classes = list(SentimentClass)
-        for i, a in enumerate(classes):
-            for b in classes[i + 1:]:
-                overlap = lists[a] & lists[b]
-                if overlap:
-                    raise ValidationError(
-                        f"lexicon lists not disjoint: {sorted(overlap)[0]!r} in both "
-                        f"{a.value} and {b.value}")
+        class_of: dict[Lemma, SentimentClass] = {}
+        clashes = []  # (rank of the earlier class, rank of the later, lemma)
+        for rank, cls in enumerate(classes):
+            clashes += [(classes.index(class_of[lemma]), rank, lemma)
+                        for lemma in lists[cls] & class_of.keys()]
+            class_of.update(dict.fromkeys(lists[cls], cls))
+        if clashes:
+            a, b, lemma = min(clashes)
+            raise ValidationError(f"lexicon lists not disjoint: {lemma!r} in both "
+                                  f"{classes[a].value} and {classes[b].value}")
+        object.__setattr__(self, "_class_of", class_of)
 
     def class_of(self, lemma: Lemma) -> SentimentClass | None:
-        for cls, members in self.lists.items():
-            if lemma in members:
-                return cls
-        return None
+        return self._class_of.get(lemma)
 
 
 def find_conflicts(raws: list[RawLexiconEntry]) -> dict[Lemma, set[SentimentClass]]:
@@ -107,15 +108,17 @@ def merge_disjoint(raws: list[RawLexiconEntry],
     """
     if sorted(priority) != sorted(SentimentClass):
         raise ValidationError(f"priority must be a permutation of the three classes: {priority}")
-    claims: dict[Lemma, set[SentimentClass]] = {}
+    rank = {cls: i for i, cls in enumerate(priority)}
+    winner: dict[Lemma, SentimentClass] = {}
     sources: dict[Lemma, set[str]] = {}
     for entry in raws:
-        claims.setdefault(entry.lemma, set()).add(entry.sentiment)
+        held = winner.setdefault(entry.lemma, entry.sentiment)
+        if rank[entry.sentiment] < rank[held]:
+            winner[entry.lemma] = entry.sentiment
         sources.setdefault(entry.lemma, set()).add(entry.source)
     lists: dict[SentimentClass, set[Lemma]] = {cls: set() for cls in SentimentClass}
-    for lemma, claimed in claims.items():
-        winner = next(cls for cls in priority if cls in claimed)
-        lists[winner].add(lemma)
+    for lemma, cls in winner.items():
+        lists[cls].add(lemma)
     return SentimentLexicon(language_code, lists,
                             {lemma: tuple(sorted(srcs)) for lemma, srcs in sources.items()})
 
@@ -168,11 +171,8 @@ class ConceptMap:
     def check_language(self, language_code: str, side: Side) -> None:
         """Raise ValidationError unless `side` of the map is in `language_code`."""
         side = member("side", side, Side)
-        expected = self.source_language if side is Side.SOURCE else self.target_language
-        if language_code != expected:
-            raise ValidationError(
-                f"language mismatch: stratum is {language_code!r} but the "
-                f"{side.value} side of the concept map is {expected!r}")
+        check_language("stratum", language_code, f"the {side.value} side of the concept map",
+                       self.source_language if side is Side.SOURCE else self.target_language)
 
     def lemmas(self, side: Side) -> frozenset[Lemma]:
         out: set[Lemma] = set()

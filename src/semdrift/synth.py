@@ -18,7 +18,8 @@ from itertools import accumulate, islice, product
 
 from .errors import ValidationError, member
 from .freq import FrequencyTable
-from .ingest import DEFAULT_PROFILES, ChannelKind, CorpusStratum, Document, TranslationKind
+from .ingest import (DEFAULT_PROFILES, ChannelKind, CorpusStratum, Document, TranslationKind,
+                     check_language)
 from .lexicon import ConceptMap, Side
 
 DEFAULT_MACHINE_FACTOR = 0.4
@@ -244,14 +245,10 @@ def apply_channel(source: CorpusStratum, cmap: ConceptMap, params: ChannelParams
     rank-for-rank onto target filler lemmas. Per-concept output token totals
     are round(input x length_inflation) before the norm pull is applied.
     """
-    if source.language_code != cmap.source_language:
-        raise ValidationError(
-            f"language mismatch: source stratum is {source.language_code!r} but the "
-            f"concept map's source side is {cmap.source_language!r}")
-    if target_ref.language_code != cmap.target_language:
-        raise ValidationError(
-            f"language mismatch: frequency table is {target_ref.language_code!r} but "
-            f"the concept map's target side is {cmap.target_language!r}")
+    check_language("source stratum", source.language_code,
+                   "the concept map's source side", cmap.source_language)
+    check_language("frequency table", target_ref.language_code,
+                   "the concept map's target side", cmap.target_language)
 
     counts = source.lemma_counts()
     concepts = [cmap.concepts[cid] for cid in sorted(cmap.concepts)]

@@ -258,6 +258,19 @@ class TestLoadCorpus:
         with pytest.raises(ValidationError, match="duplicate document id"):
             load_corpus(path)
 
+    def test_first_id_listed_twice_is_named(self, tmp_path):
+        (tmp_path / "a.txt").write_text("one", encoding="utf-8")
+        path = _write_manifest(tmp_path, [
+            {"path": "a.txt", "id": doc_id, "language": "en", "translation_kind": "source"}
+            for doc_id in "baba"])
+        with pytest.raises(ValidationError, match=r"^duplicate document id: 'b'$"):
+            load_corpus(path)
+
+    def test_stratum_names_its_least_repeated_id(self):
+        docs = [Document.from_lemmas(doc_id, ("one",)) for doc_id in "baba"]
+        with pytest.raises(ValidationError, match=r"^duplicate document id: 'a'$"):
+            CorpusStratum("en", TranslationKind.SOURCE, {}, docs)
+
     def test_unknown_language(self, tmp_path):
         (tmp_path / "a.txt").write_text("one", encoding="utf-8")
         path = _write_manifest(tmp_path, [
@@ -486,6 +499,14 @@ class TestSaveCorpus:
             save_corpus([stratum], tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    def test_id_two_strata_share_is_refused_before_writing(self, tmp_path):
+        # both documents would be written to a.txt, and load_corpus refuses such a manifest
+        source = make_stratum(["alpha"], doc_id="a")
+        human = make_stratum(["beta"], kind=TranslationKind.HUMAN, doc_id="a")
+        with pytest.raises(ValidationError, match=r"^duplicate document id: 'a'$"):
+            save_corpus([source, human], tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_plain_ids_keep_their_name(self, tmp_path):
         doc = Document.from_lemmas("synthetic-source-seed7.v2", ("alpha",))
         save_corpus([CorpusStratum("en", TranslationKind.SOURCE, {}, [doc])], tmp_path)
@@ -616,3 +637,46 @@ class TestCountOnRead:
         small, large = manifest_for(10_000), manifest_for(200_000)
         load_corpus(small)  # first-use allocations (regex and JSON caches) happen here
         assert abs(retained(large) - retained(small)) < 256 * 1024
+
+
+def _language_checks():
+    """(name, call, message) for each caller of `ingest.check_language`."""
+    from semdrift import freq, semfield, synth, vectors
+    from helpers import fixture_concept_map, reference_table_en
+    ru_lexicon, en_lexicon = fixture_lexicons()
+    cmap = fixture_concept_map()
+    en, ru = make_stratum(["say"]), make_stratum(["сказать"], language="ru")
+    ru_table = FrequencyTable("ru", {"сказать": 1.0})
+    params = synth.ChannelParams.machine()
+    return [
+        ("sentiment_stats", lambda: freq.sentiment_stats(en, ru_lexicon),
+         "language mismatch: stratum is 'en' but lexicon is 'ru'"),
+        ("tokens_per_lemma", lambda: freq.tokens_per_lemma(en, ru_lexicon),
+         "language mismatch: stratum is 'en' but lexicon is 'ru'"),
+        # the lexicon is checked before the table
+        ("expected_deviation-lexicon", lambda: freq.expected_deviation(en, ru_lexicon, ru_table),
+         "language mismatch: stratum is 'en' but lexicon is 'ru'"),
+        ("expected_deviation-table", lambda: freq.expected_deviation(en, en_lexicon, ru_table),
+         "language mismatch: stratum is 'en' but frequency table is 'ru'"),
+        ("ConceptMap.check_language", lambda: cmap.check_language("en", "source"),
+         "language mismatch: stratum is 'en' but the source side of the concept map is 'ru'"),
+        ("variant_counts", lambda: semfield.variant_counts(ru, cmap, "target"),
+         "language mismatch: stratum is 'ru' but the target side of the concept map is 'en'"),
+        ("concept_vector", lambda: vectors.concept_vector(en, cmap, "source"),
+         "language mismatch: stratum is 'en' but the source side of the concept map is 'ru'"),
+        ("apply_channel-source", lambda: synth.apply_channel(en, cmap, params,
+                                                             reference_table_en()),
+         "language mismatch: source stratum is 'en' but the concept map's source side is "
+         "'ru'"),
+        ("apply_channel-table", lambda: synth.apply_channel(ru, cmap, params, ru_table),
+         "language mismatch: frequency table is 'ru' but the concept map's target side is "
+         "'en'"),
+    ]
+
+
+@pytest.mark.parametrize("name, call, message", _language_checks(),
+                         ids=[name for name, _, _ in _language_checks()])
+def test_each_language_check_keeps_its_message(name, call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message

@@ -97,6 +97,39 @@ class TestMergeDisjoint:
             winner = next(c for c in priority if c in claimed)
             assert lemma in merged.lists[winner]
 
+    @given(st.lists(st.tuples(st.sampled_from("abcdefgh"),
+                              st.sampled_from(list(SentimentClass))), max_size=30),
+           st.permutations(list(SentimentClass)))
+    def test_each_lemma_goes_to_its_highest_priority_claim(self, pairs, priority):
+        # oracle: every lemma's claim set, resolved by the first claimed class in priority
+        raws = [RawLexiconEntry(lemma, cls, "s") for lemma, cls in pairs]
+        claims: dict[str, set] = {}
+        for lemma, cls in pairs:
+            claims.setdefault(lemma, set()).add(cls)
+        merged = merge_disjoint(raws, tuple(priority), language_code="en")
+        for lemma, claimed in claims.items():
+            assert merged.class_of(lemma) is next(c for c in priority if c in claimed)
+        assert merged.class_of("z") is None
+
+    @given(st.fixed_dictionaries({cls: st.frozensets(st.sampled_from("abcdef"))
+                                  for cls in SentimentClass}))
+    def test_class_of_and_overlap_message_match_the_pairwise_rule(self, lists):
+        # oracle: the first overlapping pair of lists in class order names its least lemma
+        classes = list(SentimentClass)
+        overlaps = [(a, b, lists[a] & lists[b]) for i, a in enumerate(classes)
+                    for b in classes[i + 1:] if lists[a] & lists[b]]
+        if overlaps:
+            a, b, overlap = overlaps[0]
+            with pytest.raises(ValidationError) as info:
+                SentimentLexicon("en", lists)
+            assert str(info.value) == (f"lexicon lists not disjoint: {min(overlap)!r} in "
+                                       f"both {a.value} and {b.value}")
+            return
+        lexicon = SentimentLexicon("en", lists)
+        for lemma in "abcdefg":
+            assert lexicon.class_of(lemma) is next(
+                (cls for cls in classes if lemma in lists[cls]), None)
+
     def test_pairwise_disjoint_enforced(self):
         with pytest.raises(ValidationError, match="not disjoint"):
             SentimentLexicon("en", {POS: frozenset({"x"}), NEG: frozenset({"x"}),
