@@ -8,7 +8,7 @@ frequencies from a general-purpose corpus (percent = per-million / 10,000).
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from math import isfinite
+from math import fsum, isfinite
 
 from .errors import ValidationError, member
 from .ingest import CorpusStratum, Lemma, check_language, read_tsv
@@ -149,7 +149,7 @@ def expected_deviation(stratum: CorpusStratum, lexicon: SentimentLexicon,
             expected_pct=expected,
             per_lemma=per_lemma,
             uncovered=tuple(uncovered),
-            mean_deviation=sum(values) / len(values) if values else None,
+            mean_deviation=fsum(values) / len(values) if values else None,
             median_deviation=_median(values) if values else None,
         )
     return out

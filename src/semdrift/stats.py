@@ -92,12 +92,12 @@ def _decompose(groups: list[GroupSample]):
         if len(g.values) < 2:
             raise ValidationError(f"group {g.label!r} needs at least 2 values")
     ns = [len(g.values) for g in groups]
-    means = [sum(g.values) / len(g.values) for g in groups]
+    # math.fsum rounds each sum once, so no Python version's sum() can move a digit
+    means = [math.fsum(g.values) / len(g.values) for g in groups]
     total_n = sum(ns)
-    grand = sum(v for g in groups for v in g.values) / total_n
-    ss_between = sum(n * (m - grand) ** 2 for n, m in zip(ns, means))
-    ss_within = sum(
-        sum((v - m) ** 2 for v in g.values) for g, m in zip(groups, means))
+    grand = math.fsum(v for g in groups for v in g.values) / total_n
+    ss_between = math.fsum(n * (m - grand) ** 2 for n, m in zip(ns, means))
+    ss_within = math.fsum((v - m) ** 2 for g, m in zip(groups, means) for v in g.values)
     first = groups[0].values[0]
     all_identical = all(v == first for g in groups for v in g.values)
     return labels, ns, means, ss_between, ss_within, all_identical

@@ -1,8 +1,10 @@
 import difflib
 import importlib.util
 import json
+import os
 import re
 import shutil
+import subprocess
 import unicodedata
 from itertools import islice
 from pathlib import Path
@@ -23,7 +25,7 @@ ROOT = Path(__file__).parent.parent
 # benchmark corpus, and of their analyze bundle: a 3 x 3 summit x term grid gives Tukey
 # tests of k = 3 groups. A synth change moves both pins, an analyze change only the second.
 MANY_GROUPS_TEXTS_DIGEST = "6b124168a0ca394e86b3afe41c39433b2dbfc12f20727f61c88393ccd91e4009"
-MANY_GROUPS_DIGEST = "86552eeea1f893e3569e130be29ee2fff47ccc303c6dbecbb22e0646b63a2023"
+MANY_GROUPS_DIGEST = "7f2e11b12855e10d7356a59134c3cab5352a2e3a8733b7b49e4f1ee349f8a8d7"
 
 
 def base_config() -> dict:
@@ -514,6 +516,27 @@ class TestAnalyze:
         if differences:
             pytest.fail("the bundle differs from tests/data/expected_bundle (README says how to "
                         "regenerate it):\n" + "\n".join(differences), pytrace=False)
+
+    @pytest.mark.skipif(not os.environ.get("SEMDRIFT_PYTHONS"),
+                        reason="set SEMDRIFT_PYTHONS to interpreter paths, separated by "
+                               "os.pathsep, to enable")
+    def test_bundle_matches_golden_files_under_every_interpreter(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        failures = []
+        for i, python in enumerate(os.environ["SEMDRIFT_PYTHONS"].split(os.pathsep)):
+            out = tmp_path / f"run{i}"
+            run = subprocess.run([python, "-m", "semdrift.cli", "analyze", "--config",
+                                  str(DATA / "config.json"), "--output-dir", str(out)],
+                                 env=env, capture_output=True, text=True)
+            if run.returncode:
+                failures.append(f"{python}: exit code {run.returncode}\n{run.stderr}")
+                continue
+            differences = bundle_differences(read_bundle(out),
+                                             read_bundle(DATA / "expected_bundle"))
+            failures += [f"{python}: {difference}" for difference in differences]
+        if failures:
+            pytest.fail("\n".join(failures), pytrace=False)
 
     def test_headers_carry_table_mode_and_checksums(self, tmp_path):
         config = write_config(tmp_path)

@@ -1,3 +1,4 @@
+import math
 import re
 import statistics
 import unicodedata
@@ -183,6 +184,18 @@ class TestExpectedDeviation:
     def test_median_is_statistics_median_bit_for_bit(self, values, extra):
         for xs in (values, values + [extra]):  # one odd length, one even
             assert repr(_median(xs)) == repr(statistics.median(xs))
+
+    @given(st.lists(st.integers(1, 50), min_size=1, max_size=12),
+           st.lists(st.floats(1.0, 1e5), min_size=12, max_size=12))
+    def test_mean_deviation_is_the_fsum_mean(self, counts, per_million):
+        # an exactly rounded sum leaves no digit to the Python version's sum()
+        lemmas = [f"good{i}" for i in range(len(counts))]
+        lexicon = SentimentLexicon("en", {POS: frozenset(lemmas)})
+        stratum = make_stratum([lem for lem, n in zip(lemmas, counts) for _ in range(n)])
+        ref = FrequencyTable("en", dict(zip(lemmas, per_million)))
+        for mode in DeviationMode:
+            dev = expected_deviation(stratum, lexicon, ref, mode)[POS]
+            assert dev.mean_deviation == math.fsum(dev.per_lemma.values()) / len(counts)
 
     def test_mean_deviation_near_zero_when_sampled_from_reference(self):
         # Monte-Carlo oracle: strata drawn iid from the reference distribution

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy import stats as sps
@@ -81,6 +81,29 @@ class TestAnova:
         f0 = one_way_anova(base).f_stat
         assert one_way_anova(shifted).f_stat == pytest.approx(f0, rel=1e-6)
         assert one_way_anova(scaled).f_stat == pytest.approx(f0, rel=1e-9)
+
+    @given(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=12),
+                    min_size=2, max_size=4))
+    @example([[0.1] * 10, [0.2] * 10, [0.3, 0.1, 0.7]])
+    @settings(max_examples=50)
+    def test_decomposition_is_made_of_fsums(self, data):
+        # exactly rounded sums leave no digit to the Python version's sum(), which
+        # compensates from 3.12 on; summed naively, ten 0.1s have a mean of 0.09999999999999999
+        import warnings
+
+        groups = [GroupSample(f"g{i}", tuple(vals)) for i, vals in enumerate(data)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateVarianceWarning)
+            result = one_way_anova(groups)
+        means = [math.fsum(vals) / len(vals) for vals in data]
+        grand = math.fsum(v for vals in data for v in vals) / sum(map(len, data))
+        assert result.group_means == {g.label: m for g, m in zip(groups, means)}
+        if result.f_stat == 0.0 and result.degenerate:
+            return  # every value the same: both sums of squares are reported as 0
+        assert result.ss_between == math.fsum(
+            len(vals) * (m - grand) ** 2 for vals, m in zip(data, means))
+        assert result.ss_within == math.fsum(
+            (v - m) ** 2 for vals, m in zip(data, means) for v in vals)
 
     @given(st.lists(st.lists(st.floats(-100, 100), min_size=2, max_size=6),
                     min_size=2, max_size=5))
