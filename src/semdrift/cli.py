@@ -9,6 +9,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -106,6 +107,8 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     if "output_dir" in body:
         if not body["output_dir"]:  # base / "" is the config's own directory
             raise ValidationError("output_dir must not be empty")
+        if "\0" in body["output_dir"]:  # no file name holds one
+            raise ValidationError("output_dir must not contain a NUL character")
         config.output_dir = base / body["output_dir"]
     # the flags' values are checked here, the config file's with the rest of its body
     config.synth_options = {**body.get("synth", {}), **check(
@@ -441,8 +444,9 @@ def _anova_tables(config: RunConfig, inputs: ValidationReport, by_kind: dict,
 def _concept_tables(config: RunConfig, cmap: ConceptMap, merged: list[CorpusStratum],
                     summary: dict) -> list[_Table]:
     """Variant profiles, top-k concepts and concept vectors in one pass over the merged
-    strata; then field width against the source stratum, cosine and Euclidean matrices
-    over the concept vectors, and their 2-D projection."""
+    strata; then field width against the source-kind stratum in the concept map's source
+    language, cosine and Euclidean matrices over the concept vectors, and their 2-D
+    projection."""
     from . import semfield, vectors
 
     def cosine_or_none(u, v) -> float | None:
@@ -469,8 +473,8 @@ def _concept_tables(config: RunConfig, cmap: ConceptMap, merged: list[CorpusStra
                                       f"{stratum.language_code} not in concept map")
             continue
         profiles = profiles_of[stratum.label] = semfield.variant_counts(stratum, cmap, side)
-        if stratum.translation_kind is TranslationKind.SOURCE and baseline_label is None:
-            baseline_label = stratum.label
+        if stratum.translation_kind is TranslationKind.SOURCE and side is Side.SOURCE:
+            baseline_label = stratum.label  # the originals the translations are measured by
         record_of = {p.concept_id: {
             "stratum": stratum.label, "concept_id": p.concept_id, "class": p.sentiment.value,
             "variant_count": p.variant_count, "token_total": p.token_total,
@@ -553,6 +557,18 @@ def _write_failed(exc: OSError, config: RunConfig) -> int:
                               f"{exc.strerror or exc}")
 
 
+def _check_inputs_survive(config: RunConfig, names) -> None:
+    """Raise ValidationError if writing any of `names` into the output directory would
+    replace an input the config names. Paths are compared with symbolic links resolved
+    (`os.path.realpath`, which unlike `Path.resolve` never raises on a link loop)."""
+    inputs = {os.path.realpath(path): raw for raw, path in config.inputs.items()}
+    for name in names:
+        target = os.path.realpath(config.output_dir / name)
+        if target in inputs:
+            raise ValidationError(f"output_dir: writing {target} would overwrite the input "
+                                  f"{inputs[target]!r}")
+
+
 def cmd_analyze(config: RunConfig) -> int:
     report = run_validation(config)
     if report.errors:
@@ -562,11 +578,14 @@ def cmd_analyze(config: RunConfig) -> int:
     except SemdriftError as exc:
         return _fail(EXIT_ANALYSIS, exc)
     try:
+        _check_inputs_survive(config, bundle)
         config.output_dir.mkdir(parents=True, exist_ok=True)
         with ingest.remove_on_failure([]) as written:  # no half-written bundle
             for name in sorted(bundle):
                 written.append(config.output_dir / name)
                 written[-1].write_text(bundle[name], encoding="utf-8")
+    except ValidationError as exc:
+        return _fail(EXIT_CONFIG, exc)
     except OSError as exc:
         return _write_failed(exc, config)
     print(f"wrote {len(bundle)} files to {config.output_dir}")
@@ -611,6 +630,9 @@ def cmd_synth(config: RunConfig) -> int:
         translated = synth.apply_channel(source, cmap, params, ref)
         params_blob = {**asdict(params), "words": words, "concept_density": density,
                        "filler_size": filler_size}
+        texts = [ingest._document_filename(doc.id)
+                 for doc in source.documents + translated.documents]
+        _check_inputs_survive(config, ["channel_params.json", "manifest.json", *texts])
         config.output_dir.mkdir(parents=True, exist_ok=True)
         # save_corpus removes its own files if it fails; this removes the parameters
         with ingest.remove_on_failure([config.output_dir / "channel_params.json"]) as written:

@@ -558,6 +558,26 @@ class TestAnalyze:
         assert summary["pca"]["explained_variance"][0] >= \
             summary["pca"]["explained_variance"][1]
 
+    def test_baseline_is_the_source_stratum_on_the_concept_maps_source_side(self, tmp_path):
+        # an English original sorts before ru/source, but the concept map runs ru -> en
+        data = shutil.copytree(DATA, tmp_path / "data")
+        manifest = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
+        manifest["documents"].append({"path": "texts/en_human_g8_t1.txt", "id": "en-original",
+                                      "language": "en", "translation_kind": "source"})
+        (data / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["analyze", "--config", str(data / "config.json"),
+                     "--output-dir", str(out)]) == 0
+        table = (out / "field_width.csv").read_text(encoding="utf-8").splitlines()
+        assert table[4:6] == ["en/human,ru/source,3.33333333333,1.5,",
+                              "en/machine,ru/source,1,0.45,"]
+        assert table[6].startswith("en/source,ru/source,") and len(table) == 7
+        # and in summary.json the two translations' rows are the golden ones
+        rows, golden = ({r["stratum"]: r for r in json.loads(
+            (directory / "summary.json").read_text(encoding="utf-8"))["field_width"]}
+            for directory in (out, DATA / "expected_bundle"))
+        assert [rows["en/human"], rows["en/machine"]] == list(golden.values())
+
     def test_uncovered_lemmas_reported(self, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "run"
@@ -614,6 +634,47 @@ class TestAnalyze:
         assert main([command, "--config", str(config), *flags]) == 2
         assert capsys.readouterr().err == "error: output_dir must not be empty\n"
         assert files() == before
+
+    @pytest.mark.parametrize("command", ["synth", "analyze"])
+    @pytest.mark.parametrize("by_flag", [True, False], ids=["flag", "config-key"])
+    def test_output_dir_holding_an_input_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                                    command, by_flag):
+        data = shutil.copytree(DATA, tmp_path / "data")
+        config = data / "config.json"
+        body = json.loads(config.read_text(encoding="utf-8"))
+        clobbered = "manifest.json"  # synth writes its corpus manifest there
+        if command == "analyze":  # the bundle's summary.json would replace the manifest
+            clobbered = "summary.json"
+            (data / "manifest.json").rename(data / clobbered)
+            body["manifest"] = clobbered
+        config.write_text(json.dumps({**body, "output_dir": "."}), encoding="utf-8")
+
+        def files():
+            return {p: p.read_bytes() for p in sorted(data.rglob("*")) if p.is_file()}
+
+        before = files()
+        flags = ["--output-dir", str(data)] if by_flag else []
+        assert main([command, "--config", str(config), *flags]) == 2
+        assert capsys.readouterr().err == (
+            f"error: output_dir: writing {(data / clobbered).resolve()} would overwrite the "
+            f"input {clobbered!r}\n")
+        assert files() == before
+
+    @pytest.mark.parametrize("command", ["synth", "analyze"])
+    def test_output_dir_in_a_symlink_loop_exits_2(self, tmp_path, capsys, command):
+        config = write_config(tmp_path)
+        (tmp_path / "a").symlink_to("b")
+        (tmp_path / "b").symlink_to("a")
+        assert main([command, "--config", str(config), "--output-dir",
+                     str(tmp_path / "a" / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: output_dir: cannot write ")
+
+    @pytest.mark.parametrize("command", ["validate", "synth", "analyze"])
+    def test_output_dir_with_a_nul_character_exits_2(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, output_dir="run\0")
+        assert main([command, "--config", str(config)]) == 2
+        assert capsys.readouterr().err == "error: output_dir must not contain a NUL character\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_failed_write_leaves_no_partial_bundle(self, tmp_path, capsys):
         config = write_config(tmp_path)
