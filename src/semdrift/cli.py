@@ -4,18 +4,15 @@ Exit codes: 0 success, 1 analysis error, 2 configuration/validation error.
 """
 
 import argparse
-import csv
-import hashlib
 import io
 import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import freq, ingest
-from .errors import NUMBER, PATH, AnalysisError, SemdriftError, ValidationError, check
+from .errors import NUMBER, PATH, AnalysisError, Record, SemdriftError, ValidationError, check
 from .freq import DeviationMode, FrequencyTable
 from .ingest import ChannelKind, CorpusStratum, TranslationKind, group_strata
 from .lexicon import (DEFAULT_PRIORITY, ConceptMap, SentimentClass, SentimentLexicon, Side,
@@ -26,24 +23,32 @@ EXIT_ANALYSIS = 1
 EXIT_CONFIG = 2
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Record):
     """Resolved run settings; paths are absolute, and `inputs` maps each as written to it."""
 
-    manifest: Path | None = None
-    source_language: str | None = None
-    target_language: str | None = None
-    lexicons: dict[str, list[Path]] = field(default_factory=dict)
-    concept_map: Path | None = None
-    frequency_tables: dict[str, Path] = field(default_factory=dict)
-    priority: tuple[SentimentClass, ...] = DEFAULT_PRIORITY
-    group_by: list[str] = field(default_factory=list)
-    alpha: float = 0.05
-    deviation_mode: DeviationMode = DeviationMode.DIFFERENCE
-    top_k: int = 5
-    output_dir: Path = Path("out")
-    synth_options: dict = field(default_factory=dict)
-    inputs: dict[str, Path] = field(default_factory=dict)
+    def __init__(self, manifest: Path | None = None, source_language: str | None = None,
+                 target_language: str | None = None,
+                 lexicons: dict[str, list[Path]] | None = None, concept_map: Path | None = None,
+                 frequency_tables: dict[str, Path] | None = None,
+                 priority: tuple[SentimentClass, ...] = DEFAULT_PRIORITY,
+                 group_by: list[str] | None = None, alpha: float = 0.05,
+                 deviation_mode: DeviationMode = DeviationMode.DIFFERENCE, top_k: int = 5,
+                 output_dir: Path = Path("out"), synth_options: dict | None = None,
+                 inputs: dict[str, Path] | None = None):
+        self.manifest = manifest
+        self.source_language = source_language
+        self.target_language = target_language
+        self.lexicons = {} if lexicons is None else lexicons
+        self.concept_map = concept_map
+        self.frequency_tables = {} if frequency_tables is None else frequency_tables
+        self.priority = priority
+        self.group_by = [] if group_by is None else group_by
+        self.alpha = alpha
+        self.deviation_mode = deviation_mode
+        self.top_k = top_k
+        self.output_dir = output_dir
+        self.synth_options = {} if synth_options is None else synth_options
+        self.inputs = {} if inputs is None else inputs
 
 
 # The spec (see `errors.check`) of each config key; a key that is absent or null takes the
@@ -116,16 +121,20 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     return config
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(Record):
     """Validation messages plus every input that loaded, so a run reads each input once."""
 
-    errors: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-    lexicons: dict[str, SentimentLexicon] = field(default_factory=dict)
-    concept_map: ConceptMap | None = None
-    tables: dict[str, FrequencyTable] = field(default_factory=dict)
-    strata: list[CorpusStratum] = field(default_factory=list)
+    def __init__(self, errors: list[str] | None = None, warnings: list[str] | None = None,
+                 lexicons: dict[str, SentimentLexicon] | None = None,
+                 concept_map: ConceptMap | None = None,
+                 tables: dict[str, FrequencyTable] | None = None,
+                 strata: list[CorpusStratum] | None = None):
+        self.errors = [] if errors is None else errors
+        self.warnings = [] if warnings is None else warnings
+        self.lexicons = {} if lexicons is None else lexicons
+        self.concept_map = concept_map
+        self.tables = {} if tables is None else tables
+        self.strata = [] if strata is None else strata
 
 
 def _load_lexicons(config: RunConfig, report: ValidationReport) -> dict[str, SentimentLexicon]:
@@ -234,6 +243,7 @@ def _fmt(value) -> str:
 
 
 def _checksum_inputs(config: RunConfig) -> tuple[str, dict[str, str]]:
+    import hashlib
     files = {raw: hashlib.sha256(p.read_bytes()).hexdigest()
              for raw, p in config.inputs.items() if p.exists()}
     combined = hashlib.sha256(
@@ -241,8 +251,7 @@ def _checksum_inputs(config: RunConfig) -> tuple[str, dict[str, str]]:
     return combined, files
 
 
-@dataclass
-class _Table:
+class _Table(Record):
     """One bundle table, built once: its records render both the CSV and summary.json.
 
     A record is a dict of native values. Each CSV header shows the record key
@@ -251,14 +260,18 @@ class _Table:
     the summary; keys no header shows appear only there.
     """
 
-    name: str
-    headers: list[str]
-    cells: dict = field(default_factory=dict)
-    csv_only: tuple[str, ...] = ()
-    footer: str = ""
-    records: list[dict] = field(default_factory=list)
+    def __init__(self, name: str, headers: list[str], cells: dict | None = None,
+                 csv_only: tuple[str, ...] = (), footer: str = "",
+                 records: list[dict] | None = None):
+        self.name = name
+        self.headers = headers
+        self.cells = {} if cells is None else cells
+        self.csv_only = csv_only
+        self.footer = footer
+        self.records = [] if records is None else records
 
     def to_csv(self, mode_line: str, checksum: str) -> str:
+        import csv
         buf = io.StringIO()
         buf.write(f"# table: {self.name}\n# mode: {mode_line}\n# inputs: sha256={checksum}\n")
         writer = csv.writer(buf, lineterminator="\n")
@@ -628,8 +641,10 @@ def cmd_synth(config: RunConfig) -> int:
         source = synth.generate_source(cmap, words, budget, params.seed,
                                        concept_density=density, filler_size=filler_size)
         translated = synth.apply_channel(source, cmap, params, ref)
-        params_blob = {**asdict(params), "words": words, "concept_density": density,
-                       "filler_size": filler_size}
+        params_blob = {"kind": params.kind, "narrow_widen_factor": params.narrow_widen_factor,
+                       "norm_pull": params.norm_pull,
+                       "length_inflation": params.length_inflation, "seed": params.seed,
+                       "words": words, "concept_density": density, "filler_size": filler_size}
         texts = [ingest._document_filename(doc.id)
                  for doc in source.documents + translated.documents]
         _check_inputs_survive(config, ["channel_params.json", "manifest.json", *texts])

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all semdrift modules, and the JSON value check that raises
-ValidationError."""
+"""Exception hierarchy shared by all semdrift modules, the JSON value check that raises
+ValidationError, and the base classes of the package's records."""
 
 import sys
 import unicodedata
@@ -24,6 +24,42 @@ class AnalysisError(SemdriftError):
 
 class DegenerateVarianceWarning(UserWarning):
     """Emitted when a statistical test runs on data with zero within-group variance."""
+
+
+class Record:
+    """A record: `repr` and `==` read its fields, the positional parameters of its class's
+    `__init__`, in order. Attributes set later, such as caches, take no part. Defining
+    `__eq__` leaves a record unhashable unless it is a FrozenRecord."""
+
+    def __init_subclass__(cls):
+        code = getattr(cls.__init__, "__code__", None)  # a base without an __init__ has none
+        cls._fields = code.co_varnames[1:code.co_argcount] if code else ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+
+class FrozenRecord(Record):
+    """A record whose `__init__` sets its attributes through `self.__dict__`; any later
+    assignment or deletion is an AttributeError, and equal records hash equal."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot delete {name!r}")
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 NUMBER = (int, float)  # a JSON number, which comes back as a float

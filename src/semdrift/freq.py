@@ -6,28 +6,24 @@ frequencies from a general-purpose corpus (percent = per-million / 10,000).
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from math import fsum, isfinite
 
-from .errors import ValidationError, member
+from .errors import FrozenRecord, ValidationError, member
 from .ingest import CorpusStratum, Lemma, check_language, read_tsv
 from .lexicon import SentimentClass, SentimentLexicon
 
 PER_MILLION_TO_PCT = 1.0 / 10_000.0
 
 
-@dataclass(frozen=True)
-class FrequencyTable:
+class FrequencyTable(FrozenRecord):
     """Reference per-million lemma frequencies for one language."""
 
-    language_code: str
-    freqs: dict[Lemma, float]
-
-    def __post_init__(self):
-        for lemma, pm in self.freqs.items():
+    def __init__(self, language_code: str, freqs: dict[Lemma, float]):
+        for lemma, pm in freqs.items():
             if not isfinite(pm) or pm < 0:
                 raise ValidationError(f"invalid frequency for {lemma!r}: {pm}")
+        self.__dict__.update(language_code=language_code, freqs=freqs)
 
     @classmethod
     def load(cls, path, language_code: str) -> "FrequencyTable":
@@ -64,20 +60,32 @@ class DeviationMode(str, Enum):
 
 def _class_counts(stratum: CorpusStratum,
                   lexicon: SentimentLexicon) -> dict[SentimentClass, Counter]:
-    """The stratum's lemma counts split by class in one pass; unlisted lemmas drop out."""
+    """The stratum's lemma counts split by class in one pass; unlisted lemmas drop out.
+
+    The split is kept on the stratum, beside its cached lemma counts, so the next call
+    with the same lexicon returns it; callers only read it.
+    """
+    split = getattr(stratum, "_class_split", None)
+    if split is not None and split[0] is lexicon:
+        return split[1]
     check_language("stratum", stratum.language_code, "lexicon", lexicon.language_code)
     per_class: dict[SentimentClass, Counter] = {cls: Counter() for cls in SentimentClass}
     for lemma, n in stratum.lemma_counts().items():
         cls = lexicon.class_of(lemma)
         if cls is not None:
             per_class[cls][lemma] = n
+    stratum._class_split = (lexicon, per_class)
     return per_class
 
 
-@dataclass(frozen=True)
-class TokensPerLemma:
-    mean: float | None
-    histogram: dict[int, int] = field(default_factory=dict)
+def _mean_tokens(counter: Counter) -> float | None:
+    """Mean tokens per distinct attested lemma, or None when none is attested."""
+    return sum(counter.values()) / len(counter) if counter else None
+
+
+class TokensPerLemma(FrozenRecord):
+    def __init__(self, mean: float | None, histogram: dict[int, int] | None = None):
+        self.__dict__.update(mean=mean, histogram={} if histogram is None else histogram)
 
 
 def tokens_per_lemma(stratum: CorpusStratum,
@@ -86,22 +94,20 @@ def tokens_per_lemma(stratum: CorpusStratum,
 
     A class with no attested lemmas reports mean None rather than 0.
     """
-    return {cls: TokensPerLemma(sum(counter.values()) / len(counter) if counter else None,
-                                dict(Counter(counter.values())))
+    return {cls: TokensPerLemma(_mean_tokens(counter), dict(Counter(counter.values())))
             for cls, counter in _class_counts(stratum, lexicon).items()}
 
 
-@dataclass(frozen=True)
-class ClassDeviation:
+class ClassDeviation(FrozenRecord):
     """Observed-vs-expected frequency summary for one sentiment class."""
 
-    mode: DeviationMode
-    observed_pct: dict[Lemma, float]
-    expected_pct: dict[Lemma, float]
-    per_lemma: dict[Lemma, float]
-    uncovered: tuple[Lemma, ...]
-    mean_deviation: float | None
-    median_deviation: float | None
+    def __init__(self, mode: DeviationMode, observed_pct: dict[Lemma, float],
+                 expected_pct: dict[Lemma, float], per_lemma: dict[Lemma, float],
+                 uncovered: tuple[Lemma, ...], mean_deviation: float | None,
+                 median_deviation: float | None):
+        self.__dict__.update(mode=mode, observed_pct=observed_pct, expected_pct=expected_pct,
+                             per_lemma=per_lemma, uncovered=uncovered,
+                             mean_deviation=mean_deviation, median_deviation=median_deviation)
 
 
 def _median(values: list[float]) -> float:
@@ -155,14 +161,14 @@ def expected_deviation(stratum: CorpusStratum, lexicon: SentimentLexicon,
     return out
 
 
-@dataclass(frozen=True)
-class ClassFrequencyStats:
+class ClassFrequencyStats(FrozenRecord):
     """Headline per-class numbers for one stratum."""
 
-    unique_lemma_count: int
-    token_count: int
-    mean_tokens_per_lemma: float | None
-    observed_freq_pct: dict[Lemma, float]
+    def __init__(self, unique_lemma_count: int, token_count: int,
+                 mean_tokens_per_lemma: float | None, observed_freq_pct: dict[Lemma, float]):
+        self.__dict__.update(unique_lemma_count=unique_lemma_count, token_count=token_count,
+                             mean_tokens_per_lemma=mean_tokens_per_lemma,
+                             observed_freq_pct=observed_freq_pct)
 
 
 def sentiment_stats(stratum: CorpusStratum,
@@ -174,12 +180,10 @@ def sentiment_stats(stratum: CorpusStratum,
     total = stratum.total_word_count
     out: dict[SentimentClass, ClassFrequencyStats] = {}
     for cls, counter in _class_counts(stratum, lexicon).items():
-        tokens = sum(counter.values())
-        uniques = len(counter)
         out[cls] = ClassFrequencyStats(
-            unique_lemma_count=uniques,
-            token_count=tokens,
-            mean_tokens_per_lemma=tokens / uniques if uniques else None,
+            unique_lemma_count=len(counter),
+            token_count=sum(counter.values()),
+            mean_tokens_per_lemma=_mean_tokens(counter),
             observed_freq_pct={lem: 100.0 * n / total for lem, n in sorted(counter.items())},
         )
     return out

@@ -10,18 +10,16 @@ vocabulary, not with the tokens.
 """
 
 import contextlib
-import hashlib
 import json
 import re
 import sys
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
 
-from .errors import PATH, IngestError, ValidationError, check
+from .errors import PATH, FrozenRecord, IngestError, Record, ValidationError, check
 
 Lemma = str
 
@@ -110,8 +108,7 @@ class ChannelKind(str, Enum):  # the kinds a synthetic channel emits
     HUMAN = "human"
 
 
-@dataclass(frozen=True)
-class LangProfile:
+class LangProfile(FrozenRecord):
     """Per-language tokenizer settings: which code points count as word characters.
 
     The merged code-point ranges compile to one regex character class, so a
@@ -120,22 +117,19 @@ class LangProfile:
     character, so that no token crosses a `str.split()` cut.
     """
 
-    language_code: str
-    letter_classes: tuple[tuple[int, int], ...]
-    case_fold: bool = True
-
-    def __post_init__(self):
-        if not self.language_code:
+    def __init__(self, language_code: str, letter_classes: tuple[tuple[int, int], ...],
+                 case_fold: bool = True):
+        if not language_code:
             raise ValidationError("language_code must be non-empty")
-        if not self.letter_classes:
+        if not letter_classes:
             raise ValidationError("letter_classes must be non-empty")
-        merged = _merge_ranges(self.letter_classes)
-        object.__setattr__(self, "letter_classes", merged)
+        merged = _merge_ranges(letter_classes)
         # \U escapes spell every range end, so "-", "]", "\\" and "^" need no escaping
         char_class = "".join(f"\\U{lo:08x}-\\U{hi:08x}" for lo, hi in merged)
-        object.__setattr__(self, "_word_run", re.compile(f"[{char_class}]+"))
-        object.__setattr__(self, "_splits_at_whitespace",
-                           self._word_run.search(_WHITESPACE) is None)
+        word_run = re.compile(f"[{char_class}]+")
+        self.__dict__.update(language_code=language_code, letter_classes=merged,
+                             case_fold=case_fold, _word_run=word_run,
+                             _splits_at_whitespace=word_run.search(_WHITESPACE) is None)
 
     @classmethod
     def from_letters(cls, language_code: str, letters, case_fold: bool = True) -> "LangProfile":
@@ -192,17 +186,15 @@ def tokenize(text: str, profile: LangProfile) -> list[str]:
     return tokens
 
 
-@dataclass(frozen=True)
-class LemmaDict:
+class LemmaDict(FrozenRecord):
     """Surface-form to lemma lookup with identity fallback for unknown forms."""
 
-    language_code: str
-    entries: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for surface, lemma in self.entries.items():
+    def __init__(self, language_code: str, entries: dict[str, str] | None = None):
+        entries = {} if entries is None else entries
+        for surface, lemma in entries.items():
             if not lemma:
                 raise ValidationError(f"empty lemma for surface form {surface!r}")
+        self.__dict__.update(language_code=language_code, entries=entries)
 
     @classmethod
     def load(cls, path, language_code: str, case_fold: bool = True) -> "LemmaDict":
@@ -227,8 +219,7 @@ def lemmatize(tokens: list[str], lemma_dict: LemmaDict) -> list[Lemma]:
     return list(map(lemma_dict.entries.get, tokens, tokens))
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(FrozenRecord):
     """A text as a bag of lemmas: counts in first-occurrence order, and their total.
 
     `lemmas` keeps the lemma sequence of a generated document, which
@@ -236,13 +227,9 @@ class Document:
     counts.
     """
 
-    id: str
-    counts: Counter
-    lemmas: tuple[Lemma, ...] | None = None
-    total_word_count: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "total_word_count", sum(self.counts.values()))
+    def __init__(self, id: str, counts: Counter, lemmas: tuple[Lemma, ...] | None = None):
+        self.__dict__.update(id=id, counts=counts, lemmas=lemmas,
+                             total_word_count=sum(counts.values()))
 
     @classmethod
     def from_lemmas(cls, doc_id: str, lemmas) -> "Document":
@@ -282,19 +269,19 @@ def _claim_id(doc_id: str, seen: set[str]) -> None:
     seen.add(doc_id)
 
 
-@dataclass
-class CorpusStratum:
+class CorpusStratum(Record):
     """A sub-corpus sharing language, translation kind, and grouping keys.
 
     Treated as immutable after construction; lemma counts and the label are cached.
     """
 
-    language_code: str
-    translation_kind: TranslationKind
-    group_keys: dict[str, str] = field(default_factory=dict)
-    documents: list[Document] = field(default_factory=list)
-
-    def __post_init__(self):
+    def __init__(self, language_code: str, translation_kind: TranslationKind,
+                 group_keys: dict[str, str] | None = None,
+                 documents: list[Document] | None = None):
+        self.language_code = language_code
+        self.translation_kind = translation_kind
+        self.group_keys = {} if group_keys is None else group_keys
+        self.documents = [] if documents is None else documents
         seen: set[str] = set()
         for doc_id in sorted(d.id for d in self.documents):  # names the least repeated id
             _claim_id(doc_id, seen)
@@ -445,6 +432,7 @@ def _document_filename(doc_id: str) -> str:
     """
     if _PLAIN_ID.fullmatch(doc_id):
         return f"{doc_id}.txt"
+    import hashlib
     stem = "".join(c if c.isalnum() or c in "._-" else "_" for c in doc_id[:40])
     digest = hashlib.sha256(doc_id.encode("utf-8", "surrogatepass")).hexdigest()[:16]
     return f"{stem}~{digest}.txt"

@@ -6,11 +6,10 @@ drive two sentiment scores at once. Both file kinds are read by
 `ingest.read_tsv`, in Unicode normal form NFC, the form the tokenizer produces.
 """
 
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .errors import ValidationError, member
+from .errors import FrozenRecord, ValidationError, member
 from .ingest import Lemma, check_language, read_tsv
 
 
@@ -40,11 +39,9 @@ class Side(str, Enum):
     TARGET = "target"
 
 
-@dataclass(frozen=True)
-class RawLexiconEntry:
-    lemma: Lemma
-    sentiment: SentimentClass
-    source: str
+class RawLexiconEntry(FrozenRecord):
+    def __init__(self, lemma: Lemma, sentiment: SentimentClass, source: str):
+        self.__dict__.update(lemma=lemma, sentiment=sentiment, source=source)
 
 
 def load_lexicon_sources(paths, language_code: str) -> list[RawLexiconEntry]:
@@ -61,17 +58,12 @@ def load_lexicon_sources(paths, language_code: str) -> list[RawLexiconEntry]:
     return entries
 
 
-@dataclass(frozen=True)
-class SentimentLexicon:
+class SentimentLexicon(FrozenRecord):
     """Three pairwise-disjoint lemma sets for one language, with per-lemma provenance."""
 
-    language_code: str
-    lists: dict[SentimentClass, frozenset[Lemma]]
-    provenance: dict[Lemma, tuple[str, ...]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        lists = {cls: frozenset(self.lists.get(cls, frozenset())) for cls in SentimentClass}
-        object.__setattr__(self, "lists", lists)
+    def __init__(self, language_code: str, lists: dict[SentimentClass, frozenset[Lemma]],
+                 provenance: dict[Lemma, tuple[str, ...]] | None = None):
+        lists = {cls: frozenset(lists.get(cls, frozenset())) for cls in SentimentClass}
         classes = list(SentimentClass)
         class_of: dict[Lemma, SentimentClass] = {}
         clashes = []  # (rank of the earlier class, rank of the later, lemma)
@@ -83,7 +75,9 @@ class SentimentLexicon:
             a, b, lemma = min(clashes)
             raise ValidationError(f"lexicon lists not disjoint: {lemma!r} in both "
                                   f"{classes[a].value} and {classes[b].value}")
-        object.__setattr__(self, "_class_of", class_of)
+        self.__dict__.update(language_code=language_code, lists=lists,
+                             provenance={} if provenance is None else provenance,
+                             _class_of=class_of)
 
     def class_of(self, lemma: Lemma) -> SentimentClass | None:
         return self._class_of.get(lemma)
@@ -123,50 +117,45 @@ def merge_disjoint(raws: list[RawLexiconEntry],
                             {lemma: tuple(sorted(srcs)) for lemma, srcs in sources.items()})
 
 
-@dataclass(frozen=True)
-class Concept:
+class Concept(FrozenRecord):
     """One concept: synonym lemmas on each language side, sharing a sentiment class.
 
     Lemma order follows the concept-map file and is meaningful: position aligns
     source variants with their default target rendering.
     """
 
-    concept_id: str
-    sentiment: SentimentClass
-    source_lemmas: tuple[Lemma, ...]
-    target_lemmas: tuple[Lemma, ...]
-
-    def __post_init__(self):
-        if not self.source_lemmas or not self.target_lemmas:
-            raise ValidationError(f"concept {self.concept_id!r} has an empty lemma set")
-        for side_name, lemmas in (("source", self.source_lemmas), ("target", self.target_lemmas)):
+    def __init__(self, concept_id: str, sentiment: SentimentClass,
+                 source_lemmas: tuple[Lemma, ...], target_lemmas: tuple[Lemma, ...]):
+        if not source_lemmas or not target_lemmas:
+            raise ValidationError(f"concept {concept_id!r} has an empty lemma set")
+        for side_name, lemmas in (("source", source_lemmas), ("target", target_lemmas)):
             if len(set(lemmas)) != len(lemmas):
-                raise ValidationError(
-                    f"concept {self.concept_id!r} repeats a {side_name} lemma")
+                raise ValidationError(f"concept {concept_id!r} repeats a {side_name} lemma")
+        self.__dict__.update(concept_id=concept_id, sentiment=sentiment,
+                             source_lemmas=source_lemmas, target_lemmas=target_lemmas)
 
     def lemmas(self, side: Side) -> tuple[Lemma, ...]:
         side = member("side", side, Side)
         return self.source_lemmas if side is Side.SOURCE else self.target_lemmas
 
 
-@dataclass(frozen=True)
-class ConceptMap:
+class ConceptMap(FrozenRecord):
     """Bilingual synonym structure keyed by concept id."""
 
-    source_language: str
-    target_language: str
-    concepts: dict[str, Concept] = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(self, source_language: str, target_language: str,
+                 concepts: dict[str, Concept] | None = None):
+        concepts = {} if concepts is None else concepts
         for side in Side:
             seen: dict[Lemma, str] = {}
-            for cid in self.concepts:
-                for lemma in self.concepts[cid].lemmas(side):
+            for cid in concepts:
+                for lemma in concepts[cid].lemmas(side):
                     if lemma in seen:
                         raise ValidationError(
                             f"lemma {lemma!r} appears in two concepts on the {side.value} "
                             f"side: {seen[lemma]!r} and {cid!r}")
                     seen[lemma] = cid
+        self.__dict__.update(source_language=source_language, target_language=target_language,
+                             concepts=concepts)
 
     def check_language(self, language_code: str, side: Side) -> None:
         """Raise ValidationError unless `side` of the map is in `language_code`."""

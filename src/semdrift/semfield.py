@@ -4,21 +4,18 @@ A width ratio below 1 against a baseline stratum signals narrowing (fewer
 variants carrying the same concepts); above 1 signals widening.
 """
 
-from dataclasses import dataclass
-
-from .errors import AnalysisError, ValidationError
+from .errors import AnalysisError, FrozenRecord, ValidationError
 from .ingest import CorpusStratum, Lemma
 from .lexicon import ConceptMap, SentimentClass, Side
 
 
-@dataclass(frozen=True)
-class VariantProfile:
+class VariantProfile(FrozenRecord):
     """Attested variants and token total of one concept in one stratum."""
 
-    concept_id: str
-    sentiment: SentimentClass
-    attested_variants: frozenset[Lemma]
-    token_total: int
+    def __init__(self, concept_id: str, sentiment: SentimentClass,
+                 attested_variants: frozenset[Lemma], token_total: int):
+        self.__dict__.update(concept_id=concept_id, sentiment=sentiment,
+                             attested_variants=attested_variants, token_total=token_total)
 
     @property
     def variant_count(self) -> int:
@@ -66,13 +63,14 @@ def field_width_index(test: list[VariantProfile],
     return mean_test / mean_baseline
 
 
-@dataclass(frozen=True)
-class FieldWidthReport:
+class FieldWidthReport(FrozenRecord):
     """Width summary for one stratum relative to a baseline."""
 
-    mean_variants_per_concept: float | None
-    width_ratio_vs_baseline: float
-    excluded_concepts: tuple[str, ...]
+    def __init__(self, mean_variants_per_concept: float | None, width_ratio_vs_baseline: float,
+                 excluded_concepts: tuple[str, ...]):
+        self.__dict__.update(mean_variants_per_concept=mean_variants_per_concept,
+                             width_ratio_vs_baseline=width_ratio_vs_baseline,
+                             excluded_concepts=excluded_concepts)
 
 
 def field_width_report(test: list[VariantProfile],

@@ -18,12 +18,11 @@ recomputes them and the p-values do not depend on the platform's eigenvalue solv
 import math
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
-from .errors import DegenerateVarianceWarning, ValidationError
+from .errors import DegenerateVarianceWarning, FrozenRecord, ValidationError
 
 _INNER_NODES = 96          # normal-location integral, truncated to [-9, 9]
 _OUTER_NODES = 64          # chi-scale integral over the fitted range (df >= 4)
@@ -38,48 +37,37 @@ _LEGENDRE_TABLE = Path(__file__).with_name("gauss_legendre.txt")
 _Rule = tuple[tuple[float, ...], tuple[float, ...]]  # nodes and weights
 
 
-@dataclass(frozen=True)
-class GroupSample:
-    label: str
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if any(not math.isfinite(v) for v in self.values):
-            raise ValidationError(f"group {self.label!r} contains non-finite values")
+class GroupSample(FrozenRecord):
+    def __init__(self, label: str, values: tuple[float, ...]):
+        values = tuple(float(v) for v in values)
+        if any(not math.isfinite(v) for v in values):
+            raise ValidationError(f"group {label!r} contains non-finite values")
+        self.__dict__.update(label=label, values=values)
 
 
-@dataclass(frozen=True)
-class AnovaResult:
-    f_stat: float
-    df_between: int
-    df_within: int
-    p_value: float
-    group_means: dict[str, float]
-    ss_between: float
-    ss_within: float
-    degenerate: bool = False
-    # variance-heterogeneity diagnostic (Levene on deviations from group means);
-    # reported alongside the test but never acted upon
-    levene_stat: float = 0.0
-    levene_p: float = 1.0
+class AnovaResult(FrozenRecord):
+    # levene_stat and levene_p: a variance-heterogeneity diagnostic (Levene on deviations
+    # from group means), reported alongside the test but never acted upon
+    def __init__(self, f_stat: float, df_between: int, df_within: int, p_value: float,
+                 group_means: dict[str, float], ss_between: float, ss_within: float,
+                 degenerate: bool = False, levene_stat: float = 0.0, levene_p: float = 1.0):
+        self.__dict__.update(f_stat=f_stat, df_between=df_between, df_within=df_within,
+                             p_value=p_value, group_means=group_means, ss_between=ss_between,
+                             ss_within=ss_within, degenerate=degenerate,
+                             levene_stat=levene_stat, levene_p=levene_p)
 
 
-@dataclass(frozen=True)
-class PairComparison:
-    a: str
-    b: str
-    mean_diff: float
-    q_stat: float
-    p_adj: float
-    significant: bool
+class PairComparison(FrozenRecord):
+    def __init__(self, a: str, b: str, mean_diff: float, q_stat: float, p_adj: float,
+                 significant: bool):
+        self.__dict__.update(a=a, b=b, mean_diff=mean_diff, q_stat=q_stat, p_adj=p_adj,
+                             significant=significant)
 
 
-@dataclass(frozen=True)
-class TukeyResult:
-    pairs: tuple[PairComparison, ...]
-    df_within: int
-    degenerate: bool = False
+class TukeyResult(FrozenRecord):
+    def __init__(self, pairs: tuple[PairComparison, ...], df_within: int,
+                 degenerate: bool = False):
+        self.__dict__.update(pairs=pairs, df_within=df_within, degenerate=degenerate)
 
 
 def _decompose(groups: list[GroupSample]):

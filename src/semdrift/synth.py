@@ -13,10 +13,9 @@ concept-total conservation guarantee only holds at pull 0.
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
 from itertools import accumulate, islice, product
 
-from .errors import ValidationError, member
+from .errors import FrozenRecord, ValidationError, member
 from .freq import FrequencyTable
 from .ingest import (DEFAULT_PROFILES, ChannelKind, CorpusStratum, Document, TranslationKind,
                      check_language)
@@ -36,8 +35,7 @@ MAX_SYNTH_WORDS = 10_000_000
 _ASCII_LOWER = "abcdefghijklmnopqrstuvwxyz"
 
 
-@dataclass(frozen=True)
-class ChannelParams:
+class ChannelParams(FrozenRecord):
     """Translation-channel knobs.
 
     `narrow_widen_factor` scales the expected number of attested variants per
@@ -46,36 +44,29 @@ class ChannelParams:
     `length_inflation` is the output/input word-count ratio.
     """
 
-    kind: ChannelKind
-    narrow_widen_factor: float
-    norm_pull: float = 0.0
-    length_inflation: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "kind", member("kind", self.kind, ChannelKind))
-        if not self.narrow_widen_factor > 0:
-            raise ValidationError(
-                f"narrow_widen_factor must be > 0, got {self.narrow_widen_factor}")
-        if not 0.0 <= self.norm_pull <= 1.0:
-            raise ValidationError(f"norm_pull must be in [0, 1], got {self.norm_pull}")
-        if not self.length_inflation > 0:
-            raise ValidationError(
-                f"length_inflation must be > 0, got {self.length_inflation}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+    def __init__(self, kind: ChannelKind, narrow_widen_factor: float, norm_pull: float = 0.0,
+                 length_inflation: float = 1.0, seed: int = 0):
+        kind = member("kind", kind, ChannelKind)
+        if not narrow_widen_factor > 0:
+            raise ValidationError(f"narrow_widen_factor must be > 0, got {narrow_widen_factor}")
+        if not 0.0 <= norm_pull <= 1.0:
+            raise ValidationError(f"norm_pull must be in [0, 1], got {norm_pull}")
+        if not length_inflation > 0:
+            raise ValidationError(f"length_inflation must be > 0, got {length_inflation}")
+        if seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {seed}")
+        self.__dict__.update(kind=kind, narrow_widen_factor=narrow_widen_factor,
+                             norm_pull=norm_pull, length_inflation=length_inflation, seed=seed)
 
     @classmethod
     def machine(cls, seed: int = 0, **overrides) -> "ChannelParams":
-        params = cls(ChannelKind.MACHINE, DEFAULT_MACHINE_FACTOR,
-                     length_inflation=DEFAULT_LENGTH_INFLATION, seed=seed)
-        return replace(params, **overrides) if overrides else params
+        return cls(**{"kind": ChannelKind.MACHINE, "narrow_widen_factor": DEFAULT_MACHINE_FACTOR,
+                      "length_inflation": DEFAULT_LENGTH_INFLATION, "seed": seed, **overrides})
 
     @classmethod
     def human(cls, seed: int = 0, **overrides) -> "ChannelParams":
-        params = cls(ChannelKind.HUMAN, DEFAULT_HUMAN_FACTOR,
-                     length_inflation=DEFAULT_LENGTH_INFLATION, seed=seed)
-        return replace(params, **overrides) if overrides else params
+        return cls(**{"kind": ChannelKind.HUMAN, "narrow_widen_factor": DEFAULT_HUMAN_FACTOR,
+                      "length_inflation": DEFAULT_LENGTH_INFLATION, "seed": seed, **overrides})
 
 
 def filler_vocab(language_code: str, size: int) -> tuple[str, ...]:

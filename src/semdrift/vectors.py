@@ -7,29 +7,25 @@ Cosine, Euclidean distance, and a two-component projection operate on these.
 
 import math
 import sys
-from dataclasses import dataclass
 from operator import mul
 
-from .errors import AnalysisError, ValidationError
+from .errors import AnalysisError, FrozenRecord, ValidationError
 from .ingest import CorpusStratum
 from .lexicon import ConceptMap, Side
 
 _JACOBI_SWEEPS = 30  # a safeguard: random, rank-1 and repeated rows, n <= 8, take 8 at most
 
 
-@dataclass(frozen=True, eq=False)
-class ConceptVector:
-    stratum_label: str
-    dims: tuple[str, ...]
-    values: tuple[float, ...]
+class ConceptVector(FrozenRecord):
+    __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
 
-    def __post_init__(self):
-        values = tuple(map(float, self.values))
-        object.__setattr__(self, "values", values)
-        if len(self.dims) != len(values):
+    def __init__(self, stratum_label: str, dims: tuple[str, ...], values: tuple[float, ...]):
+        values = tuple(map(float, values))
+        if len(dims) != len(values):
             raise ValidationError("dims and values differ in length")
         if not all(0.0 <= x < math.inf for x in values):
             raise ValidationError("vector values must be finite and non-negative")
+        self.__dict__.update(stratum_label=stratum_label, dims=dims, values=values)
 
 
 def concept_vector(stratum: CorpusStratum, cmap: ConceptMap, side: Side) -> ConceptVector:
@@ -71,13 +67,17 @@ def euclidean(u: ConceptVector, v: ConceptVector) -> float:
     return math.dist(u.values, v.values)
 
 
-@dataclass(frozen=True, eq=False)
-class Projection2D:
-    labels: tuple[str, ...]
-    coords: tuple[tuple[float, float], ...]    # one (x, y) per label
-    explained_variance: tuple[float, float]
-    components: tuple[tuple[float, ...], ...]  # two axes of d loadings; see pca_2d
-    eigenvalues: tuple[float, float]
+class Projection2D(FrozenRecord):
+    """`coords` holds one (x, y) per label, and `components` two axes of d loadings (see
+    `pca_2d`)."""
+
+    __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
+
+    def __init__(self, labels: tuple[str, ...], coords: tuple[tuple[float, float], ...],
+                 explained_variance: tuple[float, float],
+                 components: tuple[tuple[float, ...], ...], eigenvalues: tuple[float, float]):
+        self.__dict__.update(labels=labels, coords=coords, explained_variance=explained_variance,
+                             components=components, eigenvalues=eigenvalues)
 
 
 def _orient(vec: list[float]) -> tuple[float, ...]:

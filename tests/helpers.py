@@ -37,6 +37,19 @@ def make_stratum(lemmas, language="en", kind=TranslationKind.SOURCE,
     return CorpusStratum(language, kind, dict(group_keys or {}), [doc])
 
 
+def count_class_of(monkeypatch) -> list:
+    """Record the lemma of every `SentimentLexicon.class_of` call from here on."""
+    calls = []
+    original = SentimentLexicon.class_of
+
+    def counted(self, lemma):
+        calls.append(lemma)
+        return original(self, lemma)
+
+    monkeypatch.setattr(SentimentLexicon, "class_of", counted)
+    return calls
+
+
 @lru_cache(maxsize=1)
 def fixture_lexicons() -> tuple[SentimentLexicon, SentimentLexicon]:
     """(ru, en) lexicons merged from the committed fixture files."""

@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 
 import semdrift.ingest
 from semdrift import Side, load_corpus
-from semdrift.cli import _CONFIG_TYPES, _SYNTH_TYPES, _build_parser, load_config, main
+from semdrift.cli import (_CONFIG_TYPES, _SYNTH_TYPES, _build_parser, analyze, load_config,
+                          main, run_validation)
 from semdrift.errors import IngestError, ValidationError
 
-from helpers import DATA, digest, fixture_concept_map
+from helpers import DATA, count_class_of, digest, fixture_concept_map
 
 ROOT = Path(__file__).parent.parent
 # sha256s (see helpers.digest) of the texts `synth` writes for the tiny seed-1 many-groups
@@ -221,6 +222,14 @@ class TestSingleLoad:
         assert main(["analyze", "--config", str(config), "--output-dir", str(out)]) == 0
         assert len(calls) == 1
         assert read_bundle(out) == read_bundle(expected)
+
+    def test_analyze_splits_each_stratum_by_class_once(self, monkeypatch):
+        config = load_config(DATA / "config.json")
+        report = run_validation(config)
+        calls = count_class_of(monkeypatch)
+        analyze(config, report)
+        assert len(calls) == sum(len(stratum.lemma_counts()) for stratum in report.strata
+                                 if stratum.language_code in report.lexicons)
 
     def test_missing_manifest_exits_2(self, tmp_path, capsys, monkeypatch):
         calls = _count_load_corpus(monkeypatch)

@@ -14,7 +14,7 @@ from semdrift import (DeviationMode, FrequencyTable, SentimentClass, SentimentLe
 from semdrift.errors import ValidationError
 from semdrift.freq import _median
 
-from helpers import make_stratum
+from helpers import count_class_of, make_stratum
 
 POS, NEG, EPI = SentimentClass.POSITIVE, SentimentClass.NEGATIVE, SentimentClass.EPISTEMIC
 
@@ -130,6 +130,37 @@ class TestTokensPerLemma:
         for i, a in enumerate(supports):
             for b in supports[i + 1:]:
                 assert not (a & b)
+
+
+class TestOneSplitPerStratum:
+    def test_the_three_tables_split_a_stratum_once(self, monkeypatch):
+        stratum = make_stratum(["say", "tell", "good", "zz", "say"])
+        lexicon = tiny_lexicon()
+        calls = count_class_of(monkeypatch)
+        sentiment_stats(stratum, lexicon)
+        tokens_per_lemma(stratum, lexicon)
+        expected_deviation(stratum, lexicon, FrequencyTable("en", {"say": 100.0}))
+        assert sorted(calls) == sorted(stratum.lemma_counts())  # each distinct lemma once
+
+    def test_another_lexicon_splits_afresh(self):
+        stratum = make_stratum(["say", "good"])
+        assert unique_counts(stratum, tiny_lexicon()) == {POS: 1, NEG: 0, EPI: 1}
+        other = SentimentLexicon("en", {NEG: frozenset({"say", "good"})})
+        assert unique_counts(stratum, other) == {POS: 0, NEG: 2, EPI: 0}
+
+    def test_language_is_checked_on_every_call(self):
+        stratum = make_stratum(["say"])
+        sentiment_stats(stratum, tiny_lexicon())
+        with pytest.raises(ValidationError, match="language mismatch"):
+            tokens_per_lemma(stratum, tiny_lexicon("ru"))
+
+    @given(st.lists(st.sampled_from(["say", "tell", "good", "bad", "zz"]), max_size=200))
+    def test_both_means_are_the_same_float(self, lemmas):
+        stratum = make_stratum(lemmas)
+        stats = sentiment_stats(stratum, tiny_lexicon())
+        per_lemma = tokens_per_lemma(stratum, tiny_lexicon())
+        for cls in SentimentClass:
+            assert per_lemma[cls].mean == stats[cls].mean_tokens_per_lemma
 
 
 class TestExpectedDeviation:

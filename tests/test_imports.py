@@ -5,9 +5,11 @@ numpy costs about 150 ms and 15 MiB at start-up. No command imports it: `validat
 `synth` draws from Python's own `random.Random` at any size. Every command loads `cli`,
 `errors`, `freq`, `ingest` and `lexicon`; on top of these `synth` loads only `synth`, and
 `analyze` loads `semfield`, `stats` and `vectors` but not `synth`. The benchmark's set-up
-job, `perfbench/run.py`'s `SETUP_CODE`, loads what `validate` does. Each command runs in a
-fresh interpreter, which reports its exit code and the modules it loaded; the package's
-exports load on first access.
+job, `perfbench/run.py`'s `SETUP_CODE`, loads what `validate` does. No command loads
+`dataclasses` or `inspect`, and neither `validate` nor the set-up job loads `hashlib` or
+`csv`, which only the commands that write use. Each command runs in a fresh interpreter,
+which reports its exit code and the modules it loaded; the package's exports load on
+first access.
 """
 
 import importlib
@@ -34,6 +36,10 @@ PROBE = ("import json, sys\n"
 COMMON = {f"semdrift{m}" for m in ("", ".cli", ".errors", ".freq", ".ingest", ".lexicon")}
 SYNTH = COMMON | {"semdrift.synth"}
 ANALYZE = COMMON | {"semdrift.semfield", "semdrift.stats", "semdrift.vectors"}
+# stdlib modules no command loads (the record classes are plain classes), and those that
+# only writing loads: checksums, CSV tables and the file names of non-plain document ids
+NEVER_LOADED = {"dataclasses", "inspect"}
+WRITE_ONLY = {"hashlib", "csv"}
 # sha256 over the name and bytes of each file `synth` writes for tests/data/config.json
 # with its default settings; the seed's `random.Random(seed).random()` stream defines them
 SYNTH_DIGEST = "e41009883e164e4ce3057bd05e087ace69ad2bf0eab5e109cb84b028557375ad"
@@ -80,6 +86,7 @@ def test_validate_never_imports_numpy():
     assert code == 0
     assert "numpy" not in modules
     assert semdrift_modules(modules) == COMMON
+    assert not modules & (NEVER_LOADED | WRITE_ONLY)
 
 
 def test_benchmark_setup_job_loads_only_the_common_modules():
@@ -91,6 +98,7 @@ def test_benchmark_setup_job_loads_only_the_common_modules():
     modules = set(json.loads(run_fresh(code, str(DATA / "config.json"))))
     assert "numpy" not in modules
     assert semdrift_modules(modules) == COMMON
+    assert not modules & (NEVER_LOADED | WRITE_ONLY)
 
 
 def test_two_group_analyze_never_imports_numpy(tmp_path):
@@ -98,6 +106,7 @@ def test_two_group_analyze_never_imports_numpy(tmp_path):
     assert code == 0
     assert "numpy" not in modules
     assert semdrift_modules(modules) == ANALYZE
+    assert not modules & NEVER_LOADED
     tests = pairs_per_test(tmp_path)
     assert tests and set(tests.values()) == {1}  # one pair per test: every k is 2
 
@@ -109,6 +118,7 @@ def test_many_group_analyze_never_imports_numpy(tmp_path):
     assert code == 0
     assert "numpy" not in modules
     assert semdrift_modules(modules) == ANALYZE
+    assert not modules & NEVER_LOADED
     tests = pairs_per_test(out)
     # every summit test compares three groups (three pairs, k = 3)
     assert {n for (_, factor, *_), n in tests.items() if factor == "summit"} == {3}
@@ -119,6 +129,7 @@ def test_default_synth_loads_no_numpy_and_writes_the_same_bytes(tmp_path):
     assert code == 0
     assert "numpy" not in modules
     assert semdrift_modules(modules) == SYNTH
+    assert not modules & NEVER_LOADED
     assert digest(tmp_path) == SYNTH_DIGEST
 
 
@@ -128,6 +139,7 @@ def test_large_synth_loads_no_numpy(tmp_path):
     assert code == 0
     assert "numpy" not in modules
     assert semdrift_modules(modules) == SYNTH
+    assert not modules & NEVER_LOADED
 
 
 def test_importing_the_package_loads_no_module():
