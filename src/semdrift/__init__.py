@@ -3,8 +3,8 @@
 Each export is imported from its module on first access (PEP 562), so
 `import semdrift` loads no module. Each command loads only the modules it runs:
 `validate` loads `cli`, `errors`, `freq`, `ingest` and `lexicon`, `synth` adds `synth`,
-and `analyze` adds `semfield`, `stats` and `vectors` (`cli` imports those four where it
-calls them). `tests/test_imports.py` pins each set.
+and `analyze` adds `report`, `semfield`, `stats` and `vectors` (`cli` imports `synth` and
+`report` where it calls them, `report` the other three). `tests/test_imports.py` pins each set.
 """
 
 import importlib

@@ -651,8 +651,11 @@ class TestAnalyze:
         data = shutil.copytree(DATA, tmp_path / "data")
         config = data / "config.json"
         body = json.loads(config.read_text(encoding="utf-8"))
-        clobbered = "manifest.json"  # synth writes its corpus manifest there
-        if command == "analyze":  # the bundle's summary.json would replace the manifest
+        if command == "synth":  # synth's channel_params.json would replace a table it reads
+            clobbered = "channel_params.json"
+            (data / "freq_en.tsv").rename(data / clobbered)
+            body["frequency_tables"]["en"] = clobbered
+        else:  # the bundle's summary.json would replace the manifest
             clobbered = "summary.json"
             (data / "manifest.json").rename(data / clobbered)
             body["manifest"] = clobbered
@@ -862,6 +865,20 @@ class TestSynth:
         widths = {w["stratum"]: w["width_ratio_vs_baseline"]
                   for w in summary["field_width"]}
         assert widths["en/machine"] < 1.0
+
+    def test_synth_writes_the_manifest_that_analyze_then_reads(self, tmp_path):
+        # one config for both commands: it names the corpus synth writes as its manifest,
+        # which synth does not read, so the output guard lets synth write it
+        corpus_dir = tmp_path / "corpus"
+        config = write_config(tmp_path, manifest="corpus/manifest.json", output_dir="out",
+                              group_by=[], synth={"words": 4000})
+        assert main(["synth", "--config", str(config), "--output-dir", str(corpus_dir)]) == 0
+        assert main(["analyze", "--config", str(config)]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
+        words = {(s["language"], s["translation_kind"]): s["total_word_count"]
+                 for s in summary["strata"]}
+        assert words.keys() == {("ru", "source"), ("en", "machine")}
+        assert words["ru", "source"] == 4000
 
 
 @pytest.mark.parametrize("command", ["analyze", "synth"])

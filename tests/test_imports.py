@@ -4,8 +4,9 @@ numpy costs about 150 ms and 15 MiB at start-up. No command imports it: `validat
 `analyze` run without it whether their Tukey tests compare two groups or more, and
 `synth` draws from Python's own `random.Random` at any size. Every command loads `cli`,
 `errors`, `freq`, `ingest` and `lexicon`; on top of these `synth` loads only `synth`, and
-`analyze` loads `semfield`, `stats` and `vectors` but not `synth`. The benchmark's set-up
-job, `perfbench/run.py`'s `SETUP_CODE`, loads what `validate` does. No command loads
+`analyze` loads `report`, `semfield`, `stats` and `vectors` but not `synth`. The benchmark's
+set-up job, `perfbench/run.py`'s `SETUP_CODE`, loads what `validate` does, and every module
+of the package is loaded by at least one command. No command loads
 `dataclasses` or `inspect`, and neither `validate` nor the set-up job loads `hashlib` or
 `csv`, which only the commands that write use. Each command runs in a fresh interpreter,
 which reports its exit code and the modules it loaded; the package's exports load on
@@ -35,7 +36,8 @@ PROBE = ("import json, sys\n"
 # the semdrift modules every command loads, and those `synth` and `analyze` add to them
 COMMON = {f"semdrift{m}" for m in ("", ".cli", ".errors", ".freq", ".ingest", ".lexicon")}
 SYNTH = COMMON | {"semdrift.synth"}
-ANALYZE = COMMON | {"semdrift.semfield", "semdrift.stats", "semdrift.vectors"}
+ANALYZE = COMMON | {"semdrift.report", "semdrift.semfield", "semdrift.stats",
+                    "semdrift.vectors"}
 # stdlib modules no command loads (the record classes are plain classes), and those that
 # only writing loads: checksums, CSV tables and the file names of non-plain document ids
 NEVER_LOADED = {"dataclasses", "inspect"}
@@ -124,6 +126,17 @@ def test_many_group_analyze_never_imports_numpy(tmp_path):
     assert {n for (_, factor, *_), n in tests.items() if factor == "summit"} == {3}
 
 
+def test_analyze_run_as_a_module_loads_cli_only_as_main(tmp_path):
+    # the benchmark runs `python -m semdrift.cli`, which executes cli as __main__; a module
+    # that imported `semdrift.cli` by name would compile and run all of it a second time
+    code = ("import atexit, json, runpy, sys\n"
+            "atexit.register(lambda: print(json.dumps(sorted(sys.modules))))\n"
+            "runpy.run_module('semdrift.cli', run_name='__main__')\n")
+    modules = set(json.loads(run_fresh(code, "analyze", "--config", str(DATA / "config.json"),
+                                       "--output-dir", str(tmp_path))))
+    assert semdrift_modules(modules) == ANALYZE - {"semdrift.cli"}
+
+
 def test_default_synth_loads_no_numpy_and_writes_the_same_bytes(tmp_path):
     code, modules = run_command("synth", "--output-dir", str(tmp_path))
     assert code == 0
@@ -140,6 +153,13 @@ def test_large_synth_loads_no_numpy(tmp_path):
     assert "numpy" not in modules
     assert semdrift_modules(modules) == SYNTH
     assert not modules & NEVER_LOADED
+
+
+def test_every_module_is_loaded_by_some_command():
+    # the tests above pin each command's set, so a module in none of them no command loads
+    files = {"semdrift" if p.stem == "__init__" else f"semdrift.{p.stem}"
+             for p in (ROOT / "src" / "semdrift").glob("*.py")}
+    assert files == COMMON | SYNTH | ANALYZE
 
 
 def test_importing_the_package_loads_no_module():

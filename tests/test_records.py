@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from semdrift.cli import RunConfig, ValidationReport, _Table
+from semdrift.cli import RunConfig, ValidationReport
 from semdrift.errors import FrozenRecord, Record, ValidationError
 from semdrift.freq import (ClassDeviation, ClassFrequencyStats, DeviationMode, FrequencyTable,
                            TokensPerLemma)
@@ -16,6 +16,7 @@ from semdrift.ingest import (ChannelKind, CorpusStratum, Document, LangProfile, 
                              TranslationKind)
 from semdrift.lexicon import (Concept, ConceptMap, RawLexiconEntry, SentimentClass,
                               SentimentLexicon)
+from semdrift.report import _Table
 from semdrift.semfield import FieldWidthReport, VariantProfile
 from semdrift.stats import AnovaResult, GroupSample, PairComparison, TukeyResult
 from semdrift.synth import DEFAULT_LENGTH_INFLATION, DEFAULT_MACHINE_FACTOR, ChannelParams
