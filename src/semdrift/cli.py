@@ -189,13 +189,15 @@ def _load_frequency_tables(config: RunConfig,
     return tables
 
 
-def run_validation(config: RunConfig, *, need_manifest: bool = True) -> ValidationReport:
+def run_validation(config: RunConfig, *, need_manifest: bool = True,
+                   read: list | None = None) -> ValidationReport:
     """Load and check every input named by the config.
 
     The report keeps what loaded (lexicons, concept map, frequency tables and,
     with `need_manifest`, the corpus) for `analyze` to reuse. A `group_by`
     factor that no document carries as a group key is an error, since every
-    ANOVA over it would be skipped.
+    ANOVA over it would be skipped. `read`, when given, gets the path of each
+    lemma dictionary and text that the corpus reads.
     """
     report = ValidationReport()
     report.lexicons = _load_lexicons(config, report)
@@ -206,7 +208,7 @@ def run_validation(config: RunConfig, *, need_manifest: bool = True) -> Validati
             report.errors.append("config does not name a manifest")
         else:
             try:
-                report.strata = ingest.load_corpus(config.manifest)
+                report.strata = ingest.load_corpus(config.manifest, read)
                 if not report.strata:
                     report.errors.append("manifest lists no documents")
             except SemdriftError as exc:
@@ -283,13 +285,16 @@ def _write_failed(exc: OSError, config: RunConfig) -> int:
                               f"{exc.strerror or exc}")
 
 
-def _check_inputs_survive(config: RunConfig, names, *, need_manifest: bool = True) -> None:
+def _check_inputs_survive(config: RunConfig, names, read, *,
+                          need_manifest: bool = True) -> None:
     """Raise ValidationError if writing any of `names` into the output directory would
-    replace an input the command reads: each one the config names, the manifest only with
-    `need_manifest`. Paths are compared with symbolic links resolved (`os.path.realpath`,
-    which unlike `Path.resolve` never raises on a link loop)."""
-    inputs = {os.path.realpath(path): raw for raw, path in config.inputs.items()
-              if need_manifest or path != config.manifest}
+    replace a file the command reads: each input the config names (the manifest only with
+    `need_manifest`) and each path in `read` (the config file itself, and the corpus's
+    texts and lemma dictionaries). Paths are compared with symbolic links resolved
+    (`os.path.realpath`, which unlike `Path.resolve` never raises on a link loop)."""
+    inputs = {os.path.realpath(path): str(path) for path in read}
+    inputs.update((os.path.realpath(path), raw) for raw, path in config.inputs.items()
+                  if need_manifest or path != config.manifest)
     for name in names:
         target = os.path.realpath(config.output_dir / name)
         if target in inputs:
@@ -297,8 +302,9 @@ def _check_inputs_survive(config: RunConfig, names, *, need_manifest: bool = Tru
                                   f"{inputs[target]!r}")
 
 
-def cmd_analyze(config: RunConfig) -> int:
-    report = run_validation(config)
+def cmd_analyze(config: RunConfig, config_path: Path) -> int:
+    read = [config_path]
+    report = run_validation(config, read=read)
     if report.errors:
         return _fail(EXIT_CONFIG, *report.errors)
     try:
@@ -306,7 +312,7 @@ def cmd_analyze(config: RunConfig) -> int:
     except SemdriftError as exc:
         return _fail(EXIT_ANALYSIS, exc)
     try:
-        _check_inputs_survive(config, bundle)
+        _check_inputs_survive(config, bundle, read)
         config.output_dir.mkdir(parents=True, exist_ok=True)
         with ingest.remove_on_failure([]) as written:  # no half-written bundle
             for name in sorted(bundle):
@@ -324,7 +330,7 @@ _CHANNEL_KEYS = {"seed": "seed", "factor": "narrow_widen_factor", "norm_pull": "
                  "length_inflation": "length_inflation"}
 
 
-def cmd_synth(config: RunConfig) -> int:
+def cmd_synth(config: RunConfig, config_path: Path) -> int:
     """Write a synthetic corpus and its channel output; a failure leaves none of its files."""
     from . import synth
     options = config.synth_options
@@ -363,7 +369,7 @@ def cmd_synth(config: RunConfig) -> int:
         texts = [ingest._document_filename(doc.id)
                  for doc in source.documents + translated.documents]
         _check_inputs_survive(config, ["channel_params.json", "manifest.json", *texts],
-                              need_manifest=False)
+                              [config_path], need_manifest=False)
         config.output_dir.mkdir(parents=True, exist_ok=True)
         # save_corpus removes its own files if it fails; this removes the parameters
         with ingest.remove_on_failure([config.output_dir / "channel_params.json"]) as written:
@@ -426,8 +432,8 @@ def main(argv=None) -> int:
     if args.command == "validate":
         return cmd_validate(config)
     if args.command == "analyze":
-        return cmd_analyze(config)
-    return cmd_synth(config)
+        return cmd_analyze(config, Path(args.config))
+    return cmd_synth(config, Path(args.config))
 
 
 if __name__ == "__main__":

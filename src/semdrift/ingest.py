@@ -328,7 +328,7 @@ def _parse_profiles(spec: dict) -> dict[str, LangProfile]:
     return profiles
 
 
-def load_corpus(manifest_path) -> list[CorpusStratum]:
+def load_corpus(manifest_path, read: list | None = None) -> list[CorpusStratum]:
     """Read a manifest, ingest every listed file, and partition documents into strata.
 
     Manifest format (JSON)::
@@ -349,26 +349,27 @@ def load_corpus(manifest_path) -> list[CorpusStratum]:
     decoded is an IngestError naming the manifest. A group key named after a
     document field (`language`, `translation_kind`) and group keys that give two
     strata one label are ValidationErrors. Each text is counted into its
-    document as it is read and dropped before the next is read.
+    document as it is read and dropped before the next is read. `read`, when given,
+    gets the path of each lemma dictionary and text as it is read.
     """
     manifest_path = Path(manifest_path)
     manifest = check("", read_json(manifest_path), _MANIFEST_TYPES)
     if "documents" not in manifest:
         raise ValidationError(f"{manifest_path}: manifest must contain a 'documents' list")
     try:
-        return _load_documents(manifest, manifest_path.parent)
+        return _load_documents(manifest, manifest_path.parent, [] if read is None else read)
     except IngestError as exc:
         raise IngestError(f"{manifest_path}: {exc}") from None
 
 
-def _load_documents(manifest: dict, base: Path) -> list[CorpusStratum]:
+def _load_documents(manifest: dict, base: Path, read: list) -> list[CorpusStratum]:
     # base / path is path itself when path is absolute
     profiles = _parse_profiles(manifest.get("profiles", {}))
     lemma_dicts: dict[str, LemmaDict] = {}
     for code, rel in manifest.get("lemma_dicts", {}).items():
         profile = profiles.get(code)
-        lemma_dicts[code] = LemmaDict.load(base / rel, code,
-                                           profile is None or profile.case_fold)
+        read.append(base / rel)
+        lemma_dicts[code] = LemmaDict.load(read[-1], code, profile is None or profile.case_fold)
 
     seen_ids: set[str] = set()
     grouped: dict[tuple, list[Document]] = {}
@@ -386,7 +387,8 @@ def _load_documents(manifest: dict, base: Path) -> list[CorpusStratum]:
                 raise ValidationError(f"documents[{i}].group_keys.{field_name}: a group key "
                                       f"may not share its name with a document field")
 
-        doc = Document.from_text(doc_id, read_text(base / entry["path"], entry["path"]),
+        read.append(base / entry["path"])
+        doc = Document.from_text(doc_id, read_text(read[-1], entry["path"]),
                                  profiles[language], lemma_dicts.get(language))
 
         grouped.setdefault((language, kind, tuple(sorted(group_keys.items()))), []).append(doc)

@@ -91,20 +91,19 @@ def _decompose(groups: list[GroupSample]):
     return labels, ns, means, ss_between, ss_within, all_identical
 
 
-def _levene_diagnostic(groups: list[GroupSample],
-                       means: list[float]) -> tuple[float, float]:
-    """Levene's W over absolute deviations from group means; never warns."""
-    z_groups = [GroupSample(g.label, tuple(abs(v - m) for v in g.values))
-                for g, m in zip(groups, means)]
-    _, ns, _, ss_between, ss_within, identical = _decompose(z_groups)
-    if identical or ss_between == 0.0:
-        return 0.0, 1.0
-    k = len(groups)
-    df_between, df_within = k - 1, sum(ns) - k
-    if ss_within == 0.0:
-        return math.inf, 0.0
-    w = (ss_between / df_between) / (ss_within / df_within)
-    return w, 1.0 - f_cdf(w, df_between, df_within)
+def _f_test(ns: list[int], ss_between: float, ss_within: float,
+            identical: bool) -> tuple[float, float]:
+    """The one-way F statistic and its p-value. F is 0 when every value is the same and
+    inf when only the within-group mean square is 0; there the CDF gives p = 1 and 0."""
+    df_between, df_within = len(ns) - 1, sum(ns) - len(ns)
+    ms_within = ss_within / df_within
+    if identical:
+        f = 0.0
+    elif ms_within == 0.0:
+        f = math.inf
+    else:
+        f = (ss_between / df_between) / ms_within
+    return f, 1.0 - f_cdf(f, df_between, df_within)
 
 
 def one_way_anova(groups: list[GroupSample]) -> AnovaResult:
@@ -119,8 +118,9 @@ def one_way_anova(groups: list[GroupSample]) -> AnovaResult:
     -------
     AnovaResult
         F statistic, degrees of freedom, p-value from the F distribution, the
-        sum-of-squares decomposition, and a Levene variance-heterogeneity
-        diagnostic. Zero within-group variance with a nonzero between-group
+        sum-of-squares decomposition, and Levene's variance-heterogeneity
+        diagnostic W, the F of the same test on the absolute deviations from the
+        group means. Zero within-group variance with a nonzero between-group
         component reports an infinite F with p = 0 and raises
         DegenerateVarianceWarning; fully identical data reports F = 0, p = 1.
     """
@@ -132,17 +132,17 @@ def one_way_anova(groups: list[GroupSample]) -> AnovaResult:
     if all_identical:
         return AnovaResult(0.0, df_between, df_within, 1.0, group_means,
                            0.0, 0.0, degenerate=True)
-    levene_stat, levene_p = _levene_diagnostic(groups, means)
-    if ss_within == 0.0:
+    f_stat, p_value = _f_test(ns, ss_between, ss_within, False)
+    deviations = [GroupSample(g.label, tuple(abs(v - m) for v in g.values))
+                  for g, m in zip(groups, means)]
+    _, _, _, z_between, z_within, z_identical = _decompose(deviations)
+    levene_stat, levene_p = _f_test(ns, z_between, z_within, z_identical)
+    degenerate = ss_within == 0.0
+    if degenerate:
         warnings.warn("zero within-group variance with nonzero between-group variance",
                       DegenerateVarianceWarning, stacklevel=2)
-        return AnovaResult(math.inf, df_between, df_within, 0.0, group_means,
-                           ss_between, 0.0, degenerate=True,
-                           levene_stat=levene_stat, levene_p=levene_p)
-    f_stat = (ss_between / df_between) / (ss_within / df_within)
-    p_value = 1.0 - f_cdf(f_stat, df_between, df_within)
-    return AnovaResult(f_stat, df_between, df_within, p_value, group_means,
-                       ss_between, ss_within, levene_stat=levene_stat, levene_p=levene_p)
+    return AnovaResult(f_stat, df_between, df_within, p_value, group_means, ss_between,
+                       ss_within, degenerate, levene_stat, levene_p)
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
@@ -404,14 +404,10 @@ def tukey_hsd(groups: list[GroupSample], alpha: float = 0.05) -> TukeyResult:
     pairs = []
     for (i, a), (j, b) in combinations(enumerate(labels), 2):
         diff = means[j] - means[i]
-        if degenerate:
-            q = 0.0 if diff == 0.0 else math.inf
-            p = 1.0 if diff == 0.0 else 0.0
-        else:
-            se = math.sqrt(ms_within / 2.0 * (1.0 / ns[i] + 1.0 / ns[j]))
-            q = abs(diff) / se
-            if q not in cdf_at:
-                cdf_at[q] = studentized_range_cdf(q, k, df_within)
-            p = 1.0 - cdf_at[q]
+        se = math.sqrt(ms_within / 2.0 * (1.0 / ns[i] + 1.0 / ns[j]))
+        q = abs(diff) / se if se else math.inf if diff else 0.0  # the CDF is 1 or 0 there
+        if q not in cdf_at:
+            cdf_at[q] = studentized_range_cdf(q, k, df_within)
+        p = 1.0 - cdf_at[q]
         pairs.append(PairComparison(a, b, diff, q, p, p < alpha))
     return TukeyResult(tuple(pairs), df_within, degenerate)

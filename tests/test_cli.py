@@ -672,6 +672,43 @@ class TestAnalyze:
             f"input {clobbered!r}\n")
         assert files() == before
 
+    @staticmethod
+    def _rename_in_manifest(data: Path, old: str, new: str) -> None:
+        (data / old).rename(data / new)
+        manifest = data / "manifest.json"
+        manifest.write_text(manifest.read_text(encoding="utf-8").replace(f'"{old}"', f'"{new}"'),
+                            encoding="utf-8")
+
+    @pytest.mark.parametrize("command, clobbered, output_dir", [
+        ("analyze", "texts/anova.csv", "texts"),
+        ("analyze", "pca.csv", "."),
+        ("analyze", "summary.json", "."),
+        ("synth", "channel_params.json", "."),
+    ], ids=["analyze-text", "analyze-lemma-dict", "analyze-config", "synth-config"])
+    def test_output_dir_holding_a_file_read_but_not_configured_exits_2(
+            self, tmp_path, capsys, command, clobbered, output_dir):
+        # the corpus's texts and lemma dictionaries, and the config file itself
+        data = shutil.copytree(DATA, tmp_path / "data",
+                               ignore=shutil.ignore_patterns("expected_bundle"))
+        config = data / "config.json"
+        if clobbered == "texts/anova.csv":
+            self._rename_in_manifest(data, "texts/en_human_g8_t1.txt", clobbered)
+        elif clobbered == "pca.csv":
+            self._rename_in_manifest(data, "dicts/en_lemmas.tsv", clobbered)
+        else:
+            config = config.rename(data / clobbered)
+
+        def files():
+            return {p: p.read_bytes() for p in sorted(data.rglob("*")) if p.is_file()}
+
+        before = files()
+        assert main([command, "--config", str(config),
+                     "--output-dir", str(data / output_dir)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: output_dir: writing {(data / clobbered).resolve()} would overwrite the "
+            f"input {str(data / clobbered)!r}\n")
+        assert files() == before
+
     @pytest.mark.parametrize("command", ["synth", "analyze"])
     def test_output_dir_in_a_symlink_loop_exits_2(self, tmp_path, capsys, command):
         config = write_config(tmp_path)

@@ -1,22 +1,30 @@
-"""Input properties of `analyze`, each on an edited copy of tests/data.
+"""Input properties of `analyze`, on edited copies of tests/data and on synthetic corpora.
 
 Inputs that say the same thing in another order, normal form, line ending or with a byte
-order mark give the committed bundle, apart from the input checksums (every CSV's
-`# inputs:` line and summary.json's `inputs` block). Malformed inputs end in `error:`
-lines and exit code 2, with no traceback and nothing written.
+order mark give the same bundle, apart from the input checksums (every CSV's `# inputs:`
+line and summary.json's `inputs` block). Malformed inputs end in `error:` lines and exit
+code 2, with no traceback and nothing written; randomly mutated bytes in any resource end
+in exit code 0, 1 or 2, never in an exception.
 """
 
+import io
 import json
 import random
 import shutil
 import unicodedata
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from semdrift import (ChannelParams, CorpusStratum, Document, FrequencyTable, apply_channel,
+                      generate_source, save_corpus)
 from semdrift.cli import main
 
-from helpers import DATA
+from helpers import DATA, fixture_concept_map
 
 EN_LEXICONS = ("lexicons/lex_en_core.tsv", "lexicons/lex_en_extra.tsv")
 
@@ -145,3 +153,146 @@ def test_malformed_input_ends_in_an_error_line(tmp_path, capsys, edit, message):
     assert err and all(line.startswith("error: ") for line in err.splitlines())
     assert message in err.splitlines()[0]
     assert not out.exists()
+
+
+# resource kind -> its file in a copy of tests/data, and whether `synth` reads it
+FUZZ_TARGETS = {
+    "config": ("config.json", True),
+    "manifest": ("manifest.json", False),
+    "lexicon": ("lexicons/lex_ru_core.tsv", True),
+    "concept-map": ("concepts.tsv", True),
+    "frequency-table": ("freq_en.tsv", True),
+    "lemma-dict": ("dicts/ru_lemmas.tsv", False),
+    "text": ("texts/ru_g8_t1.txt", False),
+}
+# a NUL, a tab, line breaks, a quote, a byte never in UTF-8, and a Cyrillic and a
+# three-byte sequence cut short; truncating the file can also cut a character in two
+_FUZZ_BYTES = (b"\x00", b"\t", b"\n", b"\r\n", b'"', b"\\", b"\xff", b"\xd0", b"\xe2\x82")
+_mutation = st.tuples(st.sampled_from(("insert", "replace", "truncate")),
+                      st.integers(0, 1 << 16), st.sampled_from(_FUZZ_BYTES))
+
+
+def mutate(blob: bytes, mutations) -> bytes:
+    for op, at, piece in mutations:
+        i = at % (len(blob) + 1)
+        if op == "insert":
+            blob = blob[:i] + piece + blob[i:]
+        elif op == "replace":
+            blob = blob[:i] + piece + blob[i + len(piece):]
+        else:
+            blob = blob[:i]
+    return blob
+
+
+def run_main(args: list[str]) -> tuple[int, str]:
+    """Exit code and everything printed, of `main` run in this process."""
+    printed = io.StringIO()
+    with redirect_stdout(printed), redirect_stderr(printed):
+        code = main(args)
+    return code, printed.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_data(tmp_path_factory) -> Path:
+    return copy_data(tmp_path_factory.mktemp("fuzz"))
+
+
+@pytest.mark.parametrize("kind", FUZZ_TARGETS)
+@given(mutations=st.lists(_mutation, min_size=1, max_size=3))
+@settings(max_examples=25, deadline=None)
+def test_mutated_bytes_end_in_an_exit_code_never_an_exception(fuzz_data, kind, mutations):
+    rel, synth_reads = FUZZ_TARGETS[kind]
+    path = fuzz_data / rel
+    original = path.read_bytes()
+    path.write_bytes(mutate(original, mutations))
+    try:
+        for command in ("validate", "analyze", "synth")[:3 if synth_reads else 2]:
+            flags = [] if command == "validate" else [
+                "--output-dir", str(fuzz_data.parent / command)]
+            code, printed = run_main([command, "--config", str(fuzz_data / "config.json"),
+                                      *flags])
+            assert code in (0, 1, 2)
+            if code:
+                assert any(line.startswith("error: ") for line in printed.splitlines())
+    finally:
+        path.write_bytes(original)
+
+
+def write_synth_corpus(directory: Path, seed: int, words: int) -> Path:
+    """A synthetic corpus on the tests/data resources, and a config that analyzes it.
+
+    Each cell of a 2 x 2 summit x term grid holds two replicates, each a Russian source of
+    `words` lemmas and its machine and human English outputs, saved by `save_corpus`.
+    """
+    cmap = fixture_concept_map()
+    ref = FrequencyTable.load(DATA / "freq_en.tsv", "en")
+    budget = {cid: 1.0 for cid in cmap.concepts}
+    strata = []
+    cells = product(("G8", "G20"), ("2000-2003", "2004-2007"), ("1", "2"))
+    for i, (summit, term, replicate) in enumerate(cells):
+        source = generate_source(cmap, words, budget, seed + i)
+        for stratum in (source,
+                        apply_channel(source, cmap, ChannelParams.machine(seed + i), ref),
+                        apply_channel(source, cmap, ChannelParams.human(seed + i), ref)):
+            kind = stratum.translation_kind
+            doc_id = f"{stratum.language_code}-{kind.value}-{summit}-{term}-{replicate}"
+            strata.append(CorpusStratum(stratum.language_code, kind,
+                                        {"summit": summit, "term": term},
+                                        [Document.from_lemmas(doc_id,
+                                                              stratum.documents[0].lemmas)]))
+    manifest = save_corpus(strata, directory)
+    body = json.loads((DATA / "config.json").read_text(encoding="utf-8"))
+    body.update(manifest=str(manifest), concept_map=str(DATA / body["concept_map"]),
+                lexicons={lang: [str(DATA / p) for p in paths]
+                          for lang, paths in body["lexicons"].items()},
+                frequency_tables={lang: str(DATA / p)
+                                  for lang, p in body["frequency_tables"].items()})
+    config = directory / "config.json"
+    config.write_text(json.dumps(body, ensure_ascii=False), encoding="utf-8")
+    return config
+
+
+def _corpus_files(corpus: Path) -> list[Path]:
+    return [p for p in corpus.iterdir() if p.suffix == ".txt" or p.name == "manifest.json"]
+
+
+def _shuffle_manifest(corpus: Path, rnd: random.Random) -> None:
+    edit_json(corpus / "manifest.json", lambda body: rnd.shuffle(body["documents"]))
+
+
+def _nfd_texts(corpus: Path, rnd: random.Random) -> None:
+    for path in corpus.glob("*.txt"):
+        rewrite(path, lambda text: unicodedata.normalize("NFD", text))
+
+
+def _crlf(corpus: Path, rnd: random.Random) -> None:  # texts one word to a line
+    for path in _corpus_files(corpus):
+        rewrite(path, lambda text: text.replace("\n", "\r\n") if path.suffix == ".json"
+                else text.replace(" ", "\r\n") + "\r\n")
+
+
+def _byte_order_marks(corpus: Path, rnd: random.Random) -> None:
+    for path in _corpus_files(corpus):
+        rewrite(path, lambda text: "\ufeff" + text)
+
+
+SYNTH_EDITS = (_shuffle_manifest, _nfd_texts, _crlf, _byte_order_marks)  # in the order applied
+
+
+@given(seed=st.integers(0, 1 << 20), words=st.integers(120, 400),
+       edits=st.sets(st.sampled_from(SYNTH_EDITS), min_size=1),
+       rnd=st.randoms(use_true_random=False))
+@settings(max_examples=15, deadline=None)
+def test_equal_synthetic_corpora_give_equal_bundles(tmp_path_factory, seed, words, edits,
+                                                    rnd):
+    root = tmp_path_factory.mktemp("synth")
+    bundles = []
+    for name, applied in (("plain", ()), ("edited", edits)):
+        config = write_synth_corpus(root / name, seed, words)
+        for edit in SYNTH_EDITS:
+            if edit in applied:
+                edit(root / name, rnd)
+        out = root / f"{name}_out"
+        assert run_main(["analyze", "--config", str(config), "--output-dir", str(out)])[0] == 0
+        bundles.append(without_checksums(out))
+    assert bundles[0] == bundles[1]

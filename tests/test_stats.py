@@ -1,4 +1,6 @@
 import math
+import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -538,3 +540,105 @@ class TestTukey:
         groups = [GroupSample("a", (1, 2)), GroupSample("b", (3, 4))]
         with pytest.raises(ValidationError, match="alpha"):
             tukey_hsd(groups, 1.5)
+
+
+def branching_anova(groups):
+    """One-way ANOVA and Levene's W with each degenerate p-value written out by hand, the
+    reference for `_f_test`, which takes every p-value from `f_cdf`."""
+    _, ns, means, ss_between, ss_within, identical = stats._decompose(groups)
+    df_between, df_within = len(groups) - 1, sum(ns) - len(groups)
+    if identical:
+        return 0.0, 1.0, 0.0, 1.0
+    deviations = [GroupSample(g.label, tuple(abs(v - m) for v in g.values))
+                  for g, m in zip(groups, means)]
+    _, _, _, z_between, z_within, z_identical = stats._decompose(deviations)
+    if z_identical or z_between == 0.0:
+        w, w_p = 0.0, 1.0
+    elif z_within == 0.0:
+        w, w_p = math.inf, 0.0
+    else:
+        w = (z_between / df_between) / (z_within / df_within)
+        w_p = 1.0 - f_cdf(w, df_between, df_within)
+    if ss_within == 0.0:
+        return math.inf, 0.0, w, w_p
+    f = (ss_between / df_between) / (ss_within / df_within)
+    return f, 1.0 - f_cdf(f, df_between, df_within), w, w_p
+
+
+def branching_tukey(groups):
+    """Tukey's (q, p) per pair with the degenerate p-values written out by hand."""
+    _, ns, means, _, ss_within, _ = stats._decompose(groups)
+    k = len(groups)
+    df_within = sum(ns) - k
+    pairs = []
+    for i, j in combinations(range(k), 2):
+        diff = means[j] - means[i]
+        if ss_within == 0.0:
+            pairs.append((0.0, 1.0) if diff == 0.0 else (math.inf, 0.0))
+        else:
+            se = math.sqrt(ss_within / df_within / 2.0 * (1.0 / ns[i] + 1.0 / ns[j]))
+            q = abs(diff) / se
+            pairs.append((q, 1.0 - studentized_range_cdf(q, k, df_within)))
+    return pairs
+
+
+_small_count = st.integers(0, 4).map(float)
+_group = st.one_of(st.lists(_small_count, min_size=2, max_size=5),
+                   st.tuples(_small_count, st.integers(2, 5)).map(lambda c: [c[0]] * c[1]))
+_layouts = st.one_of(
+    st.lists(_group, min_size=2, max_size=4),
+    st.tuples(_small_count, st.integers(2, 4), st.integers(2, 4)).map(
+        lambda c: [[c[0]] * c[2]] * c[1]))  # every value the same
+
+
+def _samples(data, scale=1.0):
+    return [GroupSample(f"g{i}", tuple(v * scale for v in vals)) for i, vals in enumerate(data)]
+
+
+class TestDegenerateStatistics:
+    """Every p-value is `1 - cdf(statistic)`: a degenerate statistic is 0 or inf, where the
+    CDFs are 0 and 1, and Levene's W is the ANOVA's F on the absolute deviations."""
+
+    @given(_layouts, st.sampled_from([1.0, 1e-3, 0.1, 7.0, 1e3]))
+    @settings(max_examples=120, deadline=None)
+    def test_agrees_with_the_branching_reference_bit_for_bit(self, data, scale):
+        groups = _samples(data, scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateVarianceWarning)
+            anova, tukey = one_way_anova(groups), tukey_hsd(groups)
+        assert repr((anova.f_stat, anova.p_value, anova.levene_stat, anova.levene_p)) == \
+            repr(branching_anova(groups))
+        assert repr([(p.q_stat, p.p_adj) for p in tukey.pairs]) == \
+            repr(branching_tukey(groups))
+
+    @given(st.one_of(_layouts, st.lists(st.lists(st.floats(-1e3, 1e3), min_size=2,
+                                                  max_size=6), min_size=2, max_size=4)))
+    @settings(max_examples=100, deadline=None)
+    def test_levene_is_the_anova_of_the_absolute_deviations(self, data):
+        groups = _samples(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateVarianceWarning)
+            result = one_way_anova(groups)
+            means = result.group_means
+            deviations = one_way_anova([GroupSample(g.label, tuple(
+                abs(v - means[g.label]) for v in g.values)) for g in groups])
+        assert (result.levene_stat, result.levene_p) == (deviations.f_stat, deviations.p_value)
+
+    def test_levene_is_inf_when_both_deviation_sums_underflow(self):
+        # the deviations, 1e-170 in one group and 2e-170 in the other, square to 0, so both
+        # of their sums of squares are 0 although the groups differ: W is inf, as F is here
+        groups = [GroupSample("a", (0.0, 2e-170)), GroupSample("b", (0.0, 4e-170))]
+        with pytest.warns(DegenerateVarianceWarning):
+            result = one_way_anova(groups)
+        assert (result.f_stat, result.p_value) == (math.inf, 0.0)
+        assert (result.levene_stat, result.levene_p) == (math.inf, 0.0)
+
+    def test_a_mean_square_that_underflows_reads_as_zero(self):
+        # a within-group sum of squares of 5e-324, the least subnormal, has a mean square
+        # of 0: F and every q are inf rather than a ZeroDivisionError
+        groups = [GroupSample("a", (0.0, 0.0, 3e-162)), GroupSample("b", (1.0, 1.0, 1.0))]
+        result = one_way_anova(groups)
+        assert result.ss_within == 5e-324
+        assert (result.f_stat, result.p_value) == (math.inf, 0.0)
+        [pair] = tukey_hsd(groups).pairs
+        assert (pair.q_stat, pair.p_adj, pair.significant) == (math.inf, 0.0, True)
