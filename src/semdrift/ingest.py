@@ -40,16 +40,24 @@ def read_text(path, name=None) -> str:
         raise IngestError(f"cannot read {name}: {exc}") from None
 
 
+_TSV_CONTROL = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\x7f]")  # C0 but tab, LF, CR; DEL
+
+
 def read_tsv(path, columns: str):
     """Yield `(line number, fields)` for each data row of a TSV resource file.
 
     The file is read in NFC; lines and fields are stripped of surrounding
     whitespace, and blank lines and `#` comments are skipped. A row whose
-    field count differs from `columns`, a spec like "lemma<TAB>class", is a
-    ValidationError naming `path:line`.
+    field count differs from `columns`, a spec like "lemma<TAB>class", or a
+    control character that no token could match, is a ValidationError naming
+    `path:line`.
     """
     width = columns.count("<TAB>") + 1
     text = unicodedata.normalize("NFC", read_text(path))
+    control = _TSV_CONTROL.search(text)
+    if control:
+        lineno = len((text[:control.start()] + ".").splitlines())
+        raise ValidationError(f"{path}:{lineno}: control character U+{ord(control[0]):04X}")
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):

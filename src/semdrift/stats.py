@@ -8,11 +8,16 @@ and over the scaled chi variable either 64 nodes on the range where its density 
 within e^-46 of its peak (df >= 4; the weights are scaled to unit mass there) or 160
 nodes on [0, 14] (df < 4). Three bounds each drop cells of that grid that add at
 most 1e-19 in all: the leading location nodes of k, the location nodes past r + T_k
-in the row at range r, and the chi nodes of negligible weight. Against
-`scipy.stats.studentized_range.cdf` the kernel agrees within 1.4e-12 over k = 2-10,
-df = 1-1000 and q = 0.5-8, most of which is scipy's own error. The rules are read
-from the table `gauss_legendre.txt` that ships with the package, so no process
-recomputes them and the p-values do not depend on the platform's eigenvalue solver.
+in the row at range r, and the chi nodes of negligible weight.
+
+A row, the location integral at range r = q s, depends on k and r alone, so it is
+read from one piecewise Chebyshev interpolant per k (Trefethen 2013, "Approximation
+Theory and Approximation Practice"), built panel by panel on first use; see
+`studentized_range_cdf`. Against `scipy.stats.studentized_range.cdf` the kernel agrees
+within 1.4e-12 over k = 2-10, df = 1-1000 and q = 0.5-8, most of which is scipy's own
+error. The rules are read from the table `gauss_legendre.txt` that ships with the
+package, so no process recomputes them and the p-values do not depend on the
+platform's eigenvalue solver.
 """
 
 import math
@@ -29,6 +34,8 @@ _OUTER_NODES = 64          # chi-scale integral over the fitted range (df >= 4)
 _SMALL_DF_NODES = 160      # chi-scale integral over [0, 14] (df < 4)
 _CHI_LOG_DROP = 46.0       # the fitted range ends where the chi density is e^-46 of its peak
 _PRUNE_EPS = 1e-19         # each pruning bound drops cells that add at most this much
+_PANEL_WIDTH = 0.5         # the row interpolant's panels in the range r ...
+_PANEL_DEGREE = 12         # ... and the degree of each one's Chebyshev series
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _BETA_MAX_ITER = 300
 _BETA_EPS = 3e-16
@@ -332,6 +339,78 @@ def _outer_rule(df: int) -> _Rule:
     return tuple(x for x, _ in kept), tuple(w for _, w in kept)
 
 
+def _row(r: float, k: int) -> float:
+    """The inner integral at range r: the `math.fsum` of the cells that bound 2 keeps."""
+    z, cells, tail = _inner_cells(k)
+    v, power, erf = r * _INV_SQRT2, k - 1, math.erf
+    return math.fsum([b * (e - erf(u - v)) ** power
+                      for u, e, b in cells[:bisect_right(z, r + tail)]])
+
+
+def _saturation_point(k: int) -> float:
+    """The least r from which bound 2 keeps every cell and every erf(u_j - r / sqrt(2)) is
+    exactly -1, so that `_row(r, k)` is one constant. It is the largest inner node plus
+    sqrt(2) times where erf rounds to -1: 8.997 + 8.374 for every k up to 100. Both
+    conditions only grow more true with r; bisection keeps them true at `hi`."""
+    z, cells, tail = _inner_cells(k)
+    lo, hi = 0.0, 40.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if mid + tail >= z[-1] and math.erf(cells[-1][0] - mid * _INV_SQRT2) == -1.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@lru_cache(maxsize=1)
+def _chebyshev_cosines() -> tuple[float, ...]:
+    """cos(pi p / n) for p < 2n, n = _PANEL_DEGREE: the Chebyshev points and the DCT."""
+    n = _PANEL_DEGREE
+    return tuple(math.cos(math.pi * p / n) for p in range(2 * n))
+
+
+def _build_panel(k: int, i: int, top: float) -> tuple[float, tuple[float, ...]]:
+    """Panel i of k: an offset, 0 or `top`, and the Chebyshev coefficients (highest degree
+    first) of `_row - offset` at the n + 1 Chebyshev points of [i w, (i + 1) w]."""
+    n, cosines = _PANEL_DEGREE, _chebyshev_cosines()
+    lo, half = i * _PANEL_WIDTH, 0.5 * _PANEL_WIDTH
+    values = [_row(lo + half * (1.0 + cosines[m]), k) for m in range(n + 1)]
+    offset = top if values[n // 2] > 0.5 else 0.0
+    values = [v - offset for v in values]
+    values[0] *= 0.5
+    values[n] *= 0.5
+    coefficients = [2.0 / n * math.fsum(v * cosines[j * m % (2 * n)]
+                                        for m, v in enumerate(values))
+                    for j in range(n + 1)]
+    coefficients[0] *= 0.5
+    coefficients[n] *= 0.5
+    return offset, tuple(reversed(coefficients))
+
+
+@lru_cache(maxsize=128)
+def _row_interpolant(k: int) -> tuple[float, float, list]:
+    """The saturation point of k, the row from there on, and a slot per panel below it,
+    None until a row falls in the panel."""
+    cutoff = _saturation_point(k)
+    return cutoff, _row(cutoff, k), [None] * math.ceil(cutoff / _PANEL_WIDTH)
+
+
+def _interpolated_row(r: float, k: int, top: float, panels: list) -> float:
+    """`_row(r, k)` below the saturation point, by Clenshaw's recurrence on r's panel."""
+    x = r / _PANEL_WIDTH
+    i = int(x)
+    panel = panels[i]
+    if panel is None:
+        panel = panels[i] = _build_panel(k, i, top)
+    offset, coefficients = panel
+    t = 2.0 * (x - i) - 1.0
+    t2, b1, b2 = 2.0 * t, 0.0, 0.0
+    for c in coefficients:
+        b1, b2 = c + t2 * b1 - b2, b1
+    return offset + (b1 - t * b2)
+
+
 def studentized_range_cdf(q: float, k: int, df: int) -> float:
     """CDF of the studentized range of k groups with df error degrees of freedom.
 
@@ -342,33 +421,36 @@ def studentized_range_cdf(q: float, k: int, df: int) -> float:
     the chi density is within e^-46 of its peak, or 160 nodes on [0, 14] when df < 4; the
     inner rule has 96 nodes on [-9, 9]. Three pruning bounds each drop cells that add at
     most 1e-19 in all: the leading inner nodes of k, the inner nodes past r + T_k in the
-    row at range r, and the outer nodes of negligible weight. Each row and the rows'
-    total are summed by `math.fsum`. The result agrees with
-    `scipy.stats.studentized_range.cdf` within 1.4e-12 over k = 2-10, df = 1-1000 and
-    q = 0.5-8.
+    row at range r, and the outer nodes of negligible weight.
+
+    A row, the inner integral at range r = q s, depends on k and r alone. It is read
+    from one interpolant per k of the pruned cell sum `_row`: panels of width 0.5 in r,
+    each a degree-12 Chebyshev series evaluated by Clenshaw's recurrence and built when
+    a row first falls in it. From the saturation point, about 17.37, the row is one exact
+    constant, `top`; a panel whose row passes 1/2 at its middle holds the deficit
+    `top - row`, so Clenshaw rounds the deficit and not a value near 1. A row is within
+    2e-15 of the cell sum (whose own erf rounding grows with k), the weighted rows are
+    summed by `math.fsum`, and the result is within 1e-15 of the quadrature summed cell
+    by cell. It agrees with `scipy.stats.studentized_range.cdf` within 1.4e-12 over
+    k = 2-10, df = 1-1000 and q = 0.5-8.
     """
     if k < 2:
         raise ValidationError("k must be >= 2")
     if df < 1:
         raise ValidationError("df must be >= 1")
-    if q <= 0.0:
+    if not q > 0.0:  # a NaN q as well, which the quadrature's clamp also read as 0
         return 0.0
     if math.isinf(q):
         return 1.0
     if k == 2:
         return f_cdf(q * q / 2.0, 1, df)
-    z, cells, tail = _inner_cells(k)
-    power, erf, fsum = k - 1, math.erf, math.fsum
+    cutoff, top, panels = _row_interpolant(k)
     rows = []
     for s, weight in zip(*_outer_rule(df)):
-        # the inner integral at range r = q * s, over the cells that bound 2 keeps
         r = q * s
-        v = r * _INV_SQRT2
-        kept = cells[:bisect_right(z, r + tail)]
-        rows.append(weight * fsum([b * (e - erf(u - v)) ** power for u, e, b in kept]))
-    # math.fsum rounds each sum exactly once, so no digit depends on the order of the
-    # cells or on whether the Python version's sum() compensates
-    return min(1.0, max(0.0, fsum(rows)))
+        rows.append(weight * (top if r >= cutoff else _interpolated_row(r, k, top, panels)))
+    # math.fsum rounds the total once, so no digit depends on the order of the rows
+    return min(1.0, max(0.0, math.fsum(rows)))
 
 
 def tukey_hsd(groups: list[GroupSample], alpha: float = 0.05) -> TukeyResult:

@@ -26,7 +26,10 @@ ROOT = Path(__file__).parent.parent
 # benchmark corpus, and of their analyze bundle: a 3 x 3 summit x term grid gives Tukey
 # tests of k = 3 groups. A synth change moves both pins, an analyze change only the second.
 MANY_GROUPS_TEXTS_DIGEST = "6b124168a0ca394e86b3afe41c39433b2dbfc12f20727f61c88393ccd91e4009"
-MANY_GROUPS_DIGEST = "7f2e11b12855e10d7356a59134c3cab5352a2e3a8733b7b49e4f1ee349f8a8d7"
+MANY_GROUPS_DIGEST = "780c72fb569c90639aa919971b64b05702627cb500b5195cf39135bd00c795f8"
+# sha256 of the golden bundle itself: regenerating tests/data/expected_bundle would let
+# the golden-file test pass on any bundle, so a change to these bytes must move this pin
+EXPECTED_BUNDLE_DIGEST = "12e3b629a5f2a1fdc250725f76d4d32e3d6905ebd26265952a33b1a1e0bd54b1"
 
 
 def base_config() -> dict:
@@ -103,6 +106,14 @@ class TestValidate:
         assert main(["validate", "--config", str(config)]) == 2
         out = capsys.readouterr().out
         assert "error" in out and "file not found" in out
+
+    def test_frequency_table_lemma_with_a_nul_exits_2(self, tmp_path, capsys):
+        table = tmp_path / "freq_en.tsv"
+        table.write_text("good\t10\na\x00b\t5\n", encoding="utf-8")
+        config = write_config(
+            tmp_path, frequency_tables={"ru": str(DATA / "freq_ru.tsv"), "en": str(table)})
+        assert main(["validate", "--config", str(config)]) == 2
+        assert f"{table}:2: control character U+0000" in capsys.readouterr().out
 
     def test_missing_manifest_file_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, manifest=str(tmp_path / "nope.json"))
@@ -525,6 +536,9 @@ class TestAnalyze:
         if differences:
             pytest.fail("the bundle differs from tests/data/expected_bundle (README says how to "
                         "regenerate it):\n" + "\n".join(differences), pytrace=False)
+
+    def test_golden_bundle_is_unchanged(self):
+        assert digest(DATA / "expected_bundle") == EXPECTED_BUNDLE_DIGEST
 
     @pytest.mark.skipif(not os.environ.get("SEMDRIFT_PYTHONS"),
                         reason="set SEMDRIFT_PYTHONS to interpreter paths, separated by "

@@ -431,6 +431,19 @@ def test_tsv_loaders_strip_fields_and_name_the_line_of_a_bad_row(tmp_path, kind)
         load(p)
 
 
+@pytest.mark.parametrize("control", ["\x00", "\x07", "\x0b", "\x1b", "\x7f"])
+@pytest.mark.parametrize("kind", sorted(_TSV_LOADERS))
+def test_tsv_loaders_refuse_a_control_character(tmp_path, kind, control):
+    # a lemma like "a\x00b" would load, and no token could ever match it
+    load, row, _, _ = _TSV_LOADERS[kind]
+    p = tmp_path / f"{kind}.tsv"
+    p.write_text(f"# header\r\n\n{row}\n{row[0]}{control}{row[1:]}\n{row}\n",
+                 encoding="utf-8")
+    message = f"{p}:4: control character U+{ord(control):04X}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        load(p)
+
+
 def _word_counts(groups):
     return {values: sum(m.total_word_count for m in members)
             for values, members in groups.items()}

@@ -222,8 +222,9 @@ def dense_srange_cdf(q, k, df):
     return min(1.0, max(0.0, total))
 
 
-def row_loop_srange_cdf(q, k, df):
-    """The k >= 3 quadrature of `studentized_range_cdf`, one outer node and one cell at a time.
+def row_loop_rows(q, k, df):
+    """The k >= 3 quadrature of `studentized_range_cdf` before its rows were interpolated,
+    one outer node and one cell at a time: the weight, range r and row of each outer node.
 
     Leading inner nodes go while their cell bounds c Phi(z)^(k-1) add up to at most EPS
     (bound 1), a row stops at its first node past r + T_k (bound 2), and outer nodes of
@@ -265,8 +266,13 @@ def row_loop_srange_cdf(q, k, df):
                 break
             u = z[j] * inv
             cells.append(c[j] / 2 ** (k - 1) * (math.erf(u) - math.erf(u - r * inv)) ** (k - 1))
-        rows.append(w * math.fsum(cells))
-    return min(1.0, max(0.0, math.fsum(rows)))
+        rows.append((w, r, math.fsum(cells)))
+    return rows
+
+
+def row_loop_srange_cdf(q, k, df):
+    """The quadrature's value with every row summed cell by cell by `row_loop_rows`."""
+    return min(1.0, max(0.0, math.fsum(w * row for w, _, row in row_loop_rows(q, k, df))))
 
 
 def fixed_rule_srange_cdf(q, k, df):
@@ -383,11 +389,77 @@ class TestChiRange:
                 pytest.approx(-stats._CHI_LOG_DROP, abs=1e-8)
 
 
+def panel_value(panel, t):
+    """A row panel's offset plus its Chebyshev series at t in [-1, 1], by numpy."""
+    offset, coefficients = panel
+    return offset + float(np.polynomial.chebyshev.chebval(t, coefficients[::-1]))
+
+
+class TestRowInterpolant:
+    @given(st.floats(0.0, 1e6), st.integers(3, 20))
+    @example(0.0, 3)
+    @settings(max_examples=50, deadline=None)
+    def test_row_is_one_constant_past_the_saturation_point(self, past, k):
+        cutoff, top, _ = stats._row_interpolant(k)
+        assert stats._row(cutoff + past, k) == top
+
+    @pytest.mark.parametrize("k", [3, 5, 20, 100])
+    def test_saturation_point(self, k):
+        cutoff, top, _ = stats._row_interpolant(k)
+        # it is the largest inner node plus sqrt(2) times where erf rounds to -1 ...
+        z, cells, tail = stats._inner_cells(k)
+        assert cutoff == pytest.approx(z[-1] + math.sqrt(2.0) * 5.9215872, abs=1e-6)
+        # ... every row from there on is the same constant, on a dense grid too ...
+        for r in np.linspace(cutoff, cutoff + 1.0, 2001).tolist():
+            assert stats._row(r, k) == top
+        # ... and one float below it the last cell's erf is not yet -1
+        below = math.nextafter(cutoff, 0.0)
+        assert math.erf(cells[-1][0] - below * stats._INV_SQRT2) > -1.0
+
+    @pytest.mark.parametrize("k", range(3, 21))
+    def test_adjacent_panels_agree_at_each_shared_edge(self, k):
+        cutoff, top, _ = stats._row_interpolant(k)
+        panels = [stats._build_panel(k, i, top)
+                  for i in range(math.ceil(cutoff / stats._PANEL_WIDTH))]
+        for left, right in zip(panels, panels[1:]):
+            assert abs(panel_value(left, 1.0) - panel_value(right, -1.0)) <= 1e-15
+
+    @pytest.mark.parametrize("k", range(3, 21))
+    def test_interpolated_rows_match_the_row_function(self, k):
+        # the gap grows with k because the row function's own rounding does: erf's is
+        # raised to the power k - 1 in every cell, 1.7e-15 at k = 20
+        cutoff, top, panels = stats._row_interpolant(k)
+        worst = 0.0
+        for r in np.linspace(0.0, cutoff, 1001)[:-1].tolist():
+            value = stats._interpolated_row(r, k, top, panels)
+            worst = max(worst, abs(value - stats._row(r, k)))
+            assert value == pytest.approx(panel_value(
+                panels[int(r / stats._PANEL_WIDTH)], 2.0 * (r / stats._PANEL_WIDTH % 1.0) - 1.0),
+                abs=2e-16)
+        assert worst <= 2e-15
+
+    def test_a_lone_call_builds_only_the_panels_its_rows_fall_in(self):
+        q, k, df = 0.9, 4, 16
+        stats._row_interpolant.cache_clear()
+        studentized_range_cdf(q, k, df)
+        cutoff, _, panels = stats._row_interpolant(k)
+        built = {i for i, panel in enumerate(panels) if panel is not None}
+        assert built == {int(q * s / stats._PANEL_WIDTH) for s in stats._outer_rule(df)[0]}
+        assert len(built) < len(panels)
+
+
 class TestStudentizedRangeCdf:
     @given(st.floats(1e-3, 30.0), st.integers(3, 20), st.integers(1, 2000))
     @settings(max_examples=30, deadline=None)
     def test_equals_row_loop_reference(self, q, k, df):
-        assert studentized_range_cdf(q, k, df) == row_loop_srange_cdf(q, k, df)
+        # the row function that the interpolant samples is the reference's inner sum
+        for _, r, row in row_loop_rows(q, k, df):
+            assert stats._row(r, k) == row
+
+    @given(st.floats(1e-3, 30.0), st.integers(3, 20), st.integers(1, 2000))
+    @settings(max_examples=30, deadline=None)
+    def test_within_1e15_of_the_row_loop_reference(self, q, k, df):
+        assert abs(studentized_range_cdf(q, k, df) - row_loop_srange_cdf(q, k, df)) <= 1e-15
 
     def test_within_1e15_of_the_dense_kernel(self):
         # every cell of the grid, before the pruning bounds, summed by numpy
@@ -401,6 +473,8 @@ class TestStudentizedRangeCdf:
 
     def test_zero(self):
         assert studentized_range_cdf(0.0, 3, 12) == 0.0
+        # a NaN q reads as 0 too, as it did when the quadrature's clamp turned NaN into 0
+        assert studentized_range_cdf(math.nan, 5, 15) == 0.0
 
     def test_published_value(self):
         assert studentized_range_cdf(3.77, 3, 12) == pytest.approx(0.95, abs=0.002)
