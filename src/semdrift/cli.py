@@ -269,8 +269,7 @@ def analyze(config: RunConfig, inputs: ValidationReport) -> dict[str, str]:
     mode = (f"deviation={config.deviation_mode.value} priority={priority} "
             f"alpha={config.alpha:g} top_k={config.top_k}")
     bundle = {f"{table.name}.csv": table.to_csv(mode, checksum) for table in tables}
-    bundle["summary.json"] = json.dumps(report.json_safe(summary), ensure_ascii=False,
-                                        indent=2, sort_keys=True) + "\n"
+    bundle["summary.json"] = report.summary_json(summary)
     return bundle
 
 
@@ -303,12 +302,15 @@ def _check_inputs_survive(config: RunConfig, names, read, *,
 
 
 def cmd_analyze(config: RunConfig, config_path: Path) -> int:
+    # compile the analysis modules before the corpus is read: the compiler's transient
+    # memory is then freed before the run reaches its peak
+    from . import report  # noqa: F401
     read = [config_path]
-    report = run_validation(config, read=read)
-    if report.errors:
-        return _fail(EXIT_CONFIG, *report.errors)
+    inputs = run_validation(config, read=read)
+    if inputs.errors:
+        return _fail(EXIT_CONFIG, *inputs.errors)
     try:
-        bundle = analyze(config, report)
+        bundle = analyze(config, inputs)
     except SemdriftError as exc:
         return _fail(EXIT_ANALYSIS, exc)
     try:

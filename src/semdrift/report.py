@@ -1,5 +1,6 @@
-"""The report bundle, loaded by `analyze` alone: its table model and the builders of its
-tables, each built once as records that render both its CSV and its summary.json section.
+"""The report bundle, loaded by `analyze` alone: its table model, the builders of its
+tables, each built once as records that render both its CSV and its summary.json section,
+and the writer of summary.json.
 """
 
 from __future__ import annotations
@@ -8,9 +9,10 @@ import csv
 import hashlib
 import io
 import math
+from json.encoder import encode_basestring
 from typing import TYPE_CHECKING
 
-from . import freq
+from . import freq, semfield, stats, vectors
 from .errors import AnalysisError, Record
 from .ingest import CorpusStratum, TranslationKind, group_strata
 from .lexicon import ConceptMap, SentimentClass, Side
@@ -69,6 +71,8 @@ class _Table(Record):
         return buf.getvalue() + self.footer
 
     def to_summary(self) -> list[dict]:
+        if not self.csv_only:  # summary.json is rendered from the same records, unchanged
+            return self.records
         return [{k: v for k, v in r.items() if k not in self.csv_only} for r in self.records]
 
 
@@ -149,7 +153,6 @@ def anova_tables(config: RunConfig, inputs: ValidationReport, by_kind: dict,
     a term or summit effect is not confounded with the translation kind (`by_kind`
     holds those slices); the translation_kind factor itself runs per language.
     """
-    from . import stats
     anova = _Table("anova", ["language", "slice", "factor", "class", "metric", "groups",
                              "df_between", "df_within", "f_stat", "p_value", "levene_stat",
                              "levene_p", "degenerate"], csv_only=("groups",))
@@ -205,8 +208,6 @@ def concept_tables(config: RunConfig, cmap: ConceptMap, merged: list[CorpusStrat
     strata; then field width against the source-kind stratum in the concept map's source
     language, cosine and Euclidean matrices over the concept vectors, and their 2-D
     projection."""
-    from . import semfield, vectors
-
     def cosine_or_none(u, v) -> float | None:
         try:
             return vectors.cosine(u, v)
@@ -293,12 +294,89 @@ def concept_tables(config: RunConfig, cmap: ConceptMap, merged: list[CorpusStrat
     return [*tables, pca]
 
 
-def json_safe(value):
-    """Replace non-finite floats with strings so the summary stays strict JSON."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return repr(value)
+def _scalar(value) -> str | None:
+    """The JSON text of a scalar, or None for a container or any other type."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if isinstance(value, float):  # a non-finite float as its quoted repr: strict JSON
+        text = float.__repr__(value)
+        return text if math.isfinite(value) else f'"{text}"'
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return None
+
+
+class _Text:
+    """Text added as many small strings and kept in runs of up to 256 joined: a str object
+    costs about 50 bytes besides its characters, and a table record is about 30."""
+
+    def __init__(self):
+        self.runs: list[str] = []
+        self.run: list[str] = []
+
+    def add(self, text: str) -> None:
+        self.run.append(text)
+        if len(self.run) == 256:
+            self.runs.append("".join(self.run))
+            self.run.clear()
+
+    def value(self) -> str:
+        self.runs.append("".join(self.run))
+        return "".join(self.runs)
+
+
+def _render(value, newline: str, out: _Text) -> None:
+    """Add the text of a dict, list or tuple that opens on a line indented as `newline`.
+    A container of scalars only, such as a table record, is added as one string; any other
+    as one string per item head, since a join per level would copy all text below it."""
     if isinstance(value, dict):
-        return {k: json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [json_safe(v) for v in value]
-    return value
+        keys = sorted(value)
+        heads = [encode_basestring(key) + ": " for key in keys]  # TypeError unless a str
+        items = [value[key] for key in keys]
+        opened, closed = "{", "}"
+    elif isinstance(value, (list, tuple)):
+        heads, items, opened, closed = [""] * len(value), value, "[", "]"
+    else:
+        raise TypeError(f"summary.json cannot hold a {type(value).__name__}")
+    if not items:
+        out.add(opened + closed)
+        return
+    inner = newline + "  "
+    texts = [_scalar(item) for item in items]
+    if None not in texts:
+        out.add(opened + inner + f",{inner}".join(map(str.__add__, heads, texts))
+                + newline + closed)
+        return
+    out.add(opened)
+    separator = inner
+    for head, item, text in zip(heads, items, texts):
+        if text is None:
+            out.add(separator + head)
+            _render(item, inner, out)
+        else:
+            out.add(separator + head + text)
+        separator = "," + inner
+    out.add(newline + closed)
+
+
+def summary_json(summary: dict) -> str:
+    """summary.json's text: the bytes of `json.dumps(summary, ensure_ascii=False, indent=2,
+    sort_keys=True) + "\n"`, but with each non-finite float written as its quoted repr
+    ("nan", "inf", "-inf") so the file stays strict JSON. Dict keys must be str; a value
+    other than a str, int, float, bool, None, dict, list or tuple raises TypeError.
+
+    The stdlib's encoder indents in Python before 3.13: it holds one string per token, and
+    it needed a copy of the summary for the non-finite floats. This peaks at about 0.4 of
+    its memory on a summary of table records, and below the C encoder that indents from
+    3.13 on.
+    """
+    out = _Text()
+    _render(summary, "\n", out)
+    out.add("\n")
+    return out.value()

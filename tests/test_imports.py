@@ -126,6 +126,25 @@ def test_many_group_analyze_never_imports_numpy(tmp_path):
     assert {n for (_, factor, *_), n in tests.items() if factor == "summit"} == {3}
 
 
+def test_analyze_loads_its_modules_before_it_reads_the_corpus(tmp_path):
+    # compiled from source after the corpus is in memory, their compile's transient memory
+    # would land on the run's peak
+    code = ("import json, sys\n"
+            "from semdrift import ingest\n"
+            "from semdrift.cli import main\n"
+            "loaded, load_corpus = [], ingest.load_corpus\n"
+            "def probe(*args):\n"
+            "    loaded.extend(sys.modules)\n"
+            "    return load_corpus(*args)\n"
+            "ingest.load_corpus = probe\n"
+            "code = main(sys.argv[1:])\n"
+            "print(json.dumps({'code': code, 'modules': loaded}))\n")
+    result = json.loads(run_fresh(code, "analyze", "--config", str(DATA / "config.json"),
+                                  "--output-dir", str(tmp_path)))
+    assert result["code"] == 0
+    assert semdrift_modules(set(result["modules"])) == ANALYZE
+
+
 def test_analyze_run_as_a_module_loads_cli_only_as_main(tmp_path):
     # the benchmark runs `python -m semdrift.cli`, which executes cli as __main__; a module
     # that imported `semdrift.cli` by name would compile and run all of it a second time
