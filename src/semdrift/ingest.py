@@ -40,7 +40,9 @@ def read_text(path, name=None) -> str:
         raise IngestError(f"cannot read {name}: {exc}") from None
 
 
-_TSV_CONTROL = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\x7f]")  # C0 but tab, LF, CR; DEL
+# C0 but tab, LF and CR; DEL; C1; the line and paragraph separators. Refusing these
+# leaves LF, CR and CRLF as the only line ends that `str.splitlines` finds.
+_TSV_CONTROL = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\x7f-\x9f\u2028\u2029]")
 
 
 def read_tsv(path, columns: str):
@@ -49,8 +51,8 @@ def read_tsv(path, columns: str):
     The file is read in NFC; lines and fields are stripped of surrounding
     whitespace, and blank lines and `#` comments are skipped. A row whose
     field count differs from `columns`, a spec like "lemma<TAB>class", or a
-    control character that no token could match, is a ValidationError naming
-    `path:line`.
+    control character or Unicode line separator that no token could match, is a
+    ValidationError naming `path:line`; only LF, CR and CRLF end a line.
     """
     width = columns.count("<TAB>") + 1
     text = unicodedata.normalize("NFC", read_text(path))
@@ -71,15 +73,18 @@ def read_tsv(path, columns: str):
 def read_json(path) -> dict:
     """Parse a JSON file whose top level must be an object; anything else is a
     ValidationError naming the path. Object keys are read in NFC, and two keys
-    of one object that differ as written but not in NFC are a ValidationError;
+    of one object that are equal in NFC, as written or not, are a ValidationError;
     values are left as written (see `errors.check`)."""
     def nfc_keys(pairs) -> dict:
         body, written = {}, {}
         for key, value in pairs:
             nfc = unicodedata.normalize("NFC", key)
-            if written.setdefault(nfc, key) != key:
+            if nfc in written:
+                if written[nfc] == key:
+                    raise ValidationError(f"{path}: object key {nfc!r} is written twice")
                 raise ValidationError(f"{path}: object key {nfc!r} is written in two normal "
                                       f"forms: {ascii(written[nfc])} and {ascii(key)}")
+            written[nfc] = key
             body[nfc] = value
         return body
 

@@ -6,9 +6,8 @@ P(Q <= q) = P(F(1, df) <= q^2 / 2). For three or more groups it is a fixed
 double Gauss-Legendre quadrature in pure Python: 96 nodes over the normal location,
 and over the scaled chi variable either 64 nodes on the range where its density is
 within e^-46 of its peak (df >= 4; the weights are scaled to unit mass there) or 160
-nodes on [0, 14] (df < 4). Three bounds each drop cells of that grid that add at
-most 1e-19 in all: the leading location nodes of k, the location nodes past r + T_k
-in the row at range r, and the chi nodes of negligible weight.
+nodes on [0, 14] (df < 4). Two bounds each drop cells of that grid that add at most
+1e-19 in all: the leading location nodes of k and the chi nodes of negligible weight.
 
 A row, the location integral at range r = q s, depends on k and r alone, so it is
 read from one piecewise Chebyshev interpolant per k (Trefethen 2013, "Approximation
@@ -22,7 +21,6 @@ platform's eigenvalue solver.
 
 import math
 import warnings
-from bisect import bisect_right
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
@@ -33,7 +31,7 @@ _INNER_NODES = 96          # normal-location integral, truncated to [-9, 9]
 _OUTER_NODES = 64          # chi-scale integral over the fitted range (df >= 4)
 _SMALL_DF_NODES = 160      # chi-scale integral over [0, 14] (df < 4)
 _CHI_LOG_DROP = 46.0       # the fitted range ends where the chi density is e^-46 of its peak
-_PRUNE_EPS = 1e-19         # each pruning bound drops cells that add at most this much
+_PRUNE_EPS = 1e-19         # each of the two pruning bounds drops at most this much
 _PANEL_WIDTH = 0.5         # the row interpolant's panels in the range r ...
 _PANEL_DEGREE = 12         # ... and the degree of each one's Chebyshev series
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -231,65 +229,35 @@ def _gauss_legendre(n: int, lo: float, hi: float) -> _Rule:
     return tuple(half * x + mid for x in nodes), tuple(half * w for w in weights)
 
 
-@lru_cache(maxsize=1)
-def _inner_rule() -> tuple[tuple[float, ...], ...]:
-    """Nodes, weights, normal density and normal CDF of the inner (location) rule."""
-    z, wz = _gauss_legendre(_INNER_NODES, -9.0, 9.0)
-    phi = tuple(math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) for x in z)
-    return z, wz, phi, tuple(0.5 * (1.0 + math.erf(x * _INV_SQRT2)) for x in z)
-
-
-# The three pruning bounds. Each drops only cells whose sum is provably at most
+# The two pruning bounds. Each drops only cells whose sum is provably at most
 # _PRUNE_EPS: a cell of inner node j in the row at range r is
 # c_j (Phi(z_j) - Phi(z_j - r))^(k-1) with c_j = w_j k phi(z_j), and the c_j add up to k
 # times the inner rule's mass of phi, 1 + 4e-15.
 
-def _first_inner_node(k: int) -> int:
-    """Bound 1, leading inner nodes: the first node that any row of k evaluates.
-
-    As 0 <= Phi(z - r) <= Phi(z), a cell is at most c_j Phi(z_j)^(k-1) for every r, so the
-    leading nodes whose such bounds add up to at most _PRUNE_EPS are dropped from every row.
-    """
-    _, wz, phi, big_phi = _inner_rule()
-    dropped = 0.0
-    for j, (w, f, p) in enumerate(zip(wz, phi, big_phi)):
-        dropped += w * k * f * p ** (k - 1)
-        if dropped > _PRUNE_EPS:
-            return j
-    return len(wz)
-
-
-def _tail_cutoff(k: int) -> float:
-    """Bound 2, trailing inner nodes: T_k, with k * upper_tail(T_k)^(k-1) <= _PRUNE_EPS.
-
-    As Phi(z) - Phi(z - r) <= 1 - Phi(z - r), a cell with z_j > r + T_k is at most
-    c_j upper_tail(T_k)^(k-1), so a row drops those nodes. Bisection keeps the bound true
-    at `hi` and false at `lo`.
-    """
-    lo, hi = -10.0, 40.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if k * (0.5 * math.erfc(mid * _INV_SQRT2)) ** (k - 1) <= _PRUNE_EPS:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 @lru_cache(maxsize=128)
-def _inner_cells(k: int) -> tuple[tuple[float, ...], tuple[tuple[float, float, float], ...],
-                                  float]:
-    """The inner nodes z_j that bound 1 keeps for k, the constants of each one's cell, and T_k.
+def _inner_cells(k: int) -> tuple[tuple[float, float, float], ...]:
+    """The constants (u_j, e_j, b_j) of the cell of each inner node that the inner bound
+    keeps for k.
 
     As Phi(z) - Phi(z - r) = (erf(u) - erf(u - r / sqrt(2))) / 2 with u = z / sqrt(2), a
     cell is b_j (e_j - erf(u_j - r / sqrt(2)))^(k-1) with e_j = erf(u_j) and
-    b_j = c_j / 2^(k-1); the constants are (u_j, e_j, b_j).
+    b_j = c_j / 2^(k-1).
+
+    The inner bound, leading inner nodes: as 0 <= Phi(z - r) <= Phi(z), a cell is at most
+    c_j Phi(z_j)^(k-1) = b_j (1 + e_j)^(k-1) for every r, so the leading nodes whose such
+    bounds add up to at most _PRUNE_EPS are dropped from every row.
     """
-    z, wz, phi, _ = _inner_rule()
-    first = _first_inner_node(k)
-    cells = tuple((x * _INV_SQRT2, math.erf(x * _INV_SQRT2), math.ldexp(w * k * f, 1 - k))
-                  for x, w, f in zip(z[first:], wz[first:], phi[first:]))
-    return z[first:], cells, _tail_cutoff(k)
+    cells, dropped = [], 0.0
+    for x, w in zip(*_gauss_legendre(_INNER_NODES, -9.0, 9.0)):
+        u = x * _INV_SQRT2
+        e = math.erf(u)
+        b = math.ldexp(w * k * (math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)), 1 - k)
+        if not cells:
+            dropped += b * (1.0 + e) ** (k - 1)
+            if dropped <= _PRUNE_EPS:
+                continue
+        cells.append((u, e, b))
+    return tuple(cells)
 
 
 def _chi_range(df: int) -> tuple[float, float]:
@@ -315,9 +283,9 @@ def _chi_range(df: int) -> tuple[float, float]:
 def _outer_rule(df: int) -> _Rule:
     """Nodes of the chi-scale rule for `df` and their weights times the chi density.
 
-    Bound 3, outer nodes: a row is at most the sum of c_j Phi(z_j)^(k-1), the inner rule's
-    value of an integral that is 1 (within 2e-11 of it for k <= 20), so a node whose
-    weight is at most _PRUNE_EPS is dropped.
+    The outer bound: a row is at most the sum of c_j Phi(z_j)^(k-1), the inner rule's value
+    of an integral that is 1 (within 2e-11 of it for k <= 20), so a node whose weight is
+    at most _PRUNE_EPS is dropped.
     """
     if df < 4:
         s, ws = _gauss_legendre(_SMALL_DF_NODES, 0.0, 14.0)
@@ -340,23 +308,22 @@ def _outer_rule(df: int) -> _Rule:
 
 
 def _row(r: float, k: int) -> float:
-    """The inner integral at range r: the `math.fsum` of the cells that bound 2 keeps."""
-    z, cells, tail = _inner_cells(k)
+    """The inner integral at range r: the `math.fsum` of the cells that the inner bound
+    keeps."""
     v, power, erf = r * _INV_SQRT2, k - 1, math.erf
-    return math.fsum([b * (e - erf(u - v)) ** power
-                      for u, e, b in cells[:bisect_right(z, r + tail)]])
+    return math.fsum([b * (e - erf(u - v)) ** power for u, e, b in _inner_cells(k)])
 
 
 def _saturation_point(k: int) -> float:
-    """The least r from which bound 2 keeps every cell and every erf(u_j - r / sqrt(2)) is
-    exactly -1, so that `_row(r, k)` is one constant. It is the largest inner node plus
-    sqrt(2) times where erf rounds to -1: 8.997 + 8.374 for every k up to 100. Both
-    conditions only grow more true with r; bisection keeps them true at `hi`."""
-    z, cells, tail = _inner_cells(k)
+    """The least r from which every erf(u_j - r / sqrt(2)) is exactly -1, so that
+    `_row(r, k)` is one constant. It is the largest inner node plus sqrt(2) times where
+    erf rounds to -1: 8.997 + 8.374 for every k up to 100. The condition only grows more
+    true with r, and each halving of [lo, hi] keeps it true at `hi`."""
+    last = _inner_cells(k)[-1][0]
     lo, hi = 0.0, 40.0
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if mid + tail >= z[-1] and math.erf(cells[-1][0] - mid * _INV_SQRT2) == -1.0:
+        if math.erf(last - mid * _INV_SQRT2) == -1.0:
             hi = mid
         else:
             lo = mid
@@ -419,9 +386,9 @@ def studentized_range_cdf(q: float, k: int, df: int) -> float:
     the scaled chi variable (density of sqrt(chi^2_df / df)), the inner over the normal
     location of the range. The outer rule has 64 Gauss-Legendre nodes on the range where
     the chi density is within e^-46 of its peak, or 160 nodes on [0, 14] when df < 4; the
-    inner rule has 96 nodes on [-9, 9]. Three pruning bounds each drop cells that add at
-    most 1e-19 in all: the leading inner nodes of k, the inner nodes past r + T_k in the
-    row at range r, and the outer nodes of negligible weight.
+    inner rule has 96 nodes on [-9, 9]. Two pruning bounds each drop cells that add at
+    most 1e-19 in all: the leading inner nodes of k and the outer nodes of negligible
+    weight.
 
     A row, the inner integral at range r = q s, depends on k and r alone. It is read
     from one interpolant per k of the pruned cell sum `_row`: panels of width 0.5 in r,

@@ -27,6 +27,10 @@ ROOT = Path(__file__).parent.parent
 # tests of k = 3 groups. A synth change moves both pins, an analyze change only the second.
 MANY_GROUPS_TEXTS_DIGEST = "6b124168a0ca394e86b3afe41c39433b2dbfc12f20727f61c88393ccd91e4009"
 MANY_GROUPS_DIGEST = "780c72fb569c90639aa919971b64b05702627cb500b5195cf39135bd00c795f8"
+# the same for the full-size seed-1 corpus, the benchmark's own: its 5 x 4 grid gives
+# Tukey tests of k = 4 and 5 groups
+MANY_GROUPS_FULL_TEXTS_DIGEST = "004b6f9fb6c55ecd84f5b0c1a3b3a4f06d5a6067f50913e2482906f8d0b0a4fc"
+MANY_GROUPS_FULL_DIGEST = "985cc835d75e61c1853d59178e5fa47e6721372ec3fb93e0245af6b8d096ff52"
 # sha256 of the golden bundle itself: regenerating tests/data/expected_bundle would let
 # the golden-file test pass on any bundle, so a change to these bytes must move this pin
 EXPECTED_BUNDLE_DIGEST = "12e3b629a5f2a1fdc250725f76d4d32e3d6905ebd26265952a33b1a1e0bd54b1"
@@ -481,6 +485,39 @@ class TestNormalForms:
         assert main(["validate", "--config", str(config)]) == 2
         assert f"error: manifest: {message}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("where", ["manifest", "config", "group_keys"])
+    def test_a_key_written_twice_exits_2(self, tmp_path, capsys, where):
+        # json keeps the last of two equal keys, so half a manifest's documents or a
+        # config's first alpha would vanish without a word
+        def json_object(pairs):
+            return "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs) + "}"
+
+        body = absolute_manifest()
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(body), encoding="utf-8")
+        config = write_config(tmp_path, manifest=str(manifest))
+        if where == "manifest":
+            documents = body.pop("documents")
+            manifest.write_text(json_object([*body.items(), ("documents", documents[:6]),
+                                             ("documents", documents[6:])]), encoding="utf-8")
+            path, key = manifest, "documents"
+        elif where == "config":
+            given_config = json.loads(config.read_text(encoding="utf-8"))
+            del given_config["alpha"]
+            config.write_text(json_object([*given_config.items(), ("alpha", 0.01),
+                                           ("alpha", 0.5)]), encoding="utf-8")
+            path, key = config, "alpha"
+        else:
+            manifest.write_text(json.dumps(body).replace(
+                '"group_keys": {', '"group_keys": {"summit": "G20", ', 1), encoding="utf-8")
+            path, key = manifest, "summit"
+        assert main(["validate", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        shown = "" if where == "config" else "manifest: "
+        assert f"error: {shown}{path}: object key {key!r} is written twice\n" in \
+            captured.out + captured.err
+        assert "Traceback" not in captured.out + captured.err
+
 
 class TestNoTraceback:
     """Malformed input ends in an exit code (0, 1 or 2), never in an exception."""
@@ -774,19 +811,31 @@ class TestAnalyze:
         assert "# mode: deviation=ratio" in text
         assert ",ratio," in text
 
-    def test_three_group_bundle_matches_pinned_digest(self, tmp_path):
+    @staticmethod
+    def many_groups_bundle(tmp_path, tiny):
+        """The seed-1 many-groups benchmark corpus, its analyze bundle and group counts."""
         spec = importlib.util.spec_from_file_location("workloads",
                                                       ROOT / "perfbench" / "workloads.py")
         workloads = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(workloads)
-        workload = workloads.many_groups(ROOT, tmp_path / "corpus", 1, tiny=True)
+        workload = workloads.many_groups(ROOT, tmp_path / "corpus", 1, tiny=tiny)
         out = tmp_path / "bundle"
         assert main(["analyze", "--config", str(workload.directory / workload.config),
                      "--output-dir", str(out)]) == 0
-        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
-        assert {len(r["group_means"]) for r in summary["anova"]} >= {3}
-        assert digest(workload.directory / "texts") == MANY_GROUPS_TEXTS_DIGEST
+        anova = json.loads((out / "summary.json").read_text(encoding="utf-8"))["anova"]
+        return workload.directory / "texts", out, {len(r["group_means"]) for r in anova}
+
+    def test_three_group_bundle_matches_pinned_digest(self, tmp_path):
+        texts, out, group_counts = self.many_groups_bundle(tmp_path, tiny=True)
+        assert group_counts >= {3}
+        assert digest(texts) == MANY_GROUPS_TEXTS_DIGEST
         assert digest(out) == MANY_GROUPS_DIGEST
+
+    def test_full_size_bundle_matches_pinned_digest(self, tmp_path):
+        texts, out, group_counts = self.many_groups_bundle(tmp_path, tiny=False)
+        assert group_counts >= {4, 5}
+        assert digest(texts) == MANY_GROUPS_FULL_TEXTS_DIGEST
+        assert digest(out) == MANY_GROUPS_FULL_DIGEST
 
 
 class TestSynth:

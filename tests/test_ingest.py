@@ -330,11 +330,14 @@ class TestLoadCorpus:
 
 
 class TestReadJson:
-    def test_a_key_repeated_as_written_keeps_its_last_value(self, tmp_path):
-        # keys equal only after NFC are an error instead (TestNormalForms in test_cli.py)
+    def test_a_key_repeated_as_written_is_an_error(self, tmp_path):
+        # json alone would keep the last value; keys equal only after NFC are an error too
+        # (TestNormalForms in test_cli.py)
         path = tmp_path / "keys.json"
         path.write_text('{"g": {"année": "a", "année": "b"}}', encoding="utf-8")
-        assert read_json(path) == {"g": {"année": "b"}}
+        message = f"{path}: object key 'année' is written twice"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            read_json(path)
 
     @pytest.mark.parametrize("text", ['{"a": ' + "9" * 5000 + "}",
                                       '{"a": ' + "[" * 100_000 + "]" * 100_000 + "}"],
@@ -431,10 +434,13 @@ def test_tsv_loaders_strip_fields_and_name_the_line_of_a_bad_row(tmp_path, kind)
         load(p)
 
 
-@pytest.mark.parametrize("control", ["\x00", "\x07", "\x0b", "\x1b", "\x7f"])
+@pytest.mark.parametrize("control", ["\x00", "\x07", "\x0b", "\x1b", "\x7f", "\x80",
+                                     "\x85", "\x9f", "\u2028", "\u2029"])
 @pytest.mark.parametrize("kind", sorted(_TSV_LOADERS))
 def test_tsv_loaders_refuse_a_control_character(tmp_path, kind, control):
-    # a lemma like "a\x00b" would load, and no token could ever match it
+    # a lemma like "a\x00b" would load, and no token could ever match it; U+0085, U+2028
+    # and U+2029 would also end a row for `str.splitlines`, splitting it in two and
+    # moving the line number of every later row
     load, row, _, _ = _TSV_LOADERS[kind]
     p = tmp_path / f"{kind}.tsv"
     p.write_text(f"# header\r\n\n{row}\n{row[0]}{control}{row[1:]}\n{row}\n",

@@ -227,8 +227,8 @@ def row_loop_rows(q, k, df):
     one outer node and one cell at a time: the weight, range r and row of each outer node.
 
     Leading inner nodes go while their cell bounds c Phi(z)^(k-1) add up to at most EPS
-    (bound 1), a row stops at its first node past r + T_k (bound 2), and outer nodes of
-    weight at most EPS are skipped (bound 3). A cell is c / 2^(k-1) times
+    (the inner bound), and outer nodes of weight at most EPS are skipped (the outer
+    bound). A cell is c / 2^(k-1) times
     (erf(z / sqrt 2) - erf(z / sqrt 2 - r / sqrt 2))^(k-1).
     """
     inv = 1.0 / math.sqrt(2.0)
@@ -254,7 +254,6 @@ def row_loop_rows(q, k, df):
             weights.append(w * math.exp(0.5 * (df - 1.0) * (math.log(t) - t + 1.0)))
         mass = math.fsum(weights)
         weights = [w / mass for w in weights]
-    tail = stats._tail_cutoff(k)
     rows = []
     for w, sv in zip(weights, s):
         if w <= EPS:
@@ -262,8 +261,6 @@ def row_loop_rows(q, k, df):
         r = q * sv
         cells = []
         for j in range(first, 96):
-            if z[j] > r + tail:
-                break
             u = z[j] * inv
             cells.append(c[j] / 2 ** (k - 1) * (math.erf(u) - math.erf(u - r * inv)) ** (k - 1))
         rows.append((w, r, math.fsum(cells)))
@@ -331,34 +328,28 @@ class TestSaturatedNormalCdf:
         assert _normal_cdf_array(x).tolist() == expected
 
 
+def _inner_rule():
+    """The inner rule's nodes and weights, and the normal density and CDF at each node."""
+    z, wz = (v.tolist() for v in _rule(96, -9.0, 9.0))
+    phi = [math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) for x in z]
+    return z, wz, phi, _normal_cdf_array(np.array(z)).tolist()
+
+
 class TestPruningBounds:
     @pytest.mark.parametrize("k", range(3, 21))
     def test_leading_inner_nodes(self, k):
         # the dropped nodes' cell bounds c_j Phi(z_j)^(k-1) add up to at most EPS, and one
         # more node would pass it
-        z, wz, phi, big_phi = stats._inner_rule()
+        z, wz, phi, big_phi = _inner_rule()
         bounds = [w * k * f * p ** (k - 1) for w, f, p in zip(wz, phi, big_phi)]
-        first = stats._first_inner_node(k)
+        first = 96 - len(stats._inner_cells(k))
         assert 0 < first < len(z)
         assert math.fsum(bounds[:first]) <= EPS < math.fsum(bounds[:first + 1])
-        assert stats._inner_cells(k)[0] == z[first:]
-
-    @pytest.mark.parametrize("k", range(3, 21))
-    def test_trailing_inner_nodes(self, k):
-        def upper_tail(x):
-            return 0.5 * math.erfc(x / math.sqrt(2.0))
-
-        tail = stats._tail_cutoff(k)
-        assert stats._inner_cells(k)[2] == tail
-        assert k * upper_tail(tail) ** (k - 1) <= EPS < k * upper_tail(tail - 1e-9) ** (k - 1)
-        # the c_j add up to k times the rule's mass of phi, which is 1 to within 4e-15
-        z, wz, phi, big_phi = stats._inner_rule()
-        assert math.fsum(w * f for w, f in zip(wz, phi)) == pytest.approx(1.0, abs=4e-15)
-        # the cells a row drops add up to at most EPS at every range
-        for r in np.linspace(0.0, 30.0, 301).tolist():
-            dropped = [w * k * f * (p - 0.5 * (1.0 + math.erf((x - r) / math.sqrt(2.0))))
-                       ** (k - 1) for x, w, f, p in zip(z, wz, phi, big_phi) if x > r + tail]
-            assert math.fsum(dropped) <= EPS
+        # the kept cells are those of the trailing nodes, with constants (u_j, e_j, b_j)
+        inv = stats._INV_SQRT2
+        assert stats._inner_cells(k) == tuple(
+            (x * inv, math.erf(x * inv), math.ldexp(w * k * f, 1 - k))
+            for x, w, f in zip(z[first:], wz[first:], phi[first:]))
 
     @pytest.mark.parametrize("df", [1, 2, 3, 4, 5, 15, 16, 38, 120, 1000, 10**7])
     def test_outer_nodes(self, df):
@@ -368,8 +359,10 @@ class TestPruningBounds:
         assert list(kept_s) == [x for x, w in zip(s.tolist(), weights.tolist()) if w > EPS]
         np.testing.assert_allclose(kept_w, weights[weights > EPS], rtol=1e-13)
         # ... and a row, at most the rule's sum of c_j Phi(z_j)^(k-1), whose integral is 1,
-        # is at most 1 to within 2e-11 (the inner rule's error at k = 20)
-        z, wz, phi, big_phi = stats._inner_rule()
+        # is at most 1 to within 2e-11 (the inner rule's error at k = 20); the c_j add up
+        # to k times the rule's mass of phi, which is 1 to within 4e-15
+        z, wz, phi, big_phi = _inner_rule()
+        assert math.fsum(w * f for w, f in zip(wz, phi)) == pytest.approx(1.0, abs=4e-15)
         for k in range(3, 21):
             row_bound = math.fsum(w * k * f * p ** (k - 1) for w, f, p in zip(wz, phi, big_phi))
             assert row_bound <= 1.0 + 2e-11
@@ -407,14 +400,14 @@ class TestRowInterpolant:
     def test_saturation_point(self, k):
         cutoff, top, _ = stats._row_interpolant(k)
         # it is the largest inner node plus sqrt(2) times where erf rounds to -1 ...
-        z, cells, tail = stats._inner_cells(k)
+        z = _inner_rule()[0]
         assert cutoff == pytest.approx(z[-1] + math.sqrt(2.0) * 5.9215872, abs=1e-6)
         # ... every row from there on is the same constant, on a dense grid too ...
         for r in np.linspace(cutoff, cutoff + 1.0, 2001).tolist():
             assert stats._row(r, k) == top
         # ... and one float below it the last cell's erf is not yet -1
         below = math.nextafter(cutoff, 0.0)
-        assert math.erf(cells[-1][0] - below * stats._INV_SQRT2) > -1.0
+        assert math.erf(stats._inner_cells(k)[-1][0] - below * stats._INV_SQRT2) > -1.0
 
     @pytest.mark.parametrize("k", range(3, 21))
     def test_adjacent_panels_agree_at_each_shared_edge(self, k):
