@@ -16,7 +16,7 @@ import sys
 import unicodedata
 from collections import Counter
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 from .errors import PATH, FrozenRecord, IngestError, Record, ValidationError, check
@@ -24,20 +24,55 @@ from .errors import PATH, FrozenRecord, IngestError, Record, ValidationError, ch
 Lemma = str
 
 
+def read_bytes(path, name=None) -> bytes:
+    """The bytes of a file. A missing or unreadable file is an IngestError naming
+    `name` (by default the path)."""
+    name = path if name is None else name
+    try:
+        return Path(path).read_bytes()
+    except FileNotFoundError:
+        raise IngestError(f"file not found: {name}") from None
+    except OSError as exc:
+        raise IngestError(f"cannot read {name}: {exc.strerror}") from None
+    except ValueError as exc:  # a NUL or an unencodable character in the path
+        raise IngestError(f"cannot read {name}: {exc}") from None
+
+
 def read_text(path, name=None) -> str:
     """Decode a UTF-8 file, dropping a leading byte order mark. A missing, unreadable
     or undecodable file is an IngestError naming `name` (by default the path)."""
     name = path if name is None else name
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
-    except FileNotFoundError:
-        raise IngestError(f"file not found: {name}") from None
+        return read_bytes(path, name).decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise IngestError(f"{name}: not UTF-8 text (byte {exc.start})") from None
-    except OSError as exc:
-        raise IngestError(f"cannot read {name}: {exc.strerror}") from None
-    except ValueError as exc:  # a NUL or an unencodable character in the path
-        raise IngestError(f"cannot read {name}: {exc}") from None
+
+
+@cache
+def _sha256():
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256  # a CPython built without the built-in hashes
+    return sha256
+
+
+def sha256_hex(data: bytes) -> str:
+    """The hex SHA-256 digest of `data`; every hash the package computes is one.
+
+    The hash comes from the interpreter's built-in module, imported on first
+    use; `hashlib` is only the fallback. `hashlib` would load `_hashlib` and
+    map OpenSSL's libcrypto, about 3.6 MiB of RSS and 3 ms of start-up, to
+    hash the few kilobytes of files a config names. The built-in hash is
+    slower, about 250 MiB/s against OpenSSL's 1.3 GiB/s on a 2-core Xeon VM:
+    on 1.36 MB it costs about 4 ms more, and hashing the corpus texts too
+    (1.9 MB on the bulk-ingest benchmark) would add about 6 ms, so re-measure
+    before hashing more.
+    """
+    return _sha256()(data).hexdigest()
 
 
 # C0 but tab, LF and CR; DEL; C1; the line and paragraph separators. Refusing these
@@ -447,9 +482,8 @@ def _document_filename(doc_id: str) -> str:
     """
     if _PLAIN_ID.fullmatch(doc_id):
         return f"{doc_id}.txt"
-    import hashlib
     stem = "".join(c if c.isalnum() or c in "._-" else "_" for c in doc_id[:40])
-    digest = hashlib.sha256(doc_id.encode("utf-8", "surrogatepass")).hexdigest()[:16]
+    digest = sha256_hex(doc_id.encode("utf-8", "surrogatepass"))[:16]
     return f"{stem}~{digest}.txt"
 
 

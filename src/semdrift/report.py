@@ -6,7 +6,6 @@ and the writer of summary.json.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import math
 from json.encoder import encode_basestring
@@ -14,7 +13,7 @@ from typing import TYPE_CHECKING
 
 from . import freq, semfield, stats, vectors
 from .errors import AnalysisError, Record
-from .ingest import CorpusStratum, TranslationKind, group_strata
+from .ingest import CorpusStratum, TranslationKind, group_strata, read_bytes, sha256_hex
 from .lexicon import ConceptMap, SentimentClass, Side
 
 if TYPE_CHECKING:  # `python -m semdrift.cli` runs cli as __main__: importing it would run it twice
@@ -34,10 +33,10 @@ def _fmt(value) -> str:
 
 
 def checksum_inputs(config: RunConfig) -> tuple[str, dict[str, str]]:
-    files = {raw: hashlib.sha256(p.read_bytes()).hexdigest()
-             for raw, p in config.inputs.items() if p.exists()}
-    combined = hashlib.sha256(
-        "".join(f"{k}:{v}\n" for k, v in sorted(files.items())).encode()).hexdigest()
+    """The sha256 of each file the config names, keyed as written, and one combined
+    checksum over them. A file that cannot be read is an IngestError naming it."""
+    files = {raw: sha256_hex(read_bytes(p)) for raw, p in config.inputs.items()}
+    combined = sha256_hex("".join(f"{k}:{v}\n" for k, v in sorted(files.items())).encode())
     return combined, files
 
 

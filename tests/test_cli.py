@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semdrift.cli
 import semdrift.ingest
 from semdrift import Side, load_corpus
 from semdrift.cli import (_CONFIG_TYPES, _SYNTH_TYPES, _build_parser, analyze, load_config,
@@ -665,6 +666,31 @@ class TestAnalyze:
         assert "error: concept vector for en/human: empty stratum" in err
         assert not out.exists() or not any(out.iterdir())
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("loss", ["removed", "unreadable"])
+    def test_input_lost_after_validation_exits_1_without_output(self, tmp_path, capsys,
+                                                                monkeypatch, loss):
+        # the checksum covers every file the config names, so a lexicon that validation
+        # read but that is gone or unreadable when the checksum reads it writes no bundle
+        data = shutil.copytree(DATA, tmp_path / "data")
+        lexicon = data / "lexicons" / "lex_en_extra.tsv"
+        validate = semdrift.cli.run_validation
+
+        def validate_then_lose(*args, **kwargs):
+            report = validate(*args, **kwargs)
+            lexicon.unlink()
+            if loss == "unreadable":
+                lexicon.mkdir()
+            return report
+
+        monkeypatch.setattr(semdrift.cli, "run_validation", validate_then_lose)
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(data / "config.json"),
+                     "--output-dir", str(out)]) == 1
+        message = (f"error: file not found: {lexicon}\n" if loss == "removed"
+                   else f"error: cannot read {lexicon}: Is a directory\n")
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
     def test_output_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -6,11 +6,12 @@ numpy costs about 150 ms and 15 MiB at start-up. No command imports it: `validat
 `errors`, `freq`, `ingest` and `lexicon`; on top of these `synth` loads only `synth`, and
 `analyze` loads `report`, `semfield`, `stats` and `vectors` but not `synth`. The benchmark's
 set-up job, `perfbench/run.py`'s `SETUP_CODE`, loads what `validate` does, and every module
-of the package is loaded by at least one command. No command loads
-`dataclasses` or `inspect`, and neither `validate` nor the set-up job loads `hashlib` or
-`csv`, which only the commands that write use. Each command runs in a fresh interpreter,
-which reports its exit code and the modules it loaded; the package's exports load on
-first access.
+of the package is loaded by at least one command. No command loads `dataclasses`,
+`inspect`, `hashlib` or `_hashlib` (OpenSSL): every SHA-256 comes from the interpreter's
+built-in module, which only `analyze` and a `synth` whose document ids are not plain
+names load. Neither `validate` nor the set-up job loads `csv`, which only `analyze` uses.
+Each command runs in a fresh interpreter, which reports its exit code and the modules it
+loaded; the package's exports load on first access.
 """
 
 import importlib
@@ -25,6 +26,7 @@ from pathlib import Path
 import pytest
 
 import semdrift
+import semdrift.ingest
 
 from helpers import DATA, digest, perfbench_constant
 
@@ -38,10 +40,15 @@ COMMON = {f"semdrift{m}" for m in ("", ".cli", ".errors", ".freq", ".ingest", ".
 SYNTH = COMMON | {"semdrift.synth"}
 ANALYZE = COMMON | {"semdrift.report", "semdrift.semfield", "semdrift.stats",
                     "semdrift.vectors"}
-# stdlib modules no command loads (the record classes are plain classes), and those that
-# only writing loads: checksums, CSV tables and the file names of non-plain document ids
-NEVER_LOADED = {"dataclasses", "inspect"}
-WRITE_ONLY = {"hashlib", "csv"}
+# stdlib modules no command loads (the record classes are plain classes, and SHA-256 comes
+# from the built-in module), and the one only `analyze` loads, for its CSV tables
+NEVER_LOADED = {"dataclasses", "inspect", "hashlib", "_hashlib"}
+WRITE_ONLY = {"csv"}
+# the built-in SHA-256 module, loaded to hash the inputs' checksums and the file names of
+# non-plain document ids; from Python 3.12 it is `_sha2`, which `random` loads in every
+# command for its own seeding, so only before 3.12 does it show whether a command hashed
+BUILTIN_SHA256 = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+HASH_ONLY = {BUILTIN_SHA256} if sys.version_info < (3, 12) else set()
 # sha256 over the name and bytes of each file `synth` writes for tests/data/config.json
 # with its default settings; the seed's `random.Random(seed).random()` stream defines them
 SYNTH_DIGEST = "e41009883e164e4ce3057bd05e087ace69ad2bf0eab5e109cb84b028557375ad"
@@ -88,7 +95,7 @@ def test_validate_never_imports_numpy():
     assert code == 0
     assert "numpy" not in modules
     assert semdrift_modules(modules) == COMMON
-    assert not modules & (NEVER_LOADED | WRITE_ONLY)
+    assert not modules & (NEVER_LOADED | WRITE_ONLY | HASH_ONLY)
 
 
 def test_benchmark_setup_job_loads_only_the_common_modules():
@@ -100,7 +107,7 @@ def test_benchmark_setup_job_loads_only_the_common_modules():
     modules = set(json.loads(run_fresh(code, str(DATA / "config.json"))))
     assert "numpy" not in modules
     assert semdrift_modules(modules) == COMMON
-    assert not modules & (NEVER_LOADED | WRITE_ONLY)
+    assert not modules & (NEVER_LOADED | WRITE_ONLY | HASH_ONLY)
 
 
 def test_two_group_analyze_never_imports_numpy(tmp_path):
@@ -109,6 +116,7 @@ def test_two_group_analyze_never_imports_numpy(tmp_path):
     assert "numpy" not in modules
     assert semdrift_modules(modules) == ANALYZE
     assert not modules & NEVER_LOADED
+    assert BUILTIN_SHA256 in modules
     tests = pairs_per_test(tmp_path)
     assert tests and set(tests.values()) == {1}  # one pair per test: every k is 2
 
@@ -121,6 +129,7 @@ def test_many_group_analyze_never_imports_numpy(tmp_path):
     assert "numpy" not in modules
     assert semdrift_modules(modules) == ANALYZE
     assert not modules & NEVER_LOADED
+    assert BUILTIN_SHA256 in modules
     tests = pairs_per_test(out)
     # every summit test compares three groups (three pairs, k = 3)
     assert {n for (_, factor, *_), n in tests.items() if factor == "summit"} == {3}
@@ -161,7 +170,7 @@ def test_default_synth_loads_no_numpy_and_writes_the_same_bytes(tmp_path):
     assert code == 0
     assert "numpy" not in modules
     assert semdrift_modules(modules) == SYNTH
-    assert not modules & NEVER_LOADED
+    assert not modules & (NEVER_LOADED | HASH_ONLY)
     assert digest(tmp_path) == SYNTH_DIGEST
 
 
@@ -171,7 +180,50 @@ def test_large_synth_loads_no_numpy(tmp_path):
     assert code == 0
     assert "numpy" not in modules
     assert semdrift_modules(modules) == SYNTH
+    assert not modules & (NEVER_LOADED | HASH_ONLY)
+
+
+def test_synth_of_a_non_plain_document_id_hashes_with_the_builtin_module(tmp_path):
+    # a non-plain id names its file by a hash (`ingest._document_filename`); synth's own ids
+    # are plain, so the probe renames the source document
+    code = ("import json, sys\n"
+            "from semdrift import synth\n"
+            "from semdrift.cli import main\n"
+            "from semdrift.ingest import Document\n"
+            "generate = synth.generate_source\n"
+            "def renamed(*args, **kwargs):\n"
+            "    corpus = generate(*args, **kwargs)\n"
+            "    doc = corpus.documents[0]\n"
+            "    corpus.documents[0] = Document('source/seed 7', doc.counts, doc.lemmas)\n"
+            "    return corpus\n"
+            "synth.generate_source = renamed\n"
+            "code = main(sys.argv[1:])\n"
+            "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n")
+    result = json.loads(run_fresh(code, "synth", "--config", str(DATA / "config.json"),
+                                  "--output-dir", str(tmp_path)))
+    modules = set(result["modules"])
+    assert result["code"] == 0
+    assert semdrift_modules(modules) == SYNTH
     assert not modules & NEVER_LOADED
+    assert BUILTIN_SHA256 in modules
+    paths = {d["path"] for d in json.loads(
+        (tmp_path / "manifest.json").read_text(encoding="utf-8"))["documents"]}
+    hashed = semdrift.ingest._document_filename("source/seed 7")
+    assert hashed.startswith("source_seed_7~") and hashed in paths
+
+
+def test_analyze_without_the_builtin_hash_reproduces_the_golden_bundle(tmp_path):
+    # a CPython build without the built-in modules hashes with hashlib, to the same digests
+    code = ("import json, sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "from semdrift.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n")
+    result = json.loads(run_fresh(code, "analyze", "--config", str(DATA / "config.json"),
+                                  "--output-dir", str(tmp_path)))
+    assert result["code"] == 0
+    assert "hashlib" in result["modules"]
+    assert digest(tmp_path) == digest(DATA / "expected_bundle")
 
 
 def test_every_module_is_loaded_by_some_command():

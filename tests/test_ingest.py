@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import sys
@@ -15,7 +16,7 @@ from semdrift import (CorpusStratum, Document, FrequencyTable, LangProfile, Lemm
                       load_concept_map, load_corpus, load_lexicon_sources, save_corpus,
                       tokenize)
 from semdrift.errors import IngestError, ValidationError
-from semdrift.ingest import _WHITESPACE, group_strata, read_json
+from semdrift.ingest import _WHITESPACE, group_strata, read_json, sha256_hex
 
 from helpers import DATA, fixture_lexicons, make_stratum
 
@@ -347,6 +348,16 @@ class TestReadJson:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValidationError, match=re.escape(f"{path}: invalid JSON: ")):
             read_json(path)
+
+
+@given(st.binary(max_size=300))
+@example(b"")
+@example(b"x" * 55)  # the longest input whose padding fits in its one 64-byte block
+@example(b"x" * 56)  # the shortest whose padding needs a second block
+@example(b"x" * 64)  # one whole block, padded in the next
+@example(bytes(range(256)) * 5)  # 20 blocks
+def test_sha256_hex_is_hashlibs_digest(data):
+    assert sha256_hex(data) == hashlib.sha256(data).hexdigest()
 
 
 class TestByteOrderMark:
