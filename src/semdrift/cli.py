@@ -7,6 +7,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import ingest
@@ -230,14 +231,16 @@ def cmd_validate(config: RunConfig) -> int:
     return EXIT_CONFIG if report.errors else EXIT_OK
 
 
-def analyze(config: RunConfig, inputs: ValidationReport) -> dict[str, str]:
-    """Run the full pipeline and return the report bundle as filename -> contents.
+def analyze(config: RunConfig, inputs: ValidationReport) -> dict[str, partial]:
+    """Run the full pipeline and return the report bundle as filename -> a function that
+    writes the file's text into an open text file.
 
     `inputs` is the `run_validation(config)` report, whose loaded inputs are
     analyzed. Each table is built once, as records that render both its CSV and
-    its summary.json section. Nothing is written here; callers persist the
-    bundle only after every table is computed, so failures leave no partial
-    output behind.
+    its summary.json section. Every table is computed here and nothing is
+    written: `cmd_analyze` renders each file straight into its open file only
+    after the whole bundle is computed, so failures leave no partial output
+    behind, and no file's text is ever held whole in memory.
     """
     from . import report
     if inputs.errors:
@@ -268,8 +271,9 @@ def analyze(config: RunConfig, inputs: ValidationReport) -> dict[str, str]:
     priority = ">".join(cls.value for cls in config.priority)
     mode = (f"deviation={config.deviation_mode.value} priority={priority} "
             f"alpha={config.alpha:g} top_k={config.top_k}")
-    bundle = {f"{table.name}.csv": table.to_csv(mode, checksum) for table in tables}
-    bundle["summary.json"] = report.summary_json(summary)
+    bundle = {f"{table.name}.csv": partial(table.write_csv, mode_line=mode, checksum=checksum)
+              for table in tables}
+    bundle["summary.json"] = partial(report.write_summary, summary=summary)
     return bundle
 
 
@@ -302,6 +306,9 @@ def _check_inputs_survive(config: RunConfig, names, read, *,
 
 
 def cmd_analyze(config: RunConfig, config_path: Path) -> int:
+    """Analyze, then write the bundle one file at a time, each rendered as it is written
+    (text mode, UTF-8, the platform's newline, as `Path.write_text` writes); a failed
+    write removes every file of the bundle written so far."""
     # compile the analysis modules before the corpus is read: the compiler's transient
     # memory is then freed before the run reaches its peak
     from . import report  # noqa: F401
@@ -319,7 +326,8 @@ def cmd_analyze(config: RunConfig, config_path: Path) -> int:
         with ingest.remove_on_failure([]) as written:  # no half-written bundle
             for name in sorted(bundle):
                 written.append(config.output_dir / name)
-                written[-1].write_text(bundle[name], encoding="utf-8")
+                with written[-1].open("w", encoding="utf-8") as out:
+                    bundle[name](out)
     except ValidationError as exc:
         return _fail(EXIT_CONFIG, exc)
     except OSError as exc:

@@ -42,10 +42,13 @@ def read_text(path, name=None) -> str:
     """Decode a UTF-8 file, dropping a leading byte order mark. A missing, unreadable
     or undecodable file is an IngestError naming `name` (by default the path)."""
     name = path if name is None else name
+    data = read_bytes(path, name)
     try:
-        return read_bytes(path, name).decode("utf-8-sig")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise IngestError(f"{name}: not UTF-8 text (byte {exc.start})") from None
+        # the offset counts from after the mark, which the codec strips before decoding
+        start = exc.start + 3 if data.startswith(b"\xef\xbb\xbf") else exc.start
+        raise IngestError(f"{name}: not UTF-8 text (byte {start})") from None
 
 
 @cache

@@ -1,12 +1,12 @@
 """The report bundle, loaded by `analyze` alone: its table model, the builders of its
 tables, each built once as records that render both its CSV and its summary.json section,
-and the writer of summary.json.
+and the writer of summary.json. Each file is rendered straight into its open file, so no
+file's text is ever held whole.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
 from json.encoder import encode_basestring
 from typing import TYPE_CHECKING
@@ -59,15 +59,15 @@ class _Table(Record):
         self.footer = footer
         self.records = [] if records is None else records
 
-    def to_csv(self, mode_line: str, checksum: str) -> str:
-        buf = io.StringIO()
-        buf.write(f"# table: {self.name}\n# mode: {mode_line}\n# inputs: sha256={checksum}\n")
-        writer = csv.writer(buf, lineterminator="\n")
+    def write_csv(self, out, mode_line: str, checksum: str) -> None:
+        """Write the table's CSV text into the open text file `out`, a row at a time."""
+        out.write(f"# table: {self.name}\n# mode: {mode_line}\n# inputs: sha256={checksum}\n")
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(self.headers)
         getters = [self.cells.get(h, h) for h in self.headers]
-        for r in self.records:
-            writer.writerow([_fmt(g(r) if callable(g) else r[g]) for g in getters])
-        return buf.getvalue() + self.footer
+        writer.writerows([_fmt(g(r) if callable(g) else r[g]) for g in getters]
+                         for r in self.records)
+        out.write(self.footer)
 
     def to_summary(self) -> list[dict]:
         if not self.csv_only:  # summary.json is rendered from the same records, unchanged
@@ -311,29 +311,11 @@ def _scalar(value) -> str | None:
     return None
 
 
-class _Text:
-    """Text added as many small strings and kept in runs of up to 256 joined: a str object
-    costs about 50 bytes besides its characters, and a table record is about 30."""
-
-    def __init__(self):
-        self.runs: list[str] = []
-        self.run: list[str] = []
-
-    def add(self, text: str) -> None:
-        self.run.append(text)
-        if len(self.run) == 256:
-            self.runs.append("".join(self.run))
-            self.run.clear()
-
-    def value(self) -> str:
-        self.runs.append("".join(self.run))
-        return "".join(self.runs)
-
-
-def _render(value, newline: str, out: _Text) -> None:
-    """Add the text of a dict, list or tuple that opens on a line indented as `newline`.
-    A container of scalars only, such as a table record, is added as one string; any other
-    as one string per item head, since a join per level would copy all text below it."""
+def _render(value, newline: str, write) -> None:
+    """Write the text of a dict, list or tuple that opens on a line indented as `newline`.
+    A container of scalars only, such as a table record, is written as one string; any
+    other as one string per item head, since a join per level would copy all text below
+    it."""
     if isinstance(value, dict):
         keys = sorted(value)
         heads = [encode_basestring(key) + ": " for key in keys]  # TypeError unless a str
@@ -344,38 +326,37 @@ def _render(value, newline: str, out: _Text) -> None:
     else:
         raise TypeError(f"summary.json cannot hold a {type(value).__name__}")
     if not items:
-        out.add(opened + closed)
+        write(opened + closed)
         return
     inner = newline + "  "
     texts = [_scalar(item) for item in items]
     if None not in texts:
-        out.add(opened + inner + f",{inner}".join(map(str.__add__, heads, texts))
-                + newline + closed)
+        write(opened + inner + f",{inner}".join(map(str.__add__, heads, texts))
+              + newline + closed)
         return
-    out.add(opened)
+    write(opened)
     separator = inner
     for head, item, text in zip(heads, items, texts):
         if text is None:
-            out.add(separator + head)
-            _render(item, inner, out)
+            write(separator + head)
+            _render(item, inner, write)
         else:
-            out.add(separator + head + text)
+            write(separator + head + text)
         separator = "," + inner
-    out.add(newline + closed)
+    write(newline + closed)
 
 
-def summary_json(summary: dict) -> str:
-    """summary.json's text: the bytes of `json.dumps(summary, ensure_ascii=False, indent=2,
-    sort_keys=True) + "\n"`, but with each non-finite float written as its quoted repr
-    ("nan", "inf", "-inf") so the file stays strict JSON. Dict keys must be str; a value
-    other than a str, int, float, bool, None, dict, list or tuple raises TypeError.
+def write_summary(out, summary: dict) -> None:
+    """Write summary.json's text into the open text file `out`: the bytes of
+    `json.dumps(summary, ensure_ascii=False, indent=2, sort_keys=True) + "\n"`, but with
+    each non-finite float written as its quoted repr ("nan", "inf", "-inf") so the file
+    stays strict JSON. Dict keys must be str; a value other than a str, int, float, bool,
+    None, dict, list or tuple raises TypeError.
 
     The stdlib's encoder indents in Python before 3.13: it holds one string per token, and
-    it needed a copy of the summary for the non-finite floats. This peaks at about 0.4 of
-    its memory on a summary of table records, and below the C encoder that indents from
-    3.13 on.
+    it needed a copy of the summary for the non-finite floats. This writes each table
+    record, and each other item head, straight into `out`, so it holds no more of the text
+    than one record; the file object buffers up to 8 KiB of it.
     """
-    out = _Text()
-    _render(summary, "\n", out)
-    out.add("\n")
-    return out.value()
+    _render(summary, "\n", out.write)
+    out.write("\n")

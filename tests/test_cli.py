@@ -1,4 +1,5 @@
 import difflib
+import errno
 import importlib.util
 import json
 import os
@@ -578,6 +579,16 @@ class TestAnalyze:
     def test_golden_bundle_is_unchanged(self):
         assert digest(DATA / "expected_bundle") == EXPECTED_BUNDLE_DIGEST
 
+    def test_rerun_over_a_longer_stale_bundle_writes_the_golden_bytes(self, tmp_path):
+        expected = read_bundle(DATA / "expected_bundle")
+        out = tmp_path / "run"
+        out.mkdir()
+        for name, data in expected.items():  # each stale file is longer than its new text
+            (out / name).write_bytes(data + b"stale\n" * 100)
+        assert main(["analyze", "--config", str(DATA / "config.json"),
+                     "--output-dir", str(out)]) == 0
+        assert read_bundle(out) == expected
+
     @pytest.mark.skipif(not os.environ.get("SEMDRIFT_PYTHONS"),
                         reason="set SEMDRIFT_PYTHONS to interpreter paths, separated by "
                                "os.pathsep, to enable")
@@ -811,6 +822,42 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith(f"error: output_dir: cannot write {out / 'tukey.csv'}: ")
         assert [p.name for p in out.iterdir()] == ["tukey.csv"]
+
+    @pytest.mark.parametrize("name", ["deviation_lemmas.csv", "summary.json"])
+    def test_failed_write_into_a_file_leaves_none_of_the_bundle(self, tmp_path, capsys,
+                                                                 monkeypatch, name):
+        # a disk that fills up after the first write into `name`: the files sorted before
+        # it are whole by then, and `name` holds part of its text
+        config = write_config(tmp_path)
+        out = tmp_path / "run"
+        real_open = Path.open
+
+        class FillsUp:
+            def __init__(self, file):
+                self.file = file
+                self.writes = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.file.close()
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.file.write(text)
+
+        def open_(path, *args, **kwargs):
+            file = real_open(path, *args, **kwargs)
+            return FillsUp(file) if path == out / name else file
+
+        monkeypatch.setattr(Path, "open", open_)
+        assert main(["analyze", "--config", str(config), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: output_dir: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
+        assert list(out.iterdir()) == []
 
     def test_validation_failure_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, concept_map=str(tmp_path / "missing.tsv"))

@@ -388,6 +388,16 @@ class TestByteOrderMark:
         marked.write_text(json.dumps({"documents": documents}), encoding="utf-8-sig")
         assert load_corpus(marked) == plain
 
+    @pytest.mark.parametrize("data, offset", [
+        (b"\xef\xbb\xbfab\xff", 5), (b"ab\xff", 2), (b"\xef\xbb\xbf\xff", 3),
+        (b"\xef\xbb\xff", 0),  # a partial mark is no mark, but bytes that do not decode
+    ], ids=["marked", "unmarked", "right-after-the-mark", "partial-mark"])
+    def test_an_undecodable_byte_is_named_by_its_offset_in_the_file(self, tmp_path, data,
+                                                                    offset):
+        (tmp_path / "d.tsv").write_bytes(data)
+        with pytest.raises(IngestError, match=rf"d\.tsv: not UTF-8 text \(byte {offset}\)$"):
+            LemmaDict.load(tmp_path / "d.tsv", "en")
+
 
 class TestLemmaDictLoad:
     @pytest.mark.parametrize("rows, case_fold, line, key", [

@@ -1,7 +1,8 @@
 """summary.json's writer: the stdlib's bytes as an oracle, the types it refuses, and the
-memory it saves over the stdlib's indenting encoder."""
+memory it holds while it writes a file."""
 
 import enum
+import io
 import json
 import math
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from semdrift.report import _Table, summary_json
+from semdrift.report import _Table, write_summary
 
 from helpers import DATA
 
@@ -35,6 +36,12 @@ def stdlib_summary_json(value) -> str:
             return [strict(v) for v in value]
         return value
     return json.dumps(strict(value), ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+
+
+def summary_json(value) -> str:
+    out = io.StringIO()
+    write_summary(out, value)
+    return out.getvalue()
 
 
 _text = st.text(st.one_of(
@@ -79,28 +86,23 @@ def test_summary_records_are_the_tables_own_unless_a_key_is_csv_only():
     assert records == [{"a": 1, "groups": 2}]
 
 
-def _peak_bytes(render, summary) -> int:
-    """tracemalloc's peak while `render(summary)` runs, above what was held before it."""
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        text = render(summary)
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-    assert text
-    return peak
-
-
-def test_rendering_the_summary_peaks_below_three_quarters_of_the_stdlib(monkeypatch):
-    text = (DATA / "expected_bundle" / "summary.json").read_text(encoding="utf-8")
-    summary = json.loads(text)
-    assert summary_json(summary) == stdlib_summary_json(summary) == text
-    peak = _peak_bytes(summary_json, summary)
-    # from Python 3.13 the stdlib's C encoder indents too, and peaks far lower than its
-    # Python encoder, which is the one that indents on 3.10-3.12
-    assert peak < _peak_bytes(stdlib_summary_json, summary)
-    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-    ratio = peak / _peak_bytes(stdlib_summary_json, summary)
-    assert ratio < 0.75, ratio
+def test_writing_the_summary_holds_less_than_a_quarter_of_its_file(tmp_path):
+    golden = (DATA / "expected_bundle" / "summary.json").read_text(encoding="utf-8")
+    summary = json.loads(golden)
+    assert summary_json(summary) == stdlib_summary_json(summary) == golden
+    # the file object holds up to 8 KiB of written text and its encoded copy, about a third
+    # of the golden file; eight copies of it show that the peak does not follow the size
+    summary = {f"copy{i}": summary for i in range(8)}
+    path = tmp_path / "summary.json"
+    with path.open("w", encoding="utf-8") as out:
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            write_summary(out, summary)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+    assert path.read_text(encoding="utf-8") == stdlib_summary_json(summary)
+    size = path.stat().st_size
+    assert peak < size / 4, (peak, size)
