@@ -2,10 +2,11 @@
 
 Each export is imported from its module on first access (PEP 562), so
 `import semdrift` loads no module. Each command loads only the modules it runs:
-`validate` loads `cli`, `errors`, `freq`, `ingest` and `lexicon`, `synth` adds `synth`,
-and `analyze` adds `report`, `semfield`, `stats` and `vectors` (`cli` imports `synth` and
-`report` where it calls them, `report` the other three at its top). `tests/test_imports.py`
-pins each set.
+every command loads `cli`, `errors`, `freq`, `ingest` and `lexicon`; `validate` adds
+`chunks`, which `ingest` imports where it counts a text; `synth` adds `synth`; and
+`analyze` adds `chunks`, `report`, `semfield`, `stats` and `vectors` (`cli` imports
+`synth` and `report` where it calls them, `report` the other three at its top).
+`tests/test_imports.py` pins each set.
 """
 
 import importlib

@@ -309,9 +309,9 @@ def cmd_analyze(config: RunConfig, config_path: Path) -> int:
     """Analyze, then write the bundle one file at a time, each rendered as it is written
     (text mode, UTF-8, the platform's newline, as `Path.write_text` writes); a failed
     write removes every file of the bundle written so far."""
-    # compile the analysis modules before the corpus is read: the compiler's transient
-    # memory is then freed before the run reaches its peak
-    from . import report  # noqa: F401
+    # compile the analysis modules and the chunk counter before any input is read: the
+    # compiler's transient memory is then freed before the run reaches its peak
+    from . import chunks, report  # noqa: F401
     read = [config_path]
     inputs = run_validation(config, read=read)
     if inputs.errors:

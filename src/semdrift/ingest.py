@@ -290,27 +290,14 @@ class Document(FrozenRecord):
     @classmethod
     def from_text(cls, doc_id: str, text: str, profile: LangProfile,
                   lemma_dict: LemmaDict | None = None) -> "Document":
-        """Count the text's whitespace-separated chunks, tokenize each distinct
-        chunk once, then lemmatize each distinct form once.
-
-        Exact when the profile splits at whitespace: no token crosses a
-        whitespace character, and NFC never composes one with a neighbour.
-        Each form first appears in the first distinct chunk holding it, so
-        the counts keep first-occurrence order. Any other profile
-        tokenizes the whole text as its one chunk.
+        """Count the text's whitespace-separated chunks, a bounded block at a
+        time, tokenize each distinct chunk once, then lemmatize each distinct
+        form once; the counts are those of `lemmatize(tokenize(text, profile))`,
+        in first-occurrence order. `load_corpus` resolves chunks the same way
+        through one table per language, so a chunk is tokenized once per corpus.
         """
-        text = unicodedata.normalize("NFC", text)
-        chunks = Counter(text.split()) if profile._splits_at_whitespace else {text: 1}
-        forms: dict[str, int] = {}
-        for chunk, n in chunks.items():
-            for form in tokenize(chunk, profile):
-                forms[form] = forms.get(form, 0) + n
-        if lemma_dict is None:
-            lemma_dict = LemmaDict(profile.language_code)
-        counts: Counter = Counter()
-        for lemma, n in zip(lemmatize(list(forms), lemma_dict), forms.values()):
-            counts[lemma] = counts.get(lemma, 0) + n
-        return cls(doc_id, counts)
+        from .chunks import ChunkTable
+        return cls(doc_id, ChunkTable(profile, lemma_dict).count(text))
 
 
 def _claim_id(doc_id: str, seen: set[str]) -> None:
@@ -400,8 +387,11 @@ def load_corpus(manifest_path, read: list | None = None) -> list[CorpusStratum]:
     decoded is an IngestError naming the manifest. A group key named after a
     document field (`language`, `translation_kind`) and group keys that give two
     strata one label are ValidationErrors. Each text is counted into its
-    document as it is read and dropped before the next is read. `read`, when given,
-    gets the path of each lemma dictionary and text as it is read.
+    document as it is read and dropped before the next is read. The texts of one
+    language resolve their chunks through one table, dropped when this returns:
+    a chunk is tokenized once per corpus, and equal lemmas are one object across
+    the documents. `read`, when given, gets the path of each lemma dictionary and
+    text as it is read.
     """
     manifest_path = Path(manifest_path)
     manifest = check("", read_json(manifest_path), _MANIFEST_TYPES)
@@ -414,6 +404,7 @@ def load_corpus(manifest_path, read: list | None = None) -> list[CorpusStratum]:
 
 
 def _load_documents(manifest: dict, base: Path, read: list) -> list[CorpusStratum]:
+    from .chunks import ChunkTable
     # base / path is path itself when path is absolute
     profiles = _parse_profiles(manifest.get("profiles", {}))
     lemma_dicts: dict[str, LemmaDict] = {}
@@ -423,6 +414,7 @@ def _load_documents(manifest: dict, base: Path, read: list) -> list[CorpusStratu
         lemma_dicts[code] = LemmaDict.load(read[-1], code, profile is None or profile.case_fold)
 
     seen_ids: set[str] = set()
+    tables: dict[str, ChunkTable] = {}
     grouped: dict[tuple, list[Document]] = {}
     for i, entry in enumerate(manifest["documents"]):
         for required in ("path", "id", "language", "translation_kind"):
@@ -438,9 +430,10 @@ def _load_documents(manifest: dict, base: Path, read: list) -> list[CorpusStratu
                 raise ValidationError(f"documents[{i}].group_keys.{field_name}: a group key "
                                       f"may not share its name with a document field")
 
+        if language not in tables:
+            tables[language] = ChunkTable(profiles[language], lemma_dicts.get(language))
         read.append(base / entry["path"])
-        doc = Document.from_text(doc_id, read_text(read[-1], entry["path"]),
-                                 profiles[language], lemma_dicts.get(language))
+        doc = Document(doc_id, tables[language].count(read_text(read[-1], entry["path"])))
 
         grouped.setdefault((language, kind, tuple(sorted(group_keys.items()))), []).append(doc)
 

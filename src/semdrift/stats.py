@@ -75,6 +75,17 @@ class TukeyResult(FrozenRecord):
         self.__dict__.update(pairs=pairs, df_within=df_within, degenerate=degenerate)
 
 
+def _mean(values) -> float:
+    """The mean of `values`, rounded once: math.fsum rounds the sum once, so no Python
+    version's sum() can move a digit. Equal values have that value as their mean, which
+    the rounded sum divided by the count can miss (three copies of 342.01501743252754
+    give 342.0150174325275)."""
+    first = values[0]
+    if all(v == first for v in values):
+        return first
+    return math.fsum(values) / len(values)
+
+
 def _decompose(groups: list[GroupSample]):
     if len(groups) < 2:
         raise ValidationError("need at least 2 groups")
@@ -85,8 +96,7 @@ def _decompose(groups: list[GroupSample]):
         if len(g.values) < 2:
             raise ValidationError(f"group {g.label!r} needs at least 2 values")
     ns = [len(g.values) for g in groups]
-    # math.fsum rounds each sum once, so no Python version's sum() can move a digit
-    means = [math.fsum(g.values) / len(g.values) for g in groups]
+    means = [_mean(g.values) for g in groups]
     total_n = sum(ns)
     grand = math.fsum(v for g in groups for v in g.values) / total_n
     ss_between = math.fsum(n * (m - grand) ** 2 for n, m in zip(ns, means))

@@ -3,10 +3,11 @@
 numpy costs about 150 ms and 15 MiB at start-up. No command imports it: `validate` and
 `analyze` run without it whether their Tukey tests compare two groups or more, and
 `synth` draws from Python's own `random.Random` at any size. Every command loads `cli`,
-`errors`, `freq`, `ingest` and `lexicon`; on top of these `synth` loads only `synth`, and
-`analyze` loads `report`, `semfield`, `stats` and `vectors` but not `synth`. The benchmark's
-set-up job, `perfbench/run.py`'s `SETUP_CODE`, loads what `validate` does, and every module
-of the package is loaded by at least one command. No command loads `dataclasses`,
+`errors`, `freq`, `ingest` and `lexicon`; on top of these `validate` loads `chunks`, which
+counts the corpus's texts, `synth` loads only `synth`, and `analyze` loads `chunks`,
+`report`, `semfield`, `stats` and `vectors` but not `synth`. The benchmark's set-up job,
+`perfbench/run.py`'s `SETUP_CODE`, reads no corpus and loads only the common modules, and
+every module of the package is loaded by at least one command. No command loads `dataclasses`,
 `inspect`, `hashlib` or `_hashlib` (OpenSSL): every SHA-256 comes from the interpreter's
 built-in module, which only `analyze` and a `synth` whose document ids are not plain
 names load. Neither `validate` nor the set-up job loads `csv`, which only `analyze` uses.
@@ -37,9 +38,10 @@ PROBE = ("import json, sys\n"
          "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n")
 # the semdrift modules every command loads, and those `synth` and `analyze` add to them
 COMMON = {f"semdrift{m}" for m in ("", ".cli", ".errors", ".freq", ".ingest", ".lexicon")}
+VALIDATE = COMMON | {"semdrift.chunks"}
 SYNTH = COMMON | {"semdrift.synth"}
-ANALYZE = COMMON | {"semdrift.report", "semdrift.semfield", "semdrift.stats",
-                    "semdrift.vectors"}
+ANALYZE = VALIDATE | {"semdrift.report", "semdrift.semfield", "semdrift.stats",
+                      "semdrift.vectors"}
 # stdlib modules no command loads (the record classes are plain classes, and SHA-256 comes
 # from the built-in module), and the one only `analyze` loads, for its CSV tables
 NEVER_LOADED = {"dataclasses", "inspect", "hashlib", "_hashlib"}
@@ -94,7 +96,7 @@ def test_validate_never_imports_numpy():
     code, modules = run_command("validate")
     assert code == 0
     assert "numpy" not in modules
-    assert semdrift_modules(modules) == COMMON
+    assert semdrift_modules(modules) == VALIDATE
     assert not modules & (NEVER_LOADED | WRITE_ONLY | HASH_ONLY)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import re
 import sys
@@ -15,6 +16,7 @@ from semdrift import (CorpusStratum, Document, FrequencyTable, LangProfile, Lemm
                       TranslationKind, default_profile, filler_vocab, lemmatize,
                       load_concept_map, load_corpus, load_lexicon_sources, save_corpus,
                       tokenize)
+from semdrift.chunks import _SPACE, ChunkTable, count_chunks
 from semdrift.errors import IngestError, ValidationError
 from semdrift.ingest import _WHITESPACE, group_strata, read_json, sha256_hex
 
@@ -126,9 +128,11 @@ class TestTokenize:
             default_profile("tlh")
 
     def test_whitespace_is_where_str_split_cuts(self):
-        assert set(_WHITESPACE) == {chr(c) for c in range(sys.maxunicode + 1)
-                                    if chr(c).isspace()}
+        everything = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert set(_WHITESPACE) == {c for c in everything if c.isspace()}
         assert len(_WHITESPACE) == 29
+        # the bounded split cuts its blocks where this matches
+        assert "".join(_SPACE.findall(everything)) == _WHITESPACE
 
     @pytest.mark.parametrize("language", ["en", "ru"])
     def test_default_profiles_split_at_whitespace(self, language):
@@ -606,6 +610,32 @@ def _text_profiles(language: str) -> list[LangProfile]:
             LangProfile(language, default.letter_classes + ((0x20, 0x20),))]
 
 
+# A corpus of three languages, each with its lemma dict; "xx" has " " among its letters
+_CORPUS_LETTERS = {"xx": ["a-z", " "]}
+_CORPUS_DICTS = {"en": "said\tsay\nsays\tsay\nTold\ttell\ngood\tgood\n",
+                 "ru": "йод\tйод-лемма\nЁлка\tель\nсказал\tсказать\n",
+                 "xx": "a b\tab\nab\tba\n"}
+_CORPUS_WORDS = {**_TEXT_WORDS, "xx": ["ab", "Ab", "a b", "b", "A  B"]}
+
+
+def _texts(language: str):
+    """Words in NFC or NFD and short arbitrary strings, each followed by a separator."""
+    word = st.one_of(st.tuples(st.sampled_from(_CORPUS_WORDS[language]),
+                               st.sampled_from(["NFC", "NFD"]))
+                     .map(lambda w: unicodedata.normalize(w[1], w[0])),
+                     st.text(max_size=4))
+    return st.lists(st.tuples(word, st.sampled_from(_SEPARATORS)), max_size=30).map(
+        lambda pieces: "".join(w + sep for w, sep in pieces))
+
+
+# (language, text) of two or three documents per language, in any order
+_corpora = st.tuples(*(st.lists(_texts(language).map(lambda text, language=language:
+                                                     (language, text)),
+                                min_size=2, max_size=3)
+                       for language in sorted(_CORPUS_WORDS))).map(
+    lambda groups: [doc for group in groups for doc in group]).flatmap(st.permutations)
+
+
 class TestCountOnRead:
     @given(st.sampled_from(sorted(_TEXT_WORDS)).flatmap(lambda language: st.tuples(
         st.sampled_from(_text_profiles(language)),
@@ -677,6 +707,75 @@ class TestCountOnRead:
         small, large = manifest_for(10_000), manifest_for(200_000)
         load_corpus(small)  # first-use allocations (regex and JSON caches) happen here
         assert abs(retained(large) - retained(small)) < 256 * 1024
+
+    @given(_corpora)
+    @settings(max_examples=40, deadline=None)
+    def test_documents_of_one_language_count_as_each_alone(self, tmp_path_factory, docs):
+        # load_corpus resolves each language's chunks through one table for all its texts
+        directory = tmp_path_factory.mktemp("corpus")
+        for language, rows in _CORPUS_DICTS.items():
+            (directory / f"{language}.tsv").write_text(rows, encoding="utf-8")
+        for i, (_, text) in enumerate(docs):
+            (directory / f"{i}.txt").write_bytes(text.encode("utf-8"))
+        manifest = _write_manifest(
+            directory, [{"path": f"{i}.txt", "id": str(i), "language": language,
+                         "translation_kind": "source"} for i, (language, _) in enumerate(docs)],
+            lemma_dicts={language: f"{language}.tsv" for language in _CORPUS_DICTS},
+            profiles={code: {"letters": letters} for code, letters in _CORPUS_LETTERS.items()})
+        loaded = {doc.id: doc for s in load_corpus(manifest) for doc in s.documents}
+        profiles = {"en": default_profile("en"), "ru": default_profile("ru"),
+                    **{code: LangProfile.from_letters(code, letters)
+                       for code, letters in _CORPUS_LETTERS.items()}}
+        shared: dict[tuple[str, str], str] = {}
+        for i, (language, text) in enumerate(docs):
+            tokens = tokenize(text, profiles[language])
+            lemma_dict = LemmaDict.load(directory / f"{language}.tsv", language)
+            expected = Counter(lemmatize(tokens, lemma_dict))
+            doc = loaded[str(i)]
+            assert list(doc.counts.items()) == list(expected.items())
+            assert doc.total_word_count == len(tokens)
+            for lemma in doc.counts:
+                assert shared.setdefault((language, lemma), lemma) is lemma
+
+    @pytest.mark.parametrize("letters, a, b, shared", [
+        (None, "Good. good said it-is", "good GOOD, says is it told",
+         ["good", "say", "is", "it"]),
+        # a text that is one token and its own lemma, where no table keeps the text
+        (["a-z", " "], "good", "good.", ["good"])])
+    def test_equal_lemmas_of_one_language_are_one_object(self, tmp_path, letters, a, b, shared):
+        for name, text in (("a", a), ("b", b)):
+            (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8")
+        (tmp_path / "d.tsv").write_text("said\tsay\nsays\tsay\n", encoding="utf-8")
+        manifest = _write_manifest(tmp_path, [
+            {"path": f"{i}.txt", "id": i, "language": "en", "translation_kind": "source"}
+            for i in "ab"], lemma_dicts={"en": "d.tsv"},
+            profiles={} if letters is None else {"en": {"letters": letters}})
+        a, b = load_corpus(manifest)[0].documents
+        first = {lemma: lemma for lemma in a.counts}
+        assert [lemma for lemma in b.counts if lemma in first] == shared
+        assert all(lemma is first[lemma] for lemma in b.counts if lemma in first)
+
+    def test_a_profile_with_a_whitespace_letter_keeps_no_chunk(self):
+        table = ChunkTable(LangProfile.from_letters("xx", ["a-z", " "]), None)
+        assert table.count("ab ab.cd") == Counter({"ab ab": 1, "cd": 1})
+        assert table.chunks == {}
+
+    @pytest.mark.parametrize("space", _WHITESPACE, ids=lambda c: f"U+{ord(c):04X}")
+    def test_bounded_split_counts_what_str_split_counts(self, monkeypatch, space):
+        # every text of up to six of "a", "b" and the whitespace character, so that it
+        # and its runs fall at, before and after each block boundary
+        texts = ["".join(chars) for n in range(7)
+                 for chars in itertools.product("ab" + space, repeat=n)]
+        for block in (1, 2, 3, 4):
+            monkeypatch.setattr("semdrift.chunks._BLOCK", block)
+            for text in texts:
+                assert list(count_chunks(text).items()) == list(Counter(text.split()).items())
+
+    @given(st.text(st.sampled_from("ab" + _WHITESPACE), max_size=40), st.integers(1, 8))
+    def test_bounded_split_of_mixed_whitespace_runs(self, text, block):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr("semdrift.chunks._BLOCK", block)
+            assert list(count_chunks(text).items()) == list(Counter(text.split()).items())
 
 
 def _language_checks():

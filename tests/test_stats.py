@@ -691,6 +691,24 @@ class TestDegenerateStatistics:
                 abs(v - means[g.label]) for v in g.values)) for g in groups])
         assert (result.levene_stat, result.levene_p) == (deviations.f_stat, deviations.p_value)
 
+    def test_a_group_of_equal_values_has_that_value_as_its_mean(self):
+        # fsum of three copies of v, divided by 3, is 342.0150174325275, one ulp off v
+        v, w = 342.01501743252754, 7.0
+        same = [GroupSample("a", (v, v)), GroupSample("b", (v, v, v))]
+        anova = one_way_anova(same)
+        assert anova.group_means == {"a": v, "b": v}
+        assert (anova.f_stat, anova.p_value) == (0.0, 1.0)
+        [pair] = tukey_hsd(same).pairs
+        assert (pair.mean_diff, pair.q_stat, pair.p_adj, pair.significant) == \
+            (0.0, 0.0, 1.0, False)
+        # with a third group the layout is not all one value: every absolute deviation
+        # from a group's mean is 0, so Levene's W is 0, and the within sum of squares too
+        with pytest.warns(DegenerateVarianceWarning):
+            anova = one_way_anova(same + [GroupSample("c", (w, w))])
+        assert anova.group_means == {"a": v, "b": v, "c": w}
+        assert (anova.ss_within, anova.f_stat, anova.p_value) == (0.0, math.inf, 0.0)
+        assert (anova.levene_stat, anova.levene_p) == (0.0, 1.0)
+
     def test_levene_is_inf_when_both_deviation_sums_underflow(self):
         # the deviations, 1e-170 in one group and 2e-170 in the other, square to 0, so both
         # of their sums of squares are 0 although the groups differ: W is inf, as F is here
