@@ -11,11 +11,12 @@ nodes on [0, 14] (df < 4). Two bounds each drop cells of that grid that add at m
 
 A row, the location integral at range r = q s, depends on k and r alone, so it is
 read from one piecewise Chebyshev interpolant per k (Trefethen 2013, "Approximation
-Theory and Approximation Practice"), built panel by panel on first use; see
-`studentized_range_cdf`. Against `scipy.stats.studentized_range.cdf` the kernel agrees
-within 1.4e-12 over k = 2-10, df = 1-1000 and q = 0.5-8, most of which is scipy's own
-error. The rules are read from the table `gauss_legendre.txt` that ships with the
-package, so no process recomputes them and the p-values do not depend on the
+Theory and Approximation Practice"); see `studentized_range_cdf`. Its panels for
+k = 3-10 are read from the table `chebyshev_panels.txt`, and for larger k built on
+first use. Against `scipy.stats.studentized_range.cdf` the kernel agrees within
+1.4e-12 over k = 2-10, df = 1-1000 and q = 0.5-8, most of which is scipy's own error.
+The rules are read from the table `gauss_legendre.txt`. Both tables ship with the
+package, so no process recomputes them, and the p-values do not depend on the
 platform's eigenvalue solver.
 """
 
@@ -38,6 +39,8 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _BETA_MAX_ITER = 300
 _BETA_EPS = 3e-16
 _LEGENDRE_TABLE = Path(__file__).with_name("gauss_legendre.txt")
+_PANEL_TABLE = Path(__file__).with_name("chebyshev_panels.txt")
+_TABLED_K = range(3, 11)   # the k whose row panels _PANEL_TABLE holds
 
 _Rule = tuple[tuple[float, ...], tuple[float, ...]]  # nodes and weights
 
@@ -209,7 +212,7 @@ def f_cdf(x: float, d1: int, d2: int) -> float:
     """
     if d1 < 1 or d2 < 1:
         raise ValidationError("degrees of freedom must be >= 1")
-    if x <= 0.0:
+    if not x > 0.0:  # a NaN x as well, as studentized_range_cdf reads a NaN q
         return 0.0
     if math.isinf(x):
         return 1.0
@@ -217,19 +220,29 @@ def f_cdf(x: float, d1: int, d2: int) -> float:
     return min(1.0, max(0.0, _betainc_reg(d1 / 2.0, d2 / 2.0, ratio)))
 
 
+def _table_rows(path: Path, key: int) -> list[tuple[float, ...]]:
+    """The values of each line of a shipped table that starts with `key`, in file order.
+
+    A table line is the key and then values written with `float.hex`, and each key's lines
+    form one block. The file is read a line at a time, only the key's lines are split,
+    and the read stops at the end of their block.
+    """
+    prefix, rows = f"{key} ", []
+    with path.open(encoding="ascii") as table:
+        for line in table:
+            if line.startswith(prefix):
+                rows.append(tuple(map(float.fromhex, line.split()[1:])))
+            elif rows:
+                break
+    return rows
+
+
 @lru_cache(maxsize=None)
 def _legendre_rule(n: int) -> _Rule:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], from the table.
-
-    Each table line is `n node weight`, the values written with `float.hex`.
-    """
-    nodes, weights = [], []
-    for line in _LEGENDRE_TABLE.read_text(encoding="ascii").splitlines():
-        fields = line.split()
-        if fields and fields[0] == str(n):
-            nodes.append(float.fromhex(fields[1]))
-            weights.append(float.fromhex(fields[2]))
-    return tuple(nodes), tuple(weights)
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], from the table
+    of lines `n node weight`."""
+    nodes, weights = zip(*_table_rows(_LEGENDRE_TABLE, n))
+    return nodes, weights
 
 
 def _gauss_legendre(n: int, lo: float, hi: float) -> _Rule:
@@ -349,7 +362,8 @@ def _chebyshev_cosines() -> tuple[float, ...]:
 
 def _build_panel(k: int, i: int, top: float) -> tuple[float, tuple[float, ...]]:
     """Panel i of k: an offset, 0 or `top`, and the Chebyshev coefficients (highest degree
-    first) of `_row - offset` at the n + 1 Chebyshev points of [i w, (i + 1) w]."""
+    first) of `_row - offset` at the n + 1 Chebyshev points of [i w, (i + 1) w]. It is
+    also the specification of `_PANEL_TABLE`, which the tests regenerate from it."""
     n, cosines = _PANEL_DEGREE, _chebyshev_cosines()
     lo, half = i * _PANEL_WIDTH, 0.5 * _PANEL_WIDTH
     values = [_row(lo + half * (1.0 + cosines[m]), k) for m in range(n + 1)]
@@ -365,6 +379,13 @@ def _build_panel(k: int, i: int, top: float) -> tuple[float, tuple[float, ...]]:
     return offset, tuple(reversed(coefficients))
 
 
+@lru_cache(maxsize=None)
+def _tabled_panels(k: int) -> tuple[tuple[float, tuple[float, ...]], ...]:
+    """The panels of k in `_PANEL_TABLE`, whose lines are `k offset coefficients...`, in
+    panel order."""
+    return tuple((row[0], row[1:]) for row in _table_rows(_PANEL_TABLE, k))
+
+
 @lru_cache(maxsize=128)
 def _row_interpolant(k: int) -> tuple[float, float, list]:
     """The saturation point of k, the row from there on, and a slot per panel below it,
@@ -374,12 +395,14 @@ def _row_interpolant(k: int) -> tuple[float, float, list]:
 
 
 def _interpolated_row(r: float, k: int, top: float, panels: list) -> float:
-    """`_row(r, k)` below the saturation point, by Clenshaw's recurrence on r's panel."""
+    """`_row(r, k)` below the saturation point, by Clenshaw's recurrence on r's panel,
+    which is read from the table or, past its k, built the first time a row falls in it."""
     x = r / _PANEL_WIDTH
     i = int(x)
     panel = panels[i]
     if panel is None:
-        panel = panels[i] = _build_panel(k, i, top)
+        panel = panels[i] = (_tabled_panels(k)[i] if k in _TABLED_K
+                             else _build_panel(k, i, top))
     offset, coefficients = panel
     t = 2.0 * (x - i) - 1.0
     t2, b1, b2 = 2.0 * t, 0.0, 0.0
@@ -402,13 +425,14 @@ def studentized_range_cdf(q: float, k: int, df: int) -> float:
 
     A row, the inner integral at range r = q s, depends on k and r alone. It is read
     from one interpolant per k of the pruned cell sum `_row`: panels of width 0.5 in r,
-    each a degree-12 Chebyshev series evaluated by Clenshaw's recurrence and built when
-    a row first falls in it. From the saturation point, about 17.37, the row is one exact
-    constant, `top`; a panel whose row passes 1/2 at its middle holds the deficit
-    `top - row`, so Clenshaw rounds the deficit and not a value near 1. A row is within
-    2e-15 of the cell sum (whose own erf rounding grows with k), the weighted rows are
-    summed by `math.fsum`, and the result is within 1e-15 of the quadrature summed cell
-    by cell. It agrees with `scipy.stats.studentized_range.cdf` within 1.4e-12 over
+    each a degree-12 Chebyshev series evaluated by Clenshaw's recurrence. The panels of
+    k = 3-10 come from the shipped table `chebyshev_panels.txt`; for larger k a panel is
+    built when a row first falls in it. From the saturation point, about 17.37, the row
+    is one exact constant, `top`; a panel whose row passes 1/2 at its middle holds the
+    deficit `top - row`, so Clenshaw rounds the deficit and not a value near 1. A row is
+    within 2e-15 of the cell sum (whose own erf rounding grows with k), the weighted rows
+    are summed by `math.fsum`, and the result is within 1e-15 of the quadrature summed
+    cell by cell. It agrees with `scipy.stats.studentized_range.cdf` within 1.4e-12 over
     k = 2-10, df = 1-1000 and q = 0.5-8.
     """
     if k < 2:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from semdrift import (ConceptMap, CorpusStratum, Document, FrequencyTable, SentimentLexicon,
                       TranslationKind, filler_vocab, load_concept_map, load_lexicon_sources,
-                      merge_disjoint)
+                      merge_disjoint, stats)
 
 DATA = Path(__file__).parent / "data"
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
@@ -51,6 +51,15 @@ def count_class_of(monkeypatch) -> list:
 
 
 @lru_cache(maxsize=1)
+def forbid_panel_building(monkeypatch) -> None:
+    """Make every `stats._build_panel` call from here on fail, with fresh panel slots."""
+    def refuse(k, i, top):
+        raise AssertionError(f"built panel {i} of k = {k}")
+
+    monkeypatch.setattr(stats, "_build_panel", refuse)
+    stats._row_interpolant.cache_clear()
+
+
 def fixture_lexicons() -> tuple[SentimentLexicon, SentimentLexicon]:
     """(ru, en) lexicons merged from the committed fixture files."""
     ru = merge_disjoint(

@@ -21,7 +21,8 @@ from semdrift.cli import (_CONFIG_TYPES, _SYNTH_TYPES, _build_parser, analyze, l
                           main, run_validation)
 from semdrift.errors import IngestError, ValidationError
 
-from helpers import DATA, count_class_of, digest, fixture_concept_map
+from helpers import (DATA, count_class_of, digest, fixture_concept_map,
+                     forbid_panel_building)
 
 ROOT = Path(__file__).parent.parent
 # sha256s (see helpers.digest) of the texts `synth` writes for the tiny seed-1 many-groups
@@ -909,6 +910,11 @@ class TestAnalyze:
         assert group_counts >= {4, 5}
         assert digest(texts) == MANY_GROUPS_FULL_TEXTS_DIGEST
         assert digest(out) == MANY_GROUPS_FULL_DIGEST
+
+    def test_full_size_analyze_builds_no_panel(self, tmp_path, monkeypatch):
+        # its Tukey calls are of k = 4 and 5, whose panels all come from the shipped table
+        forbid_panel_building(monkeypatch)
+        self.many_groups_bundle(tmp_path, tiny=False)
 
 
 class TestSynth:

@@ -1,6 +1,7 @@
 import math
 import warnings
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ from scipy import stats as sps
 from semdrift import (DegenerateVarianceWarning, GroupSample, f_cdf, one_way_anova, stats,
                       studentized_range_cdf, tukey_hsd)
 from semdrift.errors import ValidationError
+
+import panel_table
+from helpers import forbid_panel_building
 
 
 def invert(fn, p, lo=1e-12, hi=1e4, iters=200):
@@ -166,6 +170,13 @@ class TestFCdf:
     def test_rejects_bad_dof(self):
         with pytest.raises(ValidationError):
             f_cdf(1.0, 0, 5)
+
+    @pytest.mark.parametrize("df", [1, 2, 16, 1000])
+    def test_nan_reads_as_zero(self, df):
+        # as a NaN q does in the studentized range, which for two groups is
+        # P(F(1, df) <= q^2 / 2)
+        assert f_cdf(math.nan, 3, df) == 0.0
+        assert f_cdf(math.nan, 1, df) == studentized_range_cdf(math.nan, 2, df) == 0.0
 
 
 # 0.5 * (1 + erf(x / sqrt(2))) is exactly 0.0 at and below PHI_ZERO and exactly 1.0 at
@@ -439,6 +450,58 @@ class TestRowInterpolant:
         built = {i for i, panel in enumerate(panels) if panel is not None}
         assert built == {int(q * s / stats._PANEL_WIDTH) for s in stats._outer_rule(df)[0]}
         assert len(built) < len(panels)
+
+    def test_a_lone_call_past_the_table_builds_only_the_panels_its_rows_fall_in(self):
+        q, k, df = 0.9, 11, 16
+        assert k not in stats._TABLED_K
+        stats._row_interpolant.cache_clear()
+        studentized_range_cdf(q, k, df)
+        cutoff, _, panels = stats._row_interpolant(k)
+        built = {i for i, panel in enumerate(panels) if panel is not None}
+        assert built == {int(q * s / stats._PANEL_WIDTH) for s in stats._outer_rule(df)[0]}
+        assert len(built) < len(panels)
+
+    @pytest.mark.parametrize("k", stats._TABLED_K)
+    def test_a_tabled_k_builds_no_panel(self, k, monkeypatch):
+        forbid_panel_building(monkeypatch)
+        for q in np.linspace(0.1, 20.0, 40).tolist():
+            studentized_range_cdf(q, k, 16)
+        assert None not in stats._row_interpolant(k)[2]
+
+
+def panel_hexes(panel):
+    """A panel's offset and coefficients, each as `float.hex`."""
+    offset, coefficients = panel
+    return [offset.hex(), *(c.hex() for c in coefficients)]
+
+
+class TestPanelTable:
+    def test_is_what_the_builder_writes(self):
+        shipped = stats._PANEL_TABLE.read_text(encoding="ascii").splitlines()
+        assert shipped == panel_table.render().splitlines(), (
+            f"{stats._PANEL_TABLE.name} is not what stats._build_panel makes; "
+            f"rewrite it with `{panel_table.REWRITE}`")
+
+    @pytest.mark.parametrize("k", stats._TABLED_K)
+    def test_reads_back_every_panel_of_the_builder(self, k):
+        cutoff, top, _ = stats._row_interpolant(k)
+        assert [panel_hexes(panel) for panel in stats._tabled_panels(k)] == [
+            panel_hexes(stats._build_panel(k, i, top))
+            for i in range(math.ceil(cutoff / stats._PANEL_WIDTH))]
+
+    @given(st.floats(1e-3, 30.0), st.integers(3, 10), st.integers(1, 2000))
+    @example(2.5, 5, 15)
+    @example(2.5, 4, 16)
+    @settings(max_examples=30, deadline=None)
+    def test_the_kernel_with_the_table_equals_it_without(self, q, k, df):
+        tabled = studentized_range_cdf(q, k, df)
+        stats._row_interpolant.cache_clear()
+        try:
+            with mock.patch.object(stats, "_TABLED_K", range(0)):
+                built = studentized_range_cdf(q, k, df)
+        finally:
+            stats._row_interpolant.cache_clear()
+        assert built.hex() == tabled.hex()
 
 
 class TestStudentizedRangeCdf:
