@@ -124,9 +124,9 @@ def expected_deviation(stratum: CorpusStratum, lexicon: SentimentLexicon,
 
     Difference mode reports observed - expected in percent units; ratio mode
     reports observed / expected. Attested lemmas the reference does not cover
-    (and, in ratio mode, covered lemmas with zero reference frequency) are
-    excluded from the mean and listed under `uncovered` instead of being
-    silently treated as zero.
+    (and, in ratio mode, covered lemmas whose expected percent is 0.0, as is
+    that of a per-million below about 2.5e-320) are excluded from the mean and
+    listed under `uncovered` instead of being silently treated as zero.
     """
     mode = member("mode", mode, DeviationMode)
     per_class = _class_counts(stratum, lexicon)
@@ -142,10 +142,10 @@ def expected_deviation(stratum: CorpusStratum, lexicon: SentimentLexicon,
             obs = 100.0 * counter[lemma] / total
             observed[lemma] = obs
             pm, covered = ref.lookup(lemma)
-            if not covered or (mode is DeviationMode.RATIO and pm == 0.0):
+            exp = pm * PER_MILLION_TO_PCT
+            if not covered or (mode is DeviationMode.RATIO and exp == 0.0):
                 uncovered.append(lemma)
                 continue
-            exp = pm * PER_MILLION_TO_PCT
             expected[lemma] = exp
             per_lemma[lemma] = obs - exp if mode is DeviationMode.DIFFERENCE else obs / exp
         values = list(per_lemma.values())

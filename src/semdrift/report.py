@@ -1,14 +1,15 @@
 """The report bundle, loaded by `analyze` alone: its table model, the builders of its
 tables, each built once as records that render both its CSV and its summary.json section,
-and the writer of summary.json. Each file is rendered straight into its open file, so no
-file's text is ever held whole.
+and the writer of summary.json, the stdlib's `json.dump`. Each file is rendered straight
+into its open file, so no file's text is ever held whole. The five record keys that can
+hold a non-finite float hold its quoted repr instead, so summary.json stays strict JSON.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
-from json.encoder import encode_basestring
 from typing import TYPE_CHECKING
 
 from . import freq, semfield, stats, vectors
@@ -30,6 +31,12 @@ def _fmt(value) -> str:
     if isinstance(value, list):
         return "|".join(value)
     return str(value)
+
+
+def _strict(value: float | None) -> float | str | None:
+    """A float as it is, or its repr ("nan", "inf", "-inf") when it is not finite, since
+    strict JSON holds neither; None passes through. Its CSV cell is the same text."""
+    return value if value is None or math.isfinite(value) else repr(value)
 
 
 def checksum_inputs(config: RunConfig) -> tuple[str, dict[str, str]]:
@@ -130,9 +137,10 @@ def stratum_tables(config: RunConfig, inputs: ValidationReport, summary: dict) -
             dev = deviations[cls]
             at = {"stratum": stratum.label, "class": cls.value}
             deviation.records.append({
-                **at, "mode": dev.mode.value, "mean_deviation": dev.mean_deviation,
-                "median_deviation": dev.median_deviation, "n_covered": len(dev.per_lemma),
-                "uncovered": list(dev.uncovered)})
+                **at, "mode": dev.mode.value,
+                "mean_deviation": _strict(dev.mean_deviation),
+                "median_deviation": _strict(dev.median_deviation),
+                "n_covered": len(dev.per_lemma), "uncovered": list(dev.uncovered)})
             by_lemma.records += [{**at, "lemma": lemma, "observed_pct": dev.observed_pct[lemma],
                                   "expected_pct": dev.expected_pct[lemma],
                                   "value": dev.per_lemma[lemma], "status": "covered"}
@@ -187,13 +195,14 @@ def anova_tables(config: RunConfig, inputs: ValidationReport, by_kind: dict,
                         result = stats.one_way_anova(samples)
                         anova.records.append({
                             **where, "groups": len(samples), "df_between": result.df_between,
-                            "df_within": result.df_within, "f_stat": result.f_stat,
-                            "p_value": result.p_value, "levene_stat": result.levene_stat,
+                            "df_within": result.df_within,
+                            "f_stat": _strict(result.f_stat), "p_value": result.p_value,
+                            "levene_stat": _strict(result.levene_stat),
                             "levene_p": result.levene_p, "degenerate": result.degenerate,
                             "group_means": result.group_means})
                         tukey.records += [{
                             **where, "a": pair.a, "b": pair.b, "mean_diff": pair.mean_diff,
-                            "q_stat": pair.q_stat, "p_adj": pair.p_adj,
+                            "q_stat": _strict(pair.q_stat), "p_adj": pair.p_adj,
                             "significant": pair.significant}
                             for pair in stats.tukey_hsd(samples, config.alpha).pairs]
     summary["anova"] = anova.to_summary()
@@ -293,70 +302,10 @@ def concept_tables(config: RunConfig, cmap: ConceptMap, merged: list[CorpusStrat
     return [*tables, pca]
 
 
-def _scalar(value) -> str | None:
-    """The JSON text of a scalar, or None for a container or any other type."""
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if isinstance(value, float):  # a non-finite float as its quoted repr: strict JSON
-        text = float.__repr__(value)
-        return text if math.isfinite(value) else f'"{text}"'
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    return None
-
-
-def _render(value, newline: str, write) -> None:
-    """Write the text of a dict, list or tuple that opens on a line indented as `newline`.
-    A container of scalars only, such as a table record, is written as one string; any
-    other as one string per item head, since a join per level would copy all text below
-    it."""
-    if isinstance(value, dict):
-        keys = sorted(value)
-        heads = [encode_basestring(key) + ": " for key in keys]  # TypeError unless a str
-        items = [value[key] for key in keys]
-        opened, closed = "{", "}"
-    elif isinstance(value, (list, tuple)):
-        heads, items, opened, closed = [""] * len(value), value, "[", "]"
-    else:
-        raise TypeError(f"summary.json cannot hold a {type(value).__name__}")
-    if not items:
-        write(opened + closed)
-        return
-    inner = newline + "  "
-    texts = [_scalar(item) for item in items]
-    if None not in texts:
-        write(opened + inner + f",{inner}".join(map(str.__add__, heads, texts))
-              + newline + closed)
-        return
-    write(opened)
-    separator = inner
-    for head, item, text in zip(heads, items, texts):
-        if text is None:
-            write(separator + head)
-            _render(item, inner, write)
-        else:
-            write(separator + head + text)
-        separator = "," + inner
-    write(newline + closed)
-
-
 def write_summary(out, summary: dict) -> None:
-    """Write summary.json's text into the open text file `out`: the bytes of
-    `json.dumps(summary, ensure_ascii=False, indent=2, sort_keys=True) + "\n"`, but with
-    each non-finite float written as its quoted repr ("nan", "inf", "-inf") so the file
-    stays strict JSON. Dict keys must be str; a value other than a str, int, float, bool,
-    None, dict, list or tuple raises TypeError.
-
-    The stdlib's encoder indents in Python before 3.13: it holds one string per token, and
-    it needed a copy of the summary for the non-finite floats. This writes each table
-    record, and each other item head, straight into `out`, so it holds no more of the text
-    than one record; the file object buffers up to 8 KiB of it.
-    """
-    _render(summary, "\n", out.write)
+    """Write summary.json's text into the open text file `out`, a chunk at a time as the
+    stdlib's encoder makes it. The builders quote each non-finite float (`_strict`), so
+    the file stays strict JSON; one they missed raises ValueError rather than writing
+    NaN or Infinity."""
+    json.dump(summary, out, ensure_ascii=False, indent=2, sort_keys=True, allow_nan=False)
     out.write("\n")

@@ -214,9 +214,10 @@ def f_cdf(x: float, d1: int, d2: int) -> float:
         raise ValidationError("degrees of freedom must be >= 1")
     if not x > 0.0:  # a NaN x as well, as studentized_range_cdf reads a NaN q
         return 0.0
-    if math.isinf(x):
+    scaled = d1 * x
+    if math.isinf(scaled):  # x is inf, or so large that d1 * x overflows: inf/inf is NaN
         return 1.0
-    ratio = d1 * x / (d1 * x + d2)
+    ratio = scaled / (scaled + d2)
     return min(1.0, max(0.0, _betainc_reg(d1 / 2.0, d2 / 2.0, ratio)))
 
 

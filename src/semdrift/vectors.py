@@ -13,6 +13,7 @@ from .errors import AnalysisError, FrozenRecord, ValidationError
 from .ingest import CorpusStratum
 from .lexicon import ConceptMap, Side
 
+_TINY_NORMS = 2.0 ** -900  # below it, the entries' products that underflow cost cosine digits
 _JACOBI_SWEEPS = 30  # a safeguard: random, rank-1 and repeated rows, n <= 8, take 8 at most
 
 
@@ -58,6 +59,10 @@ def cosine(u: ConceptVector, v: ConceptVector) -> float:
     nu, nv = math.hypot(*u.values), math.hypot(*v.values)
     if nu == 0.0 or nv == 0.0:
         raise AnalysisError("undefined cosine for a zero vector")
+    if not _TINY_NORMS <= nu * nv < math.inf:
+        # scaled to unit length first, so no product of entries underflows or overflows
+        return min(1.0, max(-1.0, _dot([x / nu for x in u.values],
+                                       [y / nv for y in v.values])))
     return min(1.0, max(-1.0, _dot(u.values, v.values) / (nu * nv)))
 
 

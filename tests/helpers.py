@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import json
 from functools import lru_cache
 from pathlib import Path
 
@@ -29,6 +30,15 @@ def digest(directory: Path) -> str:
     for path in sorted(directory.iterdir()):
         h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
     return h.hexdigest()
+
+
+def read_summary(directory: Path) -> dict:
+    """A bundle's summary.json, refusing the NaN and Infinity tokens that strict JSON lacks."""
+    def refuse(token):
+        raise ValueError(f"summary.json holds {token}")
+
+    return json.loads((directory / "summary.json").read_text(encoding="utf-8"),
+                      parse_constant=refuse)
 
 
 def make_stratum(lemmas, language="en", kind=TranslationKind.SOURCE,

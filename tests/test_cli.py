@@ -1,3 +1,4 @@
+import csv
 import difflib
 import errno
 import importlib.util
@@ -22,7 +23,7 @@ from semdrift.cli import (_CONFIG_TYPES, _SYNTH_TYPES, _build_parser, analyze, l
 from semdrift.errors import IngestError, ValidationError
 
 from helpers import (DATA, count_class_of, digest, fixture_concept_map,
-                     forbid_panel_building)
+                     forbid_panel_building, read_summary)
 
 ROOT = Path(__file__).parent.parent
 # sha256s (see helpers.digest) of the texts `synth` writes for the tiny seed-1 many-groups
@@ -214,7 +215,7 @@ class TestConfigTypes:
         config = write_config(tmp_path, attested="anything")
         out = tmp_path / "run"
         assert main(["analyze", "--config", str(config), "--output-dir", str(out)]) == 0
-        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        summary = read_summary(out)
         assert "attested" not in summary["mode"]
 
 
@@ -624,7 +625,7 @@ class TestAnalyze:
         config = write_config(tmp_path)
         out = tmp_path / "run"
         main(["analyze", "--config", str(config), "--output-dir", str(out)])
-        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        summary = read_summary(out)
         widths = {w["stratum"]: w["width_ratio_vs_baseline"]
                   for w in summary["field_width"]}
         assert widths["en/machine"] < 1.0 < widths["en/human"]
@@ -646,9 +647,8 @@ class TestAnalyze:
                               "en/machine,ru/source,1,0.45,"]
         assert table[6].startswith("en/source,ru/source,") and len(table) == 7
         # and in summary.json the two translations' rows are the golden ones
-        rows, golden = ({r["stratum"]: r for r in json.loads(
-            (directory / "summary.json").read_text(encoding="utf-8"))["field_width"]}
-            for directory in (out, DATA / "expected_bundle"))
+        rows, golden = ({r["stratum"]: r for r in read_summary(directory)["field_width"]}
+                        for directory in (out, DATA / "expected_bundle"))
         assert [rows["en/human"], rows["en/machine"]] == list(golden.values())
 
     def test_uncovered_lemmas_reported(self, tmp_path):
@@ -885,6 +885,23 @@ class TestAnalyze:
         assert "# mode: deviation=ratio" in text
         assert ",ratio," in text
 
+    def test_ratio_mode_leaves_out_an_expected_percent_that_underflows(self, tmp_path):
+        # 1e-320 per million is 1e-324 percent, which underflows to 0.0: no denominator
+        data = shutil.copytree(DATA, tmp_path / "data")
+        freq = data / "freq_en.tsv"
+        text = freq.read_text(encoding="utf-8")
+        freq.write_text(text.replace("say\t2600\n", "say\t1e-320\n"), encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["analyze", "--config", str(data / "config.json"), "--output-dir", str(out),
+                     "--deviation-mode", "ratio"]) == 0
+        lines = (out / "deviation_lemmas.csv").read_text(encoding="utf-8").splitlines()[3:]
+        said = [row for row in csv.DictReader(lines) if row["lemma"] == "say"]
+        assert len(said) == 8
+        assert all((row["expected_pct"], row["value"], row["status"]) == ("", "", "uncovered")
+                   for row in said)
+        assert {r["stratum"] for r in read_summary(out)["deviations"]
+                if "say" in r["uncovered"]} == {row["stratum"] for row in said}
+
     @staticmethod
     def many_groups_bundle(tmp_path, tiny):
         """The seed-1 many-groups benchmark corpus, its analyze bundle and group counts."""
@@ -896,7 +913,7 @@ class TestAnalyze:
         out = tmp_path / "bundle"
         assert main(["analyze", "--config", str(workload.directory / workload.config),
                      "--output-dir", str(out)]) == 0
-        anova = json.loads((out / "summary.json").read_text(encoding="utf-8"))["anova"]
+        anova = read_summary(out)["anova"]
         return workload.directory / "texts", out, {len(r["group_means"]) for r in anova}
 
     def test_three_group_bundle_matches_pinned_digest(self, tmp_path):
@@ -1040,7 +1057,7 @@ class TestSynth:
         out = tmp_path / "bundle"
         assert main(["analyze", "--config", str(analyze_config),
                      "--output-dir", str(out)]) == 0
-        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        summary = read_summary(out)
         widths = {w["stratum"]: w["width_ratio_vs_baseline"]
                   for w in summary["field_width"]}
         assert widths["en/machine"] < 1.0
@@ -1053,7 +1070,7 @@ class TestSynth:
                               group_by=[], synth={"words": 4000})
         assert main(["synth", "--config", str(config), "--output-dir", str(corpus_dir)]) == 0
         assert main(["analyze", "--config", str(config)]) == 0
-        summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
+        summary = read_summary(tmp_path / "out")
         words = {(s["language"], s["translation_kind"]): s["total_word_count"]
                  for s in summary["strata"]}
         assert words.keys() == {("ru", "source"), ("en", "machine")}

@@ -190,6 +190,17 @@ class TestExpectedDeviation:
         dev2 = expected_deviation(stratum2, tiny_lexicon(), ref, DeviationMode.RATIO)
         assert dev2[NEG].uncovered == ("bad",)
 
+    def test_ratio_mode_leaves_out_an_expected_percent_that_underflows(self):
+        # 1e-320 per million is 1e-324 percent, which underflows to 0.0: no denominator
+        stratum = make_stratum(["good", "bad"] + ["x"] * 98)
+        ref = FrequencyTable("en", {"good": 1e-320, "bad": 1e4})
+        dev = expected_deviation(stratum, tiny_lexicon(), ref, DeviationMode.RATIO)
+        assert dev[POS].uncovered == ("good",) and dev[POS].mean_deviation is None
+        assert dev[NEG].per_lemma == {"bad": 1.0}
+        # difference mode still covers it, as observed - 0.0
+        dev = expected_deviation(stratum, tiny_lexicon(), ref)
+        assert dev[POS].uncovered == () and dev[POS].per_lemma == {"good": 1.0}
+
     def test_language_mismatch(self):
         ref = FrequencyTable("ru", {"good": 1.0})
         with pytest.raises(ValidationError, match="language mismatch"):

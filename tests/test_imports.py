@@ -29,7 +29,7 @@ import pytest
 import semdrift
 import semdrift.ingest
 
-from helpers import DATA, digest, perfbench_constant
+from helpers import DATA, digest, perfbench_constant, read_summary
 
 ROOT = Path(__file__).parent.parent
 PROBE = ("import json, sys\n"
@@ -83,7 +83,7 @@ def three_summit_config(tmp_path: Path) -> Path:
 
 
 def pairs_per_test(output_dir: Path) -> Counter:
-    summary = json.loads((output_dir / "summary.json").read_text(encoding="utf-8"))
+    summary = read_summary(output_dir)
     return Counter((r["language"], r["factor"], r["slice"], r["class"], r["metric"])
                    for r in summary["tukey"])
 

@@ -171,6 +171,10 @@ class TestFCdf:
         with pytest.raises(ValidationError):
             f_cdf(1.0, 0, 5)
 
+    def test_is_one_where_d1_times_x_overflows(self):
+        # 2 * 1e308 is inf, and inf / inf a NaN the continued fraction never converges on
+        assert f_cdf(1e308, 2, 5) == sps.f.cdf(1e308, 2, 5) == 1.0
+
     @pytest.mark.parametrize("df", [1, 2, 16, 1000])
     def test_nan_reads_as_zero(self, df):
         # as a NaN q does in the studentized range, which for two groups is
@@ -780,6 +784,14 @@ class TestDegenerateStatistics:
             result = one_way_anova(groups)
         assert (result.f_stat, result.p_value) == (math.inf, 0.0)
         assert (result.levene_stat, result.levene_p) == (math.inf, 0.0)
+
+    def test_an_f_whose_scaled_value_overflows_has_p_zero(self):
+        # F is about 9.8e307, finite, but F times df_between = 2 overflows
+        groups = [GroupSample("a", (0.0, 1e-150)), GroupSample("b", (0.0, 1e-150)),
+                  GroupSample("c", (7e3, 7e3))]
+        result = one_way_anova(groups)
+        assert math.isfinite(result.f_stat) and result.f_stat * 2 == math.inf
+        assert result.p_value == 0.0
 
     def test_a_mean_square_that_underflows_reads_as_zero(self):
         # a within-group sum of squares of 5e-324, the least subnormal, has a mean square

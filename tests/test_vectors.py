@@ -2,7 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -72,6 +72,10 @@ class TestCosine:
     @given(arrays(float, 5, elements=st.floats(0, 100)),
            arrays(float, 5, elements=st.floats(0, 100)),
            st.floats(0.01, 50))
+    # each product of two entries is subnormal, so the dot product loses digits unless the
+    # vectors are scaled first; at 1e-170 the product of the norms is 0.0
+    @example(np.full(5, 1.44037487e-160), np.full(5, 1.44037487e-160), 0.5)
+    @example(np.full(5, 1e-170), np.full(5, 2e-170), 3.0)
     def test_symmetry_and_scale_invariance(self, a, b, alpha):
         if np.linalg.norm(a) == 0 or np.linalg.norm(b) == 0:
             return
@@ -79,6 +83,12 @@ class TestCosine:
         assert cosine(u, v) == pytest.approx(cosine(v, u))
         assert cosine(vec(alpha * a), v) == pytest.approx(cosine(u, v), abs=1e-9)
         assert 0.0 <= cosine(u, v) <= 1.0   # non-negative inputs
+
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e160])
+    def test_an_extreme_scale_is_the_cosine_of_the_unit_vectors(self, scale):
+        # the product of the norms is 0.0 at 1e-170 and inf at 1e160
+        assert cosine(vec([scale, scale]), vec([scale, 0.0])) == pytest.approx(0.5 ** 0.5)
 
 
 class TestEuclidean:
