@@ -75,29 +75,29 @@ class ChunkTable:
             chunks, table = count_chunks(text), self.chunks
         else:
             chunks, table = {text: 1}, {}
+        new = [chunk for chunk in chunks if chunk not in table]
         sizes: list[int] = []  # tokens per new chunk, in order
         forms: list[str] = []
-        for chunk in chunks:
-            if chunk not in table:
-                tokens = ingest.tokenize(chunk, self.profile)
-                if tokens == [chunk]:
-                    tokens[0] = chunk  # drop the equal copy that case folding made
-                sizes.append(len(tokens))
-                forms += tokens
+        for chunk in new:
+            tokens = ingest.tokenize(chunk, self.profile)
+            if tokens == [chunk]:
+                tokens[0] = chunk  # drop the equal copy that case folding made
+            sizes.append(len(tokens))
+            forms += tokens
+        # `_shared` reads the table, so the new chunks go in one at a time, in
+        # first-occurrence order: the lemma objects it picks depend on that order
         resolved = iter(ingest.lemmatize(forms, self.lemma_dict) if forms else ())
-        new_sizes = iter(sizes)
         own = table is self.chunks
-        counts: Counter = Counter()
+        for chunk, size in zip(new, sizes):
+            table[chunk] = (self._shared(next(resolved), chunk if own else None) if size == 1
+                            else tuple(self._shared(next(resolved)) for _ in range(size)))
+        counts: dict[Lemma, int] = {}  # a plain dict: storing into a Counter is slower
+        get = counts.get
         for chunk, n in chunks.items():
-            value = table.get(chunk)
-            if value is None:
-                size = next(new_sizes)
-                value = table[chunk] = (
-                    self._shared(next(resolved), chunk if own else None) if size == 1
-                    else tuple(self._shared(next(resolved)) for _ in range(size)))
-            if isinstance(value, str):
-                counts[value] = counts.get(value, 0) + n
+            value = table[chunk]
+            if type(value) is str:
+                counts[value] = get(value, 0) + n
             else:
                 for lemma in value:
-                    counts[lemma] = counts.get(lemma, 0) + n
-        return counts
+                    counts[lemma] = get(lemma, 0) + n
+        return Counter(counts)

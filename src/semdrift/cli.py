@@ -3,7 +3,6 @@
 Exit codes: 0 success, 1 analysis error, 2 configuration/validation error.
 """
 
-import argparse
 import json
 import os
 import sys
@@ -394,7 +393,8 @@ def cmd_synth(config: RunConfig, config_path: Path) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> "argparse.ArgumentParser":
+    import argparse  # with `gettext` and `locale`, which a caller of the library never needs
     parser = argparse.ArgumentParser(
         prog="semdrift",
         description="Sentiment and semantic-field shift analytics for translated corpora")

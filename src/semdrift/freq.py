@@ -59,7 +59,7 @@ class DeviationMode(str, Enum):
 
 
 def _class_counts(stratum: CorpusStratum,
-                  lexicon: SentimentLexicon) -> dict[SentimentClass, Counter]:
+                  lexicon: SentimentLexicon) -> dict[SentimentClass, dict[Lemma, int]]:
     """The stratum's lemma counts split by class in one pass; unlisted lemmas drop out.
 
     The split is kept on the stratum, beside its cached lemma counts, so the next call
@@ -69,16 +69,17 @@ def _class_counts(stratum: CorpusStratum,
     if split is not None and split[0] is lexicon:
         return split[1]
     check_language("stratum", stratum.language_code, "lexicon", lexicon.language_code)
-    per_class: dict[SentimentClass, Counter] = {cls: Counter() for cls in SentimentClass}
+    per_class: dict[SentimentClass, dict[Lemma, int]] = {cls: {} for cls in SentimentClass}
+    class_of = lexicon._class_of.get  # one bound lookup, not a method call per lemma
     for lemma, n in stratum.lemma_counts().items():
-        cls = lexicon.class_of(lemma)
+        cls = class_of(lemma)
         if cls is not None:
             per_class[cls][lemma] = n
     stratum._class_split = (lexicon, per_class)
     return per_class
 
 
-def _mean_tokens(counter: Counter) -> float | None:
+def _mean_tokens(counter: dict[Lemma, int]) -> float | None:
     """Mean tokens per distinct attested lemma, or None when none is attested."""
     return sum(counter.values()) / len(counter) if counter else None
 

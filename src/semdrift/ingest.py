@@ -43,23 +43,24 @@ def read_text(path, name=None) -> str:
     or undecodable file is an IngestError naming `name` (by default the path)."""
     name = path if name is None else name
     data = read_bytes(path, name)
+    mark = 3 if data.startswith(b"\xef\xbb\xbf") else 0
     try:
-        return data.decode("utf-8-sig")
+        # the "utf-8-sig" codec would load its module in every command; a view of the
+        # bytes after the mark decodes without copying them
+        return str(memoryview(data)[mark:], "utf-8")
     except UnicodeDecodeError as exc:
-        # the offset counts from after the mark, which the codec strips before decoding
-        start = exc.start + 3 if data.startswith(b"\xef\xbb\xbf") else exc.start
-        raise IngestError(f"{name}: not UTF-8 text (byte {start})") from None
+        raise IngestError(f"{name}: not UTF-8 text (byte {mark + exc.start})") from None
 
 
 @cache
 def _sha256():
-    try:
-        from _sha2 import sha256  # Python 3.12 and later
+    try:  # only this version's module: a failed import searches every sys.path entry
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
     except ImportError:
-        try:
-            from _sha256 import sha256  # 3.10 and 3.11
-        except ImportError:
-            from hashlib import sha256  # a CPython built without the built-in hashes
+        from hashlib import sha256  # a CPython built without the built-in hashes
     return sha256
 
 
@@ -330,10 +331,14 @@ class CorpusStratum(Record):
 
     @cached_property
     def _lemma_counts(self) -> Counter:
-        counts: Counter = Counter()
+        if len(self.documents) == 1:  # every caller only reads it
+            return self.documents[0].counts
+        counts: dict[Lemma, int] = {}  # a plain dict: `Counter.update` is a slower loop
+        get = counts.get
         for doc in self.documents:
-            counts.update(doc.counts)
-        return counts
+            for lemma, n in doc.counts.items():
+                counts[lemma] = get(lemma, 0) + n
+        return Counter(counts)
 
     def lemma_counts(self) -> Counter:
         return self._lemma_counts

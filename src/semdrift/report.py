@@ -5,29 +5,33 @@ into its open file, so no file's text is ever held whole. The five record keys t
 hold a non-finite float hold its quoted repr instead, so summary.json stays strict JSON.
 """
 
-from __future__ import annotations
-
 import csv
 import json
 import math
-from typing import TYPE_CHECKING
 
 from . import freq, semfield, stats, vectors
 from .errors import AnalysisError, Record
 from .ingest import CorpusStratum, TranslationKind, group_strata, read_bytes, sha256_hex
 from .lexicon import ConceptMap, SentimentClass, Side
 
+TYPE_CHECKING = False  # type checkers read it as True, and `typing` stays unloaded
 if TYPE_CHECKING:  # `python -m semdrift.cli` runs cli as __main__: importing it would run it twice
     from .cli import RunConfig, ValidationReport
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
+def _fmt(value):
+    """A record value as its CSV cell. A str or an int passes as it is: `csv` writes
+    either as its `str()`. A float shows 12 significant digits, a bool true or false,
+    None nothing and a list its items joined with "|"; anything else is its `str()`."""
+    kind = type(value)
+    if kind is str or kind is int:
+        return value
     if isinstance(value, float):
         return format(value, ".12g")
+    if value is None:
+        return ""
+    if kind is bool:
+        return "true" if value else "false"
     if isinstance(value, list):
         return "|".join(value)
     return str(value)
@@ -39,7 +43,7 @@ def _strict(value: float | None) -> float | str | None:
     return value if value is None or math.isfinite(value) else repr(value)
 
 
-def checksum_inputs(config: RunConfig) -> tuple[str, dict[str, str]]:
+def checksum_inputs(config: "RunConfig") -> tuple[str, dict[str, str]]:
     """The sha256 of each file the config names, keyed as written, and one combined
     checksum over them. A file that cannot be read is an IngestError naming it."""
     files = {raw: sha256_hex(read_bytes(p)) for raw, p in config.inputs.items()}
@@ -72,8 +76,11 @@ class _Table(Record):
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(self.headers)
         getters = [self.cells.get(h, h) for h in self.headers]
-        writer.writerows([_fmt(g(r) if callable(g) else r[g]) for g in getters]
-                         for r in self.records)
+        if any(map(callable, getters)):
+            writer.writerows([_fmt(g(r) if callable(g) else r[g]) for g in getters]
+                             for r in self.records)
+        else:
+            writer.writerows(map(_fmt, map(r.__getitem__, getters)) for r in self.records)
         out.write(self.footer)
 
     def to_summary(self) -> list[dict]:
@@ -83,12 +90,14 @@ class _Table(Record):
 
 
 _CLASS_KEYS = ("unique_lemma_count", "token_count", "mean_tokens_per_lemma")
+# each class's value, read once: an enum member's `value` is a property written in Python
+_CLASS_NAMES = [cls.value for cls in SentimentClass]
 # ANOVA metric -> the unique_lemmas record key it tests
 _METRICS = {"unique_lemmas": "unique_lemma_count",
             "mean_tokens_per_lemma": "mean_tokens_per_lemma"}
 
 
-def stratum_tables(config: RunConfig, inputs: ValidationReport, summary: dict) -> list[_Table]:
+def stratum_tables(config: "RunConfig", inputs: "ValidationReport", summary: dict) -> list[_Table]:
     """Per-stratum sentiment counts and their deviations from the reference norm, in one
     pass; the ANOVA stage tests the unique_lemmas records."""
     unique = _Table("unique_lemmas", ["stratum", "language", "translation_kind", "class",
@@ -120,22 +129,22 @@ def stratum_tables(config: RunConfig, inputs: ValidationReport, summary: dict) -
         deviations = (freq.expected_deviation(stratum, lexicon, ref, config.deviation_mode)
                       if ref is not None and stratum.total_word_count else None)
         entry["classes"] = {}
-        for cls in SentimentClass:
+        for cls, name in zip(SentimentClass, _CLASS_NAMES):
             cs = class_stats[cls]
-            record = {"stratum": stratum.label, **where, "class": cls.value,
+            record = {"stratum": stratum.label, **where, "class": name,
                       "unique_lemma_count": cs.unique_lemma_count,
                       "token_count": cs.token_count,
                       "mean_tokens_per_lemma": cs.mean_tokens_per_lemma}
             unique.records.append(record)
-            entry["classes"][cls.value] = {key: record[key] for key in _CLASS_KEYS}
+            entry["classes"][name] = {key: record[key] for key in _CLASS_KEYS}
             histogram = per_lemma[cls].histogram
-            hist.records += [{"stratum": stratum.label, "class": cls.value,
+            hist.records += [{"stratum": stratum.label, "class": name,
                               "tokens_per_lemma": n, "lemma_count": histogram[n]}
                              for n in sorted(histogram)]
             if deviations is None:
                 continue
             dev = deviations[cls]
-            at = {"stratum": stratum.label, "class": cls.value}
+            at = {"stratum": stratum.label, "class": name}
             deviation.records.append({
                 **at, "mode": dev.mode.value,
                 "mean_deviation": _strict(dev.mean_deviation),
@@ -152,7 +161,7 @@ def stratum_tables(config: RunConfig, inputs: ValidationReport, summary: dict) -
     return [unique, hist, deviation, by_lemma]
 
 
-def anova_tables(config: RunConfig, inputs: ValidationReport, by_kind: dict,
+def anova_tables(config: "RunConfig", inputs: "ValidationReport", by_kind: dict,
                   unique: _Table, summary: dict) -> list[_Table]:
     """ANOVA + Tukey per factor, class and metric.
 
@@ -177,14 +186,14 @@ def anova_tables(config: RunConfig, inputs: ValidationReport, by_kind: dict,
         for slice_label, members, factors in slices:
             for factor in factors:
                 groups = group_strata(members, (factor,))
-                for cls in SentimentClass:
+                for name in _CLASS_NAMES:
                     for metric, key in _METRICS.items():
                         where = {"language": language, "slice": slice_label,
-                                 "factor": factor, "class": cls.value, "metric": metric}
+                                 "factor": factor, "class": name, "metric": metric}
                         samples = []
                         for (value,), group in groups.items():
-                            xs = [observed[(m.label, cls.value)][key] for m in group]
-                            xs = tuple(float(x) for x in xs if x is not None)
+                            xs = [observed[m.label, name][key] for m in group]
+                            xs = [x for x in xs if x is not None]
                             if len(xs) >= 2:
                                 samples.append(stats.GroupSample(value, xs))
                         if len(samples) < 2:
@@ -210,7 +219,7 @@ def anova_tables(config: RunConfig, inputs: ValidationReport, by_kind: dict,
     return [anova, tukey]
 
 
-def concept_tables(config: RunConfig, cmap: ConceptMap, merged: list[CorpusStratum],
+def concept_tables(config: "RunConfig", cmap: ConceptMap, merged: list[CorpusStratum],
                     summary: dict) -> list[_Table]:
     """Variant profiles, top-k concepts and concept vectors in one pass over the merged
     strata; then field width against the source-kind stratum in the concept map's source

@@ -47,8 +47,8 @@ _Rule = tuple[tuple[float, ...], tuple[float, ...]]  # nodes and weights
 
 class GroupSample(FrozenRecord):
     def __init__(self, label: str, values: tuple[float, ...]):
-        values = tuple(float(v) for v in values)
-        if any(not math.isfinite(v) for v in values):
+        values = tuple(map(float, values))
+        if not all(map(math.isfinite, values)):
             raise ValidationError(f"group {label!r} contains non-finite values")
         self.__dict__.update(label=label, values=values)
 
@@ -229,7 +229,7 @@ def _table_rows(path: Path, key: int) -> list[tuple[float, ...]]:
     and the read stops at the end of their block.
     """
     prefix, rows = f"{key} ", []
-    with path.open(encoding="ascii") as table:
+    with path.open(encoding="utf-8") as table:  # ASCII, read without loading its codec
         for line in table:
             if line.startswith(prefix):
                 rows.append(tuple(map(float.fromhex, line.split()[1:])))

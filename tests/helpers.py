@@ -48,15 +48,19 @@ def make_stratum(lemmas, language="en", kind=TranslationKind.SOURCE,
 
 
 def count_class_of(monkeypatch) -> list:
-    """Record the lemma of every `SentimentLexicon.class_of` call from here on."""
+    """Record the lemma of every class lookup in a `SentimentLexicon`'s lemma -> class
+    mapping from here on, by `class_of` or through the mapping's `get`."""
     calls = []
-    original = SentimentLexicon.class_of
 
-    def counted(self, lemma):
-        calls.append(lemma)
-        return original(self, lemma)
+    class Counted(dict):
+        def get(self, lemma, default=None):
+            calls.append(lemma)
+            return dict.get(self, lemma, default)
 
-    monkeypatch.setattr(SentimentLexicon, "class_of", counted)
+    # a property on the class wins over the mapping in each lexicon's own __dict__
+    monkeypatch.setattr(SentimentLexicon, "_class_of",
+                        property(lambda self: Counted(self.__dict__["_class_of"])),
+                        raising=False)
     return calls
 
 

@@ -11,8 +11,11 @@ every module of the package is loaded by at least one command. No command loads 
 `inspect`, `hashlib` or `_hashlib` (OpenSSL): every SHA-256 comes from the interpreter's
 built-in module, which only `analyze` and a `synth` whose document ids are not plain
 names load. Neither `validate` nor the set-up job loads `csv`, which only `analyze` uses.
-Each command runs in a fresh interpreter, which reports its exit code and the modules it
-loaded; the package's exports load on first access.
+Over a bare interpreter, no command adds the codecs of a byte order mark or of ASCII (every
+file is decoded as UTF-8), `__future__` or `typing`, and the set-up job adds neither
+`argparse` nor `gettext`, which only the command line's parser uses. Each command runs in a
+fresh interpreter, which reports its exit code and the modules it loaded; the package's
+exports load on first access.
 """
 
 import importlib
@@ -22,6 +25,7 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -46,6 +50,12 @@ ANALYZE = VALIDATE | {"semdrift.report", "semdrift.semfield", "semdrift.stats",
 # from the built-in module), and the one only `analyze` loads, for its CSV tables
 NEVER_LOADED = {"dataclasses", "inspect", "hashlib", "_hashlib"}
 WRITE_ONLY = {"csv"}
+# stdlib modules no command adds to what a bare interpreter loads, which a site hook may
+# make any of: `read_text` strips a byte order mark itself and the kernel reads its ASCII
+# tables as UTF-8, so neither codec module loads, and no module imports `__future__` or
+# `typing`
+TRIMMED = {"encodings.utf_8_sig", "encodings.ascii", "__future__", "typing"}
+PARSER_ONLY = {"argparse", "gettext"}  # `main` imports them to parse its arguments
 # the built-in SHA-256 module, loaded to hash the inputs' checksums and the file names of
 # non-plain document ids; from Python 3.12 it is `_sha2`, which `random` loads in every
 # command for its own seeding, so only before 3.12 does it show whether a command hashed
@@ -63,6 +73,16 @@ def run_fresh(code: str, *args: str) -> str:
     proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                           text=True, check=True)
     return proc.stdout.splitlines()[-1]
+
+
+@cache
+def bare_modules() -> frozenset[str]:
+    """The modules an interpreter has loaded before it runs any code, in this environment."""
+    return frozenset(run_fresh("import sys\nprint(*sys.modules)").split())
+
+
+def added(modules: set[str]) -> set[str]:
+    return modules - bare_modules()
 
 
 def run_command(*args: str, config: Path = DATA / "config.json") -> tuple[int, set[str]]:
@@ -98,6 +118,7 @@ def test_validate_never_imports_numpy():
     assert "numpy" not in modules
     assert semdrift_modules(modules) == VALIDATE
     assert not modules & (NEVER_LOADED | WRITE_ONLY | HASH_ONLY)
+    assert not added(modules) & TRIMMED
 
 
 def test_benchmark_setup_job_loads_only_the_common_modules():
@@ -110,6 +131,7 @@ def test_benchmark_setup_job_loads_only_the_common_modules():
     assert "numpy" not in modules
     assert semdrift_modules(modules) == COMMON
     assert not modules & (NEVER_LOADED | WRITE_ONLY | HASH_ONLY)
+    assert not added(modules) & (TRIMMED | PARSER_ONLY)
 
 
 def test_two_group_analyze_never_imports_numpy(tmp_path):
@@ -118,6 +140,7 @@ def test_two_group_analyze_never_imports_numpy(tmp_path):
     assert "numpy" not in modules
     assert semdrift_modules(modules) == ANALYZE
     assert not modules & NEVER_LOADED
+    assert not added(modules) & TRIMMED
     assert BUILTIN_SHA256 in modules
     tests = pairs_per_test(tmp_path)
     assert tests and set(tests.values()) == {1}  # one pair per test: every k is 2
@@ -131,6 +154,7 @@ def test_many_group_analyze_never_imports_numpy(tmp_path):
     assert "numpy" not in modules
     assert semdrift_modules(modules) == ANALYZE
     assert not modules & NEVER_LOADED
+    assert not added(modules) & TRIMMED  # its k = 3 tests read both kernel tables
     assert BUILTIN_SHA256 in modules
     tests = pairs_per_test(out)
     # every summit test compares three groups (three pairs, k = 3)
@@ -173,6 +197,7 @@ def test_default_synth_loads_no_numpy_and_writes_the_same_bytes(tmp_path):
     assert "numpy" not in modules
     assert semdrift_modules(modules) == SYNTH
     assert not modules & (NEVER_LOADED | HASH_ONLY)
+    assert not added(modules) & TRIMMED
     assert digest(tmp_path) == SYNTH_DIGEST
 
 

@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import itertools
 import json
@@ -18,7 +19,7 @@ from semdrift import (CorpusStratum, Document, FrequencyTable, LangProfile, Lemm
                       tokenize)
 from semdrift.chunks import _SPACE, ChunkTable, count_chunks
 from semdrift.errors import IngestError, ValidationError
-from semdrift.ingest import _WHITESPACE, group_strata, read_json, sha256_hex
+from semdrift.ingest import _WHITESPACE, _sha256, group_strata, read_json, read_text, sha256_hex
 
 from helpers import DATA, fixture_lexicons, make_stratum
 
@@ -364,6 +365,63 @@ def test_sha256_hex_is_hashlibs_digest(data):
     assert sha256_hex(data) == hashlib.sha256(data).hexdigest()
 
 
+# the interpreter's built-in SHA-256 module: `_sha2` from Python 3.12, `_sha256` before it
+BUILTIN_SHA256 = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+
+
+class TestBuiltinHash:
+    def test_imports_only_this_versions_module(self, monkeypatch):
+        # a failed import of the other version's module would search every sys.path entry
+        imported, real_import = [], builtins.__import__
+
+        def recording(name, *args, **kwargs):
+            imported.append(name)
+            return real_import(name, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "__import__", recording)
+        _sha256.cache_clear()
+        try:
+            found = _sha256()
+        finally:
+            _sha256.cache_clear()
+        assert imported == [BUILTIN_SHA256]
+        assert found is sys.modules[BUILTIN_SHA256].sha256
+
+    def test_falls_back_to_hashlib_without_the_builtin_module(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, BUILTIN_SHA256, None)  # its import now fails
+        _sha256.cache_clear()
+        try:
+            assert _sha256() is hashlib.sha256
+            assert sha256_hex(b"abc") == hashlib.sha256(b"abc").hexdigest()
+        finally:
+            _sha256.cache_clear()
+
+
+_MARK = b"\xef\xbb\xbf"
+
+
+def _read_by_the_codec(data: bytes):
+    """What decoding with the "utf-8-sig" codec gives: the text, or the offset in the file
+    of the first byte that does not decode (the codec strips the mark before decoding)."""
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        return exc.start + 3 if data.startswith(_MARK) else exc.start
+
+
+def _encoded(text: str) -> bytes:
+    return text.encode("utf-8", "surrogatepass")  # a lone surrogate does not decode
+
+
+# a file's bytes: arbitrary, or text behind no mark, a mark, part of one or two, with a
+# few arbitrary bytes between two runs of text
+_FILE_BYTES = st.one_of(
+    st.binary(max_size=40),
+    st.tuples(st.sampled_from([b"", _MARK, _MARK[:2], _MARK * 2]), st.text(max_size=30),
+              st.binary(max_size=3), st.text(max_size=30)).map(
+        lambda p: p[0] + _encoded(p[1]) + p[2] + _encoded(p[3])))
+
+
 class TestByteOrderMark:
     """A file saved with a UTF-8 byte order mark reads as the same file saved without one:
     the mark never becomes part of the first row's first field."""
@@ -401,6 +459,20 @@ class TestByteOrderMark:
         (tmp_path / "d.tsv").write_bytes(data)
         with pytest.raises(IngestError, match=rf"d\.tsv: not UTF-8 text \(byte {offset}\)$"):
             LemmaDict.load(tmp_path / "d.tsv", "en")
+
+    @given(_FILE_BYTES)
+    @example(_MARK)  # a file that holds only the mark
+    @example(_MARK + b"ab\xff")
+    @example(b"\xef\xbb" + b"\xbf\xff")
+    def test_reads_as_the_utf_8_sig_codec(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "read_text.txt"
+        path.write_bytes(data)
+        expected = _read_by_the_codec(data)
+        if isinstance(expected, str):
+            assert read_text(path) == expected
+        else:
+            with pytest.raises(IngestError, match=rf"not UTF-8 text \(byte {expected}\)$"):
+                read_text(path)
 
 
 class TestLemmaDictLoad:
@@ -510,6 +582,25 @@ class TestStratify:
         for key in ("summit", "term", "translation_kind", "language"):
             merged = _word_counts(group_strata(strata, (key,)))
             assert sum(merged.values()) == total
+
+
+class TestStratumLemmaCounts:
+    def test_a_one_document_stratum_reads_its_documents_counts(self):
+        stratum = make_stratum(["say", "tell", "say"])
+        assert stratum.lemma_counts() is stratum.documents[0].counts
+
+    @given(st.lists(st.lists(st.sampled_from(["say", "tell", "good", "bad"]), max_size=20),
+                    min_size=2, max_size=5))
+    def test_several_documents_sum_into_a_fresh_counter(self, lemmas_by_document):
+        documents = [Document.from_lemmas(f"d{i}", lemmas)
+                     for i, lemmas in enumerate(lemmas_by_document)]
+        before = [list(doc.counts.items()) for doc in documents]
+        counts = CorpusStratum("en", TranslationKind.SOURCE, {}, documents).lemma_counts()
+        # the sum, in first-occurrence order over the documents in turn
+        expected = Counter(itertools.chain.from_iterable(lemmas_by_document))
+        assert type(counts) is Counter and list(counts.items()) == list(expected.items())
+        assert all(counts is not doc.counts for doc in documents)
+        assert [list(doc.counts.items()) for doc in documents] == before
 
 
 class TestSaveCorpus:

@@ -1,6 +1,6 @@
-"""summary.json's writer and the strict JSON it writes: the types it refuses, the
-non-finite floats it refuses, the five record keys that quote them instead, and the memory
-it holds while it writes a file."""
+"""The CSV writer's bytes against its per-cell reference, and summary.json's writer and
+the strict JSON it writes: the types it refuses, the non-finite floats it refuses, the five
+record keys that quote them instead, and the memory it holds while it writes a file."""
 
 import csv
 import io
@@ -9,6 +9,8 @@ import shutil
 import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from semdrift import DegenerateVarianceWarning
 from semdrift.cli import main
@@ -17,6 +19,50 @@ from semdrift.report import _Table, write_summary
 from helpers import DATA, read_summary
 
 NAN, INF = float("nan"), float("inf")
+
+
+def reference_cell(value) -> str:
+    """A CSV cell as each value was rendered before str and int passed to `csv` as they are."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".12g")
+    if isinstance(value, list):
+        return "|".join(value)
+    return str(value)
+
+
+def reference_csv(table: _Table, mode_line: str, checksum: str) -> str:
+    out = io.StringIO()
+    out.write(f"# table: {table.name}\n# mode: {mode_line}\n# inputs: sha256={checksum}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(table.headers)
+    getters = [table.cells.get(h, h) for h in table.headers]
+    writer.writerows([reference_cell(g(r) if callable(g) else r[g]) for g in getters]
+                     for r in table.records)
+    out.write(table.footer)
+    return out.getvalue()
+
+
+_TRICKY_TEXT = st.text(st.sampled_from(',"\n\r| aé\x00'), max_size=6) | st.text(max_size=6)
+_CELL = st.one_of(
+    st.floats(), st.sampled_from([0.0, -0.0, INF, -INF, NAN, 5e-324, -2.2250738585072014e-308,
+                                  1e300, -1e-300, 1e-300]),
+    st.integers(), st.booleans(), st.none(), _TRICKY_TEXT, st.lists(_TRICKY_TEXT, max_size=3))
+
+
+@given(st.lists(st.fixed_dictionaries({"a": _CELL, "b": _CELL, "c": _CELL}), max_size=6),
+       st.booleans(), st.sampled_from(["", "# footer\n"]))
+def test_csv_bytes_are_the_per_cell_references(records, with_function, footer):
+    # "b" shows the record key "c"; with `with_function`, "f" shows a function of the record
+    cells = {"b": "c", "f": lambda r: r["a"] if r["b"] is None else [str(r["b"])]}
+    headers = ["a", "b", "f"] if with_function else ["a", "b"]
+    table = _Table("t", headers, cells, footer=footer, records=records)
+    out = io.StringIO()
+    table.write_csv(out, "deviation=difference", "0" * 64)
+    assert out.getvalue() == reference_csv(table, "deviation=difference", "0" * 64)
 
 
 def summary_json(value) -> str:
