@@ -91,13 +91,14 @@ class ChunkTable:
         for chunk, size in zip(new, sizes):
             table[chunk] = (self._shared(next(resolved), chunk if own else None) if size == 1
                             else tuple(self._shared(next(resolved)) for _ in range(size)))
-        counts: dict[Lemma, int] = {}  # a plain dict: storing into a Counter is slower
+        # straight into the Counter: a dict copied into one would hold the counts twice
+        counts: Counter = Counter()
         get = counts.get
         for chunk, n in chunks.items():
             value = table[chunk]
-            if type(value) is str:
-                counts[value] = get(value, 0) + n
-            else:
+            if type(value) is tuple:  # the table's own type: a lemma may be a str subclass
                 for lemma in value:
                     counts[lemma] = get(lemma, 0) + n
-        return Counter(counts)
+            else:
+                counts[value] = get(value, 0) + n
+        return counts

@@ -69,12 +69,7 @@ def _class_counts(stratum: CorpusStratum,
     if split is not None and split[0] is lexicon:
         return split[1]
     check_language("stratum", stratum.language_code, "lexicon", lexicon.language_code)
-    per_class: dict[SentimentClass, dict[Lemma, int]] = {cls: {} for cls in SentimentClass}
-    class_of = lexicon._class_of.get  # one bound lookup, not a method call per lemma
-    for lemma, n in stratum.lemma_counts().items():
-        cls = class_of(lemma)
-        if cls is not None:
-            per_class[cls][lemma] = n
+    per_class = lexicon.split_by_class(stratum.lemma_counts())
     stratum._class_split = (lexicon, per_class)
     return per_class
 

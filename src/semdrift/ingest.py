@@ -333,12 +333,10 @@ class CorpusStratum(Record):
     def _lemma_counts(self) -> Counter:
         if len(self.documents) == 1:  # every caller only reads it
             return self.documents[0].counts
-        counts: dict[Lemma, int] = {}  # a plain dict: `Counter.update` is a slower loop
-        get = counts.get
+        counts: Counter = Counter()
         for doc in self.documents:
-            for lemma, n in doc.counts.items():
-                counts[lemma] = get(lemma, 0) + n
-        return Counter(counts)
+            counts.update(doc.counts)
+        return counts
 
     def lemma_counts(self) -> Counter:
         return self._lemma_counts

@@ -82,6 +82,17 @@ class SentimentLexicon(FrozenRecord):
     def class_of(self, lemma: Lemma) -> SentimentClass | None:
         return self._class_of.get(lemma)
 
+    def split_by_class(self, counts: dict[Lemma, int]
+                       ) -> dict[SentimentClass, dict[Lemma, int]]:
+        """`counts` split by class in one pass, in its order; unlisted lemmas drop out."""
+        per_class: dict[SentimentClass, dict[Lemma, int]] = {cls: {} for cls in SentimentClass}
+        class_of = self._class_of.get  # one bound lookup, not a method call per lemma
+        for lemma, n in counts.items():
+            cls = class_of(lemma)
+            if cls is not None:
+                per_class[cls][lemma] = n
+        return per_class
+
 
 def find_conflicts(raws: list[RawLexiconEntry]) -> dict[Lemma, set[SentimentClass]]:
     """Lemmas claimed by more than one sentiment class across the raw entries."""

@@ -55,9 +55,9 @@ class _Table(Record):
     """One bundle table, built once: its records render both the CSV and summary.json.
 
     A record is a dict of native values. Each CSV header shows the record key
-    of the same name unless `cells` maps it to another key or to a function of
-    the record; a list shows joined with "|". Keys in `csv_only` stay out of
-    the summary; keys no header shows appear only there.
+    of the same name unless `cells` maps it to another key; a list shows joined
+    with "|". Keys in `csv_only` stay out of the summary; keys no header shows
+    appear only there.
     """
 
     def __init__(self, name: str, headers: list[str], cells: dict | None = None,
@@ -75,12 +75,8 @@ class _Table(Record):
         out.write(f"# table: {self.name}\n# mode: {mode_line}\n# inputs: sha256={checksum}\n")
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(self.headers)
-        getters = [self.cells.get(h, h) for h in self.headers]
-        if any(map(callable, getters)):
-            writer.writerows([_fmt(g(r) if callable(g) else r[g]) for g in getters]
-                             for r in self.records)
-        else:
-            writer.writerows(map(_fmt, map(r.__getitem__, getters)) for r in self.records)
+        keys = [self.cells.get(h, h) for h in self.headers]
+        writer.writerows(map(_fmt, map(r.__getitem__, keys)) for r in self.records)
         out.write(self.footer)
 
     def to_summary(self) -> list[dict]:
@@ -90,8 +86,6 @@ class _Table(Record):
 
 
 _CLASS_KEYS = ("unique_lemma_count", "token_count", "mean_tokens_per_lemma")
-# each class's value, read once: an enum member's `value` is a property written in Python
-_CLASS_NAMES = [cls.value for cls in SentimentClass]
 # ANOVA metric -> the unique_lemmas record key it tests
 _METRICS = {"unique_lemmas": "unique_lemma_count",
             "mean_tokens_per_lemma": "mean_tokens_per_lemma"}
@@ -108,7 +102,8 @@ def stratum_tables(config: "RunConfig", inputs: "ValidationReport", summary: dic
     deviation = _Table(
         "deviation", ["stratum", "class", "mode", "mean_deviation", "median_deviation",
                       "covered_lemmas", "uncovered_lemmas"],
-        {"covered_lemmas": "n_covered", "uncovered_lemmas": lambda r: len(r["uncovered"])})
+        {"covered_lemmas": "n_covered", "uncovered_lemmas": "n_uncovered"},
+        csv_only=("n_uncovered",))
     by_lemma = _Table("deviation_lemmas", ["stratum", "class", "lemma", "observed_pct",
                                            "expected_pct", "value", "status"])
     summary["strata"] = []
@@ -129,27 +124,28 @@ def stratum_tables(config: "RunConfig", inputs: "ValidationReport", summary: dic
         deviations = (freq.expected_deviation(stratum, lexicon, ref, config.deviation_mode)
                       if ref is not None and stratum.total_word_count else None)
         entry["classes"] = {}
-        for cls, name in zip(SentimentClass, _CLASS_NAMES):
+        for cls in SentimentClass:
             cs = class_stats[cls]
-            record = {"stratum": stratum.label, **where, "class": name,
+            record = {"stratum": stratum.label, **where, "class": cls.value,
                       "unique_lemma_count": cs.unique_lemma_count,
                       "token_count": cs.token_count,
                       "mean_tokens_per_lemma": cs.mean_tokens_per_lemma}
             unique.records.append(record)
-            entry["classes"][name] = {key: record[key] for key in _CLASS_KEYS}
+            entry["classes"][cls.value] = {key: record[key] for key in _CLASS_KEYS}
             histogram = per_lemma[cls].histogram
-            hist.records += [{"stratum": stratum.label, "class": name,
+            hist.records += [{"stratum": stratum.label, "class": cls.value,
                               "tokens_per_lemma": n, "lemma_count": histogram[n]}
                              for n in sorted(histogram)]
             if deviations is None:
                 continue
             dev = deviations[cls]
-            at = {"stratum": stratum.label, "class": name}
+            at = {"stratum": stratum.label, "class": cls.value}
             deviation.records.append({
                 **at, "mode": dev.mode.value,
                 "mean_deviation": _strict(dev.mean_deviation),
                 "median_deviation": _strict(dev.median_deviation),
-                "n_covered": len(dev.per_lemma), "uncovered": list(dev.uncovered)})
+                "n_covered": len(dev.per_lemma), "uncovered": list(dev.uncovered),
+                "n_uncovered": len(dev.uncovered)})
             by_lemma.records += [{**at, "lemma": lemma, "observed_pct": dev.observed_pct[lemma],
                                   "expected_pct": dev.expected_pct[lemma],
                                   "value": dev.per_lemma[lemma], "status": "covered"}
@@ -186,13 +182,13 @@ def anova_tables(config: "RunConfig", inputs: "ValidationReport", by_kind: dict,
         for slice_label, members, factors in slices:
             for factor in factors:
                 groups = group_strata(members, (factor,))
-                for name in _CLASS_NAMES:
+                for cls in SentimentClass:
                     for metric, key in _METRICS.items():
                         where = {"language": language, "slice": slice_label,
-                                 "factor": factor, "class": name, "metric": metric}
+                                 "factor": factor, "class": cls.value, "metric": metric}
                         samples = []
                         for (value,), group in groups.items():
-                            xs = [observed[m.label, name][key] for m in group]
+                            xs = [observed[m.label, cls.value][key] for m in group]
                             xs = [x for x in xs if x is not None]
                             if len(xs) >= 2:
                                 samples.append(stats.GroupSample(value, xs))

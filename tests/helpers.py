@@ -48,19 +48,21 @@ def make_stratum(lemmas, language="en", kind=TranslationKind.SOURCE,
 
 
 def count_class_of(monkeypatch) -> list:
-    """Record the lemma of every class lookup in a `SentimentLexicon`'s lemma -> class
-    mapping from here on, by `class_of` or through the mapping's `get`."""
+    """Record the lemma of every class lookup in a `SentimentLexicon` from here on, by
+    `class_of` or `split_by_class`."""
     calls = []
+    class_of, split_by_class = SentimentLexicon.class_of, SentimentLexicon.split_by_class
 
-    class Counted(dict):
-        def get(self, lemma, default=None):
-            calls.append(lemma)
-            return dict.get(self, lemma, default)
+    def counted(self, lemma):
+        calls.append(lemma)
+        return class_of(self, lemma)
 
-    # a property on the class wins over the mapping in each lexicon's own __dict__
-    monkeypatch.setattr(SentimentLexicon, "_class_of",
-                        property(lambda self: Counted(self.__dict__["_class_of"])),
-                        raising=False)
+    def counted_split(self, counts):
+        calls.extend(counts)
+        return split_by_class(self, counts)
+
+    monkeypatch.setattr(SentimentLexicon, "class_of", counted)
+    monkeypatch.setattr(SentimentLexicon, "split_by_class", counted_split)
     return calls
 
 

@@ -694,6 +694,10 @@ _TEXT_DICTS = {"en": _SURFACES,
                "ru": LemmaDict("ru", {"йод": "йод-лемма", "ёлка": "ель", "Йод": "йод"})}
 
 
+class _StrSubclass(str):
+    pass
+
+
 def _text_profiles(language: str) -> list[LangProfile]:
     """The default profile, one that keeps case, and one whose letters include " "."""
     default = default_profile(language)
@@ -738,6 +742,9 @@ class TestCountOnRead:
             st.sampled_from(_SEPARATORS)), max_size=60),
         st.just(_TEXT_DICTS[language]))))
     @example((_text_profiles("ru")[2], [("мой", " "), ("йод", "")], _TEXT_DICTS["ru"]))
+    # a lemma of a str subclass, as `dict(zip(...))` over numpy arrays gives, counts whole
+    @example((default_profile("en"), [("went", " "), ("went", "")],
+              LemmaDict("en", {"went": _StrSubclass("go")})))
     def test_counts_equal_lemmatized_tokens_in_order(self, case):
         # from_text tokenizes distinct whitespace chunks; tokenize sees the whole text
         profile, pieces, lemma_dict = case

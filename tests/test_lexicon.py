@@ -130,6 +130,20 @@ class TestMergeDisjoint:
             assert lexicon.class_of(lemma) is next(
                 (cls for cls in classes if lemma in lists[cls]), None)
 
+    @given(st.fixed_dictionaries({cls: st.frozensets(st.sampled_from("abcdef"))
+                                  for cls in SentimentClass}),
+           st.dictionaries(st.sampled_from("abcdefg"), st.integers(1, 9)))
+    def test_split_by_class_is_class_of_per_lemma_in_order(self, lists, counts):
+        try:
+            lexicon = SentimentLexicon("en", lists)
+        except ValidationError:
+            return
+        expected = {cls: {lemma: n for lemma, n in counts.items()
+                          if lexicon.class_of(lemma) is cls} for cls in SentimentClass}
+        split = lexicon.split_by_class(counts)
+        assert split == expected
+        assert all(list(split[cls]) == list(expected[cls]) for cls in SentimentClass)
+
     def test_pairwise_disjoint_enforced(self):
         with pytest.raises(ValidationError, match="not disjoint"):
             SentimentLexicon("en", {POS: frozenset({"x"}), NEG: frozenset({"x"}),
