@@ -235,11 +235,12 @@ def analyze(config: RunConfig, inputs: ValidationReport) -> dict[str, partial]:
     writes the file's text into an open text file.
 
     `inputs` is the `run_validation(config)` report, whose loaded inputs are
-    analyzed. Each table is built once, as records that render both its CSV and
-    its summary.json section. Every table is computed here and nothing is
-    written: `cmd_analyze` renders each file straight into its open file only
-    after the whole bundle is computed, so failures leave no partial output
-    behind, and no file's text is ever held whole in memory.
+    analyzed. Every table is computed here and nothing is written: `cmd_analyze`
+    renders each file straight into its open file only after the whole bundle is
+    computed, so failures leave no partial output behind, and no file's text is
+    ever held whole in memory. A CSV-only table holds no rows: each is made, from
+    the results computed here, as its file is written (see `report`), so each
+    writer may be called again.
     """
     from . import report
     if inputs.errors:
@@ -257,9 +258,8 @@ def analyze(config: RunConfig, inputs: ValidationReport) -> dict[str, partial]:
         "skipped": [],
     }
     by_kind = group_strata(inputs.strata, ("language", "translation_kind"))
-    unique, *per_stratum = report.stratum_tables(config, inputs, summary)
-    tables = [unique, *per_stratum,
-              *report.anova_tables(config, inputs, by_kind, unique, summary)]
+    tables = [*report.stratum_tables(config, inputs, summary),
+              *report.anova_tables(config, inputs, by_kind, summary)]
     if inputs.concept_map is not None:
         # semantic field and vectors over (language, translation kind) merges
         merged = [CorpusStratum(language, TranslationKind(kind), {},

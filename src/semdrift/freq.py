@@ -80,8 +80,20 @@ def _mean_tokens(counter: dict[Lemma, int]) -> float | None:
 
 
 class TokensPerLemma(FrozenRecord):
+    """Mean tokens per attested lemma of one class, and how many lemmas have each count."""
+
     def __init__(self, mean: float | None, histogram: dict[int, int] | None = None):
         self.__dict__.update(mean=mean, histogram={} if histogram is None else histogram)
+
+    @property
+    def lemma_count(self) -> int:
+        """The class's distinct attested lemmas."""
+        return sum(self.histogram.values())
+
+    @property
+    def token_count(self) -> int:
+        """The tokens of the class's attested lemmas."""
+        return sum(n * lemmas for n, lemmas in self.histogram.items())
 
 
 def tokens_per_lemma(stratum: CorpusStratum,
@@ -122,21 +134,19 @@ def expected_deviation(stratum: CorpusStratum, lexicon: SentimentLexicon,
     reports observed / expected. Attested lemmas the reference does not cover
     (and, in ratio mode, covered lemmas whose expected percent is 0.0, as is
     that of a per-million below about 2.5e-320) are excluded from the mean and
-    listed under `uncovered` instead of being silently treated as zero.
+    listed under `uncovered` instead of being silently treated as zero. Each
+    class's `observed_pct` is the `observed_freq_pct` of `sentiment_stats`.
     """
     mode = member("mode", mode, DeviationMode)
-    per_class = _class_counts(stratum, lexicon)
+    class_stats = sentiment_stats(stratum, lexicon)
     check_language("stratum", stratum.language_code, "frequency table", ref.language_code)
-    total = stratum.total_word_count
     out: dict[SentimentClass, ClassDeviation] = {}
-    for cls, counter in per_class.items():
-        observed: dict[str, float] = {}
+    for cls, stats in class_stats.items():
+        observed = stats.observed_freq_pct
         expected: dict[str, float] = {}
         per_lemma: dict[str, float] = {}
         uncovered: list[str] = []
-        for lemma in sorted(counter):
-            obs = 100.0 * counter[lemma] / total
-            observed[lemma] = obs
+        for lemma, obs in observed.items():
             pm, covered = ref.lookup(lemma)
             exp = pm * PER_MILLION_TO_PCT
             if not covered or (mode is DeviationMode.RATIO and exp == 0.0):

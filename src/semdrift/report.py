@@ -1,8 +1,14 @@
 """The report bundle, loaded by `analyze` alone: its table model, the builders of its
-tables, each built once as records that render both its CSV and its summary.json section,
-and the writer of summary.json, the stdlib's `json.dump`. Each file is rendered straight
-into its open file, so no file's text is ever held whole. The five record keys that can
-hold a non-finite float hold its quoted repr instead, so summary.json stays strict JSON.
+tables and the writer of summary.json, the stdlib's `json.dump`. Every value is computed
+once, before any file is written, and held once. No table holds rows of its own: each makes
+its rows as its file is written. Most make them from the summary.json section that holds
+the same values (unique_lemmas from `strata`, then deviation, anova, tukey, variants,
+field_width, cosine, euclidean and pca). The three that summary.json does not hold make
+them from the per-stratum results they keep: tokens_per_lemma_hist from each class's
+histogram, deviation_lemmas from each class's `ClassDeviation`, and top_concepts from the
+ranked variant records. Each file is rendered straight into its open file, so no file's
+text is ever held whole. The five record keys that can hold a non-finite float hold its
+quoted repr instead, so summary.json stays strict JSON.
 """
 
 import csv
@@ -16,6 +22,8 @@ from .lexicon import ConceptMap, SentimentClass, Side
 
 TYPE_CHECKING = False  # type checkers read it as True, and `typing` stays unloaded
 if TYPE_CHECKING:  # `python -m semdrift.cli` runs cli as __main__: importing it would run it twice
+    from collections.abc import Callable, Iterable
+
     from .cli import RunConfig, ValidationReport
 
 
@@ -52,126 +60,134 @@ def checksum_inputs(config: "RunConfig") -> tuple[str, dict[str, str]]:
 
 
 class _Table(Record):
-    """One bundle table, built once: its records render both the CSV and summary.json.
+    """One bundle CSV: its name, its headers and `rows`, which returns a new iterable of
+    the table's rows on each call, each row its cells' values in header order. A row is
+    made as the CSV is written, from results computed before any file is written."""
 
-    A record is a dict of native values. Each CSV header shows the record key
-    of the same name unless `cells` maps it to another key; a list shows joined
-    with "|". Keys in `csv_only` stay out of the summary; keys no header shows
-    appear only there.
-    """
-
-    def __init__(self, name: str, headers: list[str], cells: dict | None = None,
-                 csv_only: tuple[str, ...] = (), footer: str = "",
-                 records: list[dict] | None = None):
+    def __init__(self, name: str, headers: list[str], rows: "Callable[[], Iterable]",
+                 footer: str = ""):
         self.name = name
         self.headers = headers
-        self.cells = {} if cells is None else cells
-        self.csv_only = csv_only
+        self.rows = rows
         self.footer = footer
-        self.records = [] if records is None else records
 
     def write_csv(self, out, mode_line: str, checksum: str) -> None:
         """Write the table's CSV text into the open text file `out`, a row at a time."""
         out.write(f"# table: {self.name}\n# mode: {mode_line}\n# inputs: sha256={checksum}\n")
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(self.headers)
-        keys = [self.cells.get(h, h) for h in self.headers]
-        writer.writerows(map(_fmt, map(r.__getitem__, keys)) for r in self.records)
+        writer.writerows(map(_fmt, row) for row in self.rows())
         out.write(self.footer)
 
-    def to_summary(self) -> list[dict]:
-        if not self.csv_only:  # summary.json is rendered from the same records, unchanged
-            return self.records
-        return [{k: v for k, v in r.items() if k not in self.csv_only} for r in self.records]
+
+def _record_rows(records: list[dict], keys) -> "Callable[[], Iterable]":
+    """The `rows` of a table whose records summary.json holds: each record's values at
+    `keys`, in order."""
+    return lambda: (map(r.__getitem__, keys) for r in records)
 
 
 _CLASS_KEYS = ("unique_lemma_count", "token_count", "mean_tokens_per_lemma")
-# ANOVA metric -> the unique_lemmas record key it tests
+# ANOVA metric -> the class count it tests
 _METRICS = {"unique_lemmas": "unique_lemma_count",
             "mean_tokens_per_lemma": "mean_tokens_per_lemma"}
 
 
 def stratum_tables(config: "RunConfig", inputs: "ValidationReport", summary: dict) -> list[_Table]:
     """Per-stratum sentiment counts and their deviations from the reference norm, in one
-    pass; the ANOVA stage tests the unique_lemmas records."""
-    unique = _Table("unique_lemmas", ["stratum", "language", "translation_kind", "class",
-                                      "unique_lemmas", "tokens", "mean_tokens_per_lemma"],
-                    {"unique_lemmas": "unique_lemma_count", "tokens": "token_count"})
-    hist = _Table("tokens_per_lemma_hist",
-                  ["stratum", "class", "tokens_per_lemma", "lemma_count"])
-    deviation = _Table(
-        "deviation", ["stratum", "class", "mode", "mean_deviation", "median_deviation",
-                      "covered_lemmas", "uncovered_lemmas"],
-        {"covered_lemmas": "n_covered", "uncovered_lemmas": "n_uncovered"},
-        csv_only=("n_uncovered",))
-    by_lemma = _Table("deviation_lemmas", ["stratum", "class", "lemma", "observed_pct",
-                                           "expected_pct", "value", "status"])
-    summary["strata"] = []
+    pass. summary.json holds each stratum's class counts, which unique_lemmas shows and
+    the ANOVA stage tests, and each class's deviation; the histogram and per-lemma
+    tables keep each stratum's results and make their rows from them."""
+    summary["strata"], summary["deviations"] = [], []
+    histograms = []  # (stratum label, each class's histogram in class order)
+    deviations = []  # (stratum label, each class's ClassDeviation)
+
+    def unique_rows():
+        for entry in summary["strata"]:
+            for cls, counts in entry.get("classes", {}).items():
+                yield (entry["label"], entry["language"], entry["translation_kind"], cls,
+                       *map(counts.__getitem__, _CLASS_KEYS))
+
+    def hist_rows():
+        for label, per_class in histograms:
+            for cls, histogram in zip(SentimentClass, per_class):
+                for n in sorted(histogram):
+                    yield label, cls.value, n, histogram[n]
+
+    def deviation_rows():
+        for r in summary["deviations"]:
+            yield (r["stratum"], r["class"], r["mode"], r["mean_deviation"],
+                   r["median_deviation"], r["n_covered"], len(r["uncovered"]))
+
+    def lemma_rows():
+        for label, per_class in deviations:
+            for cls in SentimentClass:
+                dev = per_class[cls]
+                for lemma in sorted(dev.per_lemma):
+                    yield (label, cls.value, lemma, dev.observed_pct[lemma],
+                           dev.expected_pct[lemma], dev.per_lemma[lemma], "covered")
+                for lemma in dev.uncovered:
+                    yield label, cls.value, lemma, dev.observed_pct[lemma], None, None, "uncovered"
+
     for stratum in inputs.strata:
-        where = {"language": stratum.language_code,
-                 "translation_kind": stratum.translation_kind.value}
-        entry = {"label": stratum.label, **where, "group_keys": stratum.group_keys,
-                 "total_word_count": stratum.total_word_count}
+        entry = {"label": stratum.label, "language": stratum.language_code,
+                 "translation_kind": stratum.translation_kind.value,
+                 "group_keys": stratum.group_keys, "total_word_count": stratum.total_word_count}
         summary["strata"].append(entry)
         lexicon = inputs.lexicons.get(stratum.language_code)
         if lexicon is None:
             summary["skipped"].append(
                 f"stratum {stratum.label}: no lexicon for {stratum.language_code}")
             continue
-        class_stats = freq.sentiment_stats(stratum, lexicon)
         per_lemma = freq.tokens_per_lemma(stratum, lexicon)
+        histograms.append((stratum.label, [per_lemma[cls].histogram for cls in SentimentClass]))
+        entry["classes"] = {cls.value: {"unique_lemma_count": counts.lemma_count,
+                                        "token_count": counts.token_count,
+                                        "mean_tokens_per_lemma": counts.mean}
+                            for cls, counts in per_lemma.items()}
         ref = inputs.tables.get(stratum.language_code)
-        deviations = (freq.expected_deviation(stratum, lexicon, ref, config.deviation_mode)
-                      if ref is not None and stratum.total_word_count else None)
-        entry["classes"] = {}
-        for cls in SentimentClass:
-            cs = class_stats[cls]
-            record = {"stratum": stratum.label, **where, "class": cls.value,
-                      "unique_lemma_count": cs.unique_lemma_count,
-                      "token_count": cs.token_count,
-                      "mean_tokens_per_lemma": cs.mean_tokens_per_lemma}
-            unique.records.append(record)
-            entry["classes"][cls.value] = {key: record[key] for key in _CLASS_KEYS}
-            histogram = per_lemma[cls].histogram
-            hist.records += [{"stratum": stratum.label, "class": cls.value,
-                              "tokens_per_lemma": n, "lemma_count": histogram[n]}
-                             for n in sorted(histogram)]
-            if deviations is None:
-                continue
-            dev = deviations[cls]
-            at = {"stratum": stratum.label, "class": cls.value}
-            deviation.records.append({
-                **at, "mode": dev.mode.value,
-                "mean_deviation": _strict(dev.mean_deviation),
-                "median_deviation": _strict(dev.median_deviation),
-                "n_covered": len(dev.per_lemma), "uncovered": list(dev.uncovered),
-                "n_uncovered": len(dev.uncovered)})
-            by_lemma.records += [{**at, "lemma": lemma, "observed_pct": dev.observed_pct[lemma],
-                                  "expected_pct": dev.expected_pct[lemma],
-                                  "value": dev.per_lemma[lemma], "status": "covered"}
-                                 for lemma in sorted(dev.per_lemma)]
-            by_lemma.records += [{**at, "lemma": lemma, "observed_pct": dev.observed_pct[lemma],
-                                  "expected_pct": None, "value": None, "status": "uncovered"}
-                                 for lemma in dev.uncovered]
-    summary["deviations"] = deviation.to_summary()
-    return [unique, hist, deviation, by_lemma]
+        if ref is None or not stratum.total_word_count:
+            continue
+        per_class = freq.expected_deviation(stratum, lexicon, ref, config.deviation_mode)
+        deviations.append((stratum.label, per_class))
+        summary["deviations"] += [{
+            "stratum": stratum.label, "class": cls.value, "mode": dev.mode.value,
+            "mean_deviation": _strict(dev.mean_deviation),
+            "median_deviation": _strict(dev.median_deviation),
+            "n_covered": len(dev.per_lemma), "uncovered": dev.uncovered}
+            for cls, dev in per_class.items()]
+    return [
+        _Table("unique_lemmas", ["stratum", "language", "translation_kind", "class",
+                                 "unique_lemmas", "tokens", "mean_tokens_per_lemma"],
+               unique_rows),
+        _Table("tokens_per_lemma_hist", ["stratum", "class", "tokens_per_lemma", "lemma_count"],
+               hist_rows),
+        _Table("deviation", ["stratum", "class", "mode", "mean_deviation", "median_deviation",
+                             "covered_lemmas", "uncovered_lemmas"], deviation_rows),
+        _Table("deviation_lemmas", ["stratum", "class", "lemma", "observed_pct",
+                                    "expected_pct", "value", "status"], lemma_rows)]
 
 
 def anova_tables(config: "RunConfig", inputs: "ValidationReport", by_kind: dict,
-                  unique: _Table, summary: dict) -> list[_Table]:
-    """ANOVA + Tukey per factor, class and metric.
+                 summary: dict) -> list[_Table]:
+    """ANOVA + Tukey per factor, class and metric, over summary.json's per-stratum class
+    counts.
 
     Grouping-key factors run within one (language, translation kind) slice so
     a term or summit effect is not confounded with the translation kind (`by_kind`
     holds those slices); the translation_kind factor itself runs per language.
     """
-    anova = _Table("anova", ["language", "slice", "factor", "class", "metric", "groups",
-                             "df_between", "df_within", "f_stat", "p_value", "levene_stat",
-                             "levene_p", "degenerate"], csv_only=("groups",))
-    tukey = _Table("tukey", ["language", "slice", "factor", "class", "metric", "group_a",
-                             "group_b", "mean_diff", "q_stat", "p_adj", "significant"],
-                   {"group_a": "a", "group_b": "b"})
-    observed = {(r["stratum"], r["class"]): r for r in unique.records}
+    anova, tukey = summary["anova"], summary["tukey"] = [], []
+    where_keys = ("language", "slice", "factor", "class", "metric")
+    result_keys = ("df_between", "df_within", "f_stat", "p_value", "levene_stat", "levene_p",
+                   "degenerate")
+
+    def anova_rows():
+        for r in anova:
+            yield (*map(r.__getitem__, where_keys), len(r["group_means"]),
+                   *map(r.__getitem__, result_keys))
+
+    observed = {entry["label"]: entry["classes"] for entry in summary["strata"]
+                if "classes" in entry}
     group_factors = [f for f in dict.fromkeys(config.group_by) if f != "translation_kind"]
     by_language = group_strata(inputs.strata, ("language",))
     for language in sorted(inputs.lexicons):
@@ -188,7 +204,7 @@ def anova_tables(config: "RunConfig", inputs: "ValidationReport", by_kind: dict,
                                  "factor": factor, "class": cls.value, "metric": metric}
                         samples = []
                         for (value,), group in groups.items():
-                            xs = [observed[m.label, cls.value][key] for m in group]
+                            xs = [observed[m.label][cls.value][key] for m in group]
                             xs = [x for x in xs if x is not None]
                             if len(xs) >= 2:
                                 samples.append(stats.GroupSample(value, xs))
@@ -198,25 +214,28 @@ def anova_tables(config: "RunConfig", inputs: "ValidationReport", by_kind: dict,
                                 f"needs >= 2 groups with >= 2 values")
                             continue
                         result = stats.one_way_anova(samples)
-                        anova.records.append({
-                            **where, "groups": len(samples), "df_between": result.df_between,
+                        anova.append({
+                            **where, "df_between": result.df_between,
                             "df_within": result.df_within,
                             "f_stat": _strict(result.f_stat), "p_value": result.p_value,
                             "levene_stat": _strict(result.levene_stat),
                             "levene_p": result.levene_p, "degenerate": result.degenerate,
                             "group_means": result.group_means})
-                        tukey.records += [{
+                        tukey += [{
                             **where, "a": pair.a, "b": pair.b, "mean_diff": pair.mean_diff,
                             "q_stat": _strict(pair.q_stat), "p_adj": pair.p_adj,
                             "significant": pair.significant}
                             for pair in stats.tukey_hsd(samples, config.alpha).pairs]
-    summary["anova"] = anova.to_summary()
-    summary["tukey"] = tukey.to_summary()
-    return [anova, tukey]
+    return [
+        _Table("anova", [*where_keys, "groups", *result_keys], anova_rows),
+        _Table("tukey", [*where_keys, "group_a", "group_b", "mean_diff", "q_stat", "p_adj",
+                         "significant"],
+               _record_rows(tukey, (*where_keys, "a", "b", "mean_diff", "q_stat", "p_adj",
+                                    "significant")))]
 
 
 def concept_tables(config: "RunConfig", cmap: ConceptMap, merged: list[CorpusStratum],
-                    summary: dict) -> list[_Table]:
+                   summary: dict) -> list[_Table]:
     """Variant profiles, top-k concepts and concept vectors in one pass over the merged
     strata; then field width against the source-kind stratum in the concept map's source
     language, cosine and Euclidean matrices over the concept vectors, and their 2-D
@@ -228,13 +247,27 @@ def concept_tables(config: "RunConfig", cmap: ConceptMap, merged: list[CorpusStr
             return None
 
     sides = {cmap.target_language: Side.TARGET, cmap.source_language: Side.SOURCE}
-    variant_headers = ["concept_id", "class", "variant_count", "token_total", "variants_list"]
-    variants = _Table("variants", ["stratum", *variant_headers], {"variants_list": "variants"})
-    top = _Table("top_concepts", ["stratum", "rank", *variant_headers],
-                 {"variants_list": "variants"})
-    width = _Table("field_width", ["stratum", "baseline", "mean_variants_per_concept",
-                                   "width_ratio_vs_baseline", "excluded_concepts"])
-    summary["variants"] = {}
+    summary["variants"], summary["field_width"] = {}, []
+    top_of: dict[str, list[dict]] = {}  # stratum label -> its top-k variant records, ranked
+    variant_keys = ("concept_id", "class", "variant_count", "token_total", "variants")
+
+    def variant_rows():
+        for label, records in summary["variants"].items():
+            for r in records:
+                yield label, *map(r.__getitem__, variant_keys)
+
+    def top_rows():
+        for label, ranked in top_of.items():
+            for rank, r in enumerate(ranked, 1):
+                yield label, rank, *map(r.__getitem__, variant_keys)
+
+    variant_headers = [*variant_keys[:-1], "variants_list"]
+    width_headers = ["stratum", "baseline", "mean_variants_per_concept",
+                     "width_ratio_vs_baseline", "excluded_concepts"]
+    tables = [_Table("variants", ["stratum", *variant_headers], variant_rows),
+              _Table("top_concepts", ["stratum", "rank", *variant_headers], top_rows),
+              _Table("field_width", width_headers,
+                     _record_rows(summary["field_width"], width_headers))]
     profiles_of: dict[str, list] = {}
     concept_vectors = []
     baseline_label = None
@@ -248,14 +281,12 @@ def concept_tables(config: "RunConfig", cmap: ConceptMap, merged: list[CorpusStr
         if stratum.translation_kind is TranslationKind.SOURCE and side is Side.SOURCE:
             baseline_label = stratum.label  # the originals the translations are measured by
         record_of = {p.concept_id: {
-            "stratum": stratum.label, "concept_id": p.concept_id, "class": p.sentiment.value,
+            "concept_id": p.concept_id, "class": p.sentiment.value,
             "variant_count": p.variant_count, "token_total": p.token_total,
             "variants": sorted(p.attested_variants)} for p in profiles}
-        variants.records += record_of.values()
-        summary["variants"][stratum.label] = [
-            {k: v for k, v in r.items() if k != "stratum"} for r in record_of.values()]
-        top.records += [{**record_of[p.concept_id], "rank": rank} for rank, p in
-                        enumerate(semfield.top_k_concepts(profiles, config.top_k), 1)]
+        summary["variants"][stratum.label] = list(record_of.values())
+        top_of[stratum.label] = [record_of[p.concept_id]
+                                 for p in semfield.top_k_concepts(profiles, config.top_k)]
         try:
             concept_vectors.append(vectors.concept_vector(stratum, cmap, side))
         except AnalysisError as exc:
@@ -270,41 +301,38 @@ def concept_tables(config: "RunConfig", cmap: ConceptMap, merged: list[CorpusStr
             except AnalysisError as exc:
                 summary["skipped"].append(f"field width {label}: {exc}")
                 continue
-            width.records.append({
+            summary["field_width"].append({
                 "stratum": label, "baseline": baseline_label,
                 "mean_variants_per_concept": report.mean_variants_per_concept,
                 "width_ratio_vs_baseline": report.width_ratio_vs_baseline,
                 "excluded_concepts": list(report.excluded_concepts)})
-    summary["field_width"] = width.to_summary()
 
     labels = [v.stratum_label for v in concept_vectors]
-    cosine = _Table("cosine", ["label", *labels])
-    euclidean = _Table("euclidean", ["label", *labels])
-    tables = [variants, top, width, cosine, euclidean]
+    similarity = summary["similarity"] = {}  # metric -> row label -> the row, in label order
+
+    def matrix_rows(name):
+        return lambda: ((label, *row) for label, row in similarity.get(name, {}).items())
+
+    tables += [_Table(name, ["label", *labels], matrix_rows(name))
+               for name in ("cosine", "euclidean")]
     if len(concept_vectors) < 2:
-        summary["similarity"] = {}
         summary["skipped"].append("similarity: fewer than 2 concept vectors")
         return tables
-    summary["similarity"] = {"labels": labels}
-    for table, metric in ((cosine, cosine_or_none), (euclidean, vectors.euclidean)):
-        table.records = [{"label": u.stratum_label,
-                          **{v.stratum_label: metric(u, v) for v in concept_vectors}}
-                         for u in concept_vectors]
-        summary["similarity"][table.name] = {r["label"]: [r[label] for label in labels]
-                                             for r in table.records}
+    similarity["labels"] = labels
+    for name, metric in (("cosine", cosine_or_none), ("euclidean", vectors.euclidean)):
+        similarity[name] = {u.stratum_label: [metric(u, v) for v in concept_vectors]
+                            for u in concept_vectors}
     try:
         projection = vectors.pca_2d(concept_vectors)
     except AnalysisError as exc:
         summary["skipped"].append(f"pca: {exc}")
         return tables
     ev = list(projection.explained_variance)
-    pca = _Table("pca", ["label", "x", "y"],
-                 footer=f"# explained_variance: {_fmt(ev[0])},{_fmt(ev[1])}\n")
-    pca.records = [{"label": label, "x": float(x), "y": float(y)}
-                   for label, (x, y) in zip(projection.labels, projection.coords)]
-    summary["pca"] = {"labels": labels, "coords": [[r["x"], r["y"]] for r in pca.records],
-                      "explained_variance": ev}
-    return [*tables, pca]
+    coords = [[float(x), float(y)] for x, y in projection.coords]
+    summary["pca"] = {"labels": labels, "coords": coords, "explained_variance": ev}
+    return [*tables, _Table("pca", ["label", "x", "y"],
+                            lambda: ((label, *xy) for label, xy in zip(projection.labels, coords)),
+                            footer=f"# explained_variance: {_fmt(ev[0])},{_fmt(ev[1])}\n")]
 
 
 def write_summary(out, summary: dict) -> None:

@@ -35,13 +35,17 @@ def pair() -> PairComparison:
     return PairComparison("a", "b", 1.5, 3.2, 0.04, True)
 
 
+def table_rows():
+    return iter([[1]])
+
+
 # Each record class with a function of its full positional arguments: every call builds
 # new argument objects, so equal records never share them.
 FULL_ARGS = {
     RunConfig: lambda: (None, "ru", "en", {"en": []}, None, {}, (POS, NEG), ["term"], 0.1,
                         DeviationMode.RATIO, 3, None, {"words": 10}, {}),
     ValidationReport: lambda: (["e"], ["w"], {}, None, {}, []),
-    _Table: lambda: ("t", ["a"], {"a": "b"}, ("b",), "# end\n", [{"b": 1}]),
+    _Table: lambda: ("t", ["a"], table_rows, "# end\n"),
     FrequencyTable: lambda: ("en", {"say": 12.5}),
     TokensPerLemma: lambda: (1.5, {1: 2, 2: 1}),
     ClassDeviation: lambda: (DeviationMode.DIFFERENCE, {"say": 0.3}, {"say": 0.1},
@@ -73,7 +77,7 @@ DEFAULTS = {
     RunConfig: ((), (None, None, None, {}, None, {}, (SentimentClass.EPISTEMIC, NEG, POS), [],
                      0.05, DeviationMode.DIFFERENCE, 5, Path("out"), {}, {})),
     ValidationReport: ((), ([], [], {}, None, {}, [])),
-    _Table: (("t", ["a"]), ("t", ["a"], {}, (), "", [])),
+    _Table: (("t", ["a"], table_rows), ("t", ["a"], table_rows, "")),
     TokensPerLemma: ((None,), (None, {})),
     LangProfile: (("en", ((97, 122),)), ("en", ((97, 122),), True)),
     LemmaDict: (("en",), ("en", {})),
