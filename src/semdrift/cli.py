@@ -1,8 +1,15 @@
 """Command-line front end: validate inputs, run the analysis bundle, or synthesize corpora.
 
 Exit codes: 0 success, 1 analysis error, 2 configuration/validation error.
+
+`run()` is the process entry, of both `python -m semdrift.cli` and the `semdrift`
+console script: it runs `main()` with the cyclic garbage collector off and freezes what
+survives, so no collection runs during the command and the one at interpreter shutdown has
+almost nothing to scan. `main(argv)` returns the exit code and leaves the collector as it
+found it, for callers in process such as the tests and `perfbench/tracer.py`.
 """
 
+import gc
 import json
 import os
 import sys
@@ -446,5 +453,22 @@ def main(argv=None) -> int:
     return cmd_synth(config, Path(args.config))
 
 
+def run() -> None:
+    """Run `main()` as a whole process, with no cyclic garbage collection, and exit.
+
+    A command is one short process. The few KB of cyclic garbage it makes (the argument
+    parser, the JSON encoder's closures) are the same for any input and go back to the OS
+    at exit, so collecting them, during the run or over the survivors at shutdown, is
+    wasted. Freezing moves every object out of the collector's reach, so the collection
+    that shutdown makes even with the collector off has almost nothing to scan. Unlike
+    `os._exit`, shutdown still runs the atexit handlers, flushes stdio and keeps the exit
+    code.
+    """
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -13,7 +13,7 @@ import tracemalloc
 from functools import partial
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from semdrift import DegenerateVarianceWarning, freq, semfield
@@ -70,6 +70,9 @@ _CELL = st.one_of(
 
 @given(st.lists(st.fixed_dictionaries({"a": _CELL, "b": _CELL, "c": _CELL}), max_size=6),
        st.sampled_from(["", "# footer\n"]))
+# the first `st.text()` draw of a run with no .hypothesis directory builds hypothesis's
+# Unicode tables, which takes over a second and would fail the health check
+@settings(suppress_health_check=[HealthCheck.too_slow])
 def test_csv_bytes_are_the_per_cell_references(records, footer):
     table = _Table("t", ["a", "b"], _record_rows(records, ("a", "c")), footer)  # "b" shows "c"
     assert written(partial(table.write_csv, mode_line="deviation=difference",
