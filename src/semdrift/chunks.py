@@ -12,7 +12,8 @@ import unicodedata
 from collections import Counter
 
 from . import ingest
-from .ingest import LangProfile, Lemma, LemmaDict
+from .ingest import LangProfile, LemmaDict
+from .inputs import Lemma
 
 # `\s` matches exactly `ingest._WHITESPACE`. Compiling that class spelled out builds a
 # 64 KiB map of its code points, which took 12 ms on a 2-core Xeon VM.

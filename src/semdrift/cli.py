@@ -3,25 +3,28 @@
 Exit codes: 0 success, 1 analysis error, 2 configuration/validation error.
 
 `run()` is the process entry, of both `python -m semdrift.cli` and the `semdrift`
-console script: it runs `main()` with the cyclic garbage collector off and freezes what
-survives, so no collection runs during the command and the one at interpreter shutdown has
-almost nothing to scan. `main(argv)` returns the exit code and leaves the collector as it
-found it, for callers in process such as the tests and `perfbench/tracer.py`.
+console script (`semdrift.run`): it runs `main()` with the cyclic garbage collector off and
+freezes what survives, so no collection runs during the command and the one at interpreter
+shutdown has almost nothing to scan. Both entries turn the collector off before this
+module is compiled (see `semdrift/__init__.py`), so none runs while the command's modules
+load either. `main(argv)` returns the exit code and leaves the collector as it found it,
+for callers in process such as the tests and `perfbench/tracer.py`.
 """
 
 import gc
-import json
+import importlib
 import os
 import sys
-from functools import partial
 from pathlib import Path
 
-from . import ingest
 from .errors import NUMBER, PATH, Record, SemdriftError, ValidationError, check
-from .freq import DeviationMode, FrequencyTable
-from .ingest import ChannelKind, CorpusStratum, TranslationKind, group_strata
+from .inputs import ChannelKind, DeviationMode, FrequencyTable, read_json
 from .lexicon import (DEFAULT_PRIORITY, ConceptMap, SentimentClass, SentimentLexicon,
                       find_conflicts, load_concept_map, load_lexicon_sources, merge_disjoint)
+
+TYPE_CHECKING = False  # type checkers read it as True, and `typing` stays unloaded
+if TYPE_CHECKING:  # only the commands that read or write a corpus load `ingest`
+    from .ingest import CorpusStratum
 
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
@@ -84,7 +87,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     """
     path = Path(path)
     given = {k: v for k, v in (overrides or {}).items() if v is not None}
-    body = check("", {**ingest.read_json(path),
+    body = check("", {**read_json(path),
                       **{k: v for k, v in given.items() if k in _CONFIG_TYPES}}, _CONFIG_TYPES)
 
     base = path.parent
@@ -133,7 +136,7 @@ class ValidationReport(Record):
                  lexicons: dict[str, SentimentLexicon] | None = None,
                  concept_map: ConceptMap | None = None,
                  tables: dict[str, FrequencyTable] | None = None,
-                 strata: list[CorpusStratum] | None = None):
+                 strata: "list[CorpusStratum] | None" = None):
         self.errors = [] if errors is None else errors
         self.warnings = [] if warnings is None else warnings
         self.lexicons = {} if lexicons is None else lexicons
@@ -211,6 +214,7 @@ def run_validation(config: RunConfig, *, need_manifest: bool = True,
     report.concept_map = _load_concept_map(config, report.lexicons, report)
     report.tables = _load_frequency_tables(config, report)
     if need_manifest:
+        from . import ingest
         if config.manifest is None:
             report.errors.append("config does not name a manifest")
         else:
@@ -237,50 +241,21 @@ def cmd_validate(config: RunConfig) -> int:
     return EXIT_CONFIG if report.errors else EXIT_OK
 
 
-def analyze(config: RunConfig, inputs: ValidationReport) -> dict[str, partial]:
+def analyze(config: RunConfig, inputs: ValidationReport) -> dict:
     """Run the full pipeline and return the report bundle as filename -> a function that
     writes the file's text into an open text file.
 
     `inputs` is the `run_validation(config)` report, whose loaded inputs are
-    analyzed. Every table is computed here and nothing is written: `cmd_analyze`
-    renders each file straight into its open file only after the whole bundle is
-    computed, so failures leave no partial output behind, and no file's text is
-    ever held whole in memory. A CSV-only table holds no rows: each is made, from
-    the results computed here, as its file is written (see `report`), so each
-    writer may be called again.
+    analyzed; one with errors is a ValidationError. Every table is computed here
+    (`report.bundle`) and nothing is written: `cmd_analyze` renders each file
+    straight into its open file only after the whole bundle is computed, so
+    failures leave no partial output behind, and no file's text is ever held
+    whole in memory. Each writer may be called again.
     """
     from . import report
     if inputs.errors:
         raise ValidationError("; ".join(inputs.errors))
-    checksum, files = report.checksum_inputs(config)
-    summary: dict = {
-        "inputs": {"sha256": checksum, "files": files},
-        "mode": {
-            "deviation_mode": config.deviation_mode.value,
-            "priority": [c.value for c in config.priority],
-            "alpha": config.alpha,
-            "top_k": config.top_k,
-            "group_by": config.group_by,
-        },
-        "skipped": [],
-    }
-    by_kind = group_strata(inputs.strata, ("language", "translation_kind"))
-    tables = [*report.stratum_tables(config, inputs, summary),
-              *report.anova_tables(config, inputs, by_kind, summary)]
-    if inputs.concept_map is not None:
-        # semantic field and vectors over (language, translation kind) merges
-        merged = [CorpusStratum(language, TranslationKind(kind), {},
-                                [d for m in members for d in m.documents])
-                  for (language, kind), members in by_kind.items()]
-        tables += report.concept_tables(config, inputs.concept_map, merged, summary)
-
-    priority = ">".join(cls.value for cls in config.priority)
-    mode = (f"deviation={config.deviation_mode.value} priority={priority} "
-            f"alpha={config.alpha:g} top_k={config.top_k}")
-    bundle = {f"{table.name}.csv": partial(table.write_csv, mode_line=mode, checksum=checksum)
-              for table in tables}
-    bundle["summary.json"] = partial(report.write_summary, summary=summary)
-    return bundle
+    return report.bundle(config, inputs)
 
 
 def _fail(code: int, *messages) -> int:
@@ -315,9 +290,7 @@ def cmd_analyze(config: RunConfig, config_path: Path) -> int:
     """Analyze, then write the bundle one file at a time, each rendered as it is written
     (text mode, UTF-8, the platform's newline, as `Path.write_text` writes); a failed
     write removes every file of the bundle written so far."""
-    # compile the analysis modules and the chunk counter before any input is read: the
-    # compiler's transient memory is then freed before the run reaches its peak
-    from . import chunks, report  # noqa: F401
+    from . import ingest
     read = [config_path]
     inputs = run_validation(config, read=read)
     if inputs.errors:
@@ -342,23 +315,13 @@ def cmd_analyze(config: RunConfig, config_path: Path) -> int:
     return EXIT_OK
 
 
-_CHANNEL_KEYS = {"seed": "seed", "factor": "narrow_widen_factor", "norm_pull": "norm_pull",
-                 "length_inflation": "length_inflation"}
-
-
 def cmd_synth(config: RunConfig, config_path: Path) -> int:
     """Write a synthetic corpus and its channel output; a failure leaves none of its files."""
     from . import synth
-    options = config.synth_options
-    words = options.get("words", 10_000)
-    filler_size = options.get("filler_size", synth.DEFAULT_FILLER_SIZE)
-    emitted = words * options.get("length_inflation", synth.DEFAULT_LENGTH_INFLATION)
-    # every size that synth allocates, checked before any input is read
-    for name, size in (("synth.words", words), ("synth.filler_size", filler_size),
-                       ("synth.words x synth.length_inflation", emitted)):
-        if size > synth.MAX_SYNTH_WORDS:
-            return _fail(EXIT_CONFIG,
-                         f"{name} must be at most {synth.MAX_SYNTH_WORDS}, got {size}")
+    try:  # every size that synth allocates, checked before any input is read
+        synth.check_sizes(config.synth_options)
+    except ValidationError as exc:
+        return _fail(EXIT_CONFIG, exc)
     report = run_validation(config, need_manifest=False)
     cmap, ref = report.concept_map, report.tables.get(config.target_language)
     if cmap is None:
@@ -368,30 +331,11 @@ def cmd_synth(config: RunConfig, config_path: Path) -> int:
                              f"({config.target_language!r})")
     if report.errors:
         return _fail(EXIT_CONFIG, *report.errors)
-    density = options.get("concept_density", synth.DEFAULT_CONCEPT_DENSITY)
-    budget = options.get("concept_budget", {cid: 1.0 for cid in cmap.concepts})
-    given = {name: options[key] for key, name in _CHANNEL_KEYS.items() if key in options}
-    channel = (synth.ChannelParams.human if options.get("kind") is ChannelKind.HUMAN
-               else synth.ChannelParams.machine)
     try:
-        params = channel(**given)
-        source = synth.generate_source(cmap, words, budget, params.seed,
-                                       concept_density=density, filler_size=filler_size)
-        translated = synth.apply_channel(source, cmap, params, ref)
-        params_blob = {"kind": params.kind, "narrow_widen_factor": params.narrow_widen_factor,
-                       "norm_pull": params.norm_pull,
-                       "length_inflation": params.length_inflation, "seed": params.seed,
-                       "words": words, "concept_density": density, "filler_size": filler_size}
-        texts = [ingest._document_filename(doc.id)
-                 for doc in source.documents + translated.documents]
-        _check_inputs_survive(config, ["channel_params.json", "manifest.json", *texts],
-                              [config_path], need_manifest=False)
-        config.output_dir.mkdir(parents=True, exist_ok=True)
-        # save_corpus removes its own files if it fails; this removes the parameters
-        with ingest.remove_on_failure([config.output_dir / "channel_params.json"]) as written:
-            written[0].write_text(json.dumps(params_blob, indent=2, sort_keys=True) + "\n",
-                                  encoding="utf-8")
-            manifest_path = ingest.save_corpus([source, translated], config.output_dir)
+        settings, strata = synth.synthesize(config.synth_options, cmap, ref)
+        _check_inputs_survive(config, synth.file_names(strata), [config_path],
+                              need_manifest=False)
+        manifest_path = synth.write_corpus(settings, strata, config.output_dir)
     except ValidationError as exc:
         return _fail(EXIT_CONFIG, exc)
     except OSError as exc:
@@ -437,7 +381,19 @@ def _build_parser() -> "argparse.ArgumentParser":
     return parser
 
 
+# The modules each command runs beyond those every command loads (and what they import).
+# `main` imports them before it builds the argument parser: compiled from source, as in a
+# fresh checkout, a module's compiler memory is then freed before argparse, the parser and
+# the inputs are live beneath it, so it adds nothing to the command's peak memory.
+_COMMAND_MODULES = {"validate": ("chunks",), "synth": ("synth",),
+                    "analyze": ("chunks", "report")}
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # the command is the first argument: the parser takes no option before it but --help
+    for name in _COMMAND_MODULES.get(argv[0] if argv else "", ()):
+        importlib.import_module(f"{__package__}.{name}")
     args = _build_parser().parse_args(argv)
     if getattr(args, "output_dir", None):
         # the flag is relative to the working directory, the config key to the config file

@@ -3,59 +3,20 @@
 Observed frequency is a lemma's token count as a percent of the stratum's
 total words. Deviations compare that against a reference table of per-million
 frequencies from a general-purpose corpus (percent = per-million / 10,000).
+That table, `FrequencyTable`, and `DeviationMode` are defined in `inputs`,
+which every command loads; only `analyze` loads this module. Both stay
+importable from here.
 """
 
 from collections import Counter
-from enum import Enum
-from math import fsum, isfinite
+from math import fsum
 
-from .errors import FrozenRecord, ValidationError, member
-from .ingest import CorpusStratum, Lemma, check_language, read_tsv
+from .errors import FrozenRecord, member
+from .ingest import CorpusStratum
+from .inputs import DeviationMode, FrequencyTable, Lemma, check_language
 from .lexicon import SentimentClass, SentimentLexicon
 
 PER_MILLION_TO_PCT = 1.0 / 10_000.0
-
-
-class FrequencyTable(FrozenRecord):
-    """Reference per-million lemma frequencies for one language."""
-
-    def __init__(self, language_code: str, freqs: dict[Lemma, float]):
-        for lemma, pm in freqs.items():
-            if not isfinite(pm) or pm < 0:
-                raise ValidationError(f"invalid frequency for {lemma!r}: {pm}")
-        self.__dict__.update(language_code=language_code, freqs=freqs)
-
-    @classmethod
-    def load(cls, path, language_code: str) -> "FrequencyTable":
-        """Read a TSV of `lemma<TAB>per_million` (see `read_tsv`).
-
-        A lemma listed again with a different frequency is a ValidationError.
-        """
-        freqs: dict[str, float] = {}
-        for lineno, (lemma, number) in read_tsv(path, "lemma<TAB>per_million"):
-            try:
-                pm = float(number)
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: not a number: {number!r}") from None
-            if not isfinite(pm) or pm < 0:
-                raise ValidationError(f"{path}:{lineno}: invalid frequency for {lemma!r}: "
-                                      f"{number}")
-            if lemma in freqs and freqs[lemma] != pm:
-                raise ValidationError(f"{path}:{lineno}: lemma {lemma!r} repeated with a "
-                                      f"different frequency")
-            freqs[lemma] = pm
-        return cls(language_code, freqs)
-
-    def lookup(self, lemma: Lemma) -> tuple[float, bool]:
-        """Per-million frequency and a coverage flag; absent lemmas are (0.0, False)."""
-        if lemma in self.freqs:
-            return self.freqs[lemma], True
-        return 0.0, False
-
-
-class DeviationMode(str, Enum):
-    DIFFERENCE = "difference"
-    RATIO = "ratio"
 
 
 def _class_counts(stratum: CorpusStratum,

@@ -3,14 +3,14 @@
 Lexicon sources are TSV files of `lemma<TAB>class`. A lemma claimed by more
 than one class is assigned to the highest-priority class so that no word can
 drive two sentiment scores at once. Both file kinds are read by
-`ingest.read_tsv`, in Unicode normal form NFC, the form the tokenizer produces.
+`inputs.read_tsv`, in Unicode normal form NFC, the form the tokenizer produces.
 """
 
 from enum import Enum
 from pathlib import Path
 
 from .errors import FrozenRecord, ValidationError, member
-from .ingest import Lemma, check_language, read_tsv
+from .inputs import Lemma, check_language, read_tsv
 
 
 class SentimentClass(str, Enum):

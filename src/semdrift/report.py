@@ -1,23 +1,26 @@
-"""The report bundle, loaded by `analyze` alone: its table model, the builders of its
-tables and the writer of summary.json, the stdlib's `json.dump`. Every value is computed
-once, before any file is written, and held once. No table holds rows of its own: each makes
-its rows as its file is written. Most make them from the summary.json section that holds
-the same values (unique_lemmas from `strata`, then deviation, anova, tukey, variants,
-field_width, cosine, euclidean and pca). The three that summary.json does not hold make
-them from the per-stratum results they keep: tokens_per_lemma_hist from each class's
-histogram, deviation_lemmas from each class's `ClassDeviation`, and top_concepts from the
-ranked variant records. Each file is rendered straight into its open file, so no file's
-text is ever held whole. The five record keys that can hold a non-finite float hold its
-quoted repr instead, so summary.json stays strict JSON.
+"""The report bundle, loaded by `analyze` alone: `bundle`, which computes it, its table
+model, the builders of its tables and the writer of summary.json, the stdlib's `json.dump`.
+Every value is computed once, before any file is written, and held once. No table holds
+rows of its own: each makes its rows as its file is written. Most make them from the
+summary.json section that holds the same values (unique_lemmas from `strata`, then
+deviation, anova, tukey, variants, field_width, cosine, euclidean and pca). The three that
+summary.json does not hold make them from the per-stratum results they keep:
+tokens_per_lemma_hist from each class's histogram, deviation_lemmas from each class's
+`ClassDeviation`, and top_concepts from the ranked variant records. Each file is rendered
+straight into its open file, so no file's text is ever held whole. The five record keys
+that can hold a non-finite float hold its quoted repr instead, so summary.json stays
+strict JSON.
 """
 
 import csv
 import json
 import math
+from functools import partial
 
 from . import freq, semfield, stats, vectors
 from .errors import AnalysisError, Record
-from .ingest import CorpusStratum, TranslationKind, group_strata, read_bytes, sha256_hex
+from .ingest import CorpusStratum, group_strata
+from .inputs import TranslationKind, read_bytes, sha256_hex
 from .lexicon import ConceptMap, SentimentClass, Side
 
 TYPE_CHECKING = False  # type checkers read it as True, and `typing` stays unloaded
@@ -342,3 +345,42 @@ def write_summary(out, summary: dict) -> None:
     NaN or Infinity."""
     json.dump(summary, out, ensure_ascii=False, indent=2, sort_keys=True, allow_nan=False)
     out.write("\n")
+
+
+def bundle(config: "RunConfig", inputs: "ValidationReport") -> dict[str, partial]:
+    """The report bundle of `inputs`, an error-free `run_validation(config)` report, as
+    filename -> a function that writes the file's text into an open text file.
+
+    Every table is computed here and nothing is written. A CSV-only table holds no rows:
+    each is made, from the results computed here, as its file is written, so each writer
+    may be called again.
+    """
+    checksum, files = checksum_inputs(config)
+    summary: dict = {
+        "inputs": {"sha256": checksum, "files": files},
+        "mode": {
+            "deviation_mode": config.deviation_mode.value,
+            "priority": [c.value for c in config.priority],
+            "alpha": config.alpha,
+            "top_k": config.top_k,
+            "group_by": config.group_by,
+        },
+        "skipped": [],
+    }
+    by_kind = group_strata(inputs.strata, ("language", "translation_kind"))
+    tables = [*stratum_tables(config, inputs, summary),
+              *anova_tables(config, inputs, by_kind, summary)]
+    if inputs.concept_map is not None:
+        # semantic field and vectors over (language, translation kind) merges
+        merged = [CorpusStratum(language, TranslationKind(kind), {},
+                                [d for m in members for d in m.documents])
+                  for (language, kind), members in by_kind.items()]
+        tables += concept_tables(config, inputs.concept_map, merged, summary)
+
+    priority = ">".join(cls.value for cls in config.priority)
+    mode = (f"deviation={config.deviation_mode.value} priority={priority} "
+            f"alpha={config.alpha:g} top_k={config.top_k}")
+    writers = {f"{table.name}.csv": partial(table.write_csv, mode_line=mode, checksum=checksum)
+               for table in tables}
+    writers["summary.json"] = partial(write_summary, summary=summary)
+    return writers

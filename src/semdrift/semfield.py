@@ -5,7 +5,8 @@ variants carrying the same concepts); above 1 signals widening.
 """
 
 from .errors import AnalysisError, FrozenRecord, ValidationError
-from .ingest import CorpusStratum, Lemma
+from .ingest import CorpusStratum
+from .inputs import Lemma
 from .lexicon import ConceptMap, SentimentClass, Side
 
 

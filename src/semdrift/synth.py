@@ -11,14 +11,16 @@ distribution, so at pull 1.0 the output matches target-language norms and the
 concept-total conservation guarantee only holds at pull 0.
 """
 
+import json
 import math
 from bisect import bisect_right
 from itertools import accumulate, islice, product
+from pathlib import Path
 
+from . import ingest
 from .errors import FrozenRecord, ValidationError, member
-from .freq import FrequencyTable
-from .ingest import (DEFAULT_PROFILES, ChannelKind, CorpusStratum, Document, TranslationKind,
-                     check_language)
+from .ingest import DEFAULT_PROFILES, CorpusStratum, Document
+from .inputs import ChannelKind, FrequencyTable, TranslationKind, check_language
 from .lexicon import ConceptMap, Side
 
 DEFAULT_MACHINE_FACTOR = 0.4
@@ -27,6 +29,7 @@ DEFAULT_HUMAN_FACTOR = 1.3
 DEFAULT_LENGTH_INFLATION = 1.19
 DEFAULT_CONCEPT_DENSITY = 0.2
 DEFAULT_FILLER_SIZE = 200
+DEFAULT_WORDS = 10_000
 # the most words a source or a channel output may hold, and the largest filler
 # vocabulary: 10 M words in and 10 M out peaked at 439 MiB and wrote 0.2 GB of corpus
 # files (2-core VM, Python 3.11)
@@ -302,3 +305,64 @@ def apply_channel(source: CorpusStratum, cmap: ConceptMap, params: ChannelParams
     group_keys = {**source.group_keys, "channel": params.kind.value}
     return CorpusStratum(cmap.target_language, kind, group_keys, [doc])
 
+
+# The `synth` config keys that set a ChannelParams field, and the field each sets.
+_CHANNEL_KEYS = {"seed": "seed", "factor": "narrow_widen_factor", "norm_pull": "norm_pull",
+                 "length_inflation": "length_inflation"}
+
+
+def check_sizes(options: dict) -> None:
+    """Raise ValidationError if a size that a config's `synth` options make synth
+    allocate is above MAX_SYNTH_WORDS: the source's words, the filler vocabulary, or
+    the channel output's words."""
+    words = options.get("words", DEFAULT_WORDS)
+    emitted = words * options.get("length_inflation", DEFAULT_LENGTH_INFLATION)
+    for name, size in (("synth.words", words),
+                       ("synth.filler_size", options.get("filler_size", DEFAULT_FILLER_SIZE)),
+                       ("synth.words x synth.length_inflation", emitted)):
+        if size > MAX_SYNTH_WORDS:
+            raise ValidationError(f"{name} must be at most {MAX_SYNTH_WORDS}, got {size}")
+
+
+def synthesize(options: dict, cmap: ConceptMap,
+               ref: FrequencyTable) -> tuple[dict, list[CorpusStratum]]:
+    """The corpus that a config's `synth` options ask for, as [source, channel output],
+    and the settings that made it, as `channel_params.json` records them.
+
+    The channel is machine unless `kind` is human; each option left out takes its
+    default, and the concept budget weighs every concept of `cmap` alike.
+    """
+    words = options.get("words", DEFAULT_WORDS)
+    density = options.get("concept_density", DEFAULT_CONCEPT_DENSITY)
+    filler_size = options.get("filler_size", DEFAULT_FILLER_SIZE)
+    budget = options.get("concept_budget", {cid: 1.0 for cid in cmap.concepts})
+    given = {name: options[key] for key, name in _CHANNEL_KEYS.items() if key in options}
+    channel = (ChannelParams.human if options.get("kind") is ChannelKind.HUMAN
+               else ChannelParams.machine)
+    params = channel(**given)
+    source = generate_source(cmap, words, budget, params.seed, concept_density=density,
+                             filler_size=filler_size)
+    translated = apply_channel(source, cmap, params, ref)
+    settings = {"kind": params.kind, "narrow_widen_factor": params.narrow_widen_factor,
+                "norm_pull": params.norm_pull, "length_inflation": params.length_inflation,
+                "seed": params.seed, "words": words, "concept_density": density,
+                "filler_size": filler_size}
+    return settings, [source, translated]
+
+
+def file_names(strata: list[CorpusStratum]) -> list[str]:
+    """The name of each file that `write_corpus` writes for `strata`."""
+    return ["channel_params.json", "manifest.json",
+            *(ingest._document_filename(doc.id) for s in strata for doc in s.documents)]
+
+
+def write_corpus(settings: dict, strata: list[CorpusStratum], directory: Path) -> Path:
+    """Write `settings` as `channel_params.json` and `strata` as a corpus (see
+    `ingest.save_corpus`) into `directory`, made if missing, and return the manifest's
+    path. A failed write removes every file written so far."""
+    directory.mkdir(parents=True, exist_ok=True)
+    # save_corpus removes its own files if it fails; this removes the parameters
+    with ingest.remove_on_failure([directory / "channel_params.json"]) as written:
+        written[0].write_text(json.dumps(settings, indent=2, sort_keys=True) + "\n",
+                              encoding="utf-8")
+        return ingest.save_corpus(strata, directory)

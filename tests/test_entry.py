@@ -4,8 +4,9 @@
 `cli.run()`. It disables the collector, runs `main()`, then freezes every surviving object
 so that the collection at shutdown has almost nothing to scan. That is safe because what a
 command leaves to the collector is a fixed set of cycles (the argument parser, the JSON
-encoder's closures), whatever the size of its input. `main(argv)` itself leaves the
-collector alone, for the callers that run it in process.
+encoder's closures), whatever the size of its input. Both entries turn the collector off
+before `cli` is compiled, so no collection runs while the command's modules load either.
+`main(argv)` itself leaves the collector alone, for the callers that run it in process.
 """
 
 import gc
@@ -24,25 +25,38 @@ from semdrift.cli import main
 from helpers import DATA, digest
 
 ROOT = Path(__file__).parent.parent
-# the two ways a process enters the command line: `python -m semdrift.cli` runs the
-# module as __main__, and the console script that `pip install` writes calls `run()`
+# the two ways a process enters the command line, as the interpreter's arguments:
+# `python -m semdrift.cli` runs the module as __main__, and the console script that
+# `pip install` writes calls `semdrift.run()`
 ENTRIES = {
-    "module": "import runpy\nrunpy.run_module('semdrift.cli', run_name='__main__')\n",
-    "console-script": "from semdrift.cli import run\nrun()\n",
+    "module": ["-m", "semdrift.cli"],
+    "console-script": ["-c", "from semdrift import run\nrun()\n"],
 }
-# printed at exit, after the command returns and before the interpreter shuts down
+# run as `sitecustomize`, which the interpreter imports before it runs the entry: it
+# collects, so that what start-up allocated does not decide when the next collection
+# falls, counts each collection from then on, and prints at exit, after the command
+# returns and before the interpreter shuts down, the collector's state and that count
 GC_PROBE = ("import atexit, gc, json\n"
+            "gc.collect()\n"
+            "collections = []\n"
+            "gc.callbacks.append(lambda phase, info: phase == 'start' and collections.append(1))\n"
             "atexit.register(lambda: print(json.dumps(\n"
-            "    {'enabled': gc.isenabled(), 'frozen': gc.get_freeze_count()})))\n")
+            "    {'enabled': gc.isenabled(), 'frozen': gc.get_freeze_count(),\n"
+            "     'collections': len(collections)})))\n")
 
 
-def run_entry(entry: str, *args: str) -> tuple[int, dict]:
-    """A command run through one entry in a fresh interpreter: its exit code, and the
-    collector's state at exit."""
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+def run_entry(tmp_path: Path, entry: str, *args: str) -> tuple[int, dict]:
+    """A command run through one entry in a fresh interpreter that compiles every module
+    from source, as in a fresh checkout: its exit code, and the collector's state and
+    the count of its collections at exit."""
+    probe, cache = tmp_path / "probe", tmp_path / "no-bytecode"
+    probe.mkdir()
+    cache.mkdir()
+    (probe / "sitecustomize.py").write_text(GC_PROBE, encoding="utf-8")
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": str(cache),
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(probe), str(ROOT / "src"),
                                                         os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", GC_PROBE + ENTRIES[entry], *args], env=env,
+    proc = subprocess.run([sys.executable, *ENTRIES[entry], *args], env=env,
                           capture_output=True, text=True, check=False)
     return proc.returncode, json.loads(proc.stdout.splitlines()[-1])
 
@@ -94,25 +108,36 @@ def test_main_in_process_leaves_the_collector_as_it_was(tmp_path, capsys, enable
 class TestProcessEntry:
     def test_reproduces_the_golden_bundle_with_the_collector_off_and_frozen(self, tmp_path,
                                                                             entry):
-        code, state = run_entry(entry, "analyze", "--config", str(DATA / "config.json"),
-                                "--output-dir", str(tmp_path))
+        out = tmp_path / "out"
+        code, state = run_entry(tmp_path, entry, "analyze", "--config",
+                                str(DATA / "config.json"), "--output-dir", str(out))
         assert code == 0
-        assert digest(tmp_path) == digest(DATA / "expected_bundle")
+        assert digest(out) == digest(DATA / "expected_bundle")
         assert not state["enabled"] and state["frozen"] > 0
 
     def test_config_error_exits_2(self, tmp_path, entry):
-        code, state = run_entry(entry, "analyze", "--config", str(tmp_path / "missing.json"))
+        code, state = run_entry(tmp_path, entry, "analyze", "--config",
+                                str(tmp_path / "missing.json"))
         assert code == 2
         assert not state["enabled"] and state["frozen"] > 0
 
     def test_analysis_error_exits_1(self, tmp_path, entry):
         out = tmp_path / "out"
-        code, state = run_entry(entry, "analyze", "--config",
+        code, state = run_entry(tmp_path, entry, "analyze", "--config",
                                 str(empty_translation_config(tmp_path)),
                                 "--output-dir", str(out))
         assert code == 1
         assert not out.exists() or not any(out.iterdir())
         assert not state["enabled"] and state["frozen"] > 0
+
+    @pytest.mark.parametrize("command", ["validate", "synth", "analyze"])
+    def test_no_collection_runs_from_the_entry_on(self, tmp_path, entry, command):
+        # the collector is off before `cli` and the modules of the command compile
+        args = ["--output-dir", str(tmp_path / "out")] if command != "validate" else []
+        code, state = run_entry(tmp_path, entry, command, "--config",
+                                str(DATA / "config.json"), *args)
+        assert code == 0
+        assert state["collections"] == 0
 
 
 def cyclic_garbage(argv: list[str]) -> Counter:

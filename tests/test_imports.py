@@ -3,14 +3,17 @@
 numpy costs about 150 ms and 15 MiB at start-up. No command imports it: `validate` and
 `analyze` run without it whether their Tukey tests compare two groups or more, and
 `synth` draws from Python's own `random.Random` at any size. Every command loads `cli`,
-`errors`, `freq`, `ingest` and `lexicon`; on top of these `validate` loads `chunks`, which
-counts the corpus's texts, `synth` loads only `synth`, and `analyze` loads `chunks`,
-`report`, `semfield`, `stats` and `vectors` but not `synth`. The benchmark's set-up job,
+`errors`, `inputs` and `lexicon`, which hold no corpus or analysis code; on top of these
+`validate` loads `ingest` and `chunks`, which read and count the corpus's texts, `synth`
+loads `ingest` and `synth`, and `analyze` loads `ingest`, `chunks`, `freq`, `report`,
+`semfield`, `stats` and `vectors` but not `synth`. The benchmark's set-up job,
 `perfbench/run.py`'s `SETUP_CODE`, reads no corpus and loads only the common modules, and
-every module of the package is loaded by at least one command. No command loads `dataclasses`,
-`inspect`, `hashlib` or `_hashlib` (OpenSSL): every SHA-256 comes from the interpreter's
-built-in module, which only `analyze` and a `synth` whose document ids are not plain
-names load. Neither `validate` nor the set-up job loads `csv`, which only `analyze` uses.
+every module of the package is loaded by at least one command. Each command loads its
+modules before it builds the argument parser, and so before it reads any input. No
+command loads `dataclasses`, `inspect`, `hashlib` or `_hashlib` (OpenSSL): every SHA-256
+comes from the interpreter's built-in module, which only `analyze` and a `synth` whose
+document ids are not plain names load. Neither `validate` nor the set-up job loads `csv`,
+which only `analyze` uses.
 Over a bare interpreter, no command adds the codecs of a byte order mark or of ASCII (every
 file is decoded as UTF-8), `__future__` or `typing`, and the set-up job adds neither
 `argparse` nor `gettext`, which only the command line's parser uses. Each command runs in a
@@ -41,11 +44,11 @@ PROBE = ("import json, sys\n"
          "code = main(sys.argv[1:])\n"
          "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n")
 # the semdrift modules every command loads, and those `synth` and `analyze` add to them
-COMMON = {f"semdrift{m}" for m in ("", ".cli", ".errors", ".freq", ".ingest", ".lexicon")}
-VALIDATE = COMMON | {"semdrift.chunks"}
-SYNTH = COMMON | {"semdrift.synth"}
-ANALYZE = VALIDATE | {"semdrift.report", "semdrift.semfield", "semdrift.stats",
-                      "semdrift.vectors"}
+COMMON = {f"semdrift{m}" for m in ("", ".cli", ".errors", ".inputs", ".lexicon")}
+VALIDATE = COMMON | {"semdrift.ingest", "semdrift.chunks"}
+SYNTH = COMMON | {"semdrift.ingest", "semdrift.synth"}
+ANALYZE = VALIDATE | {"semdrift.freq", "semdrift.report", "semdrift.semfield",
+                      "semdrift.stats", "semdrift.vectors"}
 # stdlib modules no command loads (the record classes are plain classes, and SHA-256 comes
 # from the built-in module), and the one only `analyze` loads, for its CSV tables
 NEVER_LOADED = {"dataclasses", "inspect", "hashlib", "_hashlib"}
@@ -178,6 +181,50 @@ def test_analyze_loads_its_modules_before_it_reads_the_corpus(tmp_path):
                                   "--output-dir", str(tmp_path)))
     assert result["code"] == 0
     assert semdrift_modules(set(result["modules"])) == ANALYZE
+
+
+def test_synth_loads_its_modules_before_it_reads_a_resource(tmp_path):
+    # the first TSV that synth reads is a lexicon; `lexicon` binds the probe when `cli`
+    # imports it, after the probe is installed
+    code = ("import json, sys\n"
+            "from semdrift import inputs\n"
+            "loaded, read_tsv = [], inputs.read_tsv\n"
+            "def probe(*args):\n"
+            "    if not loaded:\n"
+            "        loaded.extend(sys.modules)\n"
+            "    return read_tsv(*args)\n"
+            "inputs.read_tsv = probe\n"
+            "from semdrift.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(json.dumps({'code': code, 'modules': loaded}))\n")
+    result = json.loads(run_fresh(code, "synth", "--config", str(DATA / "config.json"),
+                                  "--output-dir", str(tmp_path)))
+    assert result["code"] == 0
+    assert semdrift_modules(set(result["modules"])) == SYNTH
+
+
+@pytest.mark.parametrize("command, expected", [("validate", VALIDATE), ("synth", SYNTH),
+                                               ("analyze", ANALYZE)])
+def test_each_command_loads_its_modules_before_the_argument_parser(tmp_path, command,
+                                                                    expected):
+    # compiled under argparse and the parser, their compile's transient memory would add
+    # to the command's peak
+    if "argparse" in bare_modules():
+        pytest.skip("this interpreter loads argparse at start")
+    code = ("import json, sys\n"
+            "loaded = []\n"
+            "def probe(event, args):\n"
+            "    if event == 'import' and args[0] == 'argparse' and not loaded:\n"
+            "        loaded.extend(sys.modules)\n"
+            "sys.addaudithook(probe)\n"
+            "from semdrift.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(json.dumps({'code': code, 'modules': loaded}))\n")
+    args = ["--output-dir", str(tmp_path)] if command != "validate" else []
+    result = json.loads(run_fresh(code, command, "--config", str(DATA / "config.json"),
+                                  *args))
+    assert result["code"] == 0
+    assert semdrift_modules(set(result["modules"])) == expected
 
 
 def test_analyze_run_as_a_module_loads_cli_only_as_main(tmp_path):

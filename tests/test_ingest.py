@@ -19,7 +19,8 @@ from semdrift import (CorpusStratum, Document, FrequencyTable, LangProfile, Lemm
                       tokenize)
 from semdrift.chunks import _SPACE, ChunkTable, count_chunks
 from semdrift.errors import IngestError, ValidationError
-from semdrift.ingest import _WHITESPACE, _sha256, group_strata, read_json, read_text, sha256_hex
+from semdrift.ingest import _WHITESPACE, group_strata
+from semdrift.inputs import _sha256, read_json, read_text, sha256_hex
 
 from helpers import DATA, fixture_lexicons, make_stratum
 
@@ -877,7 +878,7 @@ class TestCountOnRead:
 
 
 def _language_checks():
-    """(name, call, message) for each caller of `ingest.check_language`."""
+    """(name, call, message) for each caller of `inputs.check_language`."""
     from semdrift import freq, semfield, synth, vectors
     from helpers import fixture_concept_map, reference_table_en
     ru_lexicon, en_lexicon = fixture_lexicons()

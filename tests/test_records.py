@@ -10,10 +10,9 @@ import pytest
 
 from semdrift.cli import RunConfig, ValidationReport
 from semdrift.errors import FrozenRecord, Record, ValidationError
-from semdrift.freq import (ClassDeviation, ClassFrequencyStats, DeviationMode, FrequencyTable,
-                           TokensPerLemma)
-from semdrift.ingest import (ChannelKind, CorpusStratum, Document, LangProfile, LemmaDict,
-                             TranslationKind)
+from semdrift.freq import ClassDeviation, ClassFrequencyStats, TokensPerLemma
+from semdrift.ingest import CorpusStratum, Document, LangProfile, LemmaDict
+from semdrift.inputs import ChannelKind, DeviationMode, FrequencyTable, TranslationKind
 from semdrift.lexicon import (Concept, ConceptMap, RawLexiconEntry, SentimentClass,
                               SentimentLexicon)
 from semdrift.report import _Table

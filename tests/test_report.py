@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from semdrift import DegenerateVarianceWarning, freq, semfield
 from semdrift.cli import RunConfig, ValidationReport, analyze, load_config, main, run_validation
-from semdrift.freq import DeviationMode, FrequencyTable
-from semdrift.ingest import CorpusStratum, TranslationKind, group_strata
+from semdrift.ingest import CorpusStratum, group_strata
+from semdrift.inputs import DeviationMode, FrequencyTable, TranslationKind
 from semdrift.lexicon import SentimentClass, SentimentLexicon, Side
 from semdrift.report import _record_rows, _Table, write_summary
 

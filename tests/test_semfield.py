@@ -6,7 +6,8 @@ from semdrift import (ChannelParams, SentimentClass, Side, VariantProfile, field
                       field_width_report, generate_source, apply_channel, top_k_concepts,
                       variant_counts)
 from semdrift.errors import AnalysisError, ValidationError
-from semdrift.ingest import CorpusStratum, Document, TranslationKind
+from semdrift.ingest import CorpusStratum, Document
+from semdrift.inputs import TranslationKind
 
 from helpers import fixture_concept_map, make_stratum, reference_table_en
 

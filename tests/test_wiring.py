@@ -1,8 +1,11 @@
 """The benchmark's wiring contract, checked without running the benchmark.
 
 `perfbench/run.py --trace 1` fails a run when a traced `synth` plus `analyze`
-records no call to one of the spans it requires. This runs the same tracer on
-the fixture config, so a change that bypasses a required function fails here.
+records no call to one of the spans it requires. The tracer wraps each function
+under the module that defines it, so a required function moved to another module
+gets no span, and one that the commands stop calling records no call. The first
+test checks the spans the tracer installs, the second runs it on the fixture
+config.
 """
 
 import json
@@ -14,14 +17,31 @@ from pathlib import Path
 from helpers import DATA, PERFBENCH, perfbench_constant
 
 ROOT = Path(__file__).parent.parent
+REQUIRED = perfbench_constant("tracer", "REQUIRED") + perfbench_constant("workloads",
+                                                                          "STATS_FUNCTIONS")
+
+
+def fresh_env() -> dict:
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                         os.environ.get("PYTHONPATH")]))}
+
+
+def test_the_tracer_installs_a_span_for_every_required_function():
+    code = ("import json, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import tracer\n"
+            "spans = tracer.Tracer()\n"
+            "spans.install()\n"
+            "print(json.dumps(sorted(spans.records)))\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(PERFBENCH)], env=fresh_env(),
+                          check=True, capture_output=True, text=True)
+    installed = set(json.loads(proc.stdout))
+    assert [name for name in REQUIRED if name not in installed] == []
 
 
 def test_traced_synth_and_analyze_call_every_required_span(tmp_path):
-    required = (perfbench_constant("tracer", "REQUIRED")
-                + perfbench_constant("workloads", "STATS_FUNCTIONS"))
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                        os.environ.get("PYTHONPATH")]))}
+    env = fresh_env()
     calls: dict[str, int] = {}
     for command in ("synth", "analyze"):
         spans = tmp_path / f"spans_{command}.json"
@@ -33,4 +53,4 @@ def test_traced_synth_and_analyze_call_every_required_span(tmp_path):
         assert record["exit_code"] == 0
         for name, span in record["spans"].items():
             calls[name] = calls.get(name, 0) + span["calls"]
-    assert [name for name in required if not calls.get(name)] == []
+    assert [name for name in REQUIRED if not calls.get(name)] == []
