@@ -7,7 +7,7 @@ resource loading of `cli.load_config` and `cli.run_validation` compiles; `valida
 `ingest` and `chunks` (which `ingest` imports where it counts a text); `synth` adds
 `ingest` and `synth`; and `analyze` adds `ingest`, `chunks`, `freq`, `report`,
 `semfield`, `stats` and `vectors` (`cli.main` imports the modules of the command it runs
-before it parses the arguments, `cli.run_validation` imports `ingest` only to read a
+before it reads its config, `cli.run_validation` imports `ingest` only to read a
 corpus, and `report` imports the analysis modules at its top). `tests/test_imports.py`
 pins each set.
 

@@ -1,14 +1,10 @@
 """Command-line front end: validate inputs, run the analysis bundle, or synthesize corpora.
 
-Exit codes: 0 success, 1 analysis error, 2 configuration/validation error.
-
-`run()` is the process entry, of both `python -m semdrift.cli` and the `semdrift`
-console script (`semdrift.run`): it runs `main()` with the cyclic garbage collector off and
-freezes what survives, so no collection runs during the command and the one at interpreter
-shutdown has almost nothing to scan. Both entries turn the collector off before this
-module is compiled (see `semdrift/__init__.py`), so none runs while the command's modules
-load either. `main(argv)` returns the exit code and leaves the collector as it found it,
-for callers in process such as the tests and `perfbench/tracer.py`.
+Each flag overrides a config key (`_FLAGS`). Exit codes: 0 success or `--help`, 1
+analysis error, 2 usage or configuration/validation error. `run()`, the process entry
+of `python -m semdrift.cli` and the `semdrift` script, runs `main()` with the cyclic
+garbage collector off, as it is from before this module compiles (see `__init__.py`).
+`main(argv)` returns the exit code and leaves the collector alone, for callers in process.
 """
 
 import gc
@@ -77,14 +73,10 @@ _SETTINGS = ("source_language", "target_language", "group_by", "alpha", "deviati
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
-    """Read a JSON config file and apply command-line overrides.
-
-    `overrides` maps config keys to values (None sets nothing); a `_SYNTH_TYPES`
-    key goes into the `synth` block. Every value, overrides included, is
-    checked against its spec in `_CONFIG_TYPES` (see `errors.check`), so a
-    malformed config ends in a ValidationError rather than a misread value or
-    a traceback: names are read in NFC, paths as written, numbers as floats.
-    """
+    """Read a JSON config file and apply `overrides`, config keys to values (None sets
+    nothing; a `_SYNTH_TYPES` key goes into the `synth` block). Every value is checked
+    against its spec in `_CONFIG_TYPES`, so a malformed one is a ValidationError: names
+    are read in NFC, paths as written, numbers as floats."""
     path = Path(path)
     given = {k: v for k, v in (overrides or {}).items() if v is not None}
     body = check("", {**read_json(path),
@@ -201,14 +193,10 @@ def _load_frequency_tables(config: RunConfig,
 
 def run_validation(config: RunConfig, *, need_manifest: bool = True,
                    read: list | None = None) -> ValidationReport:
-    """Load and check every input named by the config.
-
-    The report keeps what loaded (lexicons, concept map, frequency tables and,
-    with `need_manifest`, the corpus) for `analyze` to reuse. A `group_by`
-    factor that no document carries as a group key is an error, since every
-    ANOVA over it would be skipped. `read`, when given, gets the path of each
-    lemma dictionary and text that the corpus reads.
-    """
+    """Load and check every input named by the config; the report keeps what loaded (with
+    `need_manifest`, the corpus too) for `analyze`. A `group_by` factor that no document
+    carries is an error, since every ANOVA over it would be skipped. `read`, when given,
+    gets the path of each lemma dictionary and text that the corpus reads."""
     report = ValidationReport()
     report.lexicons = _load_lexicons(config, report)
     report.concept_map = _load_concept_map(config, report.lexicons, report)
@@ -242,16 +230,10 @@ def cmd_validate(config: RunConfig) -> int:
 
 
 def analyze(config: RunConfig, inputs: ValidationReport) -> dict:
-    """Run the full pipeline and return the report bundle as filename -> a function that
-    writes the file's text into an open text file.
-
-    `inputs` is the `run_validation(config)` report, whose loaded inputs are
-    analyzed; one with errors is a ValidationError. Every table is computed here
-    (`report.bundle`) and nothing is written: `cmd_analyze` renders each file
-    straight into its open file only after the whole bundle is computed, so
-    failures leave no partial output behind, and no file's text is ever held
-    whole in memory. Each writer may be called again.
-    """
+    """The bundle of the inputs `run_validation(config)` loaded (a report with errors is a
+    ValidationError), as file name -> a function that writes the file's text into an open
+    text file and may be called again. Every table is computed here and nothing written,
+    so `cmd_analyze` writes only once the whole bundle is computed."""
     from . import report
     if inputs.errors:
         raise ValidationError("; ".join(inputs.errors))
@@ -272,10 +254,9 @@ def _write_failed(exc: OSError, config: RunConfig) -> int:
 def _check_inputs_survive(config: RunConfig, names, read, *,
                           need_manifest: bool = True) -> None:
     """Raise ValidationError if writing any of `names` into the output directory would
-    replace a file the command reads: each input the config names (the manifest only with
-    `need_manifest`) and each path in `read` (the config file itself, and the corpus's
-    texts and lemma dictionaries). Paths are compared with symbolic links resolved
-    (`os.path.realpath`, which unlike `Path.resolve` never raises on a link loop)."""
+    replace an input the config names (the manifest only with `need_manifest`) or a path in
+    `read` (the config file, the corpus's texts and lemma dictionaries), with symbolic links
+    resolved (`os.path.realpath` never raises on a loop)."""
     inputs = {os.path.realpath(path): str(path) for path in read}
     inputs.update((os.path.realpath(path), raw) for raw, path in config.inputs.items()
                   if need_manifest or path != config.manifest)
@@ -287,9 +268,8 @@ def _check_inputs_survive(config: RunConfig, names, read, *,
 
 
 def cmd_analyze(config: RunConfig, config_path: Path) -> int:
-    """Analyze, then write the bundle one file at a time, each rendered as it is written
-    (text mode, UTF-8, the platform's newline, as `Path.write_text` writes); a failed
-    write removes every file of the bundle written so far."""
+    """Analyze, then render each bundle file into its open file (UTF-8, the platform's
+    newline); a failed write removes every file of the bundle written so far."""
     from . import ingest
     read = [config_path]
     inputs = run_validation(config, read=read)
@@ -344,81 +324,100 @@ def cmd_synth(config: RunConfig, config_path: Path) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> "argparse.ArgumentParser":
-    import argparse  # with `gettext` and `locale`, which a caller of the library never needs
-    parser = argparse.ArgumentParser(
-        prog="semdrift",
-        description="Sentiment and semantic-field shift analytics for translated corpora")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    # every other flag's dest is the config key it overrides
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="JSON run configuration")
-    writes = argparse.ArgumentParser(add_help=False)
-    writes.add_argument("--output-dir", help="override the configured output directory; "
-                                             "relative to the working directory")
-
-    sub.add_parser("validate", parents=[common],
-                   help="check lexicons, concept map, tables, and manifest")
-
-    p_analyze = sub.add_parser("analyze", parents=[common, writes],
-                               help="run the full analysis and write the report bundle")
-    p_analyze.add_argument("--deviation-mode", choices=[m.value for m in DeviationMode])
-    p_analyze.add_argument("--alpha", type=float)
-    p_analyze.add_argument("--top-k", type=int)
-
-    p_synth = sub.add_parser("synth", parents=[common, writes],
-                             help="generate a synthetic source corpus and channel output")
-    p_synth.add_argument("--kind", choices=[k.value for k in ChannelKind])
-    p_synth.add_argument("--words", type=int)
-    p_synth.add_argument("--seed", type=int)
-    p_synth.add_argument("--factor", type=float,
-                         help="expected attested-variant ratio, output over source")
-    p_synth.add_argument("--pull", dest="norm_pull", type=float,
-                         help="per-token probability of resampling from the reference")
-    p_synth.add_argument("--inflation", dest="length_inflation", type=float,
-                         help="output/input word-count ratio")
-    return parser
+# Each command's flags, `--config` aside, and the config key each overrides; `load_config`
+# checks their values.
+_FLAGS = {"validate": {},
+          "analyze": {"--output-dir": "output_dir", "--deviation-mode": "deviation_mode",
+                      "--alpha": "alpha", "--top-k": "top_k"},
+          "synth": {"--output-dir": "output_dir", "--kind": "kind", "--words": "words",
+                    "--seed": "seed", "--factor": "factor", "--pull": "norm_pull",
+                    "--inflation": "length_inflation"}}
+_HELP = {"validate": "check lexicons, concept map, tables, and manifest",
+         "analyze": "run the full analysis and write the report bundle",
+         "synth": "generate a synthetic source corpus and channel output",
+         "--output-dir": "override the configured output directory; relative to the "
+                         "working directory",
+         "--factor": "expected attested-variant ratio, output over source",
+         "--pull": "per-token probability of resampling from the reference",
+         "--inflation": "output/input word-count ratio"}
 
 
-# The modules each command runs beyond those every command loads (and what they import).
-# `main` imports them before it builds the argument parser: compiled from source, as in a
-# fresh checkout, a module's compiler memory is then freed before argparse, the parser and
-# the inputs are live beneath it, so it adds nothing to the command's peak memory.
-_COMMAND_MODULES = {"validate": ("chunks",), "synth": ("synth",),
-                    "analyze": ("chunks", "report")}
+def _usage() -> str:
+    lines = ["usage: semdrift COMMAND --config CONFIG [--flag VALUE | --flag=VALUE ...]\n",
+             "Sentiment and semantic-field shift analytics for translated corpora\n",
+             "  --config CONFIG  JSON run configuration", "  -h, --help  show this help"]
+    for command, flags in _FLAGS.items():
+        lines.append(f"\n{command}: {_HELP[command]}")
+        for flag, key in flags.items():
+            spec = _SYNTH_TYPES.get(key) or _CONFIG_TYPES[key]  # an enum lists its values
+            value = f"{{{','.join(spec)}}}" if hasattr(spec, "__members__") else key.upper()
+            lines.append(f"  {flag} {value}  {_HELP.get(flag, '')}".rstrip())
+    return "\n".join(lines)
+
+
+def parse_args(argv) -> tuple[str, str, dict]:
+    """The command, its config file and the config keys its flags override, each value by
+    its key's spec (`int()`, `float()` for a `NUMBER`); a usage error is a ValidationError."""
+    command, *rest = argv or [None]
+    if command not in _FLAGS:
+        raise ValidationError(f"command must be one of 'validate', 'analyze', 'synth', "
+                              f"got {command!r}")
+    flags, given, args = {"--config": "config", **_FLAGS[command]}, {}, iter(rest)
+    for arg in args:
+        flag, eq, value = arg.partition("=")
+        key = flags.get(flag)
+        if key is None or key in given:
+            raise ValidationError(f"{flag} given twice" if key else f"unknown argument {arg!r}")
+        if not eq:  # the next argument, a negative number too
+            value = next(args, "--")
+            if value.startswith("--"):
+                raise ValidationError(f"{flag} needs a value")
+        convert = {int: int, NUMBER: float}.get(_SYNTH_TYPES.get(key, _CONFIG_TYPES.get(key)), str)
+        try:
+            given[key] = convert(value)
+        except ValueError:
+            raise ValidationError(f"{flag} needs {convert.__name__}, got {value!r}") from None
+    if "config" not in given:
+        raise ValidationError(f"{command} needs --config")
+    return command, given.pop("config"), given
+
+
+# The modules each command runs beyond those every command loads. `main` imports them
+# before it reads any input, its config included: compiled from source, a module's
+# compiler memory is then freed before the inputs are live, off the command's peak.
+_COMMAND_MODULES = {"validate": ("chunks",), "synth": ("synth",), "analyze": ("chunks", "report")}
 
 
 def main(argv=None) -> int:
+    """Run a command line and return its exit code: 2 for a usage error, 0 for --help."""
     argv = sys.argv[1:] if argv is None else argv
-    # the command is the first argument: the parser takes no option before it but --help
-    for name in _COMMAND_MODULES.get(argv[0] if argv else "", ()):
-        importlib.import_module(f"{__package__}.{name}")
-    args = _build_parser().parse_args(argv)
-    if getattr(args, "output_dir", None):
-        # the flag is relative to the working directory, the config key to the config file
-        args.output_dir = str(Path(args.output_dir).absolute())
+    if "-h" in argv or "--help" in argv:
+        print(_usage())
+        return EXIT_OK
     try:
-        config = load_config(args.config, vars(args))
+        command, config_path, overrides = parse_args(argv)
+    except ValidationError as exc:
+        return _fail(EXIT_CONFIG, exc)
+    for name in _COMMAND_MODULES[command]:
+        importlib.import_module(f"{__package__}.{name}")
+    if overrides.get("output_dir"):
+        # the flag is relative to the working directory, the config key to the config file
+        overrides["output_dir"] = str(Path(overrides["output_dir"]).absolute())
+    try:
+        config = load_config(config_path, overrides)
     except SemdriftError as exc:
         return _fail(EXIT_CONFIG, exc)
-    if args.command == "validate":
+    if command == "validate":
         return cmd_validate(config)
-    if args.command == "analyze":
-        return cmd_analyze(config, Path(args.config))
-    return cmd_synth(config, Path(args.config))
+    return (cmd_analyze if command == "analyze" else cmd_synth)(config, Path(config_path))
 
 
 def run() -> None:
     """Run `main()` as a whole process, with no cyclic garbage collection, and exit.
 
-    A command is one short process. The few KB of cyclic garbage it makes (the argument
-    parser, the JSON encoder's closures) are the same for any input and go back to the OS
-    at exit, so collecting them, during the run or over the survivors at shutdown, is
-    wasted. Freezing moves every object out of the collector's reach, so the collection
-    that shutdown makes even with the collector off has almost nothing to scan. Unlike
-    `os._exit`, shutdown still runs the atexit handlers, flushes stdio and keeps the exit
-    code.
+    The cyclic garbage a command makes (the JSON encoder's closures) is the same for any
+    input and goes back to the OS at exit. Freezing what survives leaves the collection at
+    shutdown almost nothing to scan; unlike `os._exit`, shutdown still flushes stdio.
     """
     gc.disable()
     code = main()

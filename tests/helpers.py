@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import argparse
 import ast
 import hashlib
 import json
@@ -9,9 +10,18 @@ from pathlib import Path
 from semdrift import (ConceptMap, CorpusStratum, Document, FrequencyTable, SentimentLexicon,
                       TranslationKind, filler_vocab, load_concept_map, load_lexicon_sources,
                       merge_disjoint, stats)
+from semdrift.cli import _CONFIG_TYPES, _FLAGS, _SYNTH_TYPES
+from semdrift.errors import NUMBER
 
 DATA = Path(__file__).parent / "data"
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
+# the two ways a process enters the command line, as the interpreter's arguments:
+# `python -m semdrift.cli` runs the module as __main__, and the console script that
+# `pip install` writes calls `semdrift.run()`
+ENTRIES = {
+    "module": ["-m", "semdrift.cli"],
+    "console-script": ["-c", "from semdrift import run\nrun()\n"],
+}
 
 
 def perfbench_constant(module: str, name: str):
@@ -22,6 +32,24 @@ def perfbench_constant(module: str, name: str):
                 isinstance(t, ast.Name) and t.id == name for t in node.targets):
             return ast.literal_eval(node.value)
     raise LookupError(f"perfbench/{module}.py defines no {name}")
+
+
+def reference_parse(argv: list[str]) -> tuple[str, str, dict]:
+    """What an argparse parser built from `cli._FLAGS` makes of a valid command line: the
+    command, the config file and the config keys its flags set, an `int` key's value by
+    `int`, a `NUMBER` key's by `float`. It is an oracle for `cli.parse_args`; it raises
+    SystemExit where argparse refuses, and takes abbreviated flags."""
+    parser = argparse.ArgumentParser(prog="semdrift")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, flags in _FLAGS.items():
+        sub = commands.add_parser(command)
+        sub.add_argument("--config", required=True)
+        for flag, key in flags.items():
+            spec = _SYNTH_TYPES.get(key) or _CONFIG_TYPES[key]
+            sub.add_argument(flag, dest=key, type={int: int, NUMBER: float}.get(spec, str))
+    args = vars(parser.parse_args(argv))
+    command, config = args.pop("command"), args.pop("config")
+    return command, config, {key: value for key, value in args.items() if value is not None}
 
 
 def digest(directory: Path) -> str:

@@ -7,23 +7,24 @@ import os
 import re
 import shutil
 import subprocess
+import sys
 import unicodedata
 from itertools import islice
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semdrift.cli
 import semdrift.ingest
 from semdrift import Side, load_corpus
-from semdrift.cli import (_CONFIG_TYPES, _SYNTH_TYPES, _build_parser, analyze, load_config,
-                          main, run_validation)
-from semdrift.errors import IngestError, ValidationError
+from semdrift.cli import (_CONFIG_TYPES, _FLAGS, _HELP, _SYNTH_TYPES, analyze, load_config,
+                          main, parse_args, run_validation)
+from semdrift.errors import NUMBER, IngestError, ValidationError
 
-from helpers import (DATA, count_class_of, digest, fixture_concept_map,
-                     forbid_panel_building, read_summary)
+from helpers import (DATA, ENTRIES, count_class_of, digest, fixture_concept_map,
+                     forbid_panel_building, read_summary, reference_parse)
 
 ROOT = Path(__file__).parent.parent
 # sha256s (see helpers.digest) of the texts `synth` writes for the tiny seed-1 many-groups
@@ -205,10 +206,15 @@ class TestConfigTypes:
 
     @pytest.mark.parametrize("command", ["analyze", "synth"])
     def test_every_flag_is_a_typed_config_key(self, command):
-        # a flag reaches a run only through load_config, so its dest must be a checked key
-        args = vars(_build_parser().parse_args([command, "--config", "c.json"]))
-        flags = args.keys() - {"command", "config", "output_dir"}
-        assert flags and flags <= _CONFIG_TYPES.keys() | _SYNTH_TYPES.keys()
+        # a flag reaches a run only through load_config, so its key must be a checked one,
+        # and parse_args converts its value by that key's spec
+        keys = set(_FLAGS[command].values()) - {"output_dir"}
+        assert keys and keys <= _CONFIG_TYPES.keys() | _SYNTH_TYPES.keys()
+        for flag, key in _FLAGS[command].items():
+            spec = _SYNTH_TYPES.get(key) or _CONFIG_TYPES[key]
+            value = {int: "7", NUMBER: "0.5"}.get(spec, "machine")
+            expected = {int: 7, NUMBER: 0.5}.get(spec, "machine")
+            assert parse_args([command, "--config", "c", flag, value])[2] == {key: expected}
 
     def test_removed_attested_key_is_ignored(self, tmp_path):
         # "attested" changed no number and is no longer a config key
@@ -217,6 +223,159 @@ class TestConfigTypes:
         assert main(["analyze", "--config", str(config), "--output-dir", str(out)]) == 0
         summary = read_summary(out)
         assert "attested" not in summary["mode"]
+
+
+USAGE_ERRORS = [
+    ([], "command must be one of 'validate', 'analyze', 'synth', got None"),
+    (["bogus", "--config", "c.json"],
+     "command must be one of 'validate', 'analyze', 'synth', got 'bogus'"),
+    (["--config", "c.json"], "command must be one of 'validate', 'analyze', 'synth', "
+                             "got '--config'"),
+    (["analyze"], "analyze needs --config"),
+    (["synth", "--words", "10"], "synth needs --config"),
+    (["analyze", "--config"], "--config needs a value"),
+    (["analyze", "--config", "c.json", "--top-k"], "--top-k needs a value"),
+    (["analyze", "--config", "c.json", "--output-dir", "--top-k", "3"],
+     "--output-dir needs a value"),
+    (["analyze", "--config", "c.json", "--top-k", "five"], "--top-k needs int, got 'five'"),
+    (["analyze", "--config", "c.json", "--top-k=2.5"], "--top-k needs int, got '2.5'"),
+    (["analyze", "--config", "c.json", "--alpha", "x"], "--alpha needs float, got 'x'"),
+    (["synth", "--config", "c.json", "--words", "1e4"], "--words needs int, got '1e4'"),
+    (["analyze", "--config", "c.json", "--out", "d"], "unknown argument '--out'"),
+    (["analyze", "--config=c.json", "--top=3"], "unknown argument '--top=3'"),
+    (["validate", "--config", "c.json", "--output-dir", "d"],
+     "unknown argument '--output-dir'"),
+    (["analyze", "--config", "c.json", "--kind", "machine"], "unknown argument '--kind'"),
+    (["synth", "--config", "c.json", "--top-k", "3"], "unknown argument '--top-k'"),
+    (["analyze", "--config", "c.json", "out"], "unknown argument 'out'"),
+    (["analyze", "-c", "c.json"], "unknown argument '-c'"),
+    (["analyze", "--config", "c.json", "--top-k", "3", "--top-k", "4"], "--top-k given twice"),
+    (["synth", "--config", "c.json", "--seed=1", "--seed", "1"], "--seed given twice"),
+    (["analyze", "--config", "a.json", "--config", "b.json"], "--config given twice"),
+]
+USAGE_IDS = [" ".join(argv) or "empty" for argv, _ in USAGE_ERRORS]
+
+
+def _flag_value(spec):
+    """Text that `parse_args` converts by a flag's spec: integers for an int, numbers in
+    plain and exponent form for a NUMBER, anything (non-ASCII paths too) for the rest but
+    `--`, which argparse drops even as `--flag=--`."""
+    numbers = st.floats(allow_nan=False, allow_infinity=False)
+    if spec is int:
+        return st.integers(-10**12, 10**12).map(str)
+    if spec is NUMBER:
+        return st.one_of(numbers.map(repr), numbers.map("{:e}".format),
+                         st.integers(-10**6, 10**6).map(str))
+    return st.text(st.characters(blacklist_categories=("Cs",)), max_size=12).filter(
+        lambda text: text != "--")
+
+
+def _argument(flag: str, value: str, attached: bool) -> list[str]:
+    # argparse takes a value after a space only if it does not start with "-" or is a plain
+    # negative number; any value can be attached with "="
+    if attached or (value.startswith("-") and not re.fullmatch(r"-\d+|-\d*\.\d+", value)):
+        return [f"{flag}={value}"]
+    return [flag, value]
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """A valid `analyze` or `synth` command line: its flags in any order, each in either
+    form, with `--config` among them."""
+    command = draw(st.sampled_from(["analyze", "synth"]))
+    flags = {"--config": str, **{flag: _SYNTH_TYPES.get(key) or _CONFIG_TYPES[key]
+                                 for flag, key in _FLAGS[command].items()}}
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), unique=True))
+    chosen = draw(st.permutations(chosen if "--config" in chosen else [*chosen, "--config"]))
+    argv = [command]
+    for flag in chosen:
+        argv += _argument(flag, draw(_flag_value(flags[flag])), draw(st.booleans()))
+    return argv
+
+
+class TestCommandLine:
+    @settings(max_examples=300, deadline=None)
+    @given(command_lines())
+    @example(["synth", "--seed", "-3", "--config", "конфиг/日本.json", "--factor=-1e-05",
+              "--output-dir", "вывод"])
+    @example(["analyze", "--alpha", "-.5", "--config=c.json", "--top-k=-1",
+              "--output-dir=-x", "--deviation-mode", "ratio"])
+    def test_overrides_equal_those_of_an_argparse_reference(self, argv):
+        assert parse_args(argv) == reference_parse(argv)
+
+    def test_main_returns_the_usage_codes_without_raising(self, capsys):
+        assert main(["analyze"]) == 2
+        assert main(["--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "error: analyze needs --config\n"
+        assert captured.out.startswith("usage: semdrift ")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["analyze", "--help"],
+                                      ["synth", "--config", "c.json", "-h"],
+                                      ["bogus", "--help"]])
+    def test_help_lists_every_flag_with_its_help(self, capsys, argv):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert not captured.err
+        for text in ("--config CONFIG", "--deviation-mode {difference,ratio}",
+                     "--kind {machine,human}", "--pull NORM_PULL", *_HELP.values()):
+            assert text in captured.out
+        for flags in _FLAGS.values():
+            assert all(f"  {flag} " in captured.out for flag in flags)
+
+    @pytest.mark.parametrize("argv, message", USAGE_ERRORS, ids=USAGE_IDS)
+    def test_usage_error_exits_2_with_one_error_line(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("argv, message", USAGE_ERRORS, ids=USAGE_IDS)
+    def test_usage_error_exits_2_through_each_process_entry(self, entry, argv, message):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, *ENTRIES[entry], *argv], env=env,
+                              capture_output=True, text=True, check=False)
+        assert proc.returncode == 2
+        assert (proc.stdout, proc.stderr) == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("flags, flag", [
+        (["--output-dir", "a", "--top-k", "3", "--top-k", "4"], "--top-k"),
+        (["--top-k=3", "--output-dir", "a", "--top-k", "3"], "--top-k"),
+        (["--output-dir", "a", "--output-dir=b"], "--output-dir"),
+    ])
+    def test_a_flag_given_twice_is_refused_by_name(self, tmp_path, capsys, monkeypatch,
+                                                   flags, flag):
+        # argparse kept the last value and dropped the first unseen
+        monkeypatch.chdir(tmp_path)
+        assert main(["analyze", "--config", str(DATA / "config.json"), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {flag} given twice\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_an_abbreviated_flag_is_unknown(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["analyze", "--config", str(DATA / "config.json"), "--out", "b"]) == 2
+        assert capsys.readouterr().err == "error: unknown argument '--out'\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, overrides", [
+        (["--alpha", "-1e-3"], {"alpha": -0.001}),
+        (["--alpha", "-inf"], {"alpha": float("-inf")}),
+        (["--top-k", "-2"], {"top_k": -2}),
+        (["--alpha=1E-2", "--top-k=+3"], {"alpha": 0.01, "top_k": 3}),
+        (["--output-dir", "-", "--deviation-mode=ratio"],
+         {"output_dir": "-", "deviation_mode": "ratio"}),
+        (["--output-dir="], {"output_dir": ""}),
+        (["--output-dir=--"], {"output_dir": "--"}),
+    ])
+    def test_a_negative_number_or_a_dash_is_a_value(self, argv, overrides):
+        assert parse_args(["analyze", "--config", "c.json", *argv]) == \
+            ("analyze", "c.json", overrides)
+
+    def test_a_negative_alpha_reaches_the_config_check(self, capsys):
+        assert main(["analyze", "--config", str(DATA / "config.json"),
+                     "--alpha", "-1e-3"]) == 2
+        assert capsys.readouterr().err == "error: alpha must be in (0, 1), got -0.001\n"
 
 
 def _count_load_corpus(monkeypatch) -> list:

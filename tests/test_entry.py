@@ -3,9 +3,9 @@
 `python -m semdrift.cli` and the `semdrift` console script both start a command through
 `cli.run()`. It disables the collector, runs `main()`, then freezes every surviving object
 so that the collection at shutdown has almost nothing to scan. That is safe because what a
-command leaves to the collector is a fixed set of cycles (the argument parser, the JSON
-encoder's closures), whatever the size of its input. Both entries turn the collector off
-before `cli` is compiled, so no collection runs while the command's modules load either.
+command leaves to the collector is a fixed set of cycles (the JSON encoder's closures),
+whatever the size of its input. Both entries turn the collector off before `cli` is
+compiled, so no collection runs while the command's modules load either.
 `main(argv)` itself leaves the collector alone, for the callers that run it in process.
 """
 
@@ -22,16 +22,9 @@ import pytest
 
 from semdrift.cli import main
 
-from helpers import DATA, digest
+from helpers import DATA, ENTRIES, digest
 
 ROOT = Path(__file__).parent.parent
-# the two ways a process enters the command line, as the interpreter's arguments:
-# `python -m semdrift.cli` runs the module as __main__, and the console script that
-# `pip install` writes calls `semdrift.run()`
-ENTRIES = {
-    "module": ["-m", "semdrift.cli"],
-    "console-script": ["-c", "from semdrift import run\nrun()\n"],
-}
 # run as `sitecustomize`, which the interpreter imports before it runs the entry: it
 # collects, so that what start-up allocated does not decide when the next collection
 # falls, counts each collection from then on, and prints at exit, after the command
@@ -172,7 +165,7 @@ def test_cyclic_garbage_does_not_grow_with_the_corpus(tmp_path, capsys):
 
     analyze(DATA / "config.json", "warm")  # the first run's imports and caches
     small = analyze(DATA / "config.json", "small")
-    assert small  # the argument parser alone leaves cycles
+    assert small  # the JSON encoder's closures alone leave cycles
     assert analyze(large, "large") == small
     assert (gc.isenabled(), gc.get_debug(), len(gc.garbage)) == state
 

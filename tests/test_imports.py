@@ -9,16 +9,17 @@ loads `ingest` and `synth`, and `analyze` loads `ingest`, `chunks`, `freq`, `rep
 `semfield`, `stats` and `vectors` but not `synth`. The benchmark's set-up job,
 `perfbench/run.py`'s `SETUP_CODE`, reads no corpus and loads only the common modules, and
 every module of the package is loaded by at least one command. Each command loads its
-modules before it builds the argument parser, and so before it reads any input. No
-command loads `dataclasses`, `inspect`, `hashlib` or `_hashlib` (OpenSSL): every SHA-256
-comes from the interpreter's built-in module, which only `analyze` and a `synth` whose
-document ids are not plain names load. Neither `validate` nor the set-up job loads `csv`,
-which only `analyze` uses.
+modules before it reads any input, its config file included. No command loads
+`dataclasses`, `inspect`, `hashlib` or `_hashlib` (OpenSSL): every SHA-256 comes from the
+interpreter's built-in module, which only `analyze` and a `synth` whose document ids are
+not plain names load. Neither `validate` nor the set-up job loads `csv`, which only
+`analyze` uses.
 Over a bare interpreter, no command adds the codecs of a byte order mark or of ASCII (every
-file is decoded as UTF-8), `__future__` or `typing`, and the set-up job adds neither
-`argparse` nor `gettext`, which only the command line's parser uses. Each command runs in a
-fresh interpreter, which reports its exit code and the modules it loaded; the package's
-exports load on first access.
+file is decoded as UTF-8), `__future__` or `typing`, and neither a command, `--help` nor the
+set-up job adds `argparse`, `gettext` or `locale`: the command line is parsed from a table
+of flags. Without the site hook (`python -S`), no command loads `shutil`, nor with it
+`zlib`, `bz2` or `lzma`. Each command runs in a fresh interpreter, which reports its exit
+code and the modules it loaded; the package's exports load on first access.
 """
 
 import importlib
@@ -58,7 +59,10 @@ WRITE_ONLY = {"csv"}
 # tables as UTF-8, so neither codec module loads, and no module imports `__future__` or
 # `typing`
 TRIMMED = {"encodings.utf_8_sig", "encodings.ascii", "__future__", "typing"}
-PARSER_ONLY = {"argparse", "gettext"}  # `main` imports them to parse its arguments
+# stdlib modules that `argparse` would load, and that the table of flags needs none of;
+# `shutil` loads `zlib`, `bz2` and `lzma` with it, which a site hook may load anyway
+PARSER = {"argparse", "gettext", "locale"}
+ARCHIVERS = {"shutil", "zlib", "bz2", "lzma"}
 # the built-in SHA-256 module, loaded to hash the inputs' checksums and the file names of
 # non-plain document ids; from Python 3.12 it is `_sha2`, which `random` loads in every
 # command for its own seeding, so only before 3.12 does it show whether a command hashed
@@ -69,12 +73,13 @@ HASH_ONLY = {BUILTIN_SHA256} if sys.version_info < (3, 12) else set()
 SYNTH_DIGEST = "e41009883e164e4ce3057bd05e087ace69ad2bf0eab5e109cb84b028557375ad"
 
 
-def run_fresh(code: str, *args: str) -> str:
+def run_fresh(code: str, *args: str, flags: tuple[str, ...] = ()) -> str:
+    """The last line that `code` prints in a fresh interpreter started with `flags`."""
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                         os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                          text=True, check=True)
+    proc = subprocess.run([sys.executable, *flags, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True)
     return proc.stdout.splitlines()[-1]
 
 
@@ -88,9 +93,10 @@ def added(modules: set[str]) -> set[str]:
     return modules - bare_modules()
 
 
-def run_command(*args: str, config: Path = DATA / "config.json") -> tuple[int, set[str]]:
+def run_command(*args: str, config: Path = DATA / "config.json",
+                flags: tuple[str, ...] = ()) -> tuple[int, set[str]]:
     """The command's exit code and the modules loaded when it returned."""
-    result = json.loads(run_fresh(PROBE, *args, "--config", str(config)))
+    result = json.loads(run_fresh(PROBE, *args, "--config", str(config), flags=flags))
     return result["code"], set(result["modules"])
 
 
@@ -121,7 +127,7 @@ def test_validate_never_imports_numpy():
     assert "numpy" not in modules
     assert semdrift_modules(modules) == VALIDATE
     assert not modules & (NEVER_LOADED | WRITE_ONLY | HASH_ONLY)
-    assert not added(modules) & TRIMMED
+    assert not added(modules) & (TRIMMED | PARSER)
 
 
 def test_benchmark_setup_job_loads_only_the_common_modules():
@@ -134,7 +140,7 @@ def test_benchmark_setup_job_loads_only_the_common_modules():
     assert "numpy" not in modules
     assert semdrift_modules(modules) == COMMON
     assert not modules & (NEVER_LOADED | WRITE_ONLY | HASH_ONLY)
-    assert not added(modules) & (TRIMMED | PARSER_ONLY)
+    assert not added(modules) & (TRIMMED | PARSER)
 
 
 def test_two_group_analyze_never_imports_numpy(tmp_path):
@@ -143,7 +149,7 @@ def test_two_group_analyze_never_imports_numpy(tmp_path):
     assert "numpy" not in modules
     assert semdrift_modules(modules) == ANALYZE
     assert not modules & NEVER_LOADED
-    assert not added(modules) & TRIMMED
+    assert not added(modules) & (TRIMMED | PARSER)
     assert BUILTIN_SHA256 in modules
     tests = pairs_per_test(tmp_path)
     assert tests and set(tests.values()) == {1}  # one pair per test: every k is 2
@@ -157,7 +163,7 @@ def test_many_group_analyze_never_imports_numpy(tmp_path):
     assert "numpy" not in modules
     assert semdrift_modules(modules) == ANALYZE
     assert not modules & NEVER_LOADED
-    assert not added(modules) & TRIMMED  # its k = 3 tests read both kernel tables
+    assert not added(modules) & (TRIMMED | PARSER)  # its k = 3 tests read both tables
     assert BUILTIN_SHA256 in modules
     tests = pairs_per_test(out)
     # every summit test compares three groups (three pairs, k = 3)
@@ -205,16 +211,16 @@ def test_synth_loads_its_modules_before_it_reads_a_resource(tmp_path):
 
 @pytest.mark.parametrize("command, expected", [("validate", VALIDATE), ("synth", SYNTH),
                                                ("analyze", ANALYZE)])
-def test_each_command_loads_its_modules_before_the_argument_parser(tmp_path, command,
-                                                                    expected):
-    # compiled under argparse and the parser, their compile's transient memory would add
-    # to the command's peak
-    if "argparse" in bare_modules():
-        pytest.skip("this interpreter loads argparse at start")
-    code = ("import json, sys\n"
+def test_each_command_loads_its_modules_before_it_opens_its_config(tmp_path, command,
+                                                                   expected):
+    # compiled after the config is read, their compile's transient memory would add to the
+    # command's peak; the audit hook sees the first open of the config's path
+    code = ("import json, os, sys\n"
+            "config = sys.argv[sys.argv.index('--config') + 1]\n"
             "loaded = []\n"
             "def probe(event, args):\n"
-            "    if event == 'import' and args[0] == 'argparse' and not loaded:\n"
+            "    if event == 'open' and not loaded and isinstance(args[0], (str, os.PathLike))"
+            " and os.fspath(args[0]) == config:\n"
             "        loaded.extend(sys.modules)\n"
             "sys.addaudithook(probe)\n"
             "from semdrift.cli import main\n"
@@ -225,6 +231,19 @@ def test_each_command_loads_its_modules_before_the_argument_parser(tmp_path, com
                                   *args))
     assert result["code"] == 0
     assert semdrift_modules(set(result["modules"])) == expected
+
+
+@pytest.mark.parametrize("args", [("validate",), ("synth", "--words", "1000"), ("analyze",),
+                                  ("analyze", "--help"), ("--help",)])
+def test_no_command_and_no_help_loads_the_argument_parser_modules(tmp_path, args):
+    # argparse brought gettext and locale, and shutil with zlib, bz2 and lzma; without the
+    # site hook, as a CI runner starts, none of them is loaded at start
+    bare = set(run_fresh("import sys\nprint(*sys.modules)", flags=("-S",)).split())
+    assert not bare & (PARSER | ARCHIVERS)
+    out = ["--output-dir", str(tmp_path)] if args[0] in ("synth", "analyze") else []
+    code, modules = run_command(*args, *out, flags=("-S",))
+    assert code == 0
+    assert not modules & (PARSER | ARCHIVERS)
 
 
 def test_analyze_run_as_a_module_loads_cli_only_as_main(tmp_path):
@@ -244,7 +263,7 @@ def test_default_synth_loads_no_numpy_and_writes_the_same_bytes(tmp_path):
     assert "numpy" not in modules
     assert semdrift_modules(modules) == SYNTH
     assert not modules & (NEVER_LOADED | HASH_ONLY)
-    assert not added(modules) & TRIMMED
+    assert not added(modules) & (TRIMMED | PARSER)
     assert digest(tmp_path) == SYNTH_DIGEST
 
 
