@@ -11,20 +11,12 @@ before it reads its config, `cli.run_validation` imports `ingest` only to read a
 corpus, and `report` imports the analysis modules at its top). `tests/test_imports.py`
 pins each set.
 
-Both process entries turn the cyclic garbage collector off before `cli` is compiled (see
-`cli.run`): `run`, the `semdrift` console script, before it imports `cli`, and
-`python -m semdrift.cli` here, while the interpreter locates the module it is to run.
+Importing the package changes nothing process-wide: the one process entry, `cli.run`
+(both `python -m semdrift.cli` and the `semdrift` console script), is what turns the
+cyclic garbage collector off.
 """
 
 import importlib
-import sys
-
-# `python -m semdrift.cli ARGS` imports this package, to locate the module it then compiles
-# and runs, while sys.argv is ["-m", *ARGS]; its sys.orig_argv ends with the module's name
-# and ARGS. Only that process, the command line's own, turns the collector off here.
-if sys.argv[:1] == ["-m"] and sys.orig_argv[-len(sys.argv):][:1] == ["semdrift.cli"]:
-    import gc
-    gc.disable()
 
 __version__ = "0.1.0"
 
@@ -63,11 +55,3 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
 
-
-def run() -> None:
-    """`cli.run()`, with the cyclic garbage collector off before `cli` and the modules it
-    imports are compiled, so that no collection runs at any point of the command."""
-    import gc
-    gc.disable()
-    from .cli import run
-    run()

@@ -17,10 +17,11 @@ DATA = Path(__file__).parent / "data"
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
 # the two ways a process enters the command line, as the interpreter's arguments:
 # `python -m semdrift.cli` runs the module as __main__, and the console script that
-# `pip install` writes calls `semdrift.run()`
+# `pip install` writes imports `run` from `semdrift.cli` and calls it; both start the
+# command in `cli.run()`
 ENTRIES = {
     "module": ["-m", "semdrift.cli"],
-    "console-script": ["-c", "from semdrift import run\nrun()\n"],
+    "console-script": ["-c", "from semdrift.cli import run\nrun()\n"],
 }
 
 

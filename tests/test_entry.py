@@ -1,12 +1,15 @@
-"""The process entry: `run()` runs `main()` with the cyclic garbage collector off and frozen.
+"""The process entry: `cli.run()` runs `main()` with the cyclic garbage collector off and
+frozen.
 
 `python -m semdrift.cli` and the `semdrift` console script both start a command through
-`cli.run()`. It disables the collector, runs `main()`, then freezes every surviving object
-so that the collection at shutdown has almost nothing to scan. That is safe because what a
-command leaves to the collector is a fixed set of cycles (the JSON encoder's closures),
-whatever the size of its input. Both entries turn the collector off before `cli` is
-compiled, so no collection runs while the command's modules load either.
-`main(argv)` itself leaves the collector alone, for the callers that run it in process.
+`cli.run()`, the one place that turns the collector off: importing the package changes
+nothing process-wide. `run()` disables the collector, runs `main()`, then freezes every
+surviving object so that the collection at shutdown has almost nothing to scan. That is
+safe because what a command leaves to the collector is a fixed set of cycles (the JSON
+encoder's closures), whatever the size of its input. Collections can still run while
+`cli` and its top-level imports compile, before `run()` starts, but none once the
+command's own modules load. `main(argv)` itself leaves the collector alone, for the
+callers that run it in process.
 """
 
 import gc
@@ -20,34 +23,45 @@ from pathlib import Path
 
 import pytest
 
-from semdrift.cli import main
+from semdrift.cli import _COMMAND_MODULES, main
 
 from helpers import DATA, ENTRIES, digest
 
 ROOT = Path(__file__).parent.parent
 # run as `sitecustomize`, which the interpreter imports before it runs the entry: it
 # collects, so that what start-up allocated does not decide when the next collection
-# falls, counts each collection from then on, and prints at exit, after the command
-# returns and before the interpreter shuts down, the collector's state and that count
-GC_PROBE = ("import atexit, gc, json\n"
+# falls; records, at the start of each collection from then on, the semdrift modules
+# loaded, and at each gc.disable() call the file and function of its caller; and prints
+# at exit, after the command returns and before the interpreter shuts down, the
+# collector's state and those records
+GC_PROBE = ("import atexit, gc, json, os, sys\n"
             "gc.collect()\n"
-            "collections = []\n"
-            "gc.callbacks.append(lambda phase, info: phase == 'start' and collections.append(1))\n"
+            "collections, disablers = [], []\n"
+            "gc.callbacks.append(lambda phase, info: phase == 'start' and collections.append(\n"
+            "    sorted(name for name in sys.modules if name.startswith('semdrift.'))))\n"
+            "disable = gc.disable\n"
+            "def probe():\n"
+            "    caller = sys._getframe(1).f_code\n"
+            "    disablers.append([os.path.basename(caller.co_filename), caller.co_name])\n"
+            "    disable()\n"
+            "gc.disable = probe\n"
             "atexit.register(lambda: print(json.dumps(\n"
             "    {'enabled': gc.isenabled(), 'frozen': gc.get_freeze_count(),\n"
-            "     'collections': len(collections)})))\n")
+            "     'collections': collections, 'disablers': disablers})))\n")
 
 
 def run_entry(tmp_path: Path, entry: str, *args: str) -> tuple[int, dict]:
-    """A command run through one entry in a fresh interpreter that compiles every module
-    from source, as in a fresh checkout: its exit code, and the collector's state and
-    the count of its collections at exit."""
-    probe, cache = tmp_path / "probe", tmp_path / "no-bytecode"
+    """A command run through one entry in a fresh interpreter, on a copy of the package
+    that holds no bytecode, so that every semdrift module compiles from source, as in a
+    fresh checkout, while the standard library loads its own bytecode: its exit code, and
+    the probe's record at exit."""
+    probe, src = tmp_path / "probe", tmp_path / "src"
     probe.mkdir()
-    cache.mkdir()
     (probe / "sitecustomize.py").write_text(GC_PROBE, encoding="utf-8")
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": str(cache),
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(probe), str(ROOT / "src"),
+    shutil.copytree(ROOT / "src" / "semdrift", src / "semdrift",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(probe), str(src),
                                                         os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, *ENTRIES[entry], *args], env=env,
                           capture_output=True, text=True, check=False)
@@ -124,13 +138,21 @@ class TestProcessEntry:
         assert not state["enabled"] and state["frozen"] > 0
 
     @pytest.mark.parametrize("command", ["validate", "synth", "analyze"])
-    def test_no_collection_runs_from_the_entry_on(self, tmp_path, entry, command):
-        # the collector is off before `cli` and the modules of the command compile
+    def test_every_collection_comes_before_the_command_modules_load(self, tmp_path, entry,
+                                                                    command):
+        # `run()` turns the collector off before `main` imports them
         args = ["--output-dir", str(tmp_path / "out")] if command != "validate" else []
         code, state = run_entry(tmp_path, entry, command, "--config",
                                 str(DATA / "config.json"), *args)
         assert code == 0
-        assert state["collections"] == 0
+        modules = {f"semdrift.{name}" for name in _COMMAND_MODULES[command]}
+        assert all(modules.isdisjoint(loaded) for loaded in state["collections"])
+
+    def test_cli_run_is_the_only_caller_of_gc_disable(self, tmp_path, entry):
+        code, state = run_entry(tmp_path, entry, "validate", "--config",
+                                str(DATA / "config.json"))
+        assert code == 0
+        assert state["disablers"] == [["cli.py", "run"]]
 
 
 def cyclic_garbage(argv: list[str]) -> Counter:
