@@ -165,6 +165,10 @@ def _load_concept_map(config: RunConfig, lexicons: dict[str, SentimentLexicon],
     if not config.source_language or not config.target_language:
         report.errors.append("concept_map requires source_language and target_language")
         return None
+    if config.source_language == config.target_language:  # a stratum's language is its side
+        report.errors.append("concept_map requires source_language and target_language to "
+                             "differ")
+        return None
     src = lexicons.get(config.source_language)
     tgt = lexicons.get(config.target_language)
     if src is None or tgt is None:

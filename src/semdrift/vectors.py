@@ -95,17 +95,16 @@ def _rotate(x, y, c: float, s: float) -> tuple[list[float], list[float]]:
     return [c * a - s * b for a, b in zip(x, y)], [s * a + c * b for a, b in zip(x, y)]
 
 
-def _orthogonalize(rows: list, partner: list | None = None) -> list:
+def _orthogonalize(rows: list) -> list:
     """Rotate pairs of rows until every two are orthogonal: one-sided Jacobi (Hestenes).
 
     Each plane rotation makes one pair orthogonal, and sweeps over all pairs repeat
-    until no pair's cosine exceeds sqrt(len) * eps; `partner`'s rows, if given, take
-    the same rotations. Two rows whose squared norms are both at most eps^2 times
-    the sum over all rows are rounding noise and stay as they are: they may be
-    parallel, as the rows of equal centred columns are, and turning one against the
-    other would only shrink it towards underflow. The rotations are orthogonal, so
-    with no more rows than columns the rows end as s_k times the right singular
-    vectors of the input.
+    until no pair's cosine exceeds sqrt(len) * eps. Two rows whose squared norms are
+    both at most eps^2 times the sum over all rows are rounding noise and stay as
+    they are: they may be parallel, as the rows of equal centred columns are, and
+    turning one against the other would only shrink it towards underflow. The
+    rotations are orthogonal, so the rows end as s_k times the right singular vectors
+    of the input; with more rows than columns, the rows beyond the rank end as noise.
     """
     if len(rows) < 2:
         return rows
@@ -123,8 +122,6 @@ def _orthogonalize(rows: list, partner: list | None = None) -> list:
                 t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
                 c = 1.0 / math.hypot(1.0, t)
                 rows[i], rows[j] = _rotate(rows[i], rows[j], c, c * t)
-                if partner is not None:
-                    partner[i], partner[j] = _rotate(partner[i], partner[j], c, c * t)
                 rotated = True
         if not rotated:
             break
@@ -135,16 +132,13 @@ def pca_2d(vectors: list[ConceptVector]) -> Projection2D:
     """Project vectors onto the top two principal axes of their sample covariance.
 
     The axes come from a one-sided Jacobi SVD of the centred n x d data, so no
-    d x d matrix is formed: with n <= d it rotates the n rows, which end as s_k
-    times the axes; with more rows than dimensions it rotates the d columns,
-    which end as s_k times the left singular vectors, and the axes are the
-    same rotations applied to the identity. Each axis points so that its
-    largest-magnitude loading is positive. Centred rows span at most
-    min(n - 1, d) axes: one beyond that, or one along which the rows have no
-    spread, is a zero row with zero coordinates, eigenvalue and fraction.
-    Eigenvalues are coordinate variances; fractions are s_k^2 over the sum for
-    the axes that exist, so none exceeds 1. Identical input vectors raise an
-    error.
+    d x d matrix is formed: it rotates the n rows, which end as s_k times the
+    axes. Each axis points so that its largest-magnitude loading is positive.
+    Centred rows span at most min(n - 1, d) axes: one beyond that, or one along
+    which the rows have no spread, is a zero row with zero coordinates,
+    eigenvalue and fraction. Eigenvalues are coordinate variances; fractions are
+    s_k^2 over the sum for the axes that exist, so none exceeds 1. Identical
+    input vectors raise an error.
     """
     if len(vectors) < 2:
         raise ValidationError("need at least 2 vectors")
@@ -153,12 +147,8 @@ def pca_2d(vectors: list[ConceptVector]) -> Projection2D:
     n, d = len(vectors), len(vectors[0].dims)
     means = [math.fsum(column) / n for column in zip(*(v.values for v in vectors))]
     centered = [[x - m for x, m in zip(v.values, means)] for v in vectors]
-    if n <= d:
-        rows = axes = _orthogonalize(list(centered))
-    else:
-        axes = [[float(i == j) for j in range(d)] for i in range(d)]
-        rows = _orthogonalize(list(zip(*centered)), axes)
-    power = sorted(((_dot(row, row), k) for k, row in enumerate(rows)), reverse=True)
+    axes = _orthogonalize(list(centered))
+    power = sorted(((_dot(row, row), k) for k, row in enumerate(axes)), reverse=True)
     power = power[:min(n - 1, d)]  # one per axis that exists, largest first
     total = math.fsum(p for p, _ in power)
     if total <= 0.0:

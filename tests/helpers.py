@@ -4,9 +4,11 @@ import argparse
 import ast
 import hashlib
 import json
+import os
 from functools import lru_cache
 from pathlib import Path
 
+import semdrift
 from semdrift import (ConceptMap, CorpusStratum, Document, FrequencyTable, SentimentLexicon,
                       TranslationKind, filler_vocab, load_concept_map, load_lexicon_sources,
                       merge_disjoint, stats)
@@ -15,6 +17,9 @@ from semdrift.errors import NUMBER
 
 DATA = Path(__file__).parent / "data"
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
+# the package this suite imports: the checkout's src/semdrift when src is on PYTHONPATH,
+# an installed copy when it is not
+PACKAGE = Path(semdrift.__file__).parent
 # the two ways a process enters the command line, as the interpreter's arguments:
 # `python -m semdrift.cli` runs the module as __main__, and the console script that
 # `pip install` writes imports `run` from `semdrift.cli` and calls it; both start the
@@ -23,6 +28,13 @@ ENTRIES = {
     "module": ["-m", "semdrift.cli"],
     "console-script": ["-c", "from semdrift.cli import run\nrun()\n"],
 }
+
+
+def child_env(*first: Path) -> dict:
+    """The environment of a child interpreter that imports the package this suite imports:
+    `first`, then the directory that holds PACKAGE, ahead of the inherited PYTHONPATH."""
+    path = [*map(str, first), str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
 def perfbench_constant(module: str, name: str):

@@ -23,7 +23,7 @@ from semdrift.cli import (_CONFIG_TYPES, _FLAGS, _HELP, _SYNTH_TYPES, analyze, l
                           main, parse_args, run_validation)
 from semdrift.errors import NUMBER, IngestError, ValidationError
 
-from helpers import (DATA, ENTRIES, count_class_of, digest, fixture_concept_map,
+from helpers import (DATA, ENTRIES, child_env, count_class_of, digest, fixture_concept_map,
                      forbid_panel_building, read_summary, reference_parse)
 
 ROOT = Path(__file__).parent.parent
@@ -152,6 +152,25 @@ class TestValidate:
         assert f"error: concept map: cannot read {tmp_path}: " in capsys.readouterr().out
         out = tmp_path / "run"
         assert main(["analyze", "--config", str(config), "--output-dir", str(out)]) == 2
+        assert not out.exists()
+
+    def test_concept_map_with_equal_languages_exits_2(self, tmp_path, capsys):
+        # a stratum's language picks its side of the map, so with one language on both
+        # sides every stratum would read the source column and none the target column;
+        # this map, English on both sides, loads against the English lexicon
+        rows = [line.split("\t") for line in
+                (DATA / "concepts.tsv").read_text(encoding="utf-8").splitlines()]
+        cmap = tmp_path / "concepts_en.tsv"
+        cmap.write_text("".join(f"{cid}\t{cls}\t{tgt}\t{tgt}\n" for cid, cls, _, tgt in rows),
+                        encoding="utf-8")
+        config = write_config(tmp_path, source_language="en", concept_map=str(cmap))
+        message = "error: concept_map requires source_language and target_language to differ"
+        assert main(["validate", "--config", str(config)]) == 2
+        assert f"{message}\n" in capsys.readouterr().out
+        out = tmp_path / "run"
+        for command in ("analyze", "synth"):
+            assert main([command, "--config", str(config), "--output-dir", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(f"{message}\n")
         assert not out.exists()
 
     def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys):
@@ -332,9 +351,7 @@ class TestCommandLine:
     @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("argv, message", USAGE_ERRORS, ids=USAGE_IDS)
     def test_usage_error_exits_2_through_each_process_entry(self, entry, argv, message):
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, *ENTRIES[entry], *argv], env=env,
+        proc = subprocess.run([sys.executable, *ENTRIES[entry], *argv], env=child_env(),
                               capture_output=True, text=True, check=False)
         assert proc.returncode == 2
         assert (proc.stdout, proc.stderr) == ("", f"error: {message}\n")
@@ -754,8 +771,7 @@ class TestAnalyze:
                         reason="set SEMDRIFT_PYTHONS to interpreter paths, separated by "
                                "os.pathsep, to enable")
     def test_bundle_matches_golden_files_under_every_interpreter(self, tmp_path):
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        env = child_env()
         failures = []
         for i, python in enumerate(os.environ["SEMDRIFT_PYTHONS"].split(os.pathsep)):
             out = tmp_path / f"run{i}"

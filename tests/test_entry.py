@@ -14,7 +14,6 @@ callers that run it in process.
 
 import gc
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -25,9 +24,8 @@ import pytest
 
 from semdrift.cli import _COMMAND_MODULES, main
 
-from helpers import DATA, ENTRIES, digest
+from helpers import DATA, ENTRIES, PACKAGE, child_env, digest
 
-ROOT = Path(__file__).parent.parent
 # run as `sitecustomize`, which the interpreter imports before it runs the entry: it
 # collects, so that what start-up allocated does not decide when the next collection
 # falls; records, at the start of each collection from then on, the semdrift modules
@@ -55,14 +53,11 @@ def run_entry(tmp_path: Path, entry: str, *args: str) -> tuple[int, dict]:
     that holds no bytecode, so that every semdrift module compiles from source, as in a
     fresh checkout, while the standard library loads its own bytecode: its exit code, and
     the probe's record at exit."""
-    probe, src = tmp_path / "probe", tmp_path / "src"
+    probe, copy = tmp_path / "probe", tmp_path / "copy"
     probe.mkdir()
     (probe / "sitecustomize.py").write_text(GC_PROBE, encoding="utf-8")
-    shutil.copytree(ROOT / "src" / "semdrift", src / "semdrift",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(probe), str(src),
-                                                        os.environ.get("PYTHONPATH")]))}
+    shutil.copytree(PACKAGE, copy / "semdrift", ignore=shutil.ignore_patterns("__pycache__"))
+    env = {**child_env(probe, copy), "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run([sys.executable, *ENTRIES[entry], *args], env=env,
                           capture_output=True, text=True, check=False)
     return proc.returncode, json.loads(proc.stdout.splitlines()[-1])

@@ -24,7 +24,6 @@ code and the modules it loaded; the package's exports load on first access.
 
 import importlib
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -37,9 +36,8 @@ import pytest
 import semdrift
 import semdrift.ingest
 
-from helpers import DATA, digest, perfbench_constant, read_summary
+from helpers import DATA, PACKAGE, child_env, digest, perfbench_constant, read_summary
 
-ROOT = Path(__file__).parent.parent
 PROBE = ("import json, sys\n"
          "from semdrift.cli import main\n"
          "code = main(sys.argv[1:])\n"
@@ -74,11 +72,9 @@ SYNTH_DIGEST = "e41009883e164e4ce3057bd05e087ace69ad2bf0eab5e109cb84b028557375ad
 
 
 def run_fresh(code: str, *args: str, flags: tuple[str, ...] = ()) -> str:
-    """The last line that `code` prints in a fresh interpreter started with `flags`."""
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                        os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, *flags, "-c", code, *args], env=env,
+    """The last line that `code` prints in a fresh interpreter started with `flags`, which
+    imports the package this suite imports."""
+    proc = subprocess.run([sys.executable, *flags, "-c", code, *args], env=child_env(),
                           capture_output=True, text=True, check=True)
     return proc.stdout.splitlines()[-1]
 
@@ -322,8 +318,14 @@ def test_analyze_without_the_builtin_hash_reproduces_the_golden_bundle(tmp_path)
 def test_every_module_is_loaded_by_some_command():
     # the tests above pin each command's set, so a module in none of them no command loads
     files = {"semdrift" if p.stem == "__init__" else f"semdrift.{p.stem}"
-             for p in (ROOT / "src" / "semdrift").glob("*.py")}
+             for p in PACKAGE.glob("*.py")}
     assert files == COMMON | SYNTH | ANALYZE
+
+
+def test_a_child_imports_the_package_the_suite_imports():
+    # so the child-process tests judge the same copy of semdrift as the in-process ones
+    child = run_fresh("import semdrift\nprint(semdrift.__file__)")
+    assert Path(child).resolve() == (PACKAGE / "__init__.py").resolve()
 
 
 def test_importing_the_package_loads_no_module():

@@ -9,22 +9,13 @@ config.
 """
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-from helpers import DATA, PERFBENCH, perfbench_constant
+from helpers import DATA, PERFBENCH, child_env, perfbench_constant
 
-ROOT = Path(__file__).parent.parent
 REQUIRED = perfbench_constant("tracer", "REQUIRED") + perfbench_constant("workloads",
                                                                           "STATS_FUNCTIONS")
-
-
-def fresh_env() -> dict:
-    return {**os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                         os.environ.get("PYTHONPATH")]))}
 
 
 def test_the_tracer_installs_a_span_for_every_required_function():
@@ -34,14 +25,14 @@ def test_the_tracer_installs_a_span_for_every_required_function():
             "spans = tracer.Tracer()\n"
             "spans.install()\n"
             "print(json.dumps(sorted(spans.records)))\n")
-    proc = subprocess.run([sys.executable, "-c", code, str(PERFBENCH)], env=fresh_env(),
+    proc = subprocess.run([sys.executable, "-c", code, str(PERFBENCH)], env=child_env(),
                           check=True, capture_output=True, text=True)
     installed = set(json.loads(proc.stdout))
     assert [name for name in REQUIRED if name not in installed] == []
 
 
 def test_traced_synth_and_analyze_call_every_required_span(tmp_path):
-    env = fresh_env()
+    env = child_env()
     calls: dict[str, int] = {}
     for command in ("synth", "analyze"):
         spans = tmp_path / f"spans_{command}.json"
